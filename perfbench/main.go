@@ -57,7 +57,7 @@ func runMain(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	name := fs.String("workload", "", "workload: release-lp, append-chain or mixed-replay")
 	seed := fs.Uint64("seed", 1, "workload seed; the same seed gives the same inputs")
-	seconds := fs.Int("seconds", 25, "measured duration in seconds")
+	seconds := fs.Int("seconds", 35, "measured duration in seconds")
 	trace := fs.Int("trace", 0, "1 adds the in-process traced run and prints per-layer metrics")
 	bin := fs.String("slserve", "", "path to the slserve binary under test")
 	workdir := fs.String("workdir", "", "directory for data directories and logs (removed afterwards)")
@@ -167,7 +167,7 @@ func measure(w *workload, bin, dir string, d time.Duration, repeats int) (*run, 
 			if w.openLoop() {
 				r.outs = openLoop(client, srv.base, w.timed, w.payloads, conns)
 			} else {
-				r.outs = closedLoop(client, srv.base, w.ops, w.payloads, d, minOps)
+				r.outs = closedLoop(client, srv.base, w.ops, w.payloads, d, w.least)
 			}
 			r.rssMB, err = srv.peakRSSMB()
 		}

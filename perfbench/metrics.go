@@ -18,15 +18,21 @@ type metricDef struct {
 }
 
 // endToEndDefs are the metrics of an untraced run (--trace 0), what a user
-// of slserve sees.
+// of slserve sees. Release and request latencies are reported at p75 and
+// p90 rather than at the median: on a shared 2-vCPU host each vCPU flips,
+// many times a second, between full speed and ~1.65× slower while a
+// neighbour loads its sibling thread. A median then tracks how much of the
+// run the neighbour happened to cover, while the upper percentiles sit in
+// the contended mode and repeat between runs. p90 is the highest percentile
+// with ten samples beyond it in every run.
 var endToEndDefs = []metricDef{
 	{"setup_s", "s", "lower", 0.25},
-	{"release_p50_ms", "ms", "lower", 0.25},
+	{"release_p75_ms", "ms", "lower", 0.25},
 	{"release_p90_ms", "ms", "lower", 0.25},
 	{"append_p50_ms", "ms", "lower", 0.25},
 	{"append_p90_ms", "ms", "lower", 0.25},
-	{"request_p50_ms", "ms", "lower", 0.25},
-	{"request_p99_ms", "ms", "lower", 0.25},
+	{"request_p75_ms", "ms", "lower", 0.25},
+	{"request_p90_ms", "ms", "lower", 0.25},
 	{"output_size_mean", "count", "higher", 0.25},
 	{"server_peak_rss_mb", "MiB", "lower", 0.2},
 }
@@ -81,6 +87,75 @@ func quantile(xs []float64, q float64) float64 {
 
 func median(xs []float64) float64 { return quantile(xs, 0.5) }
 
+// hdQuantile is the Harrell–Davis estimate of the q-quantile of xs (0 when
+// empty): a mean of all order statistics, weighted by the Beta((n+1)q,
+// (n+1)(1−q)) probability of each one's rank interval. It moves smoothly
+// with the sample, where a nearest-rank tail percentile over a few hundred
+// latencies jumps between whichever neighbours the run happened to draw.
+func hdQuantile(xs []float64, q float64) float64 {
+	n := len(xs)
+	if n < 2 {
+		return quantile(xs, q)
+	}
+	s := slices.Sorted(slices.Values(xs))
+	a, b := q*float64(n+1), (1-q)*float64(n+1)
+	sum, prev := 0.0, 0.0
+	for i, x := range s {
+		cdf := betaInc(a, b, float64(i+1)/float64(n))
+		sum += (cdf - prev) * x
+		prev = cdf
+	}
+	return sum
+}
+
+// betaInc is the regularized incomplete beta function I_x(a, b), by the
+// continued fraction on whichever side of the mean converges fast.
+func betaInc(a, b, x float64) float64 {
+	if x <= 0 {
+		return 0
+	}
+	if x >= 1 {
+		return 1
+	}
+	la, _ := math.Lgamma(a)
+	lb, _ := math.Lgamma(b)
+	lab, _ := math.Lgamma(a + b)
+	front := math.Exp(lab - la - lb + a*math.Log(x) + b*math.Log1p(-x))
+	if x < (a+1)/(a+b+2) {
+		return front * betaFrac(a, b, x) / a
+	}
+	return 1 - front*betaFrac(b, a, 1-x)/b
+}
+
+// betaFrac evaluates the incomplete beta continued fraction by the modified
+// Lentz method.
+func betaFrac(a, b, x float64) float64 {
+	const tiny, tol = 1e-300, 1e-15
+	clamp := func(v float64) float64 {
+		if math.Abs(v) < tiny {
+			return tiny
+		}
+		return v
+	}
+	c, d := 1.0, 1/clamp(1-(a+b)*x/(a+1))
+	h := d
+	for m := 1.0; m <= 10000; m++ {
+		num := m * (b - m) * x / ((a + 2*m - 1) * (a + 2*m))
+		d = 1 / clamp(1+num*d)
+		c = clamp(1 + num/c)
+		h *= d * c
+		num = -(a + m) * (a + b + m) * x / ((a + 2*m) * (a + 2*m + 1))
+		d = 1 / clamp(1+num*d)
+		c = clamp(1 + num/c)
+		step := d * c
+		h *= step
+		if math.Abs(step-1) < tol {
+			break
+		}
+	}
+	return h
+}
+
 // latenciesMS maps the outcomes that pass keep to their due-time latency.
 func latenciesMS(outs []outcome, keep func(*outcome) bool) []float64 {
 	var xs []float64
@@ -112,7 +187,8 @@ func isCorpusWrite(o *outcome) bool {
 	return action == "append" || (name != "" && action == "" && o.rec.Method == http.MethodPut)
 }
 
-// endToEnd computes the untraced run's metrics.
+// endToEnd computes the untraced run's metrics. Latency percentiles are
+// Harrell–Davis estimates.
 //
 //   - release_*: UMP releases by reference (POST /v1/corpora/{name}/sanitize
 //     answered with a UMP release), from due time.
@@ -153,12 +229,12 @@ func endToEnd(w *workload, r *run) map[string]float64 {
 	}
 	return map[string]float64{
 		"setup_s":            median(setups),
-		"release_p50_ms":     quantile(rel, 0.5),
-		"release_p90_ms":     quantile(rel, 0.9),
-		"append_p50_ms":      quantile(writes, 0.5),
-		"append_p90_ms":      quantile(writes, 0.9),
-		"request_p50_ms":     quantile(all, 0.5),
-		"request_p99_ms":     quantile(all, 0.99),
+		"release_p75_ms":     hdQuantile(rel, 0.75),
+		"release_p90_ms":     hdQuantile(rel, 0.9),
+		"append_p50_ms":      hdQuantile(writes, 0.5),
+		"append_p90_ms":      hdQuantile(writes, 0.9),
+		"request_p75_ms":     hdQuantile(all, 0.75),
+		"request_p90_ms":     hdQuantile(all, 0.9),
 		"output_size_mean":   mean(sizes),
 		"server_peak_rss_mb": r.rssMB,
 	}

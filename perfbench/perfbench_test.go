@@ -207,7 +207,7 @@ func inProcessRun(t *testing.T, w *workload, d time.Duration) (*run, []outcome) 
 	if w.openLoop() {
 		r.outs = openLoop(client, ts.URL, w.timed, w.payloads, 2)
 	} else {
-		r.outs = closedLoop(client, ts.URL, w.ops, w.payloads, d, minOps)
+		r.outs = closedLoop(client, ts.URL, w.ops, w.payloads, d, w.least)
 	}
 	all := append(slices.Clone(setup), r.outs...)
 	if err := check(w, all, t.TempDir()); err != nil {
@@ -282,13 +282,35 @@ func TestBenchmarkJSON(t *testing.T) {
 			t.Errorf("workload %s: why must be one line of at most 200 characters", w.Name)
 		}
 	}
-	if !slices.Equal(names, workloadNames) {
-		t.Errorf("BENCHMARK.json workloads %v, program has %v", names, workloadNames)
+	if !slices.Equal(names, benchmarked) {
+		t.Errorf("BENCHMARK.json workloads %v, program has %v", names, benchmarked)
 	}
 	if !slices.Equal(bj.EndToEnd, endToEndDefs) {
 		t.Errorf("BENCHMARK.json end_to_end %+v, program has %+v", bj.EndToEnd, endToEndDefs)
 	}
 	if !slices.Equal(bj.PerLayer, perLayerDefs) {
 		t.Errorf("BENCHMARK.json per_layer %+v, program has %+v", bj.PerLayer, perLayerDefs)
+	}
+}
+
+// TestHDQuantile checks the Harrell–Davis estimator against values it must
+// reproduce: the centre of a symmetric sample, a constant sample, and a
+// tail estimate near the top order statistics.
+func TestHDQuantile(t *testing.T) {
+	var xs []float64
+	for i := range 101 {
+		xs = append(xs, float64(i))
+	}
+	if got := hdQuantile(xs, 0.5); math.Abs(got-50) > 1e-9 {
+		t.Errorf("median of 0..100 is %v, want 50", got)
+	}
+	if got := hdQuantile([]float64{7, 7, 7}, 0.9); math.Abs(got-7) > 1e-12 {
+		t.Errorf("p90 of a constant sample is %v, want 7", got)
+	}
+	if got := hdQuantile(xs, 0.99); got < 97 || got > 100 {
+		t.Errorf("p99 of 0..100 is %v, want it near the top order statistics", got)
+	}
+	if got := betaInc(2, 3, 0.4); math.Abs(got-0.5248) > 1e-12 {
+		t.Errorf("I_0.4(2, 3) = %v, want 0.5248", got)
 	}
 }
