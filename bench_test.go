@@ -17,7 +17,6 @@ import (
 	"dpslog/internal/bip"
 	"dpslog/internal/dp"
 	"dpslog/internal/experiments"
-	"dpslog/internal/lp"
 	"dpslog/internal/partition"
 	"dpslog/internal/rng"
 	"dpslog/internal/sampling"
@@ -199,31 +198,6 @@ func BenchmarkAblation_BoxConstraint(b *testing.B) {
 				lambda = plan.RelaxationObjective
 			}
 			b.ReportMetric(lambda, "lambdaLP")
-		})
-	}
-}
-
-// BenchmarkAblation_Pricing compares Devex pricing (default) against
-// Bland's rule on the same O-UMP LP; the iterations metric shows why Devex
-// is the default.
-func BenchmarkAblation_Pricing(b *testing.B) {
-	in := benchCorpus(b)
-	pre, _ := Preprocess(in)
-	p := dp.Params{Eps: math.Log(2), Delta: 0.5}
-	for _, tc := range []struct {
-		name  string
-		bland bool
-	}{{"devex", false}, {"bland", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var iters int
-			for i := 0; i < b.N; i++ {
-				plan, err := ump.MaxOutputSize(pre, p, ump.Options{LP: lp.Options{Bland: tc.bland}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				iters = plan.Iterations
-			}
-			b.ReportMetric(float64(iters), "simplex-iters")
 		})
 	}
 }

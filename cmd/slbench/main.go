@@ -1,6 +1,6 @@
 // Command slbench measures the solver hot paths — monolithic vs
-// component-decomposed, sequential vs parallel, dense vs sparse-LU basis
-// engine — plus the multinomial sampling step, the warm-started grid
+// component-decomposed, sequential vs parallel — plus the multinomial
+// sampling step, the warm-started grid
 // sweeps, the streaming sharded ingest fold and every registered release
 // mechanism end to end, and emits a machine-readable benchmark trajectory
 // (BENCH_pr10.json) that future changes are compared against.
@@ -18,9 +18,7 @@
 // are pure solve cost. Single-market profiles (tiny, small) form one giant
 // connected component — there the decomposed rows measure the
 // decomposition's overhead, not a speedup; the *-sharded profiles decompose
-// into one component per market and show the win. The monolithic-dense rows
-// re-run the monolithic O-UMP solve on the legacy dense basis engine: the
-// dense-vs-sparse ratio at equal λ is the PR 3 headline.
+// into one component per market and show the win.
 //
 // The {profile}/mechanism/{name} rows run each mechanism registered in
 // internal/mechanism (ump, laplace, zealous, localdp) through its full
@@ -31,7 +29,7 @@
 //
 // With -baseline, slbench compares every objective value against the named
 // earlier trajectory by benchmark name and exits nonzero on any mismatch:
-// speed may drift between engines and machines, λ and plan objectives may
+// speed may drift between machines, λ and plan objectives may
 // not.
 package main
 
@@ -52,7 +50,6 @@ import (
 	"dpslog/internal/dp"
 	"dpslog/internal/gen"
 	"dpslog/internal/ingest"
-	"dpslog/internal/lp"
 	"dpslog/internal/mechanism"
 	"dpslog/internal/rng"
 	"dpslog/internal/sampling"
@@ -146,22 +143,17 @@ func main() {
 		pre, _ := searchlog.Preprocess(raw)
 
 		modes := []struct {
-			name       string
-			opts       ump.Options
-			par        int
-			objectives string // empty = all
+			name string
+			opts ump.Options
+			par  int
 		}{
-			{"monolithic", ump.Options{NoDecompose: true}, 1, ""},
-			{"monolithic-dense", ump.Options{NoDecompose: true, LP: lp.Options{Engine: lp.EngineDense}}, 1, "output-size"},
-			{"decomposed-p1", ump.Options{Parallelism: 1}, 1, ""},
-			{"decomposed-pmax", ump.Options{}, runtime.GOMAXPROCS(0), ""},
+			{"monolithic", ump.Options{NoDecompose: true}, 1},
+			{"decomposed-p1", ump.Options{Parallelism: 1}, 1},
+			{"decomposed-pmax", ump.Options{}, runtime.GOMAXPROCS(0)},
 		}
 		for _, objective := range strings.Split(*objectives, ",") {
 			objective = strings.TrimSpace(objective)
 			for _, mode := range modes {
-				if mode.objectives != "" && !strings.Contains(mode.objectives, objective) {
-					continue
-				}
 				solve, err := solverFor(objective, pre, params, mode.opts)
 				if err != nil {
 					fatal(err)

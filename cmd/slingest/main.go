@@ -20,9 +20,10 @@
 // becomes a multi-hundred-MB corpus).
 //
 // Sink: -url/-corpus PUTs the stream to /v1/corpora/{name} (chunked
-// transfer, ?format= passed through, so the server's sharded ingest does
-// the folding); -o writes the raw rows to a file or stdout; -stats folds
-// locally and prints the digest, shape and ingest statistics as JSON.
+// transfer, -format sent as the Content-Type — application/x-aol-log for
+// AOL — so the server's sharded ingest does the folding); -o writes the raw
+// rows to a file or stdout; -stats folds locally and prints the digest,
+// shape and ingest statistics as JSON.
 //
 // On exit slingest reports rows, bytes, wall time, throughput and the
 // process's peak RSS (VmHWM) — the number the bounded-memory claim is
@@ -221,14 +222,15 @@ func writeBlocks(w *bufio.Writer, p gen.Profile, seed uint64, minBytes int64, f 
 // admission gate then books a default reservation for it.
 func push(base, name string, f ingest.Format, src io.Reader, length int64) error {
 	u := strings.TrimSuffix(base, "/") + "/v1/corpora/" + name
-	if f == ingest.FormatAOL {
-		u += "?format=aol"
-	}
 	req, err := http.NewRequest(http.MethodPut, u, io.NopCloser(src))
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "text/tab-separated-values")
+	contentType := "text/tab-separated-values"
+	if f == ingest.FormatAOL {
+		contentType = "application/x-aol-log"
+	}
+	req.Header.Set("Content-Type", contentType)
 	if length > 0 {
 		req.ContentLength = length
 	}

@@ -43,7 +43,7 @@ const (
 	FormatAOL
 )
 
-// ParseFormat maps the wire/flag names onto a Format.
+// ParseFormat maps the flag names onto a Format.
 func ParseFormat(s string) (Format, error) {
 	switch s {
 	case "", "tsv":

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// TestEnginesAgree differentially tests the sparse LU engine against the
-// dense explicit-inverse engine on random feasible LPs: identical statuses,
+// TestEnginesAgree differentially tests the sparse LU factorization against
+// the dense explicit-inverse oracle on random feasible LPs: identical statuses,
 // matching objectives, and a full optimality certificate from both.
 func TestEnginesAgree(t *testing.T) {
 	r := rand.New(rand.NewPCG(2024, 6))
@@ -17,11 +17,11 @@ func TestEnginesAgree(t *testing.T) {
 			sense = Maximize
 		}
 		p := randomFeasibleLP(r, sense, 1+r.IntN(10), 1+r.IntN(10), true)
-		sparse, err := Solve(p, Options{Engine: EngineSparseLU})
+		sparse, err := Solve(p, Options{})
 		if err != nil {
 			t.Fatalf("trial %d sparse: %v", trial, err)
 		}
-		dense, err := Solve(p, Options{Engine: EngineDense})
+		dense, err := solveWith(p, Options{}, newDenseFactor)
 		if err != nil {
 			t.Fatalf("trial %d dense: %v", trial, err)
 		}
@@ -58,11 +58,11 @@ func TestEnginesAgreeOnPackingLPs(t *testing.T) {
 				}
 			}
 		}
-		sparse, err := Solve(p, Options{Engine: EngineSparseLU})
+		sparse, err := Solve(p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dense, err := Solve(p, Options{Engine: EngineDense})
+		dense, err := solveWith(p, Options{}, newDenseFactor)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,27 +289,6 @@ func TestWarmStartInvalidFallsBack(t *testing.T) {
 		if sol.Status != Optimal || !approx(sol.Objective, cold.Objective, 1e-7*(1+cold.Objective)) {
 			t.Fatalf("bad basis %d: status %v obj %g, want optimal %g", i, sol.Status, sol.Objective, cold.Objective)
 		}
-	}
-}
-
-// TestWarmStartAcrossEngines: a dense-engine basis warms a sparse-engine
-// solve and vice versa (snapshots are representation-independent).
-func TestWarmStartAcrossEngines(t *testing.T) {
-	r := rand.New(rand.NewPCG(12, 13))
-	p := buildPackingLP(r, 40, 20, 0.9)
-	dense, err := Solve(p, Options{Engine: EngineDense})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparse, err := Solve(p, Options{Engine: EngineSparseLU, WarmStart: dense.Basis})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sparse.Status != Optimal || !approx(sparse.Objective, dense.Objective, 1e-7*(1+dense.Objective)) {
-		t.Fatalf("cross-engine warm start: %v %g vs %g", sparse.Status, sparse.Objective, dense.Objective)
-	}
-	if sparse.Iterations > dense.Iterations {
-		t.Errorf("cross-engine warm start cost %d iterations vs %d cold", sparse.Iterations, dense.Iterations)
 	}
 }
 

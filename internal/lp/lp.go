@@ -1,6 +1,7 @@
 // Package lp implements a self-contained linear programming solver: a
 // bounded-variable, two-phase revised simplex method with sparse constraint
-// columns and a dense, explicitly maintained basis inverse.
+// columns and a sparse LU factorization of the basis, updated by product-form
+// etas between refactorizations.
 //
 // The solver targets the optimization problems of the paper's utility
 // maximization (O-UMP and F-UMP and the LP relaxations used by the BIP
@@ -178,20 +179,6 @@ func (p *Problem) validate() error {
 	return nil
 }
 
-// Engine selects the basis-inverse representation of the simplex engine.
-type Engine int
-
-const (
-	// EngineSparseLU (the default) factorizes the basis as a sparse
-	// Markowitz-ordered LU with product-form eta updates and periodic
-	// refactorization.
-	EngineSparseLU Engine = iota
-	// EngineDense maintains the explicit dense m×m basis inverse — the
-	// original engine, kept for differential testing and the
-	// dense-vs-sparse benchmark comparison.
-	EngineDense
-)
-
 // Basis statuses, matching the solver's internal nonbasic/basic encoding.
 const (
 	// BasisAtLower marks a variable nonbasic at its lower bound (or a row
@@ -273,7 +260,7 @@ type SolveStats struct {
 	// (cold or warm) one, so it is at least 1 for any solve that ran.
 	Refactorizations int
 	// EtaLength is the peak product-form eta-file length observed between
-	// refactorizations (update count for the dense engine).
+	// refactorizations.
 	EtaLength int
 	// WarmAttempted reports that a warm-start basis was supplied.
 	WarmAttempted bool
@@ -289,13 +276,6 @@ type Options struct {
 	// Tol is the feasibility/optimality tolerance; 0 means 1e-9 scaled
 	// internally.
 	Tol float64
-	// Bland forces Bland's rule from the first iteration (used by the pricing
-	// ablation benchmark). The default is Dantzig pricing with an automatic
-	// Bland fallback under degeneracy.
-	Bland bool
-	// Engine selects the basis representation; the zero value is the sparse
-	// LU engine.
-	Engine Engine
 	// WarmStart seeds the solve with a prior basis snapshot. Invalid or
 	// infeasible snapshots fall back to a cold start.
 	WarmStart *Basis
@@ -310,17 +290,24 @@ var ErrBadProblem = errors.New("lp: malformed problem")
 // Solve runs the two-phase revised simplex method on the problem: presolve
 // (unless disabled), warm or cold start, iterate, postsolve.
 func Solve(p *Problem, opts Options) (*Solution, error) {
+	return solveWith(p, opts, newLUFactor)
+}
+
+// solveWith is Solve with the basis factorization supplied by newFactor.
+// Production always passes newLUFactor; tests pass a dense reference
+// factorization to cross-check the sparse one.
+func solveWith(p *Problem, opts Options, newFactor func(m int) basisFactor) (*Solution, error) {
 	if err := p.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadProblem, err)
 	}
 	if opts.NoPresolve {
-		return solveCore(p, opts, opts.WarmStart)
+		return solveCore(p, opts, opts.WarmStart, newFactor)
 	}
 	ps := presolveProblem(p)
 	if ps.infeasible {
 		return infeasibleSolution(p), nil
 	}
-	sol, err := solveCore(ps.reduced, opts, ps.mapWarm(opts.WarmStart))
+	sol, err := solveCore(ps.reduced, opts, ps.mapWarm(opts.WarmStart), newFactor)
 	if err != nil {
 		return nil, err
 	}
@@ -339,11 +326,11 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 }
 
 // solveCore runs the simplex proper on an already-reduced problem.
-func solveCore(p *Problem, opts Options, warm *Basis) (*Solution, error) {
-	s := newSolver(p, opts)
-	warmAccepted := warm != nil && s.warmStart(opts.Engine, warm)
+func solveCore(p *Problem, opts Options, warm *Basis, newFactor func(m int) basisFactor) (*Solution, error) {
+	s := newSolver(p, opts, newFactor)
+	warmAccepted := warm != nil && s.warmStart(warm)
 	if !warmAccepted {
-		s.coldStart(opts.Engine)
+		s.coldStart()
 	}
 	sol, err := s.solve()
 	if sol != nil {

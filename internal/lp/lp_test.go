@@ -509,24 +509,57 @@ func TestPackingScalesWithBudget(t *testing.T) {
 	}
 }
 
-func TestBlandOptionMatchesDantzig(t *testing.T) {
+// degenerateLP builds a random bounded maximization whose starting vertex,
+// the origin, is highly degenerate: three rows in four have right-hand side
+// 0 and mixed-sign integer coefficients, so early pivots take zero steps and
+// the ratio test ties across rows.
+func degenerateLP(r *rand.Rand, nVars, nRows int) *Problem {
+	p := NewProblem(Maximize)
+	for j := 0; j < nVars; j++ {
+		p.AddVariable(r.Float64()*2-0.5, 0, float64(1+r.IntN(10)))
+	}
+	for i := 0; i < nRows; i++ {
+		rhs := 0.0
+		if i%4 == 3 {
+			rhs = 1 + 5*r.Float64()
+		}
+		row := p.AddConstraint(LE, rhs)
+		for j := 0; j < nVars; j++ {
+			if r.Float64() < 0.5 {
+				p.SetCoef(row, j, float64(r.IntN(5)-2))
+			}
+		}
+	}
+	return p
+}
+
+// TestBlandRuleMatchesDevex starts the solver in the state a degenerate
+// stall puts it in — Bland's anti-cycling rule on — and checks that it
+// certifies the same optimum as Devex pricing. Bland's rule stays on through
+// the zero-step pivots at the origin, so both its entering rule and its
+// ratio-test tie-break run.
+func TestBlandRuleMatchesDevex(t *testing.T) {
 	r := rand.New(rand.NewPCG(5, 8))
-	for trial := 0; trial < 30; trial++ {
-		p := randomFeasibleLP(r, Maximize, 1+r.IntN(6), 1+r.IntN(6), false)
-		a, err := Solve(p, Options{})
+	for trial := 0; trial < 40; trial++ {
+		p := degenerateLP(r, 2+r.IntN(12), 2+r.IntN(12))
+		devex, err := Solve(p, Options{NoPresolve: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Solve(p, Options{Bland: true})
+		s := newSolver(p, Options{}, newLUFactor)
+		s.coldStart()
+		s.blandOn = true
+		bland, err := s.solve()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Status != b.Status {
-			t.Fatalf("trial %d: status mismatch %v vs %v", trial, a.Status, b.Status)
+		if devex.Status != Optimal || bland.Status != Optimal {
+			t.Fatalf("trial %d: status devex %v, bland %v", trial, devex.Status, bland.Status)
 		}
-		if a.Status == Optimal && !approx(a.Objective, b.Objective, 1e-4*(1+math.Abs(a.Objective))) {
-			t.Fatalf("trial %d: objective mismatch %g vs %g", trial, a.Objective, b.Objective)
+		if !approx(bland.Objective, devex.Objective, 1e-7*(1+math.Abs(devex.Objective))) {
+			t.Fatalf("trial %d: objective bland %g != devex %g", trial, bland.Objective, devex.Objective)
 		}
+		checkCertificate(t, p, bland)
 	}
 }
 

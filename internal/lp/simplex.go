@@ -20,11 +20,9 @@ const (
 // each pivot updates d and the Devex reference weights in one O(nnz) pass
 // over the pivot row, and full dual recomputation happens only on periodic
 // refreshes. The basis inverse lives behind the basisFactor interface: the
-// default sparse LU engine pays O(nnz of the factors) per FTRAN/BTRAN and
+// sparse LU factorization pays O(nnz of the factors) per FTRAN/BTRAN and
 // appends a product-form eta per pivot, with periodic and
-// stability-triggered refactorization; the legacy dense engine keeps the
-// explicit m×m inverse (O(m²) per pivot) for differential testing and the
-// BENCH_pr3 dense-vs-sparse comparison.
+// stability-triggered refactorization.
 type solver struct {
 	m, n    int // rows, total columns (structural + slack + artificial)
 	nStruct int // structural column count
@@ -46,6 +44,8 @@ type solver struct {
 	xB     []float64
 	factor basisFactor
 
+	newFactor func(m int) basisFactor
+
 	// scratch
 	y     []float64 // duals c_B·B^{-1}
 	w     []float64 // FTRAN result B^{-1}·A_j
@@ -57,8 +57,7 @@ type solver struct {
 	ztol float64 // pivot magnitude threshold
 
 	maxIter int
-	bland   bool
-	blandOn bool
+	blandOn bool // Bland's rule, switched on by a degenerate stall
 
 	nArtificial int
 	iterations  int
@@ -72,16 +71,16 @@ type solver struct {
 // newSolver copies the problem into solver form: structural and slack
 // columns, bounds and costs. The starting basis is installed separately by
 // coldStart or warmStart.
-func newSolver(p *Problem, opts Options) *solver {
+func newSolver(p *Problem, opts Options, newFactor func(m int) basisFactor) *solver {
 	m := len(p.ops)
 	nStruct := len(p.obj)
 	s := &solver{
-		m:       m,
-		nStruct: nStruct,
-		tol:     opts.Tol,
-		maxIter: opts.MaxIterations,
-		bland:   opts.Bland,
-		ops:     p.ops,
+		m:         m,
+		nStruct:   nStruct,
+		tol:       opts.Tol,
+		maxIter:   opts.MaxIterations,
+		ops:       p.ops,
+		newFactor: newFactor,
 	}
 	if s.tol <= 0 {
 		s.tol = 1e-9
@@ -137,14 +136,6 @@ func newSolver(p *Problem, opts Options) *solver {
 	return s
 }
 
-// newFactor builds the basis representation for the configured engine.
-func newFactor(engine Engine, m int) basisFactor {
-	if engine == EngineDense {
-		return newDenseFactor(m)
-	}
-	return newLUFactor(m)
-}
-
 // finishInit sizes the iteration workspace once the basis (and any
 // artificial columns) are in place.
 func (s *solver) finishInit() {
@@ -159,7 +150,7 @@ func (s *solver) finishInit() {
 // coldStart installs the standard slack/artificial starting basis: every
 // structural variable at a finite bound, slacks basic where feasible,
 // artificials elsewhere.
-func (s *solver) coldStart(engine Engine) {
+func (s *solver) coldStart() {
 	m := s.m
 	// Initial nonbasic point: every variable at a finite bound.
 	for j := 0; j < len(s.cols); j++ {
@@ -231,7 +222,7 @@ func (s *solver) coldStart(engine Engine) {
 		binvDiag[i] = val // inverse of ±1 is itself
 		s.nArtificial++
 	}
-	s.factor = newFactor(engine, m)
+	s.factor = s.newFactor(m)
 	s.factor.initDiag(binvDiag)
 	s.refactors++
 	s.finishInit()
@@ -242,7 +233,7 @@ func (s *solver) coldStart(engine Engine) {
 // basic-column count, singular basis, or primal infeasibility under the
 // current bounds and right-hand side — it reports false without touching
 // the solver, and the caller falls back to a cold start.
-func (s *solver) warmStart(engine Engine, bs *Basis) bool {
+func (s *solver) warmStart(bs *Basis) bool {
 	m := s.m
 	if bs == nil || len(bs.Vars) != s.nStruct || len(bs.Rows) != m {
 		return false
@@ -323,7 +314,7 @@ func (s *solver) warmStart(engine Engine, bs *Basis) bool {
 		s.basis[i] = j
 		s.pos[j] = int32(i)
 	}
-	s.factor = newFactor(engine, m)
+	s.factor = s.newFactor(m)
 	if m > 0 && !s.factor.refactor(s.basis, s.cols) {
 		return rollback()
 	}
@@ -474,10 +465,10 @@ func (s *solver) iterate() Status {
 			justRefreshed = true
 		}
 
-		useBland := s.bland || s.blandOn
+		useBland := s.blandOn
 
 		// Pricing over the maintained reduced costs: Devex by default,
-		// Bland's rule under (forced or stall-triggered) anti-cycling.
+		// Bland's rule under stall-triggered anti-cycling.
 		enter := -1
 		bestScore := 0.0
 		var enterDir float64 // +1 increasing from lower, -1 decreasing from upper

@@ -29,58 +29,45 @@ func statsProblem(seed uint64) *Problem {
 }
 
 func TestSolveStatsColdAndWarm(t *testing.T) {
-	for _, eng := range []Engine{EngineSparseLU, EngineDense} {
-		cold, err := Solve(statsProblem(7), Options{Engine: eng})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cold.Status != Optimal {
-			t.Fatalf("engine %v: status %v", eng, cold.Status)
-		}
-		st := cold.Stats
-		if st.Refactorizations < 1 {
-			t.Errorf("engine %v: refactorizations = %d, want >= 1", eng, st.Refactorizations)
-		}
-		if st.PresolveRows < 2 {
-			t.Errorf("engine %v: presolve rows = %d, want >= 2 (singleton + redundant)", eng, st.PresolveRows)
-		}
-		if st.PresolveCols < 0 {
-			t.Errorf("engine %v: negative presolve cols %d", eng, st.PresolveCols)
-		}
-		if st.WarmAttempted || st.WarmAccepted {
-			t.Errorf("engine %v: cold solve reported warm flags %+v", eng, st)
-		}
-		if cold.Iterations > 0 && st.EtaLength < 1 {
-			t.Errorf("engine %v: %d iterations but eta peak %d", eng, cold.Iterations, st.EtaLength)
-		}
+	cold, err := Solve(statsProblem(7), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Status != Optimal {
+		t.Fatalf("status %v", cold.Status)
+	}
+	st := cold.Stats
+	if st.Refactorizations < 1 {
+		t.Errorf("refactorizations = %d, want >= 1", st.Refactorizations)
+	}
+	if st.PresolveRows < 2 {
+		t.Errorf("presolve rows = %d, want >= 2 (singleton + redundant)", st.PresolveRows)
+	}
+	if st.PresolveCols < 0 {
+		t.Errorf("negative presolve cols %d", st.PresolveCols)
+	}
+	if st.WarmAttempted || st.WarmAccepted {
+		t.Errorf("cold solve reported warm flags %+v", st)
+	}
+	if cold.Iterations > 0 && st.EtaLength < 1 {
+		t.Errorf("%d iterations but eta peak %d", cold.Iterations, st.EtaLength)
+	}
 
-		warm, err := Solve(statsProblem(7), Options{Engine: eng, WarmStart: cold.Basis})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.Status != Optimal || !approx(warm.Objective, cold.Objective, testTol) {
-			t.Fatalf("engine %v: warm resolve diverged: %v %g vs %g",
-				eng, warm.Status, warm.Objective, cold.Objective)
-		}
-		if !warm.Stats.WarmAttempted {
-			t.Errorf("engine %v: warm solve flags %+v, want attempted", eng, warm.Stats)
-		}
-		// Acceptance is only guaranteed for the engine's own default path:
-		// a degenerate alternative optimum can map through presolve to a
-		// snapshot the feasibility check rejects, which is the designed
-		// silent cold fallback. The sparse LU default must accept.
-		if eng == EngineSparseLU {
-			if !warm.Stats.WarmAccepted {
-				t.Errorf("sparse LU: warm basis rejected: %+v", warm.Stats)
-			}
-			if warm.Iterations > cold.Iterations {
-				t.Errorf("sparse LU: warm start took more iterations (%d) than cold (%d)",
-					warm.Iterations, cold.Iterations)
-			}
-		}
-		if warm.Stats.Refactorizations < 1 {
-			t.Errorf("engine %v: warm refactorizations = %d", eng, warm.Stats.Refactorizations)
-		}
+	warm, err := Solve(statsProblem(7), Options{WarmStart: cold.Basis})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Status != Optimal || !approx(warm.Objective, cold.Objective, testTol) {
+		t.Fatalf("warm resolve diverged: %v %g vs %g", warm.Status, warm.Objective, cold.Objective)
+	}
+	if !warm.Stats.WarmAttempted || !warm.Stats.WarmAccepted {
+		t.Errorf("warm solve flags %+v, want attempted and accepted", warm.Stats)
+	}
+	if warm.Iterations > cold.Iterations {
+		t.Errorf("warm start took more iterations (%d) than cold (%d)", warm.Iterations, cold.Iterations)
+	}
+	if warm.Stats.Refactorizations < 1 {
+		t.Errorf("warm refactorizations = %d", warm.Stats.Refactorizations)
 	}
 }
 

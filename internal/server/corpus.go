@@ -132,23 +132,15 @@ func (s *Server) writeOverBudget(w http.ResponseWriter, name string, over *dpslo
 //	                           application/octet-stream, or no Content-Type)
 //	application/x-aol-log      the historical AOL 5-column form
 //
-// The legacy ?format= query parameter is still honored — it wins over the
-// header — but is deprecated in favor of Content-Type and announced as such
-// with a Deprecation response header; it will be removed one release after
-// this one. Unrecognized content types fall back to TSV rather than 415,
-// preserving the historical any-body-is-TSV behavior for curl-style
-// clients that never set a type.
-func (s *Server) uploadFormat(w http.ResponseWriter, r *http.Request) (ingest.Format, error) {
-	if v := r.URL.Query().Get("format"); v != "" {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Add("Warning", `299 - "the format query parameter is deprecated; set Content-Type instead"`)
-		return ingest.ParseFormat(v)
-	}
+// Unrecognized content types fall back to TSV rather than 415, preserving
+// the historical any-body-is-TSV behavior for curl-style clients that never
+// set a type.
+func uploadFormat(r *http.Request) ingest.Format {
 	ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
 	if strings.TrimSpace(strings.ToLower(ct)) == "application/x-aol-log" {
-		return ingest.FormatAOL, nil
+		return ingest.FormatAOL
 	}
-	return ingest.FormatTSV, nil
+	return ingest.FormatTSV
 }
 
 // decodeCorpusUpload materializes the uploaded log of a PUT or append:
@@ -167,15 +159,10 @@ func (s *Server) decodeCorpusUpload(w http.ResponseWriter, r *http.Request) (l *
 		}
 		l, err = buildLog(req.Records, req.TSV)
 	} else {
-		format, ferr := s.uploadFormat(w, r)
-		if ferr != nil {
-			s.writeError(w, http.StatusBadRequest, "%v", ferr)
-			return nil, false
-		}
 		var st ingest.Stats
 		_, isp := obs.Start(r.Context(), "ingest")
 		l, st, err = ingest.Ingest(r.Body, ingest.Config{
-			Format: format,
+			Format: uploadFormat(r),
 			Shards: s.cfg.IngestShards,
 			Scan:   searchlog.ScanConfig{ChunkBytes: s.cfg.IngestChunkBytes},
 		})

@@ -6,8 +6,7 @@ package server
 // keep parsing), "code" is a stable machine-readable slug, "status" echoes
 // the HTTP status for clients reading buffered bodies, and "detail" carries
 // endpoint-specific structure — the over-budget accounting, the allowed
-// methods of a 405. Config.LegacyErrors suppresses the new fields for one
-// release while clients migrate.
+// methods of a 405.
 
 import (
 	"fmt"
@@ -59,12 +58,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 }
 
 // writeErrorDetail writes the envelope with an explicit code and optional
-// detail payload. Under Config.LegacyErrors only the "error" field is
-// emitted — the wire shape of every release before the envelope.
+// detail payload.
 func (s *Server) writeErrorDetail(w http.ResponseWriter, status int, code string, detail any, format string, args ...any) {
-	e := apiError{Error: fmt.Sprintf(format, args...)}
-	if !s.cfg.LegacyErrors {
-		e.Code, e.Status, e.Detail = code, status, detail
-	}
-	writeJSON(w, status, e)
+	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...), Code: code, Status: status, Detail: detail})
 }

@@ -2,8 +2,7 @@ package server
 
 // The error-envelope contract (PR 10): every handler's error path — across
 // the stateless and stateful API surface — must answer with the uniform
-// {error, code, status, detail?} envelope, and the LegacyErrors flag must
-// trim it back to the historical {error}-only body.
+// {error, code, status, detail?} envelope.
 
 import (
 	"encoding/json"
@@ -38,7 +37,7 @@ var envelopeCases = []envelopeCase{
 	{"stats bad tsv", "POST", "/v1/stats", "text/tab-separated-values", "not\ttsv\n", http.StatusBadRequest},
 	{"corpus put bad name", "PUT", "/v1/corpora/-bad-", "text/tab-separated-values", "u\tq\thttp://u\t1\n", http.StatusBadRequest},
 	{"corpus put empty", "PUT", "/v1/corpora/fresh", "text/tab-separated-values", "", http.StatusBadRequest},
-	{"corpus put bad format", "PUT", "/v1/corpora/fresh?format=csv", "text/plain", "u\tq\thttp://u\t1\n", http.StatusBadRequest},
+	{"corpus put bad format", "PUT", "/v1/corpora/fresh", "text/plain", "u\tq\t2006-03-01\t1\thttp://u\n", http.StatusBadRequest},
 	{"corpus get unknown", "GET", "/v1/corpora/nope", "", "", http.StatusNotFound},
 	{"corpus delete unknown", "DELETE", "/v1/corpora/nope", "", "", http.StatusNotFound},
 	{"corpus sanitize unknown", "POST", "/v1/corpora/nope/sanitize", "application/json", `{"options":{"epsilon":0.7,"delta":0.5}}`, http.StatusNotFound},
@@ -60,11 +59,9 @@ var envelopeCases = []envelopeCase{
 // seedEnvelopeEnv stores corpus "have" with a budget no single release can
 // cover, so the over-budget path trips on the first charge. The budget must
 // be non-zero: zero fields would be replaced by the serving defaults.
-func seedEnvelopeEnv(t *testing.T, cfg Config) *testEnv {
+func seedEnvelopeEnv(t *testing.T) *testEnv {
 	t.Helper()
-	cfg.DataDir = t.TempDir()
-	cfg.Budget = dpslog.Budget{Epsilon: 0.01, Delta: 0.01}
-	e := newTestEnv(t, cfg)
+	e := newTestEnv(t, Config{DataDir: t.TempDir(), Budget: dpslog.Budget{Epsilon: 0.01, Delta: 0.01}})
 	resp, raw := e.do(t, http.MethodPut, "/v1/corpora/have", "text/tab-separated-values", e.tsv)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("seed corpus: %d %s", resp.StatusCode, raw)
@@ -76,7 +73,7 @@ func seedEnvelopeEnv(t *testing.T, cfg Config) *testEnv {
 // the uniform envelope: non-empty error, a stable code, and a status that
 // echoes the HTTP status line.
 func TestErrorEnvelopeSweep(t *testing.T) {
-	e := seedEnvelopeEnv(t, Config{})
+	e := seedEnvelopeEnv(t)
 	for _, tc := range envelopeCases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, raw := e.do(t, tc.method, tc.path, tc.contentType, []byte(tc.body))
@@ -104,30 +101,5 @@ func TestErrorEnvelopeSweep(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestLegacyErrorsFlag pins the migration fallback: with LegacyErrors set,
-// non-2xx bodies regress to the pre-envelope {"error": ...} shape with no
-// code, status, or detail keys at all.
-func TestLegacyErrorsFlag(t *testing.T) {
-	e := seedEnvelopeEnv(t, Config{LegacyErrors: true})
-	for _, tc := range envelopeCases {
-		resp, raw := e.do(t, tc.method, tc.path, tc.contentType, []byte(tc.body))
-		if resp.StatusCode != tc.wantStatus {
-			t.Fatalf("%s: status %d, want %d: %s", tc.name, resp.StatusCode, tc.wantStatus, raw)
-		}
-		var body map[string]json.RawMessage
-		if err := json.Unmarshal(raw, &body); err != nil {
-			t.Fatalf("%s: %v: %s", tc.name, err, raw)
-		}
-		if _, ok := body["error"]; !ok {
-			t.Fatalf("%s: legacy body missing error: %s", tc.name, raw)
-		}
-		for _, k := range []string{"code", "status", "detail"} {
-			if _, ok := body[k]; ok {
-				t.Fatalf("%s: legacy body leaked %q: %s", tc.name, k, raw)
-			}
-		}
 	}
 }

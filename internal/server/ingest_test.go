@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -38,8 +39,10 @@ func TestCorpusPutChunkedStreaming(t *testing.T) {
 	}
 }
 
-// TestCorpusPutAOLFormat: ?format=aol ingests the historical 5-column form,
-// and the stored digest equals the ReadAOL normalization of the same bytes.
+// TestCorpusPutAOLFormat: Content-Type application/x-aol-log ingests the
+// historical 5-column form, and the stored digest equals the ReadAOL
+// normalization of the same bytes. A format query parameter selects
+// nothing: the same body sent as text/plain is parsed as TSV and refused.
 func TestCorpusPutAOLFormat(t *testing.T) {
 	e := newTestEnv(t, Config{DataDir: t.TempDir()})
 	aol := "AnonID\tQuery\tQueryTime\tItemRank\tClickURL\n" +
@@ -51,7 +54,7 @@ func TestCorpusPutAOLFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, raw := e.do(t, http.MethodPut, "/v1/corpora/aol?format=aol", "text/plain", []byte(aol))
+	resp, raw := e.do(t, http.MethodPut, "/v1/corpora/aol", "application/x-aol-log", []byte(aol))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("AOL PUT status %d: %s", resp.StatusCode, raw)
 	}
@@ -60,10 +63,16 @@ func TestCorpusPutAOLFormat(t *testing.T) {
 		t.Fatalf("AOL meta %+v, want digest %s size %d", meta, want.Digest(), want.Size())
 	}
 
-	// Unknown formats are a client error, not a silent TSV parse attempt.
-	resp, _ = e.do(t, http.MethodPut, "/v1/corpora/aol?format=parquet", "text/plain", []byte(aol))
+	query := url.Values{"format": {"aol"}}.Encode()
+	resp, raw = e.do(t, http.MethodPut, "/v1/corpora/aolquery?"+query, "text/plain", []byte(aol))
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("format=parquet status %d, want 400", resp.StatusCode)
+		t.Fatalf("AOL body as text/plain with %s: status %d, want 400: %s", query, resp.StatusCode, raw)
+	}
+	if env := decode[apiError](t, raw); env.Code != "bad_request" || env.Status != http.StatusBadRequest {
+		t.Fatalf("refusal envelope %+v", env)
+	}
+	if resp, _ := e.get(t, "/v1/corpora/aolquery"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("refused upload was stored: GET status %d", resp.StatusCode)
 	}
 }
 

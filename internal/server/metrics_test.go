@@ -372,7 +372,6 @@ func TestMetricsExpositionParses(t *testing.T) {
 	m.ObserveSolver(17, dpslog.SolveStats{
 		LPSolves: 2, Refactorizations: 3,
 		PresolveRows: 5, PresolveCols: 4,
-		WarmHits: 1, WarmMisses: 1,
 	})
 
 	out := scrape(t, m, Gauges{
@@ -406,7 +405,6 @@ func TestMetricsExpositionParses(t *testing.T) {
 		"slserve_solver_lp_solves_total":        "counter",
 		"slserve_solver_iterations_total":       "counter",
 		"slserve_solver_refactorizations_total": "counter",
-		"slserve_solver_warm_starts_total":      "counter",
 		"slserve_build_info":                    "gauge",
 		"slserve_goroutines":                    "gauge",
 		"slserve_heap_alloc_bytes":              "gauge",

@@ -56,12 +56,8 @@
 //	application/x-aol-log      the historical AOL 5-column form
 //	application/json           the {"records": [...]}/{"tsv": "..."} envelope
 //
-// The legacy ?format=aol query parameter is honored for one more release
-// and answered with a "Deprecation: true" response header.
-//
 // Every non-2xx response across every endpoint carries the uniform error
-// envelope {"error", "code", "status", "detail"?} (see errors.go);
-// Config.LegacyErrors trims it back to the historical {"error"} shape.
+// envelope {"error", "code", "status", "detail"?} (see errors.go).
 //
 // Each corpus version is immutable with its own digest; the ledger charges
 // releases per digest under sequential composition, so appending never
@@ -115,10 +111,6 @@ type Config struct {
 	// MaxJobs bounds the retained async jobs (default 1024); the oldest
 	// finished jobs are evicted first.
 	MaxJobs int
-	// WarmPools bounds the per-problem simplex warm-start caches retained
-	// for plan-cache-miss re-solves (default 32; negative disables warm
-	// starts entirely).
-	WarmPools int
 	// MaxBodyBytes caps request bodies (default 32 MiB). Corpus uploads
 	// (PUT /v1/corpora/{name}) are exempt — they stream through the
 	// sharded ingest under MaxCorpusBytes and the MaxIngestBytes gate
@@ -173,10 +165,6 @@ type Config struct {
 	// version re-solves only the connected components the appended rows
 	// actually changed (default 4096 entries; negative disables).
 	CompCacheSize int
-	// LegacyErrors reverts non-2xx bodies to the pre-envelope {"error": ...}
-	// shape (no code/status/detail fields) for one release while clients
-	// migrate to the structured envelope.
-	LegacyErrors bool
 	// TraceBuffer is the ring capacity of retained request traces served by
 	// GET /v1/debug/traces (default 128).
 	TraceBuffer int
@@ -202,9 +190,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxJobs == 0 {
 		c.MaxJobs = 1024
-	}
-	if c.WarmPools == 0 {
-		c.WarmPools = 32
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 32 << 20
@@ -241,7 +226,6 @@ type Server struct {
 	pool  *Pool
 	jobs  *jobStore
 	cache *planCache
-	warm  *warmPools
 	// comp is the shared component-plan cache behind incremental re-solves;
 	// nil when disabled. Safe to share across corpora and versions — the
 	// component content digest is the reuse identity.
@@ -276,7 +260,6 @@ func New(cfg Config) (*Server, error) {
 		pool:    NewPool(cfg.Workers, cfg.Queue),
 		jobs:    newJobStore(cfg.MaxJobs),
 		cache:   newPlanCache(cfg.CacheSize),
-		warm:    newWarmPools(cfg.WarmPools),
 		metrics: NewMetrics(),
 		logger:  cfg.Logger,
 		mux:     http.NewServeMux(),
@@ -772,17 +755,6 @@ func (s *Server) runSanitize(ctx context.Context, l *dpslog.Log, opts dpslog.Opt
 	if err != nil {
 		return nil, err
 	}
-	// Re-solves of a known (corpus, canonical options) pair — i.e. plan
-	// cache evictions — warm-start from that exact problem's previous
-	// optimal basis. The pool is keyed by the full cache key on purpose:
-	// the UMP LPs can have alternate optima, so seeding a solve with a
-	// *different* problem's basis could land on a different optimal vertex
-	// and make identical requests history-dependent. Per-key pools
-	// reproduce the prior basis instead, preserving the determinism
-	// contract.
-	_, wsp := obs.Start(ctx, "warmpool.lookup")
-	san.SetWarmCache(s.warm.get(key))
-	wsp.End()
 	// The component-plan cache makes post-append re-solves incremental:
 	// components untouched by the append are served byte-identically from
 	// cache, only the changed ones re-solve. One cache serves every corpus

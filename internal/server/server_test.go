@@ -447,11 +447,9 @@ func TestConcurrentSanitizeRequests(t *testing.T) {
 	}
 }
 
-// TestWarmReSolvesReproduceRelease (PR 3): with the plan cache disabled,
-// every repeated request re-solves — from the second solve on, warm-started
-// from the corpus's pooled simplex bases. Warm starts are a latency
-// optimization only: the release (plan counts, sampled records) must be
-// identical to the cold solve's.
+// TestWarmReSolvesReproduceRelease: with the plan cache disabled, every
+// repeated request re-solves, and the release (plan counts, sampled records)
+// must be identical to the first solve's.
 func TestWarmReSolvesReproduceRelease(t *testing.T) {
 	e := newTestEnv(t, Config{CacheSize: -1}) // every request is a cache miss
 	var first sanitizeResponse
@@ -469,51 +467,18 @@ func TestWarmReSolvesReproduceRelease(t *testing.T) {
 			continue
 		}
 		if out.Plan.OutputSize != first.Plan.OutputSize || out.Plan.Objective != first.Plan.Objective {
-			t.Fatalf("warm re-solve %d changed the plan: %+v vs %+v", i, out.Plan, first.Plan)
+			t.Fatalf("re-solve %d changed the plan: %+v vs %+v", i, out.Plan, first.Plan)
 		}
 		if len(out.Plan.Counts) != len(first.Plan.Counts) {
-			t.Fatalf("warm re-solve %d changed the plan shape", i)
+			t.Fatalf("re-solve %d changed the plan shape", i)
 		}
 		for j := range out.Plan.Counts {
 			if out.Plan.Counts[j] != first.Plan.Counts[j] {
-				t.Fatalf("warm re-solve %d changed count %d: %d vs %d", i, j, out.Plan.Counts[j], first.Plan.Counts[j])
+				t.Fatalf("re-solve %d changed count %d: %d vs %d", i, j, out.Plan.Counts[j], first.Plan.Counts[j])
 			}
 		}
 		if len(out.Records) != len(first.Records) {
-			t.Fatalf("warm re-solve %d changed the sampled release size", i)
+			t.Fatalf("re-solve %d changed the sampled release size", i)
 		}
-	}
-	if e.srv.warm.Len() != 1 {
-		t.Fatalf("warm pools = %d, want 1 (one solved problem)", e.srv.warm.Len())
-	}
-	// A different budget on the same corpus is a different problem and must
-	// get its own pool — sharing bases across budgets could select a
-	// different optimal vertex under alternate optima and make identical
-	// requests history-dependent.
-	if resp, raw := e.post(t, "/v1/sanitize?eexp=1.4&delta=0.5&seed=4", "text/plain", e.tsv); resp.StatusCode != http.StatusOK {
-		t.Fatalf("second budget: status %d: %s", resp.StatusCode, raw)
-	}
-	if e.srv.warm.Len() != 2 {
-		t.Fatalf("warm pools = %d after second budget, want 2 (per-problem pools)", e.srv.warm.Len())
-	}
-}
-
-// TestWarmPoolsLRUBound pins the per-digest warm pool cap.
-func TestWarmPoolsLRUBound(t *testing.T) {
-	w := newWarmPools(2)
-	a := w.get("a")
-	if a == nil || w.get("a") != a {
-		t.Fatal("same digest must return the same pool")
-	}
-	w.get("b")
-	w.get("c") // evicts a
-	if w.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", w.Len())
-	}
-	if w.get("a") == a {
-		t.Fatal("evicted digest must get a fresh pool")
-	}
-	if newWarmPools(0).get("x") != nil {
-		t.Fatal("capacity 0 disables pooling")
 	}
 }

@@ -3,7 +3,7 @@ package server
 // The continual-release API surface (PR 10): POST append creating corpus
 // versions, the versions endpoints, ?version= resolution on sanitize and
 // budget reads, per-version spend isolation across appends and restarts,
-// and the Content-Type/?format= negotiation with its Deprecation signal.
+// and the Content-Type negotiation of upload bodies.
 
 import (
 	"net/http"
@@ -182,8 +182,8 @@ func TestVersionsAndSpendSurviveRestart(t *testing.T) {
 	}
 }
 
-// TestUploadContentNegotiation: Content-Type selects the body format;
-// ?format= still works but is answered with a Deprecation header.
+// TestUploadContentNegotiation: Content-Type selects the body format,
+// case-insensitively and ignoring media-type parameters.
 func TestUploadContentNegotiation(t *testing.T) {
 	e := newTestEnv(t, Config{DataDir: t.TempDir()})
 	aol := []byte("AnonID\tQuery\tQueryTime\tItemRank\tClickURL\n" +
@@ -194,20 +194,14 @@ func TestUploadContentNegotiation(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("AOL via Content-Type: %d %s", resp.StatusCode, raw)
 	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Fatal("Content-Type negotiation must not be marked deprecated")
-	}
 	viaHeader := decode[corpusMetaJSON](t, raw)
 
-	resp, raw = e.do(t, http.MethodPut, "/v1/corpora/viaquery?format=aol", "text/plain", aol)
+	resp, raw = e.do(t, http.MethodPut, "/v1/corpora/viaparams", "Application/X-AOL-Log; charset=utf-8", aol)
 	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("AOL via ?format=: %d %s", resp.StatusCode, raw)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatalf("?format= must set the Deprecation header, got %q", resp.Header.Get("Deprecation"))
+		t.Fatalf("AOL via parameterized Content-Type: %d %s", resp.StatusCode, raw)
 	}
 	if decode[corpusMetaJSON](t, raw).Digest != viaHeader.Digest {
-		t.Fatal("header- and query-negotiated AOL uploads diverged")
+		t.Fatal("plain and parameterized Content-Type AOL uploads diverged")
 	}
 
 	// The negotiation applies to append too.

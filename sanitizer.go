@@ -63,14 +63,6 @@ type SolveStats = ump.SolveStats
 // Result is a completed sanitization.
 type Result = mechanism.Result
 
-// WarmCache shares simplex basis snapshots across repeated solves of the
-// same corpus; see internal/mechanism for the reproducibility contract.
-type WarmCache = mechanism.WarmCache
-
-// NewWarmCache creates an empty warm-start cache with rolling (latest
-// basis wins) semantics, the right default for sequential re-solves.
-func NewWarmCache() *WarmCache { return mechanism.NewWarmCache() }
-
 // CompCache caches solved per-component plans by component content digest,
 // making re-solves after corpus appends incremental: only the connected
 // components the appended rows changed re-solve, and every untouched
@@ -85,7 +77,6 @@ func NewCompCache(capacity int) *CompCache { return mechanism.NewCompCache(capac
 // Sanitizer runs the paper's Algorithm 1 with a fixed configuration.
 type Sanitizer struct {
 	opts Options
-	warm *WarmCache
 	comp *CompCache
 }
 
@@ -109,14 +100,9 @@ func New(opts Options) (*Sanitizer, error) {
 // Options returns the sanitizer's configuration.
 func (s *Sanitizer) Options() Options { return s.opts }
 
-// SetWarmCache attaches a warm-start cache to the sanitizer. Pass nil to
-// detach. The cache is corpus-scoped: callers multiplexing corpora must
-// keep one cache per corpus (keyed by Digest, as internal/server does).
-func (s *Sanitizer) SetWarmCache(w *WarmCache) { s.warm = w }
-
 // SetCompCache attaches a component-plan cache to the sanitizer. Pass nil
-// to detach. Unlike a WarmCache it is safe to share across corpora and
-// versions: the component content digest is the reuse identity.
+// to detach. It is safe to share across corpora and versions: the
+// component content digest is the reuse identity.
 func (s *Sanitizer) SetCompCache(c *CompCache) { s.comp = c }
 
 // Sanitize runs the full pipeline on the input log: preprocess (Theorem 1
@@ -134,7 +120,6 @@ func (s *Sanitizer) Sanitize(in *Log) (*Result, error) {
 // the output; a context without a span makes every recording call a no-op.
 func (s *Sanitizer) SanitizeContext(ctx context.Context, in *Log) (*Result, error) {
 	opts := s.opts
-	opts.Warm = s.warm
 	opts.Comp = s.comp
 	return mechanism.RunUMP(ctx, in, opts)
 }
