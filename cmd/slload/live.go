@@ -1,97 +1,134 @@
 package main
 
 // The live load-generation mode: synthetic uniform/Poisson arrivals
-// against one endpoint, optionally captured as a replayable trace.
+// against one endpoint, built as an in-memory trace and run by the same
+// engine as -replay.
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
-	"net/url"
 	"os"
-	"sync"
 	"time"
 
 	"dpslog"
 	"dpslog/internal/loadgen"
 	"dpslog/internal/replay"
+	"dpslog/internal/rng"
 )
 
-func runLive(f *flags) {
+// runLive builds the live run's trace and runs it, returning the exit
+// code: 1 on any unexpected outcome, on -expect-429 without a 429, or on
+// a capture that cannot be written.
+func runLive(f *flags) int {
 	if *f.rps <= 0 || *f.duration <= 0 || *f.distinct < 1 {
 		fatal(fmt.Errorf("need -rps > 0, -duration > 0, -distinct ≥ 1"))
 	}
 	if *f.arrivals != "uniform" && *f.arrivals != "poisson" {
 		fatal(fmt.Errorf("unknown arrival process %q (want uniform or poisson)", *f.arrivals))
 	}
-
 	corpus, err := dpslog.Generate(*f.profile, *f.genSeed)
 	if err != nil {
 		fatal(err)
 	}
-	var body bytes.Buffer
-	if _, err := dpslog.WriteTSV(&body, corpus); err != nil {
+	var tsv bytes.Buffer
+	if _, err := dpslog.WriteTSV(&tsv, corpus); err != nil {
 		fatal(err)
 	}
-	payloads := map[string][]byte{"corpus": body.Bytes()}
-
 	endpoint := *f.endpoint
 	if *f.corpusName != "" {
 		endpoint = "corpus"
 	}
+	request, err := liveRequest(f, endpoint, tsv.Bytes())
+	if err != nil {
+		fatal(err)
+	}
+
+	tr := &replay.Trace{Header: replay.Header{
+		Payloads: map[string]replay.Payload{"corpus": {Profile: *f.profile, Seed: *f.genSeed}},
+	}}
+	if endpoint == "corpus" {
+		// Upload once; every timed request references the corpus by name
+		// with an options-only body. As a setup record it runs before the
+		// timed section, and a replayed capture re-creates the corpus.
+		tr.Records = append(tr.Records, replay.Record{
+			Class:       "setup",
+			Setup:       true,
+			Method:      "PUT",
+			Path:        "/v1/corpora/" + *f.corpusName,
+			ContentType: "text/tab-separated-values",
+			BodyRef:     "corpus",
+		})
+		fmt.Printf("slload: uploading corpus %q (%d bytes) once; requests carry options only\n",
+			*f.corpusName, tsv.Len())
+	}
+	for i, off := range arrivalOffsets(*f.arrivals, *f.rps, *f.duration, *f.loadSeed) {
+		rec := request(i)
+		rec.TMS = float64(off) / float64(time.Millisecond)
+		tr.Records = append(tr.Records, rec)
+	}
+
+	fmt.Printf("slload: %s profile (%d tuples, %d users) → %s%s at %.1f rps (%s arrivals) for %s\n",
+		*f.profile, corpus.Size(), corpus.NumUsers(), *f.base, request(0).Path, *f.rps, *f.arrivals, *f.duration)
+	sum, _, captured := execute(f, tr, replay.Config{}, "slload")
+	exit := 0
+	if sum.Errors() > 0 || !captured {
+		exit = 1
+	}
+	if *f.expect429 && sum.Exhausted == 0 {
+		fmt.Fprintln(os.Stderr, "slload: -expect-429 set but the budget never exhausted")
+		exit = 1
+	}
+	return exit
+}
+
+// liveRequest returns the builder of the i-th timed record for endpoint
+// (sanitize, lambda, stats or corpus); i rotates the seed over -distinct
+// values.
+func liveRequest(f *flags, endpoint string, tsv []byte) (func(i int) replay.Record, error) {
 	expect := "2xx"
 	if *f.expect429 {
 		expect = "2xx,429"
 	}
-
-	// request builds the i-th descriptor: the replayable record the run
-	// both executes and (with -trace-out) captures.
-	var request func(i int) replay.Record
+	support := *f.objective == "frequent" || *f.objective == "combined"
+	seed := func(i int) int { return i%*f.distinct + 1 }
 	switch endpoint {
 	case "sanitize":
-		q := url.Values{}
-		q.Set("eexp", fmt.Sprint(*f.eexp))
-		q.Set("delta", fmt.Sprint(*f.delta))
-		q.Set("objective", *f.objective)
-		if *f.solver != "" {
-			q.Set("solver", *f.solver)
-		}
-		if *f.objective == "frequent" || *f.objective == "combined" {
-			q.Set("support", fmt.Sprint(*f.support))
-		}
-		request = func(i int) replay.Record {
-			qq := url.Values{}
-			for k, v := range q {
-				qq[k] = v
+		return func(i int) replay.Record {
+			q := replay.SanitizeQuery(*f.eexp, *f.delta, *f.objective, seed(i))
+			if *f.solver != "" {
+				q.Set("solver", *f.solver)
 			}
-			qq.Set("seed", fmt.Sprint(i%*f.distinct+1))
+			if support {
+				q.Set("support", fmt.Sprint(*f.support))
+			}
 			return replay.Record{
 				Class:       "sanitize",
 				Method:      "POST",
-				Path:        "/v1/sanitize?" + qq.Encode(),
+				Path:        "/v1/sanitize?" + q.Encode(),
 				ContentType: "text/tab-separated-values",
 				BodyRef:     "corpus",
 				Expect:      expect,
 			}
-		}
+		}, nil
 	case "lambda":
-		env, err := loadgen.LambdaEnvelope(*f.eexp, *f.delta, payloads["corpus"])
+		env, err := loadgen.LambdaEnvelope(*f.eexp, *f.delta, tsv)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		request = func(int) replay.Record {
+		body := string(env)
+		return func(int) replay.Record {
 			return replay.Record{
 				Class:       "lambda",
 				Method:      "POST",
 				Path:        "/v1/lambda",
 				ContentType: "application/json",
-				Body:        string(env),
+				Body:        body,
 				Expect:      expect,
 			}
-		}
+		}, nil
 	case "stats":
-		request = func(int) replay.Record {
+		return func(int) replay.Record {
 			return replay.Record{
 				Class:       "stats",
 				Method:      "POST",
@@ -100,133 +137,44 @@ func runLive(f *flags) {
 				BodyRef:     "corpus",
 				Expect:      expect,
 			}
-		}
+		}, nil
 	case "corpus":
 		obj, err := dpslog.ParseObjective(*f.objective)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		baseOpts := dpslog.Options{
-			Epsilon:   math.Log(*f.eexp),
-			Delta:     *f.delta,
-			Objective: obj,
-			Solver:    *f.solver,
+		opts := dpslog.Options{Epsilon: math.Log(*f.eexp), Delta: *f.delta, Objective: obj, Solver: *f.solver}
+		if support {
+			opts.MinSupport = *f.support
 		}
-		if *f.objective == "frequent" || *f.objective == "combined" {
-			baseOpts.MinSupport = *f.support
-		}
-		path := "/v1/corpora/" + *f.corpusName + "/sanitize"
-		request = func(i int) replay.Record {
-			opts := baseOpts
-			opts.Seed = uint64(i%*f.distinct + 1)
-			env, _ := json.Marshal(struct {
-				Options dpslog.Options `json:"options"`
-			}{opts})
+		return func(i int) replay.Record {
+			opts := opts
+			opts.Seed = uint64(seed(i))
 			return replay.Record{
 				Class:       "corpus",
 				Method:      "POST",
-				Path:        path,
+				Path:        "/v1/corpora/" + *f.corpusName + "/sanitize",
 				ContentType: "application/json",
-				Body:        string(env),
+				Body:        replay.ReleaseBody(opts),
 				Expect:      expect,
 			}
-		}
-	default:
-		fatal(fmt.Errorf("unknown endpoint %q", endpoint))
+		}, nil
 	}
+	return nil, fmt.Errorf("unknown endpoint %q", endpoint)
+}
 
-	client := replay.NewClient(*f.timeout)
-
-	var traceW *loadgen.TraceWriter
-	if *f.traceOut != "" {
-		traceW, err = loadgen.CreateTrace(*f.traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		traceW.Write(replay.Header{
-			V:         replay.Version,
-			Kind:      "header",
-			Base:      *f.base,
-			CreatedBy: "slload",
-			Payloads:  map[string]replay.Payload{"corpus": {Profile: *f.profile, Seed: *f.genSeed}},
-		})
+// arrivalOffsets lists the live run's arrival offsets up to d: every
+// 1/rps with the first one period in (uniform), or exponential gaps at
+// rate rps drawn deterministically from seed (poisson).
+func arrivalOffsets(process string, rps float64, d time.Duration, seed uint64) []time.Duration {
+	gap := func() time.Duration { return time.Duration(float64(time.Second) / rps) }
+	if process == "poisson" {
+		g := rng.New(seed)
+		gap = func() time.Duration { return time.Duration(-math.Log(1-g.Float64()) / rps * float64(time.Second)) }
 	}
-
-	results := make(chan loadgen.Result, 1024)
-	collector := &loadgen.Collector{Window: *f.batch, Trace: traceW}
-	done := make(chan loadgen.Summary, 1)
-	go func() { done <- collector.Run(results) }()
-
-	start := time.Now()
-	// stamp records the actual request offset so a captured trace replays
-	// the run's arrivals, not its intentions.
-	stamp := func(rec replay.Record, res loadgen.Result) loadgen.Result {
-		rec.TMS = float64(res.Start.Sub(start)) / float64(time.Millisecond)
-		res.TraceLine = rec.WithResult(res)
-		return res
+	var offsets []time.Duration
+	for t := gap(); t <= d; t += gap() {
+		offsets = append(offsets, t)
 	}
-
-	if endpoint == "corpus" {
-		// Upload once; every subsequent request references the corpus by
-		// name with an options-only body. Captured as a setup record so a
-		// replayed trace re-creates the corpus before its timed section.
-		up := replay.Record{
-			Class:       "setup",
-			Setup:       true,
-			Method:      "PUT",
-			Path:        "/v1/corpora/" + *f.corpusName,
-			ContentType: "text/tab-separated-values",
-			BodyRef:     "corpus",
-		}
-		res := replay.Exec(client, *f.base, up, payloads)
-		if loadgen.Classify(res) != loadgen.OutcomeOK {
-			fatal(fmt.Errorf("upload corpus: status %d err %v", res.Status, res.Err))
-		}
-		results <- stamp(up, res)
-		fmt.Printf("slload: uploaded corpus %q (%d bytes) once; requests carry options only\n",
-			*f.corpusName, len(payloads["corpus"]))
-	}
-
-	fmt.Printf("slload: %s profile (%d tuples, %d users) → %s%s at %.1f rps (%s arrivals) for %s\n",
-		*f.profile, corpus.Size(), corpus.NumUsers(), *f.base, request(0).Path, *f.rps, *f.arrivals, *f.duration)
-
-	var sched loadgen.Schedule
-	if *f.arrivals == "uniform" {
-		sched = loadgen.UniformSchedule(*f.rps)
-	} else {
-		sched = loadgen.PoissonSchedule(*f.rps, *f.loadSeed)
-	}
-	var wg sync.WaitGroup
-	loadgen.Pace(sched, loadgen.Limits{D: *f.duration}, nil, func(i int) {
-		rec := request(i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results <- stamp(rec, replay.Exec(client, *f.base, rec, payloads))
-		}()
-	})
-	wg.Wait()
-	close(results)
-	sum := <-done
-
-	elapsed := time.Since(start).Seconds()
-	fmt.Printf("slload: total sent=%d ok=%d fail=%d budget_exhausted=%d achieved=%.1f rps  %s\n",
-		sum.Sent, sum.OK, sum.Errors(), sum.Exhausted, float64(sum.Sent)/elapsed, loadgen.FormatLatencies(sum.Latencies))
-	exit := 0
-	if sum.Errors() > 0 {
-		exit = 1
-	}
-	if *f.expect429 && sum.Exhausted == 0 {
-		fmt.Fprintln(os.Stderr, "slload: -expect-429 set but the budget never exhausted")
-		exit = 1
-	}
-	if traceW != nil {
-		// A truncated or unwritable trace fails the run: downstream replays
-		// gate CI, so a silently short capture is worse than a loud one.
-		if err := traceW.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "slload: writing %s: %v\n", *f.traceOut, err)
-			exit = 1
-		}
-	}
-	os.Exit(exit)
+	return offsets
 }

@@ -7,13 +7,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
-	"dpslog/internal/loadgen"
 	"dpslog/internal/replay"
 )
 
-func runReplay(f *flags) {
+// runReplay runs the trace file and returns the exit code: 1 on an SLO
+// violation, on baseline drift, or on a report or capture that cannot be
+// written.
+func runReplay(f *flags) int {
 	tr, err := replay.ReadFile(*f.replayFile)
 	if err != nil {
 		fatal(err)
@@ -25,49 +26,18 @@ func runReplay(f *flags) {
 			fatal(err)
 		}
 	}
-	var capture *loadgen.TraceWriter
-	if *f.traceOut != "" {
-		capture, err = loadgen.CreateTrace(*f.traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		h := tr.Header
-		h.Base = *f.base
-		h.CreatedBy = "slload -replay"
-		capture.Write(h)
-	}
 
-	counts := tr.ClassCounts()
 	fmt.Printf("slload: replaying %s (%d requests, %d classes) against %s at %gx\n",
-		*f.replayFile, len(tr.Records), len(counts), *f.base, *f.speedup)
+		*f.replayFile, len(tr.Records), len(tr.ClassCounts()), *f.base, *f.speedup)
+	sum, elapsed, captured := execute(f, tr, replay.Config{Speedup: *f.speedup, N: *f.n, D: *f.d}, "slload -replay")
 
-	sum, elapsed, err := replay.Run(tr, replay.Config{
-		BaseURL: *f.base,
-		Client:  replay.NewClient(*f.timeout),
-		Speedup: *f.speedup,
-		N:       *f.n,
-		D:       *f.d,
-		Window:  *f.batch,
-		Capture: capture,
-		Prefix:  "slload",
-	})
-	if err != nil {
-		fatal(err)
+	exit := 0
+	if !captured {
+		exit = 1
 	}
-
-	for _, class := range sum.ClassNames() {
-		st := sum.Classes[class]
-		fmt.Printf("slload: class %-16s sent=%d ok=%d fail=%d budget_exhausted=%d  %s\n",
-			class, st.Sent, st.OK, st.Errors(), st.Exhausted, loadgen.FormatLatencies(st.Latencies))
-	}
-	fmt.Printf("slload: total sent=%d ok=%d fail=%d budget_exhausted=%d achieved=%.1f rps in %s\n",
-		sum.Sent, sum.OK, sum.Errors(), sum.Exhausted,
-		float64(sum.Sent)/max(elapsed.Seconds(), 1e-9), elapsed.Round(time.Millisecond))
-
 	violations := replay.Evaluate(slos, sum.Classes)
 	// The basename keeps the committed baseline machine-independent.
-	report := replay.BuildReport(filepath.Base(*f.replayFile), *f.speedup, sum, elapsed, violations)
-	exit := 0
+	report := replay.BuildReport(filepath.Base(*f.replayFile), *f.speedup, sum, elapsed, slos)
 	if *f.benchOut != "" {
 		if err := report.WriteFile(*f.benchOut); err != nil {
 			fmt.Fprintf(os.Stderr, "slload: writing %s: %v\n", *f.benchOut, err)
@@ -89,11 +59,5 @@ func runReplay(f *flags) {
 			fmt.Printf("slload: per-class counts match baseline %s\n", *f.baseline)
 		}
 	}
-	if capture != nil {
-		if err := capture.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "slload: writing %s: %v\n", *f.traceOut, err)
-			exit = 1
-		}
-	}
-	os.Exit(exit)
+	return exit
 }

@@ -54,24 +54,19 @@ func (s *Summary) ClassNames() []string {
 }
 
 // Collector aggregates results from concurrent request goroutines,
-// printing one batch line per window (per class when PerClass is set) and
-// returning the whole-run summary when the results channel closes. It is
-// the sole writer of the trace stream, so concurrent requests never
-// interleave ndjson lines.
+// printing one batch line per request class per window and returning the
+// whole-run summary when the results channel closes. It is the sole
+// writer of the trace stream, so concurrent requests never interleave
+// ndjson lines.
 type Collector struct {
 	// Window is the batch reporting period (default 5s).
 	Window time.Duration
-	// Prefix labels the report lines (default "slload").
-	Prefix string
 	// Out and ErrOut receive batch lines and per-failure messages
 	// (default os.Stdout / os.Stderr).
 	Out, ErrOut io.Writer
-	// Trace, when non-nil, receives one ndjson line per result (the
-	// result's TraceLine if set, else a basic record).
+	// Trace, when non-nil, receives each result's TraceLine as one ndjson
+	// line.
 	Trace *TraceWriter
-	// PerClass prints one batch line per request class instead of a
-	// single aggregate line.
-	PerClass bool
 
 	// now is the clock, swappable by tests.
 	now func() time.Time
@@ -87,9 +82,6 @@ func (c *Collector) init() {
 	}
 	if c.ErrOut == nil {
 		c.ErrOut = os.Stderr
-	}
-	if c.Prefix == "" {
-		c.Prefix = "slload"
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -125,22 +117,18 @@ func (c *Collector) Run(results <-chan Result) Summary {
 
 func (c *Collector) add(r Result) {
 	if c.Trace != nil {
-		line := r.TraceLine
-		if line == nil {
-			line = basicTraceRecord(r)
-		}
-		c.Trace.Write(line)
+		c.Trace.Write(r.TraceLine)
 	}
 	o := Classify(r)
 	switch o {
 	case OutcomeFail:
-		fmt.Fprintf(c.ErrOut, "%s: %s request failed: %v\n", c.Prefix, r.Class, r.Err)
+		fmt.Fprintf(c.ErrOut, "slload: %s request failed: %v\n", r.Class, r.Err)
 	case OutcomeMismatch:
 		expect := r.Expect
 		if expect == "" {
 			expect = "2xx"
 		}
-		fmt.Fprintf(c.ErrOut, "%s: %s request: status %d (want %s)\n", c.Prefix, r.Class, r.Status, expect)
+		fmt.Fprintf(c.ErrOut, "slload: %s request: status %d (want %s)\n", r.Class, r.Status, expect)
 	}
 	c.sum.ClassStats.add(r, o)
 	class := c.sum.Classes[r.Class]
@@ -168,54 +156,11 @@ func (c *Collector) flush() {
 	if len(c.batch) == 0 {
 		return
 	}
-	if c.PerClass {
-		names := make([]string, 0, len(c.batch))
-		for name := range c.batch {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			b := c.batch[name]
-			fmt.Fprintf(c.Out, "%s: batch %5.1fs class=%s sent=%d ok=%d fail=%d budget_exhausted=%d  %s\n",
-				c.Prefix, dur, name, b.Sent, b.OK, b.Errors(), b.Exhausted, FormatLatencies(b.Latencies))
-		}
-	} else {
-		agg := &ClassStats{}
-		for _, b := range c.batch {
-			agg.Sent += b.Sent
-			agg.OK += b.OK
-			agg.Fail += b.Fail
-			agg.Exhausted += b.Exhausted
-			agg.Mismatch += b.Mismatch
-			agg.Latencies = append(agg.Latencies, b.Latencies...)
-		}
-		fmt.Fprintf(c.Out, "%s: batch %5.1fs sent=%d ok=%d fail=%d budget_exhausted=%d  %s\n",
-			c.Prefix, dur, agg.Sent, agg.OK, agg.Errors(), agg.Exhausted, FormatLatencies(agg.Latencies))
+	batch := Summary{Classes: c.batch}
+	for _, name := range batch.ClassNames() {
+		b := c.batch[name]
+		fmt.Fprintf(c.Out, "slload: batch %5.1fs class=%s sent=%d ok=%d fail=%d budget_exhausted=%d  %s\n",
+			dur, name, b.Sent, b.OK, b.Errors(), b.Exhausted, FormatLatencies(b.Latencies))
 	}
 	c.batch = make(map[string]*ClassStats)
-}
-
-// basicTraceRecord is the minimal ndjson line for results that carry no
-// replayable descriptor.
-type basicRecord struct {
-	Time      string  `json:"time"`
-	Class     string  `json:"class"`
-	LatencyMS float64 `json:"latency_ms"`
-	Status    int     `json:"status,omitempty"`
-	TraceID   string  `json:"trace_id,omitempty"`
-	Error     string  `json:"error,omitempty"`
-}
-
-func basicTraceRecord(r Result) basicRecord {
-	rec := basicRecord{
-		Time:      r.Start.UTC().Format(time.RFC3339Nano),
-		Class:     r.Class,
-		LatencyMS: float64(r.Latency.Microseconds()) / 1000,
-		Status:    r.Status,
-		TraceID:   r.TraceID,
-	}
-	if r.Err != nil {
-		rec.Error = r.Err.Error()
-	}
-	return rec
 }

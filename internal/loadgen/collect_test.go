@@ -49,7 +49,7 @@ func TestFlushResetsWindowWhenEmpty(t *testing.T) {
 	}
 }
 
-func TestCollectorSummaryAndPerClass(t *testing.T) {
+func TestCollectorSummaryAndClassLines(t *testing.T) {
 	var out, errOut bytes.Buffer
 	results := make(chan Result, 16)
 	results <- Result{Class: "sanitize", Status: 200, Latency: 2 * time.Millisecond}
@@ -58,7 +58,7 @@ func TestCollectorSummaryAndPerClass(t *testing.T) {
 	results <- Result{Class: "stats", Status: 200, Latency: time.Millisecond}
 	close(results)
 
-	c := &Collector{Window: time.Hour, Out: &out, ErrOut: &errOut, PerClass: true}
+	c := &Collector{Window: time.Hour, Out: &out, ErrOut: &errOut}
 	sum := c.Run(results)
 
 	if sum.Sent != 4 || sum.OK != 2 || sum.Mismatch != 1 || sum.Exhausted != 1 {

@@ -1,11 +1,9 @@
-// Package loadgen is the shared engine of the slload load generator and
-// the internal/replay trace replayer: request execution with outcome
-// classification, open-loop arrival schedules, batched latency collection
-// with per-class percentiles, and a buffered ndjson trace writer.
-// cmd/slload wires flags to it; internal/replay drives recorded traces
-// through it. Everything here is deliberately free of flag parsing and
-// process exit so the behavior that used to live in cmd/slload's main is
-// unit-testable.
+// Package loadgen holds the mechanics under internal/replay's open-loop
+// runner, the one load engine of cmd/slload: request execution with
+// outcome classification, open-loop pacing over recorded offsets, batched
+// per-class latency collection with percentiles, and a buffered ndjson
+// trace writer. Everything here is deliberately free of flag parsing and
+// process exit so it is unit-testable.
 package loadgen
 
 import (
@@ -21,7 +19,6 @@ import (
 // paths included — so a timed-out or connection-refused request records
 // how long it took to fail rather than zero.
 type Result struct {
-	Start   time.Time
 	Class   string
 	Latency time.Duration
 	Status  int
@@ -32,9 +29,8 @@ type Result struct {
 	// Err is a transport- or body-level failure. Unexpected status codes
 	// are NOT recorded here; Classify reports them as OutcomeMismatch.
 	Err error
-	// TraceLine, when non-nil, is marshaled to the collector's trace
-	// stream in place of the bare result — the replayer stores the full
-	// replayable record with observed fields stamped.
+	// TraceLine is what the collector's trace stream stores for this
+	// result: the full replayable record with observed fields stamped.
 	TraceLine any
 }
 
@@ -96,7 +92,7 @@ func Classify(r Result) Outcome {
 // observes. The response body is drained so the connection can be reused.
 func Do(client *http.Client, req *http.Request, class, expect string) Result {
 	start := time.Now()
-	r := Result{Start: start, Class: class, Expect: expect}
+	r := Result{Class: class, Expect: expect}
 	resp, err := client.Do(req)
 	if err != nil {
 		r.Latency = time.Since(start)

@@ -1,92 +1,32 @@
 package loadgen
 
-import (
-	"math"
-	"time"
-
-	"dpslog/internal/rng"
-)
-
-// A Schedule yields successive arrival offsets from the run start, in
-// non-decreasing order; ok false ends the schedule. Synthetic schedules
-// (uniform, Poisson) are infinite and rely on Limits to stop; a recorded
-// timestamp schedule ends with its trace.
-type Schedule func() (offset time.Duration, ok bool)
-
-// UniformSchedule arrives every 1/rps, first arrival one period in — the
-// historical slload spacing.
-func UniformSchedule(rps float64) Schedule {
-	step := time.Duration(float64(time.Second) / rps)
-	var next time.Duration
-	return func() (time.Duration, bool) {
-		next += step
-		return next, true
-	}
-}
-
-// PoissonSchedule arrives with exponential inter-arrival times at the
-// given rate, deterministically in the seed.
-func PoissonSchedule(rps float64, seed uint64) Schedule {
-	g := rng.New(seed)
-	var next time.Duration
-	return func() (time.Duration, bool) {
-		next += time.Duration(-math.Log(1-g.Float64()) / rps * float64(time.Second))
-		return next, true
-	}
-}
-
-// TimestampSchedule replays recorded offsets, compressed (or stretched)
-// by the speedup factor: speedup 2 fires a trace in half its recorded
-// wall time at twice its recorded rate. speedup ≤ 0 means 1.
-func TimestampSchedule(offsets []time.Duration, speedup float64) Schedule {
-	if speedup <= 0 {
-		speedup = 1
-	}
-	i := 0
-	return func() (time.Duration, bool) {
-		if i >= len(offsets) {
-			return 0, false
-		}
-		off := time.Duration(float64(offsets[i]) / speedup)
-		i++
-		return off, true
-	}
-}
+import "time"
 
 // Limits bounds a paced run: N caps the number of arrivals, D the
-// schedule offset (both 0 = unlimited). For a replayed trace, D is in
-// recorded trace time, before the speedup compression.
+// recorded offset (both 0 = unlimited). D is in recorded time, before the
+// speedup compression, so "the first 10s of the trace" is the same slice
+// at any speedup.
 type Limits struct {
 	N int
 	D time.Duration
 }
 
-// Pace fires fn(i) at each schedule offset, open-loop: fn is expected to
-// dispatch asynchronously, so one slow request never delays later
-// arrivals — exactly the arrival process the schedule prescribes.
-// Returns the number of arrivals fired. rawOffset, when non-nil, maps an
-// offset back to its pre-speedup value for the D limit (the identity for
-// synthetic schedules).
-func Pace(s Schedule, lim Limits, rawOffset func(time.Duration) time.Duration, fn func(i int)) int {
+// Pace fires fn(i) at each recorded offset divided by speedup (≤ 0 means
+// 1), open-loop: fn is expected to dispatch asynchronously, so one slow
+// request never delays later arrivals — exactly the arrival process the
+// offsets prescribe. Offsets must be non-decreasing. Returns the number of
+// arrivals fired.
+func Pace(offsets []time.Duration, speedup float64, lim Limits, fn func(i int)) int {
+	if speedup <= 0 {
+		speedup = 1
+	}
 	start := time.Now()
-	for i := 0; ; i++ {
-		if lim.N > 0 && i >= lim.N {
+	for i, off := range offsets {
+		if lim.N > 0 && i >= lim.N || lim.D > 0 && off > lim.D {
 			return i
 		}
-		off, ok := s()
-		if !ok {
-			return i
-		}
-		if lim.D > 0 {
-			raw := off
-			if rawOffset != nil {
-				raw = rawOffset(off)
-			}
-			if raw > lim.D {
-				return i
-			}
-		}
-		time.Sleep(time.Until(start.Add(off)))
+		time.Sleep(time.Until(start.Add(time.Duration(float64(off) / speedup))))
 		fn(i)
 	}
+	return len(offsets)
 }

@@ -5,85 +5,50 @@ import (
 	"time"
 )
 
-func TestUniformScheduleOffsets(t *testing.T) {
-	s := UniformSchedule(100) // 10ms period
-	for i := 1; i <= 5; i++ {
-		off, ok := s()
-		if !ok {
-			t.Fatal("uniform schedule ended")
-		}
-		want := time.Duration(i) * 10 * time.Millisecond
-		if off != want {
-			t.Fatalf("arrival %d at %v, want %v", i, off, want)
-		}
-	}
-}
-
-func TestPoissonScheduleDeterministicAndIncreasing(t *testing.T) {
-	a, b := PoissonSchedule(200, 7), PoissonSchedule(200, 7)
-	var prev time.Duration
-	for i := 0; i < 100; i++ {
-		oa, _ := a()
-		ob, _ := b()
-		if oa != ob {
-			t.Fatalf("arrival %d: same seed diverged (%v vs %v)", i, oa, ob)
-		}
-		if oa < prev {
-			t.Fatalf("arrival %d: offsets decreased (%v after %v)", i, oa, prev)
-		}
-		prev = oa
-	}
-	c, _ := PoissonSchedule(200, 8)()
-	d, _ := PoissonSchedule(200, 7)()
-	if c == d {
-		t.Error("different seeds produced identical first arrivals")
-	}
-}
-
-func TestTimestampScheduleSpeedup(t *testing.T) {
-	offsets := []time.Duration{100 * time.Millisecond, 400 * time.Millisecond, time.Second}
-	s := TimestampSchedule(offsets, 4)
-	want := []time.Duration{25 * time.Millisecond, 100 * time.Millisecond, 250 * time.Millisecond}
-	for i, w := range want {
-		off, ok := s()
-		if !ok || off != w {
-			t.Fatalf("arrival %d: got (%v, %v), want (%v, true)", i, off, ok, w)
-		}
-	}
-	if _, ok := s(); ok {
-		t.Fatal("schedule did not end with its trace")
-	}
-	// speedup ≤ 0 falls back to 1x.
-	s1 := TimestampSchedule(offsets, 0)
-	if off, _ := s1(); off != offsets[0] {
-		t.Fatalf("speedup 0: first arrival %v, want %v", off, offsets[0])
-	}
-}
-
 func TestPaceLimits(t *testing.T) {
-	// N limit.
-	n := Pace(UniformSchedule(1e6), Limits{N: 7}, nil, func(int) {})
-	if n != 7 {
-		t.Fatalf("N-limited Pace fired %d, want 7", n)
-	}
-	// D limit against the raw (pre-speedup) offset: trace spans 0..10ms of
-	// trace time replayed at 1000x; D=4ms of trace time admits offsets
-	// ≤ 4ms regardless of the compressed wall offsets.
 	offsets := make([]time.Duration, 11)
 	for i := range offsets {
 		offsets[i] = time.Duration(i) * time.Millisecond
 	}
 	const speedup = 1000.0
-	s := TimestampSchedule(offsets, speedup)
-	raw := func(off time.Duration) time.Duration { return time.Duration(float64(off) * speedup) }
-	n = Pace(s, Limits{D: 4 * time.Millisecond}, raw, func(int) {})
-	if n != 5 { // offsets 0,1,2,3,4 ms
+	// N limit.
+	if n := Pace(offsets, speedup, Limits{N: 7}, func(int) {}); n != 7 {
+		t.Fatalf("N-limited Pace fired %d, want 7", n)
+	}
+	// D limit against the recorded (pre-speedup) offsets: the trace spans
+	// 0..10ms replayed at 1000x; D=4ms admits offsets ≤ 4ms regardless of
+	// the compressed wall offsets.
+	if n := Pace(offsets, speedup, Limits{D: 4 * time.Millisecond}, func(int) {}); n != 5 { // 0,1,2,3,4 ms
 		t.Fatalf("D-limited Pace fired %d, want 5", n)
 	}
-	// Schedule exhaustion without limits.
-	n = Pace(TimestampSchedule(offsets[:3], 1e6), Limits{}, nil, func(int) {})
-	if n != 3 {
-		t.Fatalf("unlimited Pace fired %d, want 3 (schedule length)", n)
+	// Offset exhaustion without limits.
+	if n := Pace(offsets[:3], speedup, Limits{}, func(int) {}); n != 3 {
+		t.Fatalf("unlimited Pace fired %d, want 3 (offset count)", n)
+	}
+}
+
+// TestPaceSpeedup checks the compression: at speedup 4 each arrival fires
+// at a quarter of its recorded offset, not before and not at the recorded
+// time; speedup ≤ 0 falls back to 1x.
+func TestPaceSpeedup(t *testing.T) {
+	offsets := []time.Duration{100 * time.Millisecond, 400 * time.Millisecond}
+	var fired []time.Duration
+	start := time.Now()
+	Pace(offsets, 4, Limits{}, func(int) { fired = append(fired, time.Since(start)) })
+	for i, at := range fired {
+		if want := offsets[i] / 4; at < want-time.Millisecond {
+			t.Errorf("arrival %d fired at %v, before its compressed offset %v", i, at, want)
+		}
+	}
+	if last := fired[len(fired)-1]; last >= offsets[len(offsets)-1] {
+		t.Errorf("speedup 4 fired the last arrival at %v, no earlier than its recorded %v", last, offsets[len(offsets)-1])
+	}
+
+	var at time.Duration
+	start = time.Now()
+	Pace(offsets[:1], 0, Limits{}, func(int) { at = time.Since(start) })
+	if at < offsets[0]-time.Millisecond {
+		t.Errorf("speedup 0 fired at %v, before the recorded %v", at, offsets[0])
 	}
 }
 
@@ -97,7 +62,7 @@ func TestPaceOpenLoopAdherence(t *testing.T) {
 	}
 	var fired []time.Duration
 	start := time.Now()
-	Pace(TimestampSchedule(offsets, 1), Limits{}, nil, func(int) {
+	Pace(offsets, 1, Limits{}, func(int) {
 		fired = append(fired, time.Since(start))
 	})
 	if len(fired) != len(offsets) {

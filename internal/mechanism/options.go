@@ -159,10 +159,6 @@ type Options struct {
 	// paper treats it.
 	BoundSensitivity bool `json:"bound_sensitivity,omitzero"`
 
-	// NoBoxConstraint drops the x_ij ≤ c_ij cap (ablation benchmarks only;
-	// see DESIGN.md §2).
-	NoBoxConstraint bool `json:"no_box_constraint,omitzero"`
-
 	// Comp attaches a component-plan cache to the UMP solves, making
 	// re-solves after corpus appends incremental (only changed connected
 	// components re-solve; see CompCache). It is runtime state, not

@@ -121,7 +121,7 @@ func RunUMP(ctx context.Context, in *searchlog.Log, opts Options) (*Result, erro
 	psp.SetAttr("removed_pairs", preStats.RemovedPairs)
 	psp.End()
 	params := dp.Params{Eps: opts.Epsilon, Delta: opts.Delta}
-	uopts := ump.Options{NoBoxConstraint: opts.NoBoxConstraint, Solver: opts.Solver, Parallelism: opts.Parallelism}
+	uopts := ump.Options{Solver: opts.Solver, Parallelism: opts.Parallelism}
 	if opts.Comp != nil {
 		uopts.Comp = opts.Comp.cache
 	}
@@ -187,7 +187,7 @@ func RunUMP(ctx context.Context, in *searchlog.Log, opts Options) (*Result, erro
 		// Respect the box and Condition 1 invariants, then re-project into
 		// the Theorem-1 polytope.
 		for i := range noisy {
-			if c := pre.PairCount(i); !opts.NoBoxConstraint && noisy[i] > c {
+			if c := pre.PairCount(i); noisy[i] > c {
 				noisy[i] = c
 			}
 		}

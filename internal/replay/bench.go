@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"dpslog/internal/loadgen"
@@ -37,8 +38,9 @@ type ClassReport struct {
 	MaxMS     float64 `json:"max_ms"`
 }
 
-// SLOReport records one evaluated gate, violations included, so the
-// artifact shows what the run was held to.
+// SLOReport records one evaluated gate with its actual value, passing
+// gates and violations alike, so the artifact shows what the run was held
+// to.
 type SLOReport struct {
 	Class  string `json:"class"`
 	Metric string `json:"metric"`
@@ -47,8 +49,9 @@ type SLOReport struct {
 	OK     bool   `json:"ok"`
 }
 
-// BuildReport renders a replay summary as the benchmark document.
-func BuildReport(traceName string, speedup float64, sum loadgen.Summary, elapsed time.Duration, violations []Violation) *Report {
+// BuildReport renders a replay summary as the benchmark document, with
+// every gate of the SLOs evaluated against it, passing or not.
+func BuildReport(traceName string, speedup float64, sum loadgen.Summary, elapsed time.Duration, slos []SLO) *Report {
 	r := &Report{
 		Trace:     traceName,
 		Speedup:   speedup,
@@ -75,9 +78,7 @@ func BuildReport(traceName string, speedup float64, sum loadgen.Summary, elapsed
 			MaxMS:     ms(lat.Max),
 		})
 	}
-	for _, v := range violations {
-		r.SLOs = append(r.SLOs, SLOReport{Class: v.Class, Metric: v.Metric, Limit: v.Limit, Actual: v.Actual, OK: false})
-	}
+	r.SLOs = check(slos, sum.Classes)
 	return r
 }
 
@@ -123,18 +124,7 @@ func (r *Report) CheckBaseline(path string) error {
 		}
 	}
 	if len(mismatches) > 0 {
-		return fmt.Errorf("replay baseline %s: per-class counts drifted:\n  %s", path, joinLines(mismatches))
+		return fmt.Errorf("replay baseline %s: per-class counts drifted:\n  %s", path, strings.Join(mismatches, "\n  "))
 	}
 	return nil
-}
-
-func joinLines(lines []string) string {
-	out := ""
-	for i, l := range lines {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += l
-	}
-	return out
 }

@@ -33,8 +33,6 @@ type Config struct {
 	// Capture, when non-nil, receives the replayed records with observed
 	// results stamped — replay output is itself a replayable trace.
 	Capture *loadgen.TraceWriter
-	// Prefix labels the report lines (default "slreplay").
-	Prefix string
 }
 
 // NewClient is the default load-generation HTTP client: per-request
@@ -75,13 +73,12 @@ func BuildRequest(base string, rec Record, payloads map[string][]byte) (*http.Re
 	return req, nil
 }
 
-// Exec builds and fires one record, returning the classified-ready result
-// with the replayable record (observed fields stamped) attached as its
-// trace line.
-func Exec(client *http.Client, base string, rec Record, payloads map[string][]byte) loadgen.Result {
+// execRecord builds and fires one record, returning the result with the
+// replayable record (observed fields stamped) attached as its trace line.
+func execRecord(client *http.Client, base string, rec Record, payloads map[string][]byte) loadgen.Result {
 	req, err := BuildRequest(base, rec, payloads)
 	if err != nil {
-		res := loadgen.Result{Start: time.Now(), Class: rec.Class, Expect: rec.Expect, Err: err}
+		res := loadgen.Result{Class: rec.Class, Expect: rec.Expect, Err: err}
 		res.TraceLine = rec.WithResult(res)
 		return res
 	}
@@ -102,13 +99,6 @@ func Run(tr *Trace, cfg Config) (loadgen.Summary, time.Duration, error) {
 	if client == nil {
 		client = NewClient(30 * time.Second)
 	}
-	speedup := cfg.Speedup
-	if speedup <= 0 {
-		speedup = 1
-	}
-	if cfg.Prefix == "" {
-		cfg.Prefix = "slreplay"
-	}
 	payloads, err := tr.Materialize()
 	if err != nil {
 		return loadgen.Summary{}, 0, err
@@ -117,12 +107,10 @@ func Run(tr *Trace, cfg Config) (loadgen.Summary, time.Duration, error) {
 
 	results := make(chan loadgen.Result, 1024)
 	collector := &loadgen.Collector{
-		Window:   cfg.Window,
-		Prefix:   cfg.Prefix,
-		Out:      cfg.Out,
-		ErrOut:   cfg.ErrOut,
-		Trace:    cfg.Capture,
-		PerClass: true,
+		Window: cfg.Window,
+		Out:    cfg.Out,
+		ErrOut: cfg.ErrOut,
+		Trace:  cfg.Capture,
 	}
 	done := make(chan loadgen.Summary, 1)
 	go func() { done <- collector.Run(results) }()
@@ -131,7 +119,7 @@ func Run(tr *Trace, cfg Config) (loadgen.Summary, time.Duration, error) {
 	// depend on its side effects, so a failed setup aborts the replay
 	// rather than cascading into hundreds of confusing mismatches.
 	for i, rec := range setup {
-		res := Exec(client, cfg.BaseURL, rec, payloads)
+		res := execRecord(client, cfg.BaseURL, rec, payloads)
 		outcome := loadgen.Classify(res)
 		results <- res
 		if outcome != loadgen.OutcomeOK && outcome != loadgen.OutcomeExhausted {
@@ -146,23 +134,16 @@ func Run(tr *Trace, cfg Config) (loadgen.Summary, time.Duration, error) {
 	for i, rec := range timed {
 		offsets[i] = rec.Offset()
 	}
-	sched := loadgen.TimestampSchedule(offsets, speedup)
 	var wg sync.WaitGroup
 	start := time.Now()
-	loadgen.Pace(sched, loadgen.Limits{N: cfg.N, D: cfg.D},
-		func(off time.Duration) time.Duration {
-			// Pace sees post-speedup offsets; the D limit is in recorded
-			// trace time.
-			return time.Duration(float64(off) * speedup)
-		},
-		func(i int) {
-			rec := timed[i]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				results <- Exec(client, cfg.BaseURL, rec, payloads)
-			}()
-		})
+	loadgen.Pace(offsets, cfg.Speedup, loadgen.Limits{N: cfg.N, D: cfg.D}, func(i int) {
+		rec := timed[i]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results <- execRecord(client, cfg.BaseURL, rec, payloads)
+		}()
+	})
 	wg.Wait()
 	elapsed := time.Since(start)
 	close(results)

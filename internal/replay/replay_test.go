@@ -245,13 +245,17 @@ func TestReportJSONShape(t *testing.T) {
 			"storm_429": {Sent: 1, Exhausted: 1, Latencies: []time.Duration{time.Millisecond}},
 		},
 	}
-	violations := []Violation{{Class: "sanitize", Metric: "p95", Limit: "1ms", Actual: "2ms"}}
-	r := BuildReport("t.ndjson", 2, sum, time.Second, violations)
+	// One failing gate (sanitize's p95 is 2ms) and one passing gate: both
+	// are recorded with their actual values.
+	slos := []SLO{{Class: "sanitize", MaxP95: time.Millisecond, MaxErrRate: -1}, {Class: "storm_429", MaxErrRate: 0.01}}
+	r := BuildReport("t.ndjson", 2, sum, time.Second, slos)
 	raw, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"trace":"t.ndjson"`, `"speedup":2`, `"achieved_rps":3`, `"class":"sanitize"`, `"budget_exhausted":1`, `"p95_ms"`, `"metric":"p95"`, `"ok":false`} {
+	for _, want := range []string{`"trace":"t.ndjson"`, `"speedup":2`, `"achieved_rps":3`, `"class":"sanitize"`, `"budget_exhausted":1`, `"p95_ms"`,
+		`{"class":"sanitize","metric":"p95","limit":"1ms","actual":"2ms","ok":false}`,
+		`{"class":"storm_429","metric":"err","limit":"0.01","actual":"0 (0/1)","ok":true}`} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("report JSON missing %s:\n%s", want, raw)
 		}

@@ -96,52 +96,57 @@ func (v Violation) String() string {
 	return fmt.Sprintf("class %s: %s %s exceeds SLO %s", v.Class, v.Metric, v.Actual, v.Limit)
 }
 
-// Evaluate checks every SLO against the per-class stats. A latency SLO on
-// a class with no successful results is a violation — silence must not
-// pass a gate.
+// Evaluate checks every SLO against the per-class stats and returns the
+// violated gates.
 func Evaluate(slos []SLO, classes map[string]*loadgen.ClassStats) []Violation {
 	var out []Violation
+	for _, g := range check(slos, classes) {
+		if !g.OK {
+			out = append(out, Violation{Class: g.Class, Metric: g.Metric, Limit: g.Limit, Actual: g.Actual})
+		}
+	}
+	return out
+}
+
+// check evaluates every SLO against the per-class stats and records each
+// gate with its actual value and outcome. A latency SLO on a class with
+// no successful results is a violation — silence must not pass a gate.
+func check(slos []SLO, classes map[string]*loadgen.ClassStats) []SLOReport {
+	var out []SLOReport
 	for _, slo := range slos {
-		targets := make([]string, 0, len(classes))
+		targets := []string{slo.Class}
 		if slo.Class == "*" {
-			for _, name := range sortedKeys(classes) {
-				targets = append(targets, name)
-			}
-		} else {
-			targets = append(targets, slo.Class)
+			targets = sortedKeys(classes)
 		}
 		for _, name := range targets {
 			st, ok := classes[name]
 			if !ok {
-				out = append(out, Violation{Class: name, Metric: "presence", Limit: "observed", Actual: "no requests"})
+				out = append(out, SLOReport{Class: name, Metric: "presence", Limit: "observed", Actual: "no requests"})
 				continue
 			}
 			lat := loadgen.ComputeStats(st.Latencies)
-			check := func(metric string, limit time.Duration, actual time.Duration) {
+			latency := func(metric string, limit, actual time.Duration) {
 				if limit <= 0 {
 					return
 				}
+				g := SLOReport{Class: name, Metric: metric, Limit: limit.String(), Actual: actual.String(), OK: actual <= limit}
 				if lat.Count == 0 {
-					out = append(out, Violation{Class: name, Metric: metric, Limit: limit.String(), Actual: "no expected responses"})
-					return
+					g.Actual, g.OK = "no expected responses", false
 				}
-				if actual > limit {
-					out = append(out, Violation{Class: name, Metric: metric, Limit: limit.String(), Actual: actual.String()})
-				}
+				out = append(out, g)
 			}
-			check("p50", slo.MaxP50, lat.P50)
-			check("p95", slo.MaxP95, lat.P95)
-			check("p99", slo.MaxP99, lat.P99)
+			latency("p50", slo.MaxP50, lat.P50)
+			latency("p95", slo.MaxP95, lat.P95)
+			latency("p99", slo.MaxP99, lat.P99)
 			if slo.MaxErrRate >= 0 && st.Sent > 0 {
 				rate := float64(st.Errors()) / float64(st.Sent)
-				if rate > slo.MaxErrRate {
-					out = append(out, Violation{
-						Class:  name,
-						Metric: "err",
-						Limit:  fmt.Sprintf("%.4g", slo.MaxErrRate),
-						Actual: fmt.Sprintf("%.4g (%d/%d)", rate, st.Errors(), st.Sent),
-					})
-				}
+				out = append(out, SLOReport{
+					Class:  name,
+					Metric: "err",
+					Limit:  fmt.Sprintf("%.4g", slo.MaxErrRate),
+					Actual: fmt.Sprintf("%.4g (%d/%d)", rate, st.Errors(), st.Sent),
+					OK:     rate <= slo.MaxErrRate,
+				})
 			}
 		}
 	}

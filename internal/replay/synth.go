@@ -140,31 +140,15 @@ func Synthesize(cfg SynthConfig) (*Trace, error) {
 		})
 	}
 
-	sanitizeQuery := func(seed int) string {
-		q := url.Values{}
-		q.Set("eexp", fmt.Sprint(cfg.EExp))
-		q.Set("delta", fmt.Sprint(cfg.Delta))
-		q.Set("objective", cfg.Objective)
-		q.Set("seed", fmt.Sprint(seed))
-		return q.Encode()
-	}
 	corpusBody := func(seed uint64, epsilon, delta float64) string {
-		opts := dpslog.Options{Epsilon: epsilon, Delta: delta, Objective: obj, Seed: seed}
-		env, _ := json.Marshal(struct {
-			Options dpslog.Options `json:"options"`
-		}{opts})
-		return string(env)
+		return ReleaseBody(dpslog.Options{Epsilon: epsilon, Delta: delta, Objective: obj, Seed: seed})
 	}
 	// Non-UMP mechanism releases pin seed 1: the class exercises the
 	// dispatch and per-mechanism charging paths, and a single (mechanism,
 	// seed) identity per mechanism keeps its budget spend flat however many
 	// requests the mix deals it.
 	mechBody := func(mech string, delta float64) string {
-		opts := dpslog.Options{Mechanism: mech, Epsilon: math.Log(cfg.EExp), Delta: delta, Seed: 1}
-		env, _ := json.Marshal(struct {
-			Options dpslog.Options `json:"options"`
-		}{opts})
-		return string(env)
+		return ReleaseBody(dpslog.Options{Mechanism: mech, Epsilon: math.Log(cfg.EExp), Delta: delta, Seed: 1})
 	}
 
 	g := rng.New(cfg.Seed)
@@ -191,12 +175,12 @@ func Synthesize(cfg SynthConfig) (*Trace, error) {
 		switch class {
 		case "sanitize":
 			rec.Method = "POST"
-			rec.Path = "/v1/sanitize?" + sanitizeQuery(i%cfg.Distinct+1)
+			rec.Path = "/v1/sanitize?" + SanitizeQuery(cfg.EExp, cfg.Delta, cfg.Objective, i%cfg.Distinct+1).Encode()
 			rec.ContentType = "text/tab-separated-values"
 			rec.BodyRef = "corpus"
 		case "sanitize_async":
 			rec.Method = "POST"
-			rec.Path = "/v1/jobs?" + sanitizeQuery(i%cfg.Distinct+1)
+			rec.Path = "/v1/jobs?" + SanitizeQuery(cfg.EExp, cfg.Delta, cfg.Objective, i%cfg.Distinct+1).Encode()
 			rec.ContentType = "text/tab-separated-values"
 			rec.BodyRef = "corpus"
 		case "corpus_sanitize":
@@ -268,4 +252,27 @@ func Synthesize(cfg SynthConfig) (*Trace, error) {
 		})
 	}
 	return tr, nil
+}
+
+// SanitizeQuery is the query of a stateless sanitize request (POST
+// /v1/sanitize or /v1/jobs with a TSV body); callers may add parameters
+// before encoding it.
+func SanitizeQuery(eexp, delta float64, objective string, seed int) url.Values {
+	return url.Values{
+		"eexp":      {fmt.Sprint(eexp)},
+		"delta":     {fmt.Sprint(delta)},
+		"objective": {objective},
+		"seed":      {fmt.Sprint(seed)},
+	}
+}
+
+// ReleaseBody is the options-only JSON body of a corpus-referencing
+// release, POST /v1/corpora/{name}/sanitize.
+func ReleaseBody(opts dpslog.Options) string {
+	// Marshal fails only on a NaN or infinite float; the empty body then
+	// draws the server's 400.
+	env, _ := json.Marshal(struct {
+		Options dpslog.Options `json:"options"`
+	}{opts})
+	return string(env)
 }

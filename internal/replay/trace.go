@@ -6,8 +6,9 @@
 // path, body (inline or by payload reference) and expected status class.
 // Traces come from two sources that produce the same format: the
 // -record synthesizer (Synthesize) derives mixed scenario traffic from a
-// gen profile, and a live slload run captures its own requests via
-// -trace-out, observed latency/status/trace-ID stamped on each line.
+// gen profile, and a live slload run — itself a trace built in memory and
+// run by Run — captures its requests via -trace-out, observed
+// latency/status/trace-ID stamped on each line.
 // Replaying either reproduces the request mix — per-class counts exactly
 // — with open-loop arrivals at the recorded offsets (optionally
 // compressed by a speedup factor), reports per-class percentiles, and

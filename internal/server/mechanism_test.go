@@ -216,3 +216,31 @@ func TestSanitizeMechanismRejections(t *testing.T) {
 		t.Fatalf("allowlisted laplace: %d %s", resp.StatusCode, raw)
 	}
 }
+
+// TestAblationOptionRejected: the box-constraint ablation is not a request
+// option, so a release asking for it is a 400 bad_request on both sanitize
+// endpoints and the corpus budget is never charged.
+func TestAblationOptionRejected(t *testing.T) {
+	e := newTestEnv(t, Config{DataDir: t.TempDir()})
+	if resp, raw := e.do(t, http.MethodPut, "/v1/corpora/c", "text/tab-separated-values", e.tsv); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT: %d %s", resp.StatusCode, raw)
+	}
+	opts := `{"epsilon":0.7,"delta":0.25,"seed":1,"no_box_constraint":true}`
+	for _, req := range []struct{ path, body string }{
+		{"/v1/corpora/c/sanitize", `{"options":` + opts + `}`},
+		{"/v1/sanitize", fmt.Sprintf(`{"options":%s,"tsv":%q}`, opts, e.tsv)},
+	} {
+		resp, raw := e.post(t, req.path, "application/json", []byte(req.body))
+		env := decode[apiError](t, raw)
+		if resp.StatusCode != http.StatusBadRequest || env.Code != "bad_request" || !strings.Contains(env.Error, "no_box_constraint") {
+			t.Fatalf("%s: status %d envelope %+v", req.path, resp.StatusCode, env)
+		}
+	}
+	_, raw := e.get(t, "/v1/corpora/c/budget")
+	type budgetResp struct {
+		Budget budgetJSON `json:"budget"`
+	}
+	if b := decode[budgetResp](t, raw).Budget; b.Releases != 0 || b.Spent.Epsilon != 0 || b.Spent.Delta != 0 {
+		t.Fatalf("rejected release was charged: %+v", b)
+	}
+}
