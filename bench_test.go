@@ -256,51 +256,6 @@ func benchPre(b *testing.B, profile string) *searchlog.Log {
 	return pre
 }
 
-// BenchmarkDecomposition compares monolithic against decomposed solves.
-// Single-market profiles (tiny, small) form one giant component, so their
-// decomposed rows measure pure decomposition overhead; the *-sharded
-// multi-market profiles split into one component per market, where the
-// superlinear simplex cost makes per-component solves faster even
-// sequentially and the worker pool stacks a parallel speedup on top.
-func BenchmarkDecomposition(b *testing.B) {
-	modes := []struct {
-		name string
-		opts ump.Options
-	}{
-		{"monolithic", ump.Options{NoDecompose: true}},
-		{"decomposed-p1", ump.Options{Parallelism: 1}},
-		{"decomposed-pmax", ump.Options{}},
-	}
-	p := dp.Params{Eps: math.Log(2), Delta: 0.5}
-	for _, profile := range []string{"tiny", "small", "tiny-sharded", "small-sharded"} {
-		pre := benchPre(b, profile)
-		for _, mode := range modes {
-			b.Run("OUMP/"+profile+"/"+mode.name, func(b *testing.B) {
-				var comps int
-				for i := 0; i < b.N; i++ {
-					plan, err := ump.MaxOutputSize(pre, p, mode.opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					comps = plan.Components
-				}
-				b.ReportMetric(float64(comps), "components")
-			})
-			b.Run("DUMP/"+profile+"/"+mode.name, func(b *testing.B) {
-				var comps int
-				for i := 0; i < b.N; i++ {
-					plan, err := ump.Diversity(pre, p, mode.opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					comps = plan.Components
-				}
-				b.ReportMetric(float64(comps), "components")
-			})
-		}
-	}
-}
-
 // BenchmarkPartitionDecompose isolates the union-find + sub-log
 // construction cost the decomposed path pays before solving.
 func BenchmarkPartitionDecompose(b *testing.B) {
@@ -312,26 +267,6 @@ func BenchmarkPartitionDecompose(b *testing.B) {
 				n = len(partition.Decompose(pre))
 			}
 			b.ReportMetric(float64(n), "components")
-		})
-	}
-}
-
-// BenchmarkSamplingProfiles measures the multinomial sampling step at both
-// benchmark scales (the decomposed solves shift the bottleneck toward it).
-func BenchmarkSamplingProfiles(b *testing.B) {
-	for _, profile := range []string{"tiny", "small"} {
-		pre := benchPre(b, profile)
-		counts := make([]int, pre.NumPairs())
-		for i := range counts {
-			counts[i] = pre.PairCount(i) / 2
-		}
-		g := rng.New(7)
-		b.Run(profile, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sampling.Output(g, pre, counts); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

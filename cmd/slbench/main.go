@@ -3,13 +3,14 @@
 // sampling step, the warm-started grid
 // sweeps, the streaming sharded ingest fold and every registered release
 // mechanism end to end, and emits a machine-readable benchmark trajectory
-// (BENCH_pr10.json) that future changes are compared against.
+// (BENCH_slbench.json, the committed baseline) that future changes are
+// compared against.
 //
 // Usage:
 //
-//	slbench [-o BENCH_pr10.json] [-profiles tiny,small,tiny-sharded,small-sharded]
+//	slbench [-o BENCH_slbench.json] [-profiles tiny,small,tiny-sharded,small-sharded]
 //	        [-objectives output-size,diversity] [-benchtime 1s|1x] [-seed 1]
-//	        [-baseline BENCH_pr2.json] [-no-sweeps]
+//	        [-baseline BENCH_slbench.json] [-no-sweeps]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //
 // Each benchmark runs through testing.Benchmark, so -benchtime follows the
@@ -27,10 +28,11 @@
 // comparison doubles as a cross-machine determinism check of every release
 // path the server can dispatch to.
 //
-// With -baseline, slbench compares every objective value against the named
-// earlier trajectory by benchmark name and exits nonzero on any mismatch:
-// speed may drift between machines, λ and plan objectives may
-// not.
+// With -baseline, slbench looks up every emitted row in the named earlier
+// trajectory by benchmark name and exits nonzero when a row is missing or
+// its objective value differs: speed may drift between machines, λ and plan
+// objectives may not. Baseline rows this run does not emit are ignored, so
+// partial runs (-profiles, -append-profiles) gate against the full file.
 package main
 
 import (
@@ -43,11 +45,11 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"testing"
 
 	"dpslog/internal/dp"
+	"dpslog/internal/experiments"
 	"dpslog/internal/gen"
 	"dpslog/internal/ingest"
 	"dpslog/internal/mechanism"
@@ -75,7 +77,6 @@ type benchResult struct {
 }
 
 type trajectory struct {
-	PR         string        `json:"pr"`
 	GoMaxProcs int           `json:"go_max_procs"`
 	Seed       uint64        `json:"seed"`
 	Benchtime  string        `json:"benchtime"`
@@ -84,21 +85,13 @@ type trajectory struct {
 	Benchmarks []benchResult `json:"benchmarks"`
 }
 
-// The paper's (e^ε, δ) grids, for the warm-started Table-4 sweep (kept in
-// sync with internal/experiments; duplicated to keep slbench free of the
-// experiment runner's corpus-generation weight).
-var (
-	eExpGrid7  = []float64{1.001, 1.01, 1.1, 1.4, 1.7, 2.0, 2.3}
-	deltaGrid7 = []float64{1e-4, 1e-3, 1e-2, 1e-1, 0.2, 0.5, 0.8}
-)
-
 func main() {
-	out := flag.String("o", "BENCH_pr10.json", "output JSON file (- for stdout)")
+	out := flag.String("o", "BENCH_slbench.json", "output JSON file (- for stdout)")
 	profiles := flag.String("profiles", "tiny,small,tiny-sharded,small-sharded", "comma-separated corpus profiles")
 	objectives := flag.String("objectives", "output-size,diversity", "comma-separated objectives: output-size, diversity")
 	benchtime := flag.String("benchtime", "", "per-benchmark budget, go test style (e.g. 2s or 1x); empty = testing default (1s)")
 	seed := flag.Uint64("seed", 1, "corpus generation seed")
-	baseline := flag.String("baseline", "", "comma-separated earlier trajectory JSONs; objective values must match by name (λ drift fails the run)")
+	baseline := flag.String("baseline", "", "earlier trajectory JSON; every emitted row must be in it with the same objective value (λ drift fails the run)")
 	noSweeps := flag.Bool("no-sweeps", false, "skip the warm-started table4/frontier sweep benchmarks")
 	appendProfiles := flag.String("append-profiles", "tiny-sharded,small-sharded,paper-sharded", "comma-separated multi-market profiles for the continual-release append benchmark (empty = skip)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile covering the whole run to this file")
@@ -122,7 +115,6 @@ func main() {
 
 	params := dp.Params{Eps: math.Log(2), Delta: 0.5}
 	traj := trajectory{
-		PR:         "pr10",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Seed:       *seed,
 		Benchtime:  *benchtime,
@@ -163,29 +155,8 @@ func main() {
 				if err != nil {
 					fatal(fmt.Errorf("%s/%s/%s: %w", profile, objective, mode.name, err))
 				}
-				r := testing.Benchmark(func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, err := solve(); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-				addRow(&traj, benchResult{
-					Name:           fmt.Sprintf("%s/%s/%s", profile, objective, mode.name),
-					Profile:        profile,
-					Objective:      objective,
-					Mode:           mode.name,
-					Parallelism:    mode.par,
-					Components:     plan.Components,
-					Pairs:          pre.NumPairs(),
-					Users:          pre.NumUsers(),
-					ObjectiveValue: plan.Objective,
-					N:              r.N,
-					NsPerOp:        float64(r.NsPerOp()),
-					BytesPerOp:     r.AllocedBytesPerOp(),
-					AllocsPerOp:    r.AllocsPerOp(),
-				})
+				r := measure(func() error { _, err := solve(); return err })
+				traj.add(profile, objective, mode.name, pre, mode.par, plan.Components, plan.Objective, r)
 			}
 		}
 
@@ -195,28 +166,8 @@ func main() {
 			counts[i] = pre.PairCount(i) / 2
 		}
 		g := rng.New(7)
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sampling.Output(g, pre, counts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		addRow(&traj, benchResult{
-			Name:        profile + "/sampling",
-			Profile:     profile,
-			Objective:   "sampling",
-			Mode:        "sampling",
-			Parallelism: 1,
-			Components:  1,
-			Pairs:       pre.NumPairs(),
-			Users:       pre.NumUsers(),
-			N:           r.N,
-			NsPerOp:     float64(r.NsPerOp()),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		})
+		r := measure(func() error { _, err := sampling.Output(g, pre, counts); return err })
+		traj.add(profile, "sampling", "sampling", pre, 1, 1, 0, r)
 
 		// Warm-started sweep benchmarks: the experiment-layer workloads the
 		// warm starts were built for, on the small profiles only (the tiny
@@ -281,15 +232,11 @@ func main() {
 		fatal(err)
 	}
 	enc = append(enc, '\n')
-	for _, base := range strings.Split(*baseline, ",") {
-		base = strings.TrimSpace(base)
-		if base == "" {
-			continue
-		}
-		if err := checkBaseline(traj, base); err != nil {
+	if *baseline != "" {
+		if err := checkBaseline(traj, *baseline); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "slbench: objective values match baseline %s\n", base)
+		fmt.Fprintf(os.Stderr, "slbench: objective values match baseline %s\n", *baseline)
 	}
 	if *out == "-" {
 		os.Stdout.Write(enc)
@@ -301,33 +248,53 @@ func main() {
 	fmt.Fprintf(os.Stderr, "slbench: wrote %d benchmarks to %s\n", len(traj.Benchmarks), *out)
 }
 
-func addRow(traj *trajectory, row benchResult) {
-	traj.Benchmarks = append(traj.Benchmarks, row)
+// measure times op through testing.Benchmark with allocation reporting.
+func measure(op func() error) testing.BenchmarkResult {
+	return testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := op(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// add appends and logs one row: the run r of the named benchmark over the
+// corpus l, with its parallelism, component count and gated objective value.
+func (t *trajectory) add(profile, objective, mode string, l *searchlog.Log, par, comps int, value float64, r testing.BenchmarkResult) {
+	row := benchResult{
+		Name:           rowName(profile, objective, mode),
+		Profile:        profile,
+		Objective:      objective,
+		Mode:           mode,
+		Parallelism:    par,
+		Components:     comps,
+		Pairs:          l.NumPairs(),
+		Users:          l.NumUsers(),
+		ObjectiveValue: value,
+		N:              r.N,
+		NsPerOp:        float64(r.NsPerOp()),
+		BytesPerOp:     r.AllocedBytesPerOp(),
+		AllocsPerOp:    r.AllocsPerOp(),
+	}
+	t.Benchmarks = append(t.Benchmarks, row)
 	fmt.Fprintf(os.Stderr, "slbench: %-48s %12.0f ns/op  %8d allocs/op  (N=%d, comps=%d, obj=%g)\n",
 		row.Name, row.NsPerOp, row.AllocsPerOp, row.N, row.Components, row.ObjectiveValue)
 }
 
-// distinctBudgets reduces the paper's 7×7 grid to its distinct merged
-// budgets (the constraint system depends on min{ε, ln 1/(1−δ)} only),
-// sorted ascending for determinism.
-func distinctBudgets() []dp.Params {
-	seen := map[float64]dp.Params{}
-	for _, e := range eExpGrid7 {
-		for _, d := range deltaGrid7 {
-			p := dp.FromEExp(e, d)
-			seen[p.Budget()] = p
-		}
+// rowName is profile/objective/mode, keeping the two spellings the
+// baseline is keyed on: the sampling row (objective = mode) is
+// profile/sampling, and the append rows (output-size solves) are
+// profile/append/mode.
+func rowName(profile, objective, mode string) string {
+	switch {
+	case mode == objective:
+		return profile + "/" + objective
+	case strings.HasPrefix(mode, "append-"):
+		return profile + "/append/" + mode
 	}
-	budgets := make([]float64, 0, len(seen))
-	for b := range seen {
-		budgets = append(budgets, b)
-	}
-	sort.Float64s(budgets)
-	out := make([]dp.Params, 0, len(budgets))
-	for _, b := range budgets {
-		out = append(out, seen[b])
-	}
-	return out
+	return profile + "/" + objective + "/" + mode
 }
 
 // benchSweeps measures the table4 λ sweep (distinct budgets of the paper
@@ -335,54 +302,33 @@ func distinctBudgets() []dp.Params {
 // cold versus warm-started, and records the summed integral objectives so
 // the baseline gate covers the sweeps too.
 func benchSweeps(traj *trajectory, profile string, pre *searchlog.Log) {
-	budgets := distinctBudgets()
+	budgets := experiments.DistinctBudgets(experiments.EExpGrid7, experiments.DeltaGrid7)
 	reference := dp.FromEExp(2.0, 0.5)
 
-	sweepLambda := func(warm bool) (float64, testing.BenchmarkResult) {
+	for _, mode := range []string{"cold", "warm"} {
 		total := 0.0
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				total = 0
-				var pool *ump.WarmStarts
-				if warm {
-					// Anchor exactly like internal/experiments: one cold
-					// solve of the reference point seeds the sticky pool;
-					// every other budget warm-starts from it.
-					pool = ump.NewWarmStarts(true)
-					if _, err := ump.MaxOutputSize(pre, reference, ump.Options{Warm: pool}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				for _, p := range budgets {
-					plan, err := ump.MaxOutputSize(pre, p, ump.Options{Warm: pool})
-					if err != nil {
-						b.Fatal(err)
-					}
-					total += math.Floor(plan.RelaxationObjective)
+		r := measure(func() error {
+			total = 0
+			var pool *ump.WarmStarts
+			if mode == "warm" {
+				// Anchor exactly like internal/experiments: one cold
+				// solve of the reference point seeds the sticky pool;
+				// every other budget warm-starts from it.
+				pool = ump.NewWarmStarts(true)
+				if _, err := ump.MaxOutputSize(pre, reference, ump.Options{Warm: pool}); err != nil {
+					return err
 				}
 			}
+			for _, p := range budgets {
+				plan, err := ump.MaxOutputSize(pre, p, ump.Options{Warm: pool})
+				if err != nil {
+					return err
+				}
+				total += math.Floor(plan.RelaxationObjective)
+			}
+			return nil
 		})
-		return total, r
-	}
-
-	for _, mode := range []string{"cold", "warm"} {
-		total, r := sweepLambda(mode == "warm")
-		addRow(traj, benchResult{
-			Name:           fmt.Sprintf("%s/sweep-table4/%s", profile, mode),
-			Profile:        profile,
-			Objective:      "sweep-table4",
-			Mode:           mode,
-			Parallelism:    runtime.GOMAXPROCS(0),
-			Components:     len(budgets),
-			Pairs:          pre.NumPairs(),
-			Users:          pre.NumUsers(),
-			ObjectiveValue: total,
-			N:              r.N,
-			NsPerOp:        float64(r.NsPerOp()),
-			BytesPerOp:     r.AllocedBytesPerOp(),
-			AllocsPerOp:    r.AllocsPerOp(),
-		})
+		traj.add(profile, "sweep-table4", mode, pre, runtime.GOMAXPROCS(0), len(budgets), total, r)
 	}
 
 	// Frontier ladder: targets as fractions of the reference λ.
@@ -400,46 +346,26 @@ func benchSweeps(traj *trajectory, profile string, pre *searchlog.Log) {
 			targets = append(targets, t)
 		}
 	}
-	sweepFrontier := func(warm bool) (float64, testing.BenchmarkResult) {
-		total := 0.0
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				total = 0
-				var pool *ump.WarmStarts
-				if warm {
-					// Sequential ladder: rolling semantics, each step
-					// continues from its predecessor's basis.
-					pool = ump.NewWarmStarts(false)
-				}
-				for _, target := range targets {
-					res, err := ump.MinPrivacy(pre, target, ump.Options{Warm: pool})
-					if err != nil {
-						b.Fatal(err)
-					}
-					total += float64(res.Plan.OutputSize)
-				}
-			}
-		})
-		return total, r
-	}
 	for _, mode := range []string{"cold", "warm"} {
-		total, r := sweepFrontier(mode == "warm")
-		addRow(traj, benchResult{
-			Name:           fmt.Sprintf("%s/sweep-frontier/%s", profile, mode),
-			Profile:        profile,
-			Objective:      "sweep-frontier",
-			Mode:           mode,
-			Parallelism:    1,
-			Components:     len(targets),
-			Pairs:          pre.NumPairs(),
-			Users:          pre.NumUsers(),
-			ObjectiveValue: total,
-			N:              r.N,
-			NsPerOp:        float64(r.NsPerOp()),
-			BytesPerOp:     r.AllocedBytesPerOp(),
-			AllocsPerOp:    r.AllocsPerOp(),
+		total := 0.0
+		r := measure(func() error {
+			total = 0
+			var pool *ump.WarmStarts
+			if mode == "warm" {
+				// Sequential ladder: rolling semantics, each step
+				// continues from its predecessor's basis.
+				pool = ump.NewWarmStarts(false)
+			}
+			for _, target := range targets {
+				res, err := ump.MinPrivacy(pre, target, ump.Options{Warm: pool})
+				if err != nil {
+					return err
+				}
+				total += float64(res.Plan.OutputSize)
+			}
+			return nil
 		})
+		traj.add(profile, "sweep-frontier", mode, pre, 1, len(targets), total, r)
 	}
 }
 
@@ -465,30 +391,11 @@ func benchIngest(traj *trajectory, profile string, raw *searchlog.Log) {
 		if l.Digest() != wantDigest {
 			fatal(fmt.Errorf("%s/ingest/%s: digest diverged from the in-memory path", profile, mode))
 		}
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				if _, _, err := ingest.Ingest(bytes.NewReader(data), ingest.Config{Shards: shards}); err != nil {
-					b.Fatal(err)
-				}
-			}
+		r := measure(func() error {
+			_, _, err := ingest.Ingest(bytes.NewReader(data), ingest.Config{Shards: shards})
+			return err
 		})
-		addRow(traj, benchResult{
-			Name:           fmt.Sprintf("%s/ingest/%s", profile, mode),
-			Profile:        profile,
-			Objective:      "ingest",
-			Mode:           mode,
-			Parallelism:    shards,
-			Components:     1,
-			Pairs:          raw.NumPairs(),
-			Users:          raw.NumUsers(),
-			ObjectiveValue: float64(l.Size()),
-			N:              r.N,
-			NsPerOp:        float64(r.NsPerOp()),
-			BytesPerOp:     r.AllocedBytesPerOp(),
-			AllocsPerOp:    r.AllocsPerOp(),
-		})
+		traj.add(profile, "ingest", mode, raw, shards, 1, float64(l.Size()), r)
 	}
 }
 
@@ -597,21 +504,7 @@ func benchAppend(traj *trajectory, profile string, raw *searchlog.Log, params dp
 		{"append-cold", cold, rCold},
 		{"append-incremental", inc, rInc},
 	} {
-		addRow(traj, benchResult{
-			Name:           fmt.Sprintf("%s/append/%s", profile, row.mode),
-			Profile:        profile,
-			Objective:      "output-size",
-			Mode:           row.mode,
-			Parallelism:    1,
-			Components:     row.plan.Components,
-			Pairs:          pre2.NumPairs(),
-			Users:          pre2.NumUsers(),
-			ObjectiveValue: row.plan.Objective,
-			N:              row.r.N,
-			NsPerOp:        float64(row.r.NsPerOp()),
-			BytesPerOp:     row.r.AllocedBytesPerOp(),
-			AllocsPerOp:    row.r.AllocsPerOp(),
-		})
+		traj.add(profile, "output-size", row.mode, pre2, 1, row.plan.Components, row.plan.Objective, row.r)
 	}
 	speedup := float64(rCold.NsPerOp()) / float64(rInc.NsPerOp())
 	fmt.Fprintf(os.Stderr, "slbench: %s/append speedup %.2fx (cold %d ns/op, incremental %d ns/op, %d/%d components reused)\n",
@@ -649,35 +542,15 @@ func benchMechanisms(traj *trajectory, profile string, pre *searchlog.Log, seed 
 		if err != nil {
 			fatal(fmt.Errorf("%s/mechanism/%s: %w", profile, name, err))
 		}
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Sanitize(ctx, pre, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		addRow(traj, benchResult{
-			Name:           fmt.Sprintf("%s/mechanism/%s", profile, name),
-			Profile:        profile,
-			Objective:      "mechanism",
-			Mode:           name,
-			Parallelism:    1,
-			Components:     1,
-			Pairs:          pre.NumPairs(),
-			Users:          pre.NumUsers(),
-			ObjectiveValue: float64(rel.Rows()),
-			N:              r.N,
-			NsPerOp:        float64(r.NsPerOp()),
-			BytesPerOp:     r.AllocedBytesPerOp(),
-			AllocsPerOp:    r.AllocsPerOp(),
-		})
+		r := measure(func() error { _, err := m.Sanitize(ctx, pre, opts); return err })
+		traj.add(profile, "mechanism", name, pre, 1, 1, float64(rel.Rows()), r)
 	}
 }
 
-// checkBaseline fails when any benchmark present in both trajectories
-// disagrees on its objective value: engines and machines may change speed,
-// never λ or plan objectives.
+// checkBaseline fails when an emitted benchmark is missing from the baseline
+// at path or disagrees with it on its objective value: engines and machines
+// may change speed, never λ or plan objectives, and a new row is gated from
+// the run that adds it. Baseline rows this run does not emit are ignored.
 func checkBaseline(traj trajectory, path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -696,6 +569,7 @@ func checkBaseline(traj trajectory, path string) error {
 	for _, r := range traj.Benchmarks {
 		want, ok := baseVals[r.Name]
 		if !ok {
+			mismatches = append(mismatches, fmt.Sprintf("%s: missing from baseline", r.Name))
 			continue
 		}
 		compared++
@@ -707,7 +581,7 @@ func checkBaseline(traj trajectory, path string) error {
 		return fmt.Errorf("baseline %s shares no benchmark names with this run", path)
 	}
 	if len(mismatches) > 0 {
-		return fmt.Errorf("objective drift vs %s:\n  %s", path, strings.Join(mismatches, "\n  "))
+		return fmt.Errorf("rows disagree with baseline %s:\n  %s", path, strings.Join(mismatches, "\n  "))
 	}
 	return nil
 }

@@ -1,0 +1,124 @@
+package main
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// writeBaseline stores rows as a trajectory file and returns its path.
+func writeBaseline(t *testing.T, rows ...benchResult) string {
+	t.Helper()
+	data, err := json.Marshal(trajectory{Benchmarks: rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func row(name string, objective float64) benchResult {
+	return benchResult{Name: name, ObjectiveValue: objective, NsPerOp: 1}
+}
+
+func TestCheckBaseline(t *testing.T) {
+	fast := row("tiny/output-size/monolithic", 13)
+	fast.NsPerOp = 1e9 // speed may drift
+	for _, tc := range []struct {
+		name      string
+		base, run []benchResult
+		wantErr   string // "" = pass
+	}{
+		{
+			name: "exact match",
+			base: []benchResult{row("tiny/output-size/monolithic", 13), row("tiny/sampling", 0)},
+			run:  []benchResult{fast, row("tiny/sampling", 0)},
+		},
+		{
+			// Historical rows and partial runs (-profiles) stay allowed.
+			name: "baseline row not emitted",
+			base: []benchResult{row("tiny/output-size/monolithic", 13), row("small/output-size/monolithic-dense", 40)},
+			run:  []benchResult{row("tiny/output-size/monolithic", 13)},
+		},
+		{
+			name:    "drifted objective",
+			base:    []benchResult{row("tiny/output-size/monolithic", 13), row("tiny/diversity/monolithic", 7)},
+			run:     []benchResult{row("tiny/output-size/monolithic", 13), row("tiny/diversity/monolithic", 8)},
+			wantErr: "\n  tiny/diversity/monolithic: objective 8 != baseline 7",
+		},
+		{
+			name:    "row missing from baseline",
+			base:    []benchResult{row("tiny/output-size/monolithic", 13)},
+			run:     []benchResult{row("tiny/output-size/monolithic", 13), row("tiny/mechanism/new", 5)},
+			wantErr: "\n  tiny/mechanism/new: missing from baseline",
+		},
+		{
+			name:    "no shared names",
+			base:    []benchResult{row("small/output-size/monolithic", 40)},
+			run:     []benchResult{row("tiny/output-size/monolithic", 13)},
+			wantErr: "shares no benchmark names",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := checkBaseline(trajectory{Benchmarks: tc.run}, writeBaseline(t, tc.base...))
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatal(err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("err = %v, want it to contain %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+func TestCheckBaselineUnreadableFails(t *testing.T) {
+	got := trajectory{Benchmarks: []benchResult{row("tiny/output-size/monolithic", 13)}}
+	if err := checkBaseline(got, filepath.Join(t.TempDir(), "absent.json")); err == nil {
+		t.Error("missing baseline file passed")
+	}
+	garbled := filepath.Join(t.TempDir(), "garbled.json")
+	if err := os.WriteFile(garbled, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkBaseline(got, garbled); err == nil {
+		t.Error("unparsable baseline file passed")
+	}
+}
+
+// The committed baseline is a valid baseline for itself, including the
+// fields this version no longer writes.
+func TestCommittedBaselineMatchesItself(t *testing.T) {
+	const path = "../../BENCH_slbench.json"
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traj trajectory
+	if err := json.Unmarshal(data, &traj); err != nil {
+		t.Fatal(err)
+	}
+	if len(traj.Benchmarks) == 0 {
+		t.Fatal("committed baseline has no rows")
+	}
+	if err := checkBaseline(traj, path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRowName(t *testing.T) {
+	for _, tc := range []struct{ profile, objective, mode, want string }{
+		{"tiny", "output-size", "monolithic", "tiny/output-size/monolithic"},
+		{"small", "sweep-table4", "warm", "small/sweep-table4/warm"},
+		{"tiny", "sampling", "sampling", "tiny/sampling"},
+		{"paper-sharded", "output-size", "append-incremental", "paper-sharded/append/append-incremental"},
+	} {
+		if got := rowName(tc.profile, tc.objective, tc.mode); got != tc.want {
+			t.Errorf("rowName(%q, %q, %q) = %q, want %q", tc.profile, tc.objective, tc.mode, got, tc.want)
+		}
+	}
+}

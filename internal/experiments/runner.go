@@ -124,6 +124,26 @@ func params(eExp, delta float64) dp.Params { return dp.FromEExp(eExp, delta) }
 
 func budgetKey(p dp.Params) uint64 { return math.Float64bits(p.Budget()) }
 
+// DistinctBudgets reduces an (e^ε, δ) grid to one parameter point per
+// distinct merged budget min{ε, ln 1/(1−δ)} — the only thing the Theorem-1
+// constraint system depends on — sorted by ascending budget. Each budget is
+// represented by its first grid point in e^ε-major order.
+func DistinctBudgets(eExps, deltas []float64) []dp.Params {
+	var out []dp.Params
+	seen := map[uint64]bool{}
+	for _, e := range eExps {
+		for _, d := range deltas {
+			p := params(e, d)
+			if key := budgetKey(p); !seen[key] {
+				seen[key] = true
+				out = append(out, p)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Budget() < out[j].Budget() })
+	return out
+}
+
 // ensureAnchor solves the paper's reference point (e^ε = 2, δ = 0.5) once,
 // cold, and lets its bases seed the sticky warm pool. Every other budget of
 // a sweep then warm-starts from this one fixed anchor, which is both the
@@ -174,18 +194,11 @@ func (r *Runner) lambdaPlan(p dp.Params) (*ump.Plan, error) {
 // divides Table-4 wall time by the core count.
 func (r *Runner) Prewarm(eExps, deltas []float64) error {
 	var todo []dp.Params
-	seen := map[uint64]bool{}
-	for _, e := range eExps {
-		for _, d := range deltas {
-			p := params(e, d)
-			key := budgetKey(p)
-			r.mu.Lock()
-			_, cached := r.lambdaCache[key]
-			r.mu.Unlock()
-			if cached || seen[key] {
-				continue
-			}
-			seen[key] = true
+	for _, p := range DistinctBudgets(eExps, deltas) {
+		r.mu.Lock()
+		_, cached := r.lambdaCache[budgetKey(p)]
+		r.mu.Unlock()
+		if !cached {
 			todo = append(todo, p)
 		}
 	}
@@ -833,21 +846,5 @@ func formatFloats(vals []float64) []string {
 	for i, v := range vals {
 		out[i] = fmt.Sprintf("%g", v)
 	}
-	return out
-}
-
-// sortedBudgets is a test helper exposing the distinct budgets of a grid.
-func sortedBudgets(eExps, deltas []float64) []float64 {
-	seen := map[float64]bool{}
-	for _, e := range eExps {
-		for _, d := range deltas {
-			seen[params(e, d).Budget()] = true
-		}
-	}
-	out := make([]float64, 0, len(seen))
-	for b := range seen {
-		out = append(out, b)
-	}
-	sort.Float64s(out)
 	return out
 }

@@ -119,12 +119,45 @@ func TestBudgetCacheCollapsesGrid(t *testing.T) {
 	if _, err := r.Table4(); err != nil {
 		t.Fatal(err)
 	}
-	distinct := sortedBudgets(EExpGrid7, DeltaGrid7)
+	distinct := DistinctBudgets(EExpGrid7, DeltaGrid7)
 	if len(r.lambdaCache) != len(distinct) {
 		t.Errorf("λ cache has %d entries, want %d distinct budgets", len(r.lambdaCache), len(distinct))
 	}
 	if len(distinct) >= len(EExpGrid7)*len(DeltaGrid7) {
 		t.Error("budget collapse ineffective")
+	}
+}
+
+func TestDistinctBudgets(t *testing.T) {
+	got := DistinctBudgets(EExpGrid7, DeltaGrid7)
+	for i := 1; i < len(got); i++ {
+		if !(got[i-1].Budget() < got[i].Budget()) {
+			t.Fatalf("budgets not strictly ascending at %d: %g then %g", i, got[i-1].Budget(), got[i].Budget())
+		}
+	}
+	have := map[float64]bool{}
+	for _, p := range got {
+		have[p.Budget()] = true
+	}
+	for _, e := range EExpGrid7 {
+		for _, d := range DeltaGrid7 {
+			if b := params(e, d).Budget(); !have[b] {
+				t.Errorf("grid point (e^ε=%g, δ=%g) budget %g missing", e, d, b)
+			}
+		}
+	}
+	if len(have) != len(got) {
+		t.Errorf("%d points for %d distinct budgets", len(got), len(have))
+	}
+
+	// δ = 10⁻⁴ binds below both ε, so the column collapses to one point,
+	// represented by its first e^ε.
+	col := DistinctBudgets([]float64{1.01, 2}, []float64{1e-4})
+	if len(col) != 1 || col[0] != params(1.01, 1e-4) {
+		t.Errorf("δ=1e-4 column = %+v, want one point (1.01, 1e-4)", col)
+	}
+	if got := DistinctBudgets(nil, DeltaGrid7); len(got) != 0 {
+		t.Errorf("empty grid gave %d budgets", len(got))
 	}
 }
 
