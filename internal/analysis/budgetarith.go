@@ -7,11 +7,11 @@ import (
 
 // budgetAllowedPkgs may perform raw ε/δ arithmetic: internal/ledger owns
 // sequential-composition accounting, internal/dp owns mechanism calibration
-// (ε′ = ε/d, constraint coefficients), internal/baseline owns the
-// competitor mechanisms' own threshold calibration (ZEALOUS τ₁/τ₂), and
-// internal/mechanism owns each mechanism's declared release cost and the
-// localdp randomized-response probability (e^(ε/2B) per bit).
-var budgetAllowedPkgs = []string{"internal/ledger", "internal/dp", "internal/baseline", "internal/mechanism"}
+// (ε′ = ε/d, constraint coefficients), and internal/mechanism owns each
+// mechanism's declared release cost and the competitor mechanisms' own
+// calibration (the laplace threshold τ, ZEALOUS τ₁/τ₂, the localdp
+// randomized-response probability e^(ε/2B) per bit).
+var budgetAllowedPkgs = []string{"internal/ledger", "internal/dp", "internal/mechanism"}
 
 // epsFieldNames are the field names treated as privacy parameters.
 var epsFieldNames = map[string]bool{
@@ -32,7 +32,7 @@ var epsFieldNames = map[string]bool{
 var BudgetArith = &Analyzer{
 	Name: "budgetarith",
 	Doc: "flag raw float arithmetic or comparison on ε/δ-named fields or ledger.Budget members " +
-		"outside internal/ledger, internal/dp and internal/baseline: sequential-composition " +
+		"outside internal/ledger, internal/dp and internal/mechanism: sequential-composition " +
 		"accounting must have exactly one implementation (zero-value presence checks are exempt)",
 	Run: runBudgetArith,
 }

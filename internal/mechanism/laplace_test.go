@@ -1,6 +1,8 @@
-package baseline
+package mechanism
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"dpslog/internal/gen"
@@ -16,34 +18,56 @@ func corpus(t testing.TB) *searchlog.Log {
 	return pre
 }
 
+// sanitize runs the named mechanism through the registry, as every caller
+// outside this package does.
+func sanitize(t testing.TB, l *searchlog.Log, opts Options) (*Release, error) {
+	t.Helper()
+	m, err := Get(opts.Mechanism)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Sanitize(context.Background(), l, opts)
+}
+
+// laplaceDeltaFor returns the δ̂ at which laplace's derived threshold
+// τ = (2D/ε)·ln(1/(2δ̂)) equals tau.
+func laplaceDeltaFor(tau, eps float64, d int) float64 {
+	return math.Exp(-tau*eps/(2*float64(d))) / 2
+}
+
 func TestSanitizeValidates(t *testing.T) {
 	l := corpus(t)
-	if _, err := Sanitize(l, Options{Epsilon: 0}); err == nil {
-		t.Error("ε = 0 accepted")
+	bad := []Options{
+		{Epsilon: 0, Delta: 1e-3},
+		{Epsilon: 1, Delta: 1e-3, D: -1},
+		{Epsilon: 1, Delta: 0},
+		{Epsilon: 1, Delta: 0.5},
 	}
-	if _, err := Sanitize(l, Options{Epsilon: 1, D: -1}); err == nil {
-		t.Error("negative D accepted")
-	}
-	if _, err := Sanitize(l, Options{Epsilon: 1, Threshold: -1}); err == nil {
-		t.Error("negative threshold accepted")
+	for i, o := range bad {
+		o.Mechanism = "laplace"
+		if _, err := sanitize(t, l, o); err == nil {
+			t.Errorf("case %d: invalid options accepted: %+v", i, o)
+		}
 	}
 }
 
 func TestReleaseHasNoUserIDs(t *testing.T) {
 	l := corpus(t)
-	rel, err := Sanitize(l, Options{Epsilon: 2, D: 5, Threshold: 1, Seed: 1})
+	rel, err := sanitize(t, l, Options{Mechanism: "laplace", Epsilon: 2, D: 5, Delta: laplaceDeltaFor(1, 2, 5), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rel.SupportsUserAnalysis() {
-		t.Error("baseline release claims user analysis support")
+		t.Error("laplace release claims user analysis support")
 	}
-	// The release type structurally has no user field; assert content sanity.
+	if rel.Output != nil {
+		t.Error("laplace release carries an output log")
+	}
 	for _, pc := range rel.Pairs {
 		if pc.Query == "" || pc.URL == "" {
 			t.Errorf("malformed release row %+v", pc)
 		}
-		if pc.Count < 1 {
+		if pc.Count < 1-1e-9 {
 			t.Errorf("released count %g below threshold 1", pc.Count)
 		}
 	}
@@ -51,11 +75,13 @@ func TestReleaseHasNoUserIDs(t *testing.T) {
 
 func TestThresholdFilters(t *testing.T) {
 	l := corpus(t)
-	low, err := Sanitize(l, Options{Epsilon: 4, D: 5, Threshold: 0.5, Seed: 3})
+	// τ = 0.5 is permissive; δ̂ = 10⁻³⁰⁰ puts τ near 1700, far above any
+	// bounded count on the tiny corpus.
+	low, err := sanitize(t, l, Options{Mechanism: "laplace", Epsilon: 4, D: 5, Delta: laplaceDeltaFor(0.5, 4, 5), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := Sanitize(l, Options{Epsilon: 4, D: 5, Threshold: 1e6, Seed: 3})
+	high, err := sanitize(t, l, Options{Mechanism: "laplace", Epsilon: 4, D: 5, Delta: 1e-300, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +104,7 @@ func TestActivityBounding(t *testing.T) {
 		b.Add("other", q+u, "url", 1)
 	}
 	l := b.Log()
-	rel, err := Sanitize(l, Options{Epsilon: 1000, D: 3, Threshold: 0.1, Seed: 9})
+	rel, err := sanitize(t, l, Options{Mechanism: "laplace", Epsilon: 1000, D: 3, Delta: laplaceDeltaFor(0.1, 1000, 3), Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +120,12 @@ func TestActivityBounding(t *testing.T) {
 
 func TestDeterministicPerSeed(t *testing.T) {
 	l := corpus(t)
-	a, err := Sanitize(l, Options{Epsilon: 2, D: 10, Seed: 7})
+	opts := Options{Mechanism: "laplace", Epsilon: 2, D: 10, Delta: 1e-3, Seed: 7}
+	a, err := sanitize(t, l, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Sanitize(l, Options{Epsilon: 2, D: 10, Seed: 7})
+	b, err := sanitize(t, l, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +145,7 @@ func TestRecallGrowsWithEpsilon(t *testing.T) {
 	var prev float64 = -1
 	grew := false
 	for _, eps := range []float64{0.2, 1, 5, 25} {
-		rel, err := Sanitize(l, Options{Epsilon: eps, D: 10, Seed: 5})
+		rel, err := sanitize(t, l, Options{Mechanism: "laplace", Epsilon: eps, D: 10, Delta: 1e-3, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

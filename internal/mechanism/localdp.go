@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"dpslog/internal/ledger"
 	"dpslog/internal/obs"
@@ -63,12 +62,14 @@ func (localDPMechanism) Cost(opts Options) ledger.Budget {
 	return ledger.Budget{Epsilon: opts.Epsilon}
 }
 
-func (localDPMechanism) Sanitize(ctx context.Context, in *searchlog.Log, opts Options) (*Release, error) {
-	_, sp := obs.Start(ctx, "localdp")
-	bound := opts.D
-	if bound == 0 {
-		bound = localDPDefaultBound
+func (m localDPMechanism) Sanitize(ctx context.Context, in *searchlog.Log, opts Options) (*Release, error) {
+	if err := m.Validate(opts); err != nil {
+		return nil, err
 	}
+	opts = m.Canonical(opts)
+	_, sp := obs.Start(ctx, "localdp")
+	defer sp.End()
+	bound := opts.D
 	// Truth probability per bit: 2B bits can differ between neighboring
 	// logs, so each bit gets ε/(2B) and the ratio telescopes to e^ε.
 	p := math.Exp(opts.Epsilon / (2 * float64(bound)))
@@ -81,16 +82,8 @@ func (localDPMechanism) Sanitize(ctx context.Context, in *searchlog.Log, opts Op
 	held := make([]bool, numPairs)
 	boundedUsers := 0
 	for k := 0; k < numUsers; k++ {
-		u := in.User(k)
-		pairs := append([]searchlog.UserPair(nil), u.Pairs...)
-		if len(pairs) > bound {
-			sort.Slice(pairs, func(a, b int) bool {
-				if pairs[a].Count != pairs[b].Count {
-					return pairs[a].Count > pairs[b].Count
-				}
-				return pairs[a].Pair < pairs[b].Pair
-			})
-			pairs = pairs[:bound]
+		pairs, truncated := heaviestPairs(in.User(k).Pairs, bound)
+		if truncated {
 			boundedUsers++
 		}
 		for _, up := range pairs {
@@ -128,6 +121,5 @@ func (localDPMechanism) Sanitize(ctx context.Context, in *searchlog.Log, opts Op
 	sp.SetAttr("pairs", len(rel.Pairs))
 	sp.SetAttr("bounded_users", boundedUsers)
 	sp.SetAttr("bound", bound)
-	sp.End()
 	return rel, nil
 }

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 
-	"dpslog/internal/baseline"
 	"dpslog/internal/ledger"
 	"dpslog/internal/searchlog"
 )
@@ -37,8 +36,13 @@ type Mechanism interface {
 }
 
 // PairCount is one released aggregate row: a query-url pair and its noisy
-// count (no user-ID — the schema loss the paper's mechanism avoids).
-type PairCount = baseline.PairCount
+// count. There is deliberately no user-ID field: that is the schema loss
+// the paper's mechanism avoids (§2.1).
+type PairCount struct {
+	Query string
+	URL   string
+	Count float64
+}
 
 // Release is the output of one mechanism run. Exactly one of Output
 // (schema-preserving mechanisms: a sanitized log with user-IDs) and Pairs
@@ -96,12 +100,6 @@ func (r *Release) Digest() string {
 // shapes: plan supports for a schema-preserving release, noisy-mass shares
 // for an aggregate one.
 func (r *Release) FrequentRecall(in *searchlog.Log, s float64) float64 {
-	if r.Output == nil {
-		agg := baseline.Release{Pairs: r.Pairs}
-		return agg.FrequentRecall(in, s)
-	}
-	pre := r.Result.Preprocessed
-	plan := r.Result.Plan
 	inFreq := map[searchlog.PairKey]bool{}
 	inSize := in.Size()
 	for i := 0; i < in.NumPairs(); i++ {
@@ -114,6 +112,24 @@ func (r *Release) FrequentRecall(in *searchlog.Log, s float64) float64 {
 		return 1
 	}
 	hit := 0
+	if r.Output == nil {
+		// A released pair counts as frequent when its noisy share of the
+		// positive released mass is ≥ s.
+		total := 0.0
+		for _, pc := range r.Pairs {
+			if pc.Count > 0 {
+				total += pc.Count
+			}
+		}
+		for _, pc := range r.Pairs {
+			if total > 0 && pc.Count/total >= s && inFreq[searchlog.PairKey{Query: pc.Query, URL: pc.URL}] {
+				hit++
+			}
+		}
+		return float64(hit) / float64(len(inFreq))
+	}
+	pre := r.Result.Preprocessed
+	plan := r.Result.Plan
 	for i := 0; i < pre.NumPairs(); i++ {
 		if plan.OutputSize == 0 || plan.Counts[i] == 0 {
 			continue

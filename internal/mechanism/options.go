@@ -16,6 +16,7 @@ import (
 
 	"dpslog/internal/bip"
 	"dpslog/internal/dp"
+	"dpslog/internal/ump"
 )
 
 // Objective selects the utility-maximizing problem the UMP mechanism
@@ -160,11 +161,12 @@ type Options struct {
 	BoundSensitivity bool `json:"bound_sensitivity,omitzero"`
 
 	// Comp attaches a component-plan cache to the UMP solves, making
-	// re-solves after corpus appends incremental (only changed connected
-	// components re-solve; see CompCache). It is runtime state, not
-	// configuration: never serialized, cleared by Canonical, and ignored by
-	// the aggregate mechanisms.
-	Comp *CompCache `json:"-"`
+	// re-solves after corpus appends incremental: only the connected
+	// components the appended rows changed re-solve (see
+	// ump.ComponentCache for the exactness contract). It is runtime state,
+	// not configuration: never serialized, cleared by Canonical, and
+	// ignored by the aggregate mechanisms.
+	Comp *ump.ComponentCache `json:"-"`
 }
 
 // Canonical returns the options with irrelevant fields zeroed and defaults

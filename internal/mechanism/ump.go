@@ -38,7 +38,8 @@ type Plan struct {
 	// incidence graph the solve decomposed into (1 for a connected corpus).
 	Components int
 	// Reused counts the components whose plans were served byte-identically
-	// from an attached CompCache instead of re-solving (0 for a cold solve).
+	// from an attached component cache (Options.Comp) instead of re-solving
+	// (0 for a cold solve).
 	Reused int
 	// NoiseApplied reports that §4.2 end-to-end noise perturbed the counts.
 	NoiseApplied bool
@@ -69,43 +70,6 @@ type Result struct {
 	Plan Plan
 }
 
-// CompCache caches solved per-component plans keyed by component content
-// digest (PR 10): when an append-only corpus gains a version, a re-solve
-// pays only for the connected components the appended rows changed — every
-// untouched component hashes to the same digest as in the parent version
-// and its cached λ/counts are reused byte-identically. Reuse is exact by
-// construction (the digest pins the constraint system, and the key pins ε,
-// δ, solver and ablation flags), so a CompCache may be shared across
-// versions — or corpora — without any reproducibility caveat. Only
-// per-component-independent solves consult it (O-UMP, D-UMP, and the O-UMP
-// λ phases of F-UMP/C-UMP); globally coupled phases always re-solve.
-type CompCache struct {
-	cache *ump.ComponentCache
-}
-
-// NewCompCache creates a component-plan cache bounded to capacity entries
-// (≤ 0 selects a default). Eviction only costs a re-solve, never
-// correctness.
-func NewCompCache(capacity int) *CompCache {
-	return &CompCache{cache: ump.NewComponentCache(capacity)}
-}
-
-// Counters reports cumulative component-cache hits and misses.
-func (c *CompCache) Counters() (hits, misses int) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.cache.Counters()
-}
-
-// Len reports the number of cached component plans.
-func (c *CompCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	return c.cache.Len()
-}
-
 // RunUMP executes the paper's Algorithm 1 end to end: preprocess (Theorem
 // 1 Condition 1), solve the configured utility-maximizing problem
 // (Conditions 2/3 as constraints), optionally noise the counts (§4.2),
@@ -121,10 +85,7 @@ func RunUMP(ctx context.Context, in *searchlog.Log, opts Options) (*Result, erro
 	psp.SetAttr("removed_pairs", preStats.RemovedPairs)
 	psp.End()
 	params := dp.Params{Eps: opts.Epsilon, Delta: opts.Delta}
-	uopts := ump.Options{Solver: opts.Solver, Parallelism: opts.Parallelism}
-	if opts.Comp != nil {
-		uopts.Comp = opts.Comp.cache
-	}
+	uopts := ump.Options{Solver: opts.Solver, Parallelism: opts.Parallelism, Comp: opts.Comp}
 
 	// §4.2 sensitivity-bounding preprocessing: drop user logs whose removal
 	// shifts any optimal count by more than D, so the Lap(D/ε′) scale below

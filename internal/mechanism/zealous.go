@@ -3,17 +3,32 @@ package mechanism
 import (
 	"context"
 	"fmt"
+	"math"
 
-	"dpslog/internal/baseline"
 	"dpslog/internal/ledger"
 	"dpslog/internal/obs"
+	"dpslog/internal/rng"
 	"dpslog/internal/searchlog"
 )
 
-// zealousMechanism adapts ZEALOUS (Götz et al., internal/baseline): bound
-// each user to M pairs, pre-threshold the bounded counts at τ₁, add
-// Lap(2M/ε) noise, post-threshold at τ₂. Options.D carries M; the derived
-// τ₁/τ₂ defaults follow the original analysis.
+// zealousMechanism is the second prior-work mechanism of the paper's §2:
+// ZEALOUS (Götz, Machanavajjhala, Wang, Xiao & Gehrke, "Publishing Search
+// Logs — A Comparative Study of Privacy Guarantees"). It releases noisy
+// aggregate counts like laplace, but with a two-threshold structure that
+// achieves (ε, δ)-probabilistic differential privacy, the notion
+// (Definition 2) the paper adopts:
+//
+//  1. contribution bounding: keep each user's M heaviest pairs
+//     (Options.D carries M);
+//  2. pre-threshold: drop pairs whose bounded count is below
+//     τ₁ = 1 + (2M/ε)·ln(M/δ), which bounds the probability of disclosing
+//     a rare pair (the δ part);
+//  3. noise: add Lap(2M/ε) to the surviving counts;
+//  4. post-threshold: drop pairs whose noisy count is below
+//     τ₂ = τ₁ + (2M/ε)·ln 2.
+//
+// Like laplace, the release carries no user-IDs: stronger aggregate
+// coverage, zero per-user structure.
 type zealousMechanism struct{}
 
 func (zealousMechanism) Name() string { return "zealous" }
@@ -41,20 +56,31 @@ func (zealousMechanism) Cost(opts Options) ledger.Budget {
 	return ledger.Budget{Epsilon: opts.Epsilon, Delta: opts.Delta}
 }
 
-func (zealousMechanism) Sanitize(ctx context.Context, in *searchlog.Log, opts Options) (*Release, error) {
-	_, sp := obs.Start(ctx, "zealous")
-	rel, err := baseline.SanitizeZealous(in, baseline.ZealousOptions{
-		Epsilon: opts.Epsilon,
-		Delta:   opts.Delta,
-		M:       opts.D,
-		Seed:    opts.Seed,
-	})
-	if err != nil {
-		sp.End()
+func (m zealousMechanism) Sanitize(ctx context.Context, in *searchlog.Log, opts Options) (*Release, error) {
+	if err := m.Validate(opts); err != nil {
 		return nil, err
 	}
+	opts = m.Canonical(opts)
+	_, sp := obs.Start(ctx, "zealous")
+	defer sp.End()
+	scale := 2 * float64(opts.D) / opts.Epsilon
+	tau1 := 1 + scale*math.Log(float64(opts.D)/opts.Delta)
+	tau2 := tau1 + scale*math.Ln2
+	g := rng.New(opts.Seed ^ 0x5EA10005)
+
+	bounded, boundedUsers := boundedCounts(in, opts.D)
+	rel := &Release{Mechanism: "zealous", BoundedUsers: boundedUsers}
+	for _, bp := range bounded {
+		// The pre-threshold reads the exact count and draws no noise, so
+		// suppressed pairs do not advance the noise stream.
+		if float64(bp.count) < tau1 {
+			continue
+		}
+		if noisy := float64(bp.count) + g.Laplace(scale); noisy >= tau2 {
+			rel.Pairs = append(rel.Pairs, PairCount{Query: bp.key.Query, URL: bp.key.URL, Count: noisy})
+		}
+	}
 	sp.SetAttr("pairs", len(rel.Pairs))
-	sp.SetAttr("bounded_users", rel.BoundedUsers)
-	sp.End()
-	return &Release{Mechanism: "zealous", Pairs: rel.Pairs, BoundedUsers: rel.BoundedUsers}, nil
+	sp.SetAttr("bounded_users", boundedUsers)
+	return rel, nil
 }

@@ -1,6 +1,7 @@
-package baseline
+package mechanism
 
 import (
+	"math"
 	"testing"
 
 	"dpslog/internal/searchlog"
@@ -8,16 +9,15 @@ import (
 
 func TestZealousValidates(t *testing.T) {
 	l := corpus(t)
-	bad := []ZealousOptions{
+	bad := []Options{
 		{Epsilon: 0, Delta: 0.1},
 		{Epsilon: 1, Delta: 0},
 		{Epsilon: 1, Delta: 1},
-		{Epsilon: 1, Delta: 0.1, M: -1},
-		{Epsilon: 1, Delta: 0.1, Tau1: -1},
-		{Epsilon: 1, Delta: 0.1, Tau2: -1},
+		{Epsilon: 1, Delta: 0.1, D: -1},
 	}
 	for i, o := range bad {
-		if _, err := SanitizeZealous(l, o); err == nil {
+		o.Mechanism = "zealous"
+		if _, err := sanitize(t, l, o); err == nil {
 			t.Errorf("case %d: invalid options accepted: %+v", i, o)
 		}
 	}
@@ -26,6 +26,12 @@ func TestZealousValidates(t *testing.T) {
 func TestZealousTwoThresholdStructure(t *testing.T) {
 	// A pair below τ₁ must never be released even with enormous positive
 	// noise potential — the pre-threshold is checked on the *exact* count.
+	// At ε = 5, M = 5 the noise scale is 2; δ = M·e^(−4.5) puts
+	// τ₁ = 1 + 2·ln(M/δ) at 10 and τ₂ = τ₁ + 2·ln 2 just above 11.
+	const eps, m, tau1 = 5.0, 5, 10.0
+	scale := 2 * float64(m) / eps
+	delta := float64(m) * math.Exp(-(tau1-1)/scale)
+	tau2 := tau1 + scale*math.Ln2
 	b := searchlog.NewBuilder()
 	b.Add("a", "rare", "u", 1)
 	b.Add("b", "rare", "u", 1)
@@ -33,10 +39,9 @@ func TestZealousTwoThresholdStructure(t *testing.T) {
 		b.Add(u, "popular", "u", 40)
 	}
 	l := b.Log()
+	released := 0
 	for seed := uint64(0); seed < 30; seed++ {
-		rel, err := SanitizeZealous(l, ZealousOptions{
-			Epsilon: 5, Delta: 0.1, M: 5, Tau1: 10, Tau2: 12, Seed: seed,
-		})
+		rel, err := sanitize(t, l, Options{Mechanism: "zealous", Epsilon: eps, Delta: delta, D: m, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,10 +49,14 @@ func TestZealousTwoThresholdStructure(t *testing.T) {
 			if pc.Query == "rare" {
 				t.Fatalf("seed %d: pre-threshold leaked a rare pair", seed)
 			}
-			if pc.Count < 12 {
-				t.Fatalf("seed %d: post-threshold leaked count %g < τ₂", seed, pc.Count)
+			if pc.Count < tau2-1e-9 {
+				t.Fatalf("seed %d: post-threshold leaked count %g < τ₂ = %g", seed, pc.Count, tau2)
 			}
 		}
+		released += len(rel.Pairs)
+	}
+	if released == 0 {
+		t.Error("the popular pair (bounded count 200) was never released")
 	}
 }
 
@@ -57,7 +66,7 @@ func TestZealousReleasesPopularPairs(t *testing.T) {
 		b.Add(u, "head", "u", 100)
 	}
 	l := b.Log()
-	rel, err := SanitizeZealous(l, ZealousOptions{Epsilon: 2, Delta: 0.1, M: 5, Seed: 3})
+	rel, err := sanitize(t, l, Options{Mechanism: "zealous", Epsilon: 2, Delta: 0.1, D: 5, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +81,11 @@ func TestZealousReleasesPopularPairs(t *testing.T) {
 func TestZealousDefaultThresholdsFromDelta(t *testing.T) {
 	l := corpus(t)
 	// Smaller δ must raise τ₁, suppressing more pairs.
-	loose, err := SanitizeZealous(l, ZealousOptions{Epsilon: 5, Delta: 0.5, M: 5, Seed: 7})
+	loose, err := sanitize(t, l, Options{Mechanism: "zealous", Epsilon: 5, Delta: 0.5, D: 5, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := SanitizeZealous(l, ZealousOptions{Epsilon: 5, Delta: 1e-6, M: 5, Seed: 7})
+	tight, err := sanitize(t, l, Options{Mechanism: "zealous", Epsilon: 5, Delta: 1e-6, D: 5, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +96,12 @@ func TestZealousDefaultThresholdsFromDelta(t *testing.T) {
 
 func TestZealousDeterministic(t *testing.T) {
 	l := corpus(t)
-	a, err := SanitizeZealous(l, ZealousOptions{Epsilon: 2, Delta: 0.1, Seed: 11})
+	opts := Options{Mechanism: "zealous", Epsilon: 2, Delta: 0.1, Seed: 11}
+	a, err := sanitize(t, l, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SanitizeZealous(l, ZealousOptions{Epsilon: 2, Delta: 0.1, Seed: 11})
+	b, err := sanitize(t, l, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

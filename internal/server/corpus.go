@@ -467,10 +467,6 @@ func (s *Server) handleCorpusSanitize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := req.Options
-	if err := opts.Validate(); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	mech, err := s.resolveMechanism(opts)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
@@ -505,7 +501,7 @@ func (s *Server) handleCorpusSanitize(w http.ResponseWriter, r *http.Request) {
 	_, qsp := obs.Start(ctx, "queue.wait")
 	err = s.pool.Do(ctx, func() {
 		qsp.End()
-		resp, runErr = s.runSanitize(ctx, l, opts, digest)
+		resp, runErr = s.runSanitize(ctx, mech, l, opts, digest)
 	})
 	qsp.End()
 	switch {

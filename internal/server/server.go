@@ -657,11 +657,15 @@ func optionsFromQuery(r *http.Request) (dpslog.Options, error) {
 }
 
 // resolveMechanism maps the request's mechanism selection to its registered
-// implementation and enforces the configured allowlist. Errors are client
-// errors (400): an unknown or disabled mechanism name.
+// implementation, validates the options against it and enforces the
+// configured allowlist. Errors are client errors (400): an unknown or
+// disabled mechanism name, or options the mechanism cannot run.
 func (s *Server) resolveMechanism(opts dpslog.Options) (mechanism.Mechanism, error) {
 	m, err := mechanism.Get(opts.Mechanism)
 	if err != nil {
+		return nil, err
+	}
+	if err := m.Validate(opts); err != nil {
 		return nil, err
 	}
 	if len(s.cfg.Mechanisms) > 0 && !slices.Contains(s.cfg.Mechanisms, m.Name()) {
@@ -693,16 +697,12 @@ func cacheKey(digest string, opts dpslog.Options) string {
 
 // --- Sanitization core ---------------------------------------------------
 
-// runSanitize executes (or cache-serves) one sanitization, dispatching on
-// the options' mechanism. It is called on a pool worker for sync requests,
+// runSanitize executes (or cache-serves) one sanitization through the
+// resolved mechanism. It is called on a pool worker for sync requests,
 // async jobs, and corpus releases. digest is the precomputed corpus
 // identity — corpus requests pass the stored digest so referencing a corpus
 // never re-hashes it.
-func (s *Server) runSanitize(ctx context.Context, l *dpslog.Log, opts dpslog.Options, digest string) (*sanitizeResponse, error) {
-	mech, err := mechanism.Get(opts.Mechanism)
-	if err != nil {
-		return nil, err
-	}
+func (s *Server) runSanitize(ctx context.Context, mech mechanism.Mechanism, l *dpslog.Log, opts dpslog.Options, digest string) (*sanitizeResponse, error) {
 	obs.FromContext(ctx).SetAttr("mechanism", mech.Name())
 	if opts.Seed == 0 {
 		opts.Seed = seedFromDigest(digest)
@@ -726,56 +726,34 @@ func (s *Server) runSanitize(ctx context.Context, l *dpslog.Log, opts dpslog.Opt
 		hit.Cached = true
 		return &hit, nil
 	}
-	if mech.Name() != "ump" {
-		// Aggregate mechanisms: no plan, no preprocessing stats — the
-		// release is the noisy pair histogram.
-		rel, err := mech.Sanitize(ctx, l, opts)
-		if err != nil {
-			return nil, err
-		}
-		pairs := make([]pairJSON, len(rel.Pairs))
-		for i, pc := range rel.Pairs {
-			pairs[i] = pairJSON{Query: pc.Query, URL: pc.URL, Count: pc.Count}
-		}
-		resp = &sanitizeResponse{
-			Digest:        digest,
-			Seed:          opts.Seed,
-			InputSize:     l.Size(),
-			Records:       []Record{},
-			Mechanism:     mech.Name(),
-			Pairs:         pairs,
-			ReleaseDigest: rel.Digest(),
-		}
-		s.metrics.ObserveSanitizeMechanism(mech.Name())
-		s.cache.Put(key, resp)
-		own := *resp
-		return &own, nil
-	}
-	san, err := dpslog.New(opts)
-	if err != nil {
-		return nil, err
-	}
-	// The component-plan cache makes post-append re-solves incremental:
+	// The component-plan cache makes post-append UMP re-solves incremental:
 	// components untouched by the append are served byte-identically from
 	// cache, only the changed ones re-solve. One cache serves every corpus
 	// and version — the component content digest is the reuse identity.
-	san.SetCompCache(s.comp)
-	res, err := san.SanitizeContext(ctx, l)
+	// The aggregate mechanisms ignore it.
+	opts.Comp = s.comp
+	rel, err := mech.Sanitize(ctx, l, opts)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Record, 0, res.Output.NumTriplets())
-	for _, rec := range res.Output.Records() {
-		out = append(out, Record{User: rec.User, Query: rec.Query, URL: rec.URL, Count: rec.Count})
-	}
 	resp = &sanitizeResponse{
-		Digest:           digest,
-		Seed:             opts.Seed,
-		InputSize:        l.Size(),
-		PreprocessedSize: res.Preprocessed.Size(),
-		Preprocess:       res.PreStats,
-		DroppedUsers:     res.DroppedUsers,
-		Plan: planJSON{
+		Digest:        digest,
+		Seed:          opts.Seed,
+		InputSize:     l.Size(),
+		Records:       []Record{},
+		Mechanism:     mech.Name(),
+		ReleaseDigest: rel.Digest(),
+	}
+	if rel.Output != nil {
+		res := rel.Result
+		resp.Records = make([]Record, 0, rel.Output.NumTriplets())
+		for _, rec := range rel.Output.Records() {
+			resp.Records = append(resp.Records, Record{User: rec.User, Query: rec.Query, URL: rec.URL, Count: rec.Count})
+		}
+		resp.PreprocessedSize = res.Preprocessed.Size()
+		resp.Preprocess = res.PreStats
+		resp.DroppedUsers = res.DroppedUsers
+		resp.Plan = planJSON{
 			Kind:                res.Plan.Kind,
 			OutputSize:          res.Plan.OutputSize,
 			Objective:           res.Plan.Objective,
@@ -786,14 +764,18 @@ func (s *Server) runSanitize(ctx context.Context, l *dpslog.Log, opts dpslog.Opt
 			ReusedComponents:    res.Plan.Reused,
 			NoiseApplied:        res.Plan.NoiseApplied,
 			Counts:              res.Plan.Counts,
-		},
-		Records:       out,
-		Mechanism:     "ump",
-		ReleaseDigest: res.Output.Digest(),
+		}
+		s.metrics.ObserveSolveComponents(res.Plan.Components)
+		s.metrics.ObserveSolver(res.Plan.Iterations, res.Plan.Solver)
+	} else {
+		// Aggregate mechanisms: no plan, no preprocessing stats — the
+		// release is the noisy pair histogram.
+		resp.Pairs = make([]pairJSON, 0, len(rel.Pairs))
+		for _, pc := range rel.Pairs {
+			resp.Pairs = append(resp.Pairs, pairJSON{Query: pc.Query, URL: pc.URL, Count: pc.Count})
+		}
 	}
-	s.metrics.ObserveSanitizeMechanism("ump")
-	s.metrics.ObserveSolveComponents(res.Plan.Components)
-	s.metrics.ObserveSolver(res.Plan.Iterations, res.Plan.Solver)
+	s.metrics.ObserveSanitizeMechanism(mech.Name())
 	s.cache.Put(key, resp)
 	// Callers stamp per-request fields (ElapsedMS, Cached) on the result, so
 	// hand back a copy rather than the struct the cache now owns.
@@ -957,11 +939,8 @@ func (s *Server) handleSanitize(w http.ResponseWriter, r *http.Request) {
 	}
 	// Validate before queueing so configuration mistakes fail fast with 400
 	// instead of consuming a worker slot.
-	if err := opts.Validate(); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if _, err := s.resolveMechanism(opts); err != nil {
+	mech, err := s.resolveMechanism(opts)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -976,7 +955,7 @@ func (s *Server) handleSanitize(w http.ResponseWriter, r *http.Request) {
 	// — so it measures exactly the backlog time. End is idempotent; the
 	// second call below covers the never-ran error paths.
 	_, qsp := obs.Start(ctx, "queue.wait")
-	err = s.pool.Do(ctx, func() { qsp.End(); resp, runErr = s.runSanitize(ctx, l, opts, digest) })
+	err = s.pool.Do(ctx, func() { qsp.End(); resp, runErr = s.runSanitize(ctx, mech, l, opts, digest) })
 	qsp.End()
 	switch {
 	case errors.Is(err, ErrSaturated):
@@ -1014,11 +993,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := opts.Validate(); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if _, err := s.resolveMechanism(opts); err != nil {
+	mech, err := s.resolveMechanism(opts)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -1032,7 +1008,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		root.SetAttr("job_id", job.ID)
 		defer root.End()
 		start := time.Now()
-		resp, err := s.runSanitize(ctx, l, opts, dpslog.Digest(l))
+		resp, err := s.runSanitize(ctx, mech, l, opts, dpslog.Digest(l))
 		if err != nil {
 			root.SetAttr("error", err.Error())
 			s.jobs.Fail(job.ID, err)

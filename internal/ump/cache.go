@@ -31,8 +31,8 @@ import (
 
 // ComponentCache is a concurrency-safe cache of per-component plans keyed
 // by component content digest and solve identity. Share one cache across
-// the versions of a corpus (the serving layer scopes one per corpus name
-// and canonical options) to make appends re-solve only what changed.
+// the versions of a corpus (the serving layer shares one across every
+// corpus and version) to make appends re-solve only what changed.
 type ComponentCache struct {
 	mu      sync.Mutex
 	cap     int

@@ -66,18 +66,18 @@ type Result = mechanism.Result
 // CompCache caches solved per-component plans by component content digest,
 // making re-solves after corpus appends incremental: only the connected
 // components the appended rows changed re-solve, and every untouched
-// component's plan is reused byte-identically. See internal/mechanism for
-// the exactness contract.
-type CompCache = mechanism.CompCache
+// component's plan is reused byte-identically. Attach one through
+// Options.Comp; it is safe to share across corpora and versions. See
+// internal/ump for the exactness contract.
+type CompCache = ump.ComponentCache
 
 // NewCompCache creates a component-plan cache bounded to capacity entries
 // (≤ 0 selects a default).
-func NewCompCache(capacity int) *CompCache { return mechanism.NewCompCache(capacity) }
+func NewCompCache(capacity int) *CompCache { return ump.NewComponentCache(capacity) }
 
 // Sanitizer runs the paper's Algorithm 1 with a fixed configuration.
 type Sanitizer struct {
 	opts Options
-	comp *CompCache
 }
 
 // New validates the options and returns a Sanitizer. The Sanitizer is the
@@ -100,11 +100,6 @@ func New(opts Options) (*Sanitizer, error) {
 // Options returns the sanitizer's configuration.
 func (s *Sanitizer) Options() Options { return s.opts }
 
-// SetCompCache attaches a component-plan cache to the sanitizer. Pass nil
-// to detach. It is safe to share across corpora and versions: the
-// component content digest is the reuse identity.
-func (s *Sanitizer) SetCompCache(c *CompCache) { s.comp = c }
-
 // Sanitize runs the full pipeline on the input log: preprocess (Theorem 1
 // Condition 1), solve the configured utility-maximizing problem (Conditions
 // 2/3 as constraints), optionally noise the counts (§4.2), audit the final
@@ -119,9 +114,7 @@ func (s *Sanitizer) Sanitize(in *Log) (*Result, error) {
 // solve with per-LP detail, noise, audit, sample). Tracing never changes
 // the output; a context without a span makes every recording call a no-op.
 func (s *Sanitizer) SanitizeContext(ctx context.Context, in *Log) (*Result, error) {
-	opts := s.opts
-	opts.Comp = s.comp
-	return mechanism.RunUMP(ctx, in, opts)
+	return mechanism.RunUMP(ctx, in, s.opts)
 }
 
 // Lambda computes the maximum differentially private output size λ (the
