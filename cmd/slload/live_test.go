@@ -39,7 +39,7 @@ func liveFlags(t *testing.T, url, capture string, extra ...string) *flags {
 
 // TestLiveModes runs every live endpoint, and corpus mode, against a
 // stateful server: each must exit 0, send its class counts, and capture a
-// trace whose every record got a 2xx.
+// trace whose every record got a 2xx and the server-assigned trace ID.
 func TestLiveModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live load runs in -short mode")
@@ -75,8 +75,8 @@ func TestLiveModes(t *testing.T) {
 				}
 			}
 			for i, rec := range tr.Records {
-				if !loadgen.MatchStatus(rec.Status, "2xx") || rec.Error != "" {
-					t.Errorf("record %d (%s %s): status %d error %q", i, rec.Method, rec.Path, rec.Status, rec.Error)
+				if !loadgen.MatchStatus(rec.Status, "2xx") || rec.Error != "" || rec.TraceID == "" {
+					t.Errorf("record %d (%s %s): status %d error %q trace_id %q", i, rec.Method, rec.Path, rec.Status, rec.Error, rec.TraceID)
 				}
 			}
 		})

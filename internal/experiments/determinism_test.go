@@ -1,14 +1,23 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite the golden tables under testdata/")
+
 // TestExperimentsDeterministic: two independent runners with identical
-// configs must render byte-identical tables for every experiment except
-// fig5 (wall-clock timings). This is the reproducibility guarantee the
-// README promises.
+// configs must render byte-identical tables for every experiment, paper and
+// extension, except fig5 (wall-clock timings). This is the reproducibility
+// guarantee the README promises. The tables must also equal the committed
+// testdata/<id>.txt — what `slexp -profile tiny -seed 9 -fig6-reps 2 -exp
+// all+ext` prints — so a change that moves any cell fails. After a
+// deliberate change, regenerate them with `go test ./internal/experiments
+// -run TestExperimentsDeterministic -update`.
 func TestExperimentsDeterministic(t *testing.T) {
 	cfg := Config{Profile: "tiny", Seed: 9, SampleReps: 2}
 	r1, err := NewRunner(cfg)
@@ -19,7 +28,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range Experiments() {
+	for _, id := range append(Experiments(), ExtensionExperiments()...) {
 		if id == "fig5" {
 			continue // timings are non-deterministic by nature
 		}
@@ -33,6 +42,14 @@ func TestExperimentsDeterministic(t *testing.T) {
 		}
 		if a.Render() != b.Render() {
 			t.Errorf("%s not deterministic:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", id, a.Render(), b.Render())
+		}
+		path := filepath.Join("testdata", id+".txt")
+		if *update {
+			if err := os.WriteFile(path, []byte(a.Render()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		} else if want, err := os.ReadFile(path); err != nil || a.Render() != string(want) {
+			t.Errorf("%s drifted from %s (%v):\n--- got ---\n%s--- want ---\n%s", id, path, err, a.Render(), want)
 		}
 	}
 }

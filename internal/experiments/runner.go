@@ -552,7 +552,7 @@ func (r *Runner) speDiversity(p dp.Params) (float64, error) {
 func (r *Runner) Fig4() (*Table, error) {
 	t := &Table{
 		ID:     "fig4",
-		Title:  "Maximum retained query-url pair diversity %% via SPE on (ε, δ)",
+		Title:  "Maximum retained query-url pair diversity % via SPE on (ε, δ)",
 		Header: append([]string{"δ \\ e^ε"}, formatFloats(EExpGrid7)...),
 	}
 	for _, delta := range DeltaGrid4 {
@@ -646,14 +646,14 @@ func (r *Runner) solverComparison(id, title, axisLabel string, axis []float64, p
 // Table7a compares the BIP solvers across δ at e^ε = 2.
 func (r *Runner) Table7a() (*Table, error) {
 	return r.solverComparison("table7a",
-		"Retained diversity %% of BIP solvers across δ (e^ε = 2)", "δ",
+		"Retained diversity % of BIP solvers across δ (e^ε = 2)", "δ",
 		DeltaGrid6, func(d float64) dp.Params { return params(2.0, d) })
 }
 
 // Table7b compares the BIP solvers across e^ε at δ = 0.1.
 func (r *Runner) Table7b() (*Table, error) {
 	return r.solverComparison("table7b",
-		"Retained diversity %% of BIP solvers across e^ε (δ = 0.1)", "e^ε",
+		"Retained diversity % of BIP solvers across e^ε (δ = 0.1)", "e^ε",
 		EExpGrid6, func(e float64) dp.Params { return params(e, 0.1) })
 }
 

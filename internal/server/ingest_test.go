@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dpslog"
 	"dpslog/internal/searchlog"
@@ -96,8 +98,12 @@ func TestCorpusPutParseErrorKeepsLineNumber(t *testing.T) {
 // streaming, and admitted again once it finishes.
 func TestCorpusPutIngestGate(t *testing.T) {
 	e := newTestEnv(t, Config{DataDir: t.TempDir(), MaxIngestBytes: int64(len(e2eTSV)) + 8})
-	// Hold capacity with a body that stalls mid-stream until released.
-	gateBody := &stallingReader{data: []byte(e2eTSV), release: make(chan struct{}), started: make(chan struct{})}
+	// Hold capacity with a body that stalls until released. The release is
+	// also a cleanup, so a failed assertion reports instead of hanging the
+	// server's Close on the stalled connection.
+	gateBody := &stallingReader{data: []byte(e2eTSV), release: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(gateBody.release) })
+	t.Cleanup(release)
 	done := make(chan error, 1)
 	go func() {
 		req, err := http.NewRequest(http.MethodPut, e.ts.URL+"/v1/corpora/slow", io.NopCloser(gateBody))
@@ -116,7 +122,16 @@ func TestCorpusPutIngestGate(t *testing.T) {
 		}
 		done <- err
 	}()
-	<-gateBody.started // the slow upload holds its reservation
+	// Wait until the server has booked the slow upload's reservation, not
+	// merely until the client started sending its body.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, uploads := e.srv.gate.Stats(); uploads >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("slow upload never reserved ingest capacity")
+		}
+	}
 
 	resp, raw := e.do(t, http.MethodPut, "/v1/corpora/shed", "text/plain", []byte(e2eTSV))
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -126,7 +141,7 @@ func TestCorpusPutIngestGate(t *testing.T) {
 		t.Fatal("503 without Retry-After")
 	}
 
-	close(gateBody.release)
+	release()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -140,22 +155,16 @@ func TestCorpusPutIngestGate(t *testing.T) {
 // e2eTSV is a minimal two-user corpus for the gate tests.
 const e2eTSV = "u1\tq1\tl1\t2\nu1\tq2\tl2\t1\nu2\tq1\tl1\t3\n"
 
-// stallingReader hands out the first byte, signals started, then blocks
-// until released before delivering the rest.
+// stallingReader blocks its first read until released, then delivers the
+// data.
 type stallingReader struct {
-	data      []byte
-	release   chan struct{}
-	started   chan struct{}
-	pos       int
-	signalled bool
+	data    []byte
+	release chan struct{}
+	pos     int
 }
 
 func (r *stallingReader) Read(p []byte) (int, error) {
-	if !r.signalled {
-		r.signalled = true
-		close(r.started)
-		<-r.release
-	}
+	<-r.release
 	if r.pos >= len(r.data) {
 		return 0, io.EOF
 	}

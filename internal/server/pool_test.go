@@ -45,6 +45,7 @@ func TestPoolSaturation(t *testing.T) {
 	p := NewPool(1, 1)
 	defer p.Close()
 	release := make(chan struct{})
+	defer close(release) // before Close, which waits for the pinned worker
 	running := make(chan struct{})
 	if err := p.Submit(func() { close(running); <-release }); err != nil {
 		t.Fatal(err)
@@ -60,13 +61,14 @@ func TestPoolSaturation(t *testing.T) {
 	if workers != 1 || busy != 1 || queued != 1 {
 		t.Fatalf("Stats() = (%d, %d, %d), want (1, 1, 1)", workers, busy, queued)
 	}
-	close(release)
 }
 
 func TestPoolDoCancellation(t *testing.T) {
 	p := NewPool(1, 4)
 	defer p.Close()
 	release := make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock() // before Close, which waits for the pinned worker
 	running := make(chan struct{})
 	if err := p.Submit(func() { close(running); <-release }); err != nil {
 		t.Fatal(err)
@@ -78,7 +80,7 @@ func TestPoolDoCancellation(t *testing.T) {
 	if err := p.Do(ctx, func() { close(ran) }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	close(release)
+	unblock()
 	select {
 	case <-ran: // abandoned task still runs to completion
 	case <-time.After(5 * time.Second):

@@ -394,6 +394,7 @@ func TestSaturationReturns503(t *testing.T) {
 	e := newTestEnv(t, Config{Workers: 1, Queue: 1})
 	// Occupy the single worker and fill the one-slot backlog directly.
 	release := make(chan struct{})
+	defer close(release) // before the env's cleanup closes the pool
 	running := make(chan struct{})
 	if err := e.srv.pool.Submit(func() { close(running); <-release }); err != nil {
 		t.Fatal(err)
@@ -402,7 +403,6 @@ func TestSaturationReturns503(t *testing.T) {
 	if err := e.srv.pool.Submit(func() {}); err != nil {
 		t.Fatal(err)
 	}
-	defer close(release)
 
 	resp, raw := e.post(t, "/v1/sanitize?eexp=2&delta=0.5", "text/plain", e.tsv)
 	if resp.StatusCode != http.StatusServiceUnavailable {

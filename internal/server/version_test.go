@@ -143,9 +143,9 @@ func TestCorpusAppendCreatesVersions(t *testing.T) {
 }
 
 // TestVersionsAndSpendSurviveRestart: the chain metadata, old-version
-// materialization, and per-digest accounting all replay from disk, and a
-// release journaled against an ancestor version stays free after both an
-// append and a restart.
+// materialization, and per-digest accounting all replay from disk, and
+// releases journaled against an ancestor and against the latest version
+// stay free after both an append and a restart.
 func TestVersionsAndSpendSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	e := newTestEnv(t, Config{DataDir: dir, Budget: budgetFor(8)})
@@ -159,6 +159,10 @@ func TestVersionsAndSpendSurviveRestart(t *testing.T) {
 	v1rel := decode[corpusSanitizeResponse](t, raw)
 	_, raw = e.do(t, http.MethodPost, "/v1/corpora/c/append", "text/tab-separated-values", appendDelta)
 	app := decode[corpusAppendResponse](t, raw)
+	_, raw = e.post(t, "/v1/corpora/c/sanitize", "application/json", sanitizeBody(1))
+	v2rel := decode[corpusSanitizeResponse](t, raw)
+	e.ts.Close()
+	e.srv.Close()
 
 	// Restart on the same data dir.
 	e2 := newTestEnv(t, Config{DataDir: dir, Budget: budgetFor(8)})
@@ -166,6 +170,13 @@ func TestVersionsAndSpendSurviveRestart(t *testing.T) {
 	meta := decode[corpusMetaJSON](t, raw)
 	if len(meta.Versions) != 2 || meta.Digest != app.Digest {
 		t.Fatalf("post-restart chain %+v", meta.Versions)
+	}
+	// The latest version's release replays free: the journaled release
+	// and bytes, with the spend of exactly that one release.
+	resp, raw = e2.post(t, "/v1/corpora/c/sanitize", "application/json", sanitizeBody(1))
+	if got := decode[corpusSanitizeResponse](t, raw); resp.StatusCode != http.StatusOK || got.Release != v2rel.Release ||
+		got.ReleaseDigest != v2rel.ReleaseDigest || got.Budget.Releases != 1 || got.Budget.Spent.Epsilon <= 0 {
+		t.Fatalf("post-restart latest replay: %d %s", resp.StatusCode, raw)
 	}
 	// Replaying the v1 release is free (seq unchanged) and computed against
 	// the ancestor's own data.
@@ -219,15 +230,16 @@ func TestUploadContentNegotiation(t *testing.T) {
 // makes the post-append solve incremental — the second release reports
 // reused component plans in its plan summary.
 func TestSanitizeReusesComponentsAfterAppend(t *testing.T) {
+	base := shardedTSV(t)
 	e := newTestEnv(t, Config{DataDir: t.TempDir(), Budget: budgetFor(8)})
-	e.do(t, http.MethodPut, "/v1/corpora/c", "text/tab-separated-values", e.tsv)
+	e.do(t, http.MethodPut, "/v1/corpora/c", "text/tab-separated-values", base)
 	resp, raw := e.post(t, "/v1/corpora/c/sanitize", "application/json", sanitizeBody(1))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cold release: %d %s", resp.StatusCode, raw)
 	}
 	cold := decode[corpusSanitizeResponse](t, raw)
-	if cold.Plan.ReusedComponents != 0 {
-		t.Fatalf("cold solve reused %d components", cold.Plan.ReusedComponents)
+	if cold.Plan.ReusedComponents != 0 || cold.Plan.Components < 2 {
+		t.Fatalf("cold solve reused %d of %d components", cold.Plan.ReusedComponents, cold.Plan.Components)
 	}
 	// Append rows that form their own new component: every original
 	// component is untouched and must be served from the cache.
@@ -243,5 +255,17 @@ func TestSanitizeReusesComponentsAfterAppend(t *testing.T) {
 	if inc.Plan.ReusedComponents >= inc.Plan.Components {
 		t.Fatalf("reused %d of %d components; the appended component had nothing to reuse",
 			inc.Plan.ReusedComponents, inc.Plan.Components)
+	}
+
+	// Cold control: the same base + delta on a fresh server folds to the
+	// same version and releases the same bytes with nothing reused — the
+	// cache may change wall-clock, never output.
+	fresh := newTestEnv(t, Config{DataDir: t.TempDir(), Budget: budgetFor(8)})
+	fresh.do(t, http.MethodPut, "/v1/corpora/c", "text/tab-separated-values", base)
+	fresh.do(t, http.MethodPost, "/v1/corpora/c/append", "text/tab-separated-values", appendDelta)
+	resp, raw = fresh.post(t, "/v1/corpora/c/sanitize", "application/json", sanitizeBody(1))
+	if ctl := decode[corpusSanitizeResponse](t, raw); resp.StatusCode != http.StatusOK || ctl.Version != inc.Version ||
+		ctl.ReleaseDigest != inc.ReleaseDigest || ctl.Plan.ReusedComponents != 0 {
+		t.Fatalf("cold control: %d %s; incremental: version %s release %s", resp.StatusCode, raw, inc.Version, inc.ReleaseDigest)
 	}
 }
