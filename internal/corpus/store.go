@@ -161,36 +161,18 @@ func (s *Store) Put(name string, l *searchlog.Log) (Meta, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tmp, err := os.CreateTemp(s.dir, "."+name+".tmp-*")
-	if err != nil {
-		return Meta{}, fmt.Errorf("corpus: create temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	// Streaming digest: the canonical rows are hashed as they are written,
 	// so storing a corpus costs exactly one serialization pass — no
 	// post-hoc l.Digest() re-walk of a multi-hundred-MB log.
 	h := sha256.New()
-	if _, err := searchlog.WriteTSV(io.MultiWriter(tmp, h), l); err != nil {
-		tmp.Close()
-		return Meta{}, fmt.Errorf("corpus: write %s: %w", name, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return Meta{}, fmt.Errorf("corpus: sync %s: %w", name, err)
-	}
-	info, err := tmp.Stat()
+	size, err := s.writeAtomic(s.path(name), func(w io.Writer) error {
+		_, err := searchlog.WriteTSV(io.MultiWriter(w, h), l)
+		return err
+	})
 	if err != nil {
-		tmp.Close()
-		return Meta{}, fmt.Errorf("corpus: stat %s: %w", name, err)
+		return Meta{}, err
 	}
-	if err := tmp.Close(); err != nil {
-		return Meta{}, fmt.Errorf("corpus: close %s: %w", name, err)
-	}
-	if err := os.Rename(tmp.Name(), s.path(name)); err != nil {
-		return Meta{}, fmt.Errorf("corpus: publish %s: %w", name, err)
-	}
-	syncDir(s.dir)
-	m := metaOf(name, l, hex.EncodeToString(h.Sum(nil)), info.Size(), time.Now())
+	m := metaOf(name, l, hex.EncodeToString(h.Sum(nil)), size, time.Now())
 	// A PUT is a full replacement, not an append: the version chain resets
 	// to a single base version and any prior deltas are orphaned. (Budget
 	// accounting is digest-keyed in the ledger and survives untouched.)

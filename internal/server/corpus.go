@@ -148,45 +148,42 @@ func uploadFormat(r *http.Request) ingest.Format {
 // general body cap, or a raw body in the negotiated format streamed through
 // the sharded ingest fold — bounded memory however large the upload, with
 // the admission gate (managed by the caller) shedding uploads that would
-// overcommit it. On failure the response has been written and ok is false.
-func (s *Server) decodeCorpusUpload(w http.ResponseWriter, r *http.Request) (l *dpslog.Log, ok bool) {
-	var err error
+// overcommit it. On failure the response has been written and the second
+// result is false.
+func (s *Server) decodeCorpusUpload(w http.ResponseWriter, r *http.Request) (*dpslog.Log, bool) {
 	if isJSONRequest(r) {
-		var req statsRequest // same {records, tsv} envelope as /v1/stats
-		if err := decodeJSON(r, &req); err != nil {
+		// Every envelope failure is the client's 400, an over-cap body
+		// included: decodeJSON reports it as malformed JSON.
+		l, err := decodeLogJSON(r)
+		if err != nil {
 			s.writeError(w, http.StatusBadRequest, "%v", err)
 			return nil, false
 		}
-		l, err = buildLog(req.Records, req.TSV)
-	} else {
-		var st ingest.Stats
-		_, isp := obs.Start(r.Context(), "ingest")
-		l, st, err = ingest.Ingest(r.Body, ingest.Config{
-			Format: uploadFormat(r),
-			Shards: s.cfg.IngestShards,
-			Scan:   searchlog.ScanConfig{ChunkBytes: s.cfg.IngestChunkBytes},
-		})
-		if err == nil {
-			isp.SetAttr("rows", st.Rows)
-			isp.SetAttr("rows_per_sec", st.RowsPerSec)
-		}
-		isp.End()
-		if err == nil {
-			s.metrics.ObserveIngest(st.Rows, st.RowsPerSec, st.SkewRatio, st.PeakHeapBytes)
-		} else {
-			s.metrics.ObserveIngestFailure()
-		}
+		return l, true
 	}
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, "corpus body exceeds the %d-byte cap", tooBig.Limit)
-			return nil, false
-		}
+	_, isp := obs.Start(r.Context(), "ingest")
+	l, st, err := ingest.Ingest(r.Body, ingest.Config{
+		Format: uploadFormat(r),
+		Shards: s.cfg.IngestShards,
+		Scan:   searchlog.ScanConfig{ChunkBytes: s.cfg.IngestChunkBytes},
+	})
+	if err == nil {
+		isp.SetAttr("rows", st.Rows)
+		isp.SetAttr("rows_per_sec", st.RowsPerSec)
+	}
+	isp.End()
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		s.metrics.ObserveIngest(st.Rows, st.RowsPerSec, st.SkewRatio, st.PeakHeapBytes)
+		return l, true
+	case errors.As(err, &tooBig):
+		s.writeError(w, http.StatusRequestEntityTooLarge, "corpus body exceeds the %d-byte cap", tooBig.Limit)
+	default:
 		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return nil, false
 	}
-	return l, true
+	s.metrics.ObserveIngestFailure()
+	return nil, false
 }
 
 // reserveIngest acquires ingest-gate capacity for the request body (or
@@ -498,24 +495,10 @@ func (s *Server) handleCorpusSanitize(w http.ResponseWriter, r *http.Request) {
 		runErr error
 	)
 	ctx := r.Context()
-	_, qsp := obs.Start(ctx, "queue.wait")
-	err = s.pool.Do(ctx, func() {
-		qsp.End()
-		resp, runErr = s.runSanitize(ctx, mech, l, opts, digest)
-	})
-	qsp.End()
-	switch {
-	case errors.Is(err, ErrSaturated):
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusServiceUnavailable, "worker pool saturated")
+	if !s.runPooled(w, r, func() { resp, runErr = s.runSanitize(ctx, mech, l, opts, digest) }) {
 		return
-	case errors.Is(err, ErrClosed):
-		s.writeError(w, http.StatusServiceUnavailable, "server shutting down")
-		return
-	case err != nil: // client went away; the solve finishes in background
-		w.WriteHeader(statusClientClosedRequest)
-		return
-	case runErr != nil:
+	}
+	if runErr != nil {
 		s.writeError(w, http.StatusUnprocessableEntity, "%v", runErr)
 		return
 	}

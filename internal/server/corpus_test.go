@@ -344,7 +344,7 @@ func TestCorpusMethodNotAllowed(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST on corpus resource: %d", resp.StatusCode)
 	}
-	if allow := resp.Header.Get("Allow"); allow != "DELETE, GET, PUT" {
+	if allow := resp.Header.Get("Allow"); allow != "DELETE, GET, HEAD, PUT" {
 		t.Fatalf("Allow %q", allow)
 	}
 	resp, _ = e.get(t, "/v1/corpora/c/sanitize")

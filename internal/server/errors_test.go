@@ -7,6 +7,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 
 	"dpslog"
@@ -54,6 +55,8 @@ var envelopeCases = []envelopeCase{
 	{"method not allowed", "DELETE", "/v1/sanitize", "", "", http.StatusMethodNotAllowed},
 	{"corpus method not allowed", "PUT", "/v1/corpora/have/append", "", "", http.StatusMethodNotAllowed},
 	{"unknown endpoint", "GET", "/v1/nope", "", "", http.StatusNotFound},
+	{"job get empty id", "GET", "/v1/jobs/", "", "", http.StatusNotFound},
+	{"corpus versions trailing slash", "GET", "/v1/corpora/have/versions/", "", "", http.StatusNotFound},
 }
 
 // seedEnvelopeEnv stores corpus "have" with a budget no single release can
@@ -95,11 +98,63 @@ func TestErrorEnvelopeSweep(t *testing.T) {
 			if env.Status != resp.StatusCode {
 				t.Fatalf("envelope status %d != HTTP %d", env.Status, resp.StatusCode)
 			}
+			if env.Code != errorCode(resp.StatusCode) {
+				t.Fatalf("envelope code %q, want %q", env.Code, errorCode(resp.StatusCode))
+			}
+			if resp.StatusCode == http.StatusMethodNotAllowed && resp.Header.Get("Allow") == "" {
+				t.Fatal("405 without an Allow header")
+			}
 			if tc.wantStatus == http.StatusTooManyRequests {
 				if env.Code != "over_budget" || len(env.Detail) == 0 {
 					t.Fatalf("429 must carry over_budget detail: %s", raw)
 				}
 			}
 		})
+	}
+}
+
+// TestUnroutedUsesMuxVerdict: a request no route matches is answered with
+// the mux's own verdict — 405 with the mux's Allow (HEAD alongside every
+// GET) or 404 — in the envelope, traced and counted under the "/" label.
+func TestUnroutedUsesMuxVerdict(t *testing.T) {
+	e := newTestEnv(t, Config{DataDir: t.TempDir()})
+	for _, tc := range []struct {
+		method, path string
+		status       int
+		allow        string
+	}{
+		{"DELETE", "/v1/sanitize", http.StatusMethodNotAllowed, "POST"},
+		{"POST", "/healthz", http.StatusMethodNotAllowed, "GET, HEAD"},
+		{"DELETE", "/v1/jobs", http.StatusMethodNotAllowed, "GET, HEAD, POST"},
+		{"POST", "/v1/jobs/job-000001", http.StatusMethodNotAllowed, "GET, HEAD"},
+		{"POST", "/v1/corpora/c", http.StatusMethodNotAllowed, "DELETE, GET, HEAD, PUT"},
+		{"GET", "/v1/corpora/c/append", http.StatusMethodNotAllowed, "POST"},
+		{"PUT", "/v1/corpora/c/versions/beef", http.StatusMethodNotAllowed, "GET, HEAD"},
+		{"GET", "/v1/jobs/", http.StatusNotFound, ""},
+		{"GET", "/v1/corpora/", http.StatusNotFound, ""},
+		{"GET", "/v1/corpora/c/versions/", http.StatusNotFound, ""},
+		{"GET", "/v1/corpora/c/nope", http.StatusNotFound, ""},
+	} {
+		resp, raw := e.do(t, tc.method, tc.path, "", nil)
+		if resp.StatusCode != tc.status || resp.Header.Get("Allow") != tc.allow {
+			t.Errorf("%s %s = %d Allow %q, want %d Allow %q", tc.method, tc.path,
+				resp.StatusCode, resp.Header.Get("Allow"), tc.status, tc.allow)
+			continue
+		}
+		if env := decode[apiError](t, raw); env.Status != tc.status || env.Code != errorCode(tc.status) {
+			t.Errorf("%s %s: envelope %+v", tc.method, tc.path, env)
+		}
+		if resp.Header.Get("X-Trace-Id") == "" {
+			t.Errorf("%s %s: unrouted request not traced", tc.method, tc.path)
+		}
+	}
+	_, out := e.get(t, "/metrics")
+	for _, want := range []string{
+		`slserve_requests_total{handler="/",code="404"} 4`,
+		`slserve_requests_total{handler="/",code="405"} 7`,
+	} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("metrics missing %q", want)
+		}
 	}
 }

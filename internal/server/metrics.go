@@ -1,11 +1,13 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -73,10 +75,52 @@ var componentBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 // microseconds while solves reach seconds.
 var stageBuckets = []float64{0.00001, 0.00005, 0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 2.5, 5, 10}
 
+// histogram is one cumulative Prometheus histogram over fixed upper bounds.
 type histogram struct {
-	counts []int64 // one per bucket; +Inf is implicit via count
+	bounds []float64
+	counts []int64 // one per bound; +Inf is implicit via count
 	sum    float64
 	count  int64
+}
+
+func newHistogram(bounds []float64) *histogram {
+	return &histogram{bounds: bounds, counts: make([]int64, len(bounds))}
+}
+
+func (h *histogram) observe(v float64) {
+	for i, ub := range h.bounds {
+		if v <= ub {
+			h.counts[i]++
+		}
+	}
+	h.sum += v
+	h.count++
+}
+
+// write renders the histogram's bucket, sum and count samples; label is
+// one rendered name="value" pair, or empty for an unlabeled histogram.
+func (h *histogram) write(w io.Writer, name, label string) {
+	le, set := "", ""
+	if label != "" {
+		le, set = label+",", "{"+label+"}"
+	}
+	for i, ub := range h.bounds {
+		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, le, formatBound(ub), h.counts[i])
+	}
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, le, h.count)
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, set, h.sum)
+	fmt.Fprintf(w, "%s_count%s %d\n", name, set, h.count)
+}
+
+// observeLabeled records v in the histogram of hs under key, creating it
+// over bounds on first use.
+func observeLabeled(hs map[string]*histogram, key string, bounds []float64, v float64) {
+	h := hs[key]
+	if h == nil {
+		h = newHistogram(bounds)
+		hs[key] = h
+	}
+	h.observe(v)
 }
 
 // NewMetrics returns an empty registry.
@@ -84,7 +128,7 @@ func NewMetrics() *Metrics {
 	return &Metrics{
 		requests:   make(map[reqKey]int64),
 		latency:    make(map[string]*histogram),
-		components: &histogram{counts: make([]int64, len(componentBuckets))},
+		components: newHistogram(componentBuckets),
 		stages:     make(map[string]*histogram),
 		mechanisms: make(map[string]int64),
 	}
@@ -97,18 +141,7 @@ func NewMetrics() *Metrics {
 func (m *Metrics) ObserveStage(stage string, seconds float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	h := m.stages[stage]
-	if h == nil {
-		h = &histogram{counts: make([]int64, len(stageBuckets))}
-		m.stages[stage] = h
-	}
-	for i, ub := range stageBuckets {
-		if seconds <= ub {
-			h.counts[i]++
-		}
-	}
-	h.sum += seconds
-	h.count++
+	observeLabeled(m.stages, stage, stageBuckets, seconds)
 }
 
 // ObserveSolver folds the solver-depth counters of one completed
@@ -137,14 +170,7 @@ func (m *Metrics) ObserveSanitizeMechanism(name string) {
 func (m *Metrics) ObserveSolveComponents(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	v := float64(n)
-	for i, ub := range componentBuckets {
-		if v <= ub {
-			m.components.counts[i]++
-		}
-	}
-	m.components.sum += v
-	m.components.count++
+	m.components.observe(float64(n))
 }
 
 // ObserveIngest records one completed streaming corpus upload: the rows
@@ -175,18 +201,7 @@ func (m *Metrics) Observe(handler string, code int, seconds float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.requests[reqKey{handler, strconv.Itoa(code)}]++
-	h := m.latency[handler]
-	if h == nil {
-		h = &histogram{counts: make([]int64, len(latencyBuckets))}
-		m.latency[handler] = h
-	}
-	for i, ub := range latencyBuckets {
-		if seconds <= ub {
-			h.counts[i]++
-		}
-	}
-	h.sum += seconds
-	h.count++
+	observeLabeled(m.latency, handler, latencyBuckets, seconds)
 }
 
 // Gauges are point-in-time values the server supplies at scrape time.
@@ -230,204 +245,105 @@ func (m *Metrics) WriteTo(w io.Writer, g Gauges) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	fmt.Fprintln(w, "# HELP slserve_requests_total Completed HTTP requests by handler and status code.")
-	fmt.Fprintln(w, "# TYPE slserve_requests_total counter")
-	reqKeys := make([]reqKey, 0, len(m.requests))
-	for k := range m.requests {
-		reqKeys = append(reqKeys, k)
-	}
-	sort.Slice(reqKeys, func(a, b int) bool {
-		if reqKeys[a].handler != reqKeys[b].handler {
-			return reqKeys[a].handler < reqKeys[b].handler
-		}
-		return reqKeys[a].code < reqKeys[b].code
+	family(w, "slserve_requests_total", "counter", "Completed HTTP requests by handler and status code.")
+	reqKeys := slices.SortedFunc(maps.Keys(m.requests), func(a, b reqKey) int {
+		return cmp.Or(cmp.Compare(a.handler, b.handler), cmp.Compare(a.code, b.code))
 	})
 	for _, k := range reqKeys {
 		fmt.Fprintf(w, "slserve_requests_total{handler=%q,code=%q} %d\n", k.handler, k.code, m.requests[k])
 	}
 
-	fmt.Fprintln(w, "# HELP slserve_request_duration_seconds Request latency by handler.")
-	fmt.Fprintln(w, "# TYPE slserve_request_duration_seconds histogram")
-	handlers := make([]string, 0, len(m.latency))
-	for h := range m.latency {
-		handlers = append(handlers, h)
-	}
-	sort.Strings(handlers)
-	for _, name := range handlers {
-		h := m.latency[name]
-		for i, ub := range latencyBuckets {
-			fmt.Fprintf(w, "slserve_request_duration_seconds_bucket{handler=%q,le=%q} %d\n",
-				name, formatBound(ub), h.counts[i])
-		}
-		fmt.Fprintf(w, "slserve_request_duration_seconds_bucket{handler=%q,le=\"+Inf\"} %d\n", name, h.count)
-		fmt.Fprintf(w, "slserve_request_duration_seconds_sum{handler=%q} %g\n", name, h.sum)
-		fmt.Fprintf(w, "slserve_request_duration_seconds_count{handler=%q} %d\n", name, h.count)
+	family(w, "slserve_request_duration_seconds", "histogram", "Request latency by handler.")
+	for _, name := range slices.Sorted(maps.Keys(m.latency)) {
+		m.latency[name].write(w, "slserve_request_duration_seconds", fmt.Sprintf("handler=%q", name))
 	}
 
-	fmt.Fprintln(w, "# HELP slserve_solve_components Connected components per sanitization solve (see internal/partition).")
-	fmt.Fprintln(w, "# TYPE slserve_solve_components histogram")
-	for i, ub := range componentBuckets {
-		fmt.Fprintf(w, "slserve_solve_components_bucket{le=%q} %d\n", formatBound(ub), m.components.counts[i])
-	}
-	fmt.Fprintf(w, "slserve_solve_components_bucket{le=\"+Inf\"} %d\n", m.components.count)
-	fmt.Fprintf(w, "slserve_solve_components_sum %g\n", m.components.sum)
-	fmt.Fprintf(w, "slserve_solve_components_count %d\n", m.components.count)
+	family(w, "slserve_solve_components", "histogram", "Connected components per sanitization solve (see internal/partition).")
+	m.components.write(w, "slserve_solve_components", "")
 
-	fmt.Fprintln(w, "# HELP slserve_stage_duration_seconds Duration of one pipeline stage (trace span), labeled by span name.")
-	fmt.Fprintln(w, "# TYPE slserve_stage_duration_seconds histogram")
-	stages := make([]string, 0, len(m.stages))
-	for st := range m.stages {
-		stages = append(stages, st)
-	}
-	sort.Strings(stages)
-	for _, name := range stages {
-		h := m.stages[name]
-		for i, ub := range stageBuckets {
-			fmt.Fprintf(w, "slserve_stage_duration_seconds_bucket{stage=%q,le=%q} %d\n",
-				name, formatBound(ub), h.counts[i])
-		}
-		fmt.Fprintf(w, "slserve_stage_duration_seconds_bucket{stage=%q,le=\"+Inf\"} %d\n", name, h.count)
-		fmt.Fprintf(w, "slserve_stage_duration_seconds_sum{stage=%q} %g\n", name, h.sum)
-		fmt.Fprintf(w, "slserve_stage_duration_seconds_count{stage=%q} %d\n", name, h.count)
+	family(w, "slserve_stage_duration_seconds", "histogram", "Duration of one pipeline stage (trace span), labeled by span name.")
+	for _, name := range slices.Sorted(maps.Keys(m.stages)) {
+		m.stages[name].write(w, "slserve_stage_duration_seconds", fmt.Sprintf("stage=%q", name))
 	}
 
-	fmt.Fprintln(w, "# HELP slserve_solver_lp_solves_total LP solves executed (one per component per phase).")
-	fmt.Fprintln(w, "# TYPE slserve_solver_lp_solves_total counter")
-	fmt.Fprintf(w, "slserve_solver_lp_solves_total %d\n", m.solver.lpSolves)
-	fmt.Fprintln(w, "# HELP slserve_solver_iterations_total Simplex iterations plus BIP nodes, summed over solves.")
-	fmt.Fprintln(w, "# TYPE slserve_solver_iterations_total counter")
-	fmt.Fprintf(w, "slserve_solver_iterations_total %d\n", m.solver.iterations)
-	fmt.Fprintln(w, "# HELP slserve_solver_refactorizations_total Basis (re)factorizations across LP solves.")
-	fmt.Fprintln(w, "# TYPE slserve_solver_refactorizations_total counter")
-	fmt.Fprintf(w, "slserve_solver_refactorizations_total %d\n", m.solver.refactorizations)
-	fmt.Fprintln(w, "# HELP slserve_solver_presolve_rows_total Constraint rows eliminated by LP presolve.")
-	fmt.Fprintln(w, "# TYPE slserve_solver_presolve_rows_total counter")
-	fmt.Fprintf(w, "slserve_solver_presolve_rows_total %d\n", m.solver.presolveRows)
-	fmt.Fprintln(w, "# HELP slserve_solver_presolve_cols_total Variables fixed by LP presolve.")
-	fmt.Fprintln(w, "# TYPE slserve_solver_presolve_cols_total counter")
-	fmt.Fprintf(w, "slserve_solver_presolve_cols_total %d\n", m.solver.presolveCols)
+	scalar(w, "slserve_solver_lp_solves_total", "counter", "LP solves executed (one per component per phase).", m.solver.lpSolves)
+	scalar(w, "slserve_solver_iterations_total", "counter", "Simplex iterations plus BIP nodes, summed over solves.", m.solver.iterations)
+	scalar(w, "slserve_solver_refactorizations_total", "counter", "Basis (re)factorizations across LP solves.", m.solver.refactorizations)
+	scalar(w, "slserve_solver_presolve_rows_total", "counter", "Constraint rows eliminated by LP presolve.", m.solver.presolveRows)
+	scalar(w, "slserve_solver_presolve_cols_total", "counter", "Variables fixed by LP presolve.", m.solver.presolveCols)
 
-	fmt.Fprintln(w, "# HELP slserve_sanitize_mechanism_total Completed sanitizations by release mechanism (cached and solved alike).")
-	fmt.Fprintln(w, "# TYPE slserve_sanitize_mechanism_total counter")
-	mechNames := make([]string, 0, len(m.mechanisms))
-	for name := range m.mechanisms {
-		mechNames = append(mechNames, name)
-	}
-	sort.Strings(mechNames)
-	for _, name := range mechNames {
+	family(w, "slserve_sanitize_mechanism_total", "counter", "Completed sanitizations by release mechanism (cached and solved alike).")
+	for _, name := range slices.Sorted(maps.Keys(m.mechanisms)) {
 		fmt.Fprintf(w, "slserve_sanitize_mechanism_total{mechanism=%q} %d\n", name, m.mechanisms[name])
 	}
 
-	fmt.Fprintln(w, "# HELP slserve_build_info Build metadata; the value is always 1.")
-	fmt.Fprintln(w, "# TYPE slserve_build_info gauge")
+	family(w, "slserve_build_info", "gauge", "Build metadata; the value is always 1.")
 	fmt.Fprintf(w, "slserve_build_info{version=%q,goversion=%q} 1\n", buildVersion, runtime.Version())
 
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	fmt.Fprintln(w, "# HELP slserve_goroutines Live goroutines at scrape time.")
-	fmt.Fprintln(w, "# TYPE slserve_goroutines gauge")
-	fmt.Fprintf(w, "slserve_goroutines %d\n", runtime.NumGoroutine())
-	fmt.Fprintln(w, "# HELP slserve_heap_alloc_bytes Live heap bytes at scrape time.")
-	fmt.Fprintln(w, "# TYPE slserve_heap_alloc_bytes gauge")
-	fmt.Fprintf(w, "slserve_heap_alloc_bytes %d\n", ms.HeapAlloc)
-	fmt.Fprintln(w, "# HELP slserve_gc_runs_total Completed garbage-collection cycles.")
-	fmt.Fprintln(w, "# TYPE slserve_gc_runs_total counter")
-	fmt.Fprintf(w, "slserve_gc_runs_total %d\n", ms.NumGC)
-	fmt.Fprintln(w, "# HELP slserve_gc_pause_seconds_total Cumulative stop-the-world GC pause.")
-	fmt.Fprintln(w, "# TYPE slserve_gc_pause_seconds_total counter")
-	fmt.Fprintf(w, "slserve_gc_pause_seconds_total %g\n", float64(ms.PauseTotalNs)/1e9)
+	scalar(w, "slserve_goroutines", "gauge", "Live goroutines at scrape time.", runtime.NumGoroutine())
+	scalar(w, "slserve_heap_alloc_bytes", "gauge", "Live heap bytes at scrape time.", ms.HeapAlloc)
+	scalar(w, "slserve_gc_runs_total", "counter", "Completed garbage-collection cycles.", ms.NumGC)
+	scalar(w, "slserve_gc_pause_seconds_total", "counter", "Cumulative stop-the-world GC pause.", float64(ms.PauseTotalNs)/1e9)
 
-	fmt.Fprintln(w, "# HELP slserve_workers Configured worker pool size.")
-	fmt.Fprintln(w, "# TYPE slserve_workers gauge")
-	fmt.Fprintf(w, "slserve_workers %d\n", g.Workers)
-	fmt.Fprintln(w, "# HELP slserve_workers_busy Workers currently executing a solve.")
-	fmt.Fprintln(w, "# TYPE slserve_workers_busy gauge")
-	fmt.Fprintf(w, "slserve_workers_busy %d\n", g.WorkersBusy)
-	fmt.Fprintln(w, "# HELP slserve_queue_depth Tasks waiting in the worker pool backlog.")
-	fmt.Fprintln(w, "# TYPE slserve_queue_depth gauge")
-	fmt.Fprintf(w, "slserve_queue_depth %d\n", g.QueueDepth)
+	scalar(w, "slserve_workers", "gauge", "Configured worker pool size.", g.Workers)
+	scalar(w, "slserve_workers_busy", "gauge", "Workers currently executing a solve.", g.WorkersBusy)
+	scalar(w, "slserve_queue_depth", "gauge", "Tasks waiting in the worker pool backlog.", g.QueueDepth)
 
-	fmt.Fprintln(w, "# HELP slserve_jobs Retained async jobs by state.")
-	fmt.Fprintln(w, "# TYPE slserve_jobs gauge")
+	family(w, "slserve_jobs", "gauge", "Retained async jobs by state.")
 	for _, st := range []JobState{JobQueued, JobRunning, JobDone, JobFailed} {
 		fmt.Fprintf(w, "slserve_jobs{state=%q} %d\n", string(st), g.Jobs[st])
 	}
 
-	fmt.Fprintln(w, "# HELP slserve_plan_cache_entries Entries in the LRU plan cache.")
-	fmt.Fprintln(w, "# TYPE slserve_plan_cache_entries gauge")
-	fmt.Fprintf(w, "slserve_plan_cache_entries %d\n", g.CacheEntries)
-	fmt.Fprintln(w, "# HELP slserve_plan_cache_hits_total Plan cache hits.")
-	fmt.Fprintln(w, "# TYPE slserve_plan_cache_hits_total counter")
-	fmt.Fprintf(w, "slserve_plan_cache_hits_total %d\n", g.CacheHits)
-	fmt.Fprintln(w, "# HELP slserve_plan_cache_misses_total Plan cache misses.")
-	fmt.Fprintln(w, "# TYPE slserve_plan_cache_misses_total counter")
-	fmt.Fprintf(w, "slserve_plan_cache_misses_total %d\n", g.CacheMisses)
+	scalar(w, "slserve_plan_cache_entries", "gauge", "Entries in the LRU plan cache.", g.CacheEntries)
+	scalar(w, "slserve_plan_cache_hits_total", "counter", "Plan cache hits.", g.CacheHits)
+	scalar(w, "slserve_plan_cache_misses_total", "counter", "Plan cache misses.", g.CacheMisses)
 
-	fmt.Fprintln(w, "# HELP slserve_component_cache_entries Entries in the shared component-plan cache.")
-	fmt.Fprintln(w, "# TYPE slserve_component_cache_entries gauge")
-	fmt.Fprintf(w, "slserve_component_cache_entries %d\n", g.CompCacheEntries)
-	fmt.Fprintln(w, "# HELP slserve_component_cache_hits_total Component plans reused from the cache.")
-	fmt.Fprintln(w, "# TYPE slserve_component_cache_hits_total counter")
-	fmt.Fprintf(w, "slserve_component_cache_hits_total %d\n", g.CompCacheHits)
-	fmt.Fprintln(w, "# HELP slserve_component_cache_misses_total Component solves not served from the cache.")
-	fmt.Fprintln(w, "# TYPE slserve_component_cache_misses_total counter")
-	fmt.Fprintf(w, "slserve_component_cache_misses_total %d\n", g.CompCacheMisses)
+	scalar(w, "slserve_component_cache_entries", "gauge", "Entries in the shared component-plan cache.", g.CompCacheEntries)
+	scalar(w, "slserve_component_cache_hits_total", "counter", "Component plans reused from the cache.", g.CompCacheHits)
+	scalar(w, "slserve_component_cache_misses_total", "counter", "Component solves not served from the cache.", g.CompCacheMisses)
 
-	fmt.Fprintln(w, "# HELP slserve_ingest_uploads_total Completed streaming corpus uploads.")
-	fmt.Fprintln(w, "# TYPE slserve_ingest_uploads_total counter")
-	fmt.Fprintf(w, "slserve_ingest_uploads_total %d\n", m.ingest.uploads)
-	fmt.Fprintln(w, "# HELP slserve_ingest_failures_total Admitted corpus uploads that failed to ingest.")
-	fmt.Fprintln(w, "# TYPE slserve_ingest_failures_total counter")
-	fmt.Fprintf(w, "slserve_ingest_failures_total %d\n", m.ingest.failures)
-	fmt.Fprintln(w, "# HELP slserve_ingest_rows_total Rows folded by the streaming sharded ingest.")
-	fmt.Fprintln(w, "# TYPE slserve_ingest_rows_total counter")
-	fmt.Fprintf(w, "slserve_ingest_rows_total %d\n", m.ingest.rows)
-	fmt.Fprintln(w, "# HELP slserve_ingest_last_rows_per_sec Fold throughput of the most recent completed ingest.")
-	fmt.Fprintln(w, "# TYPE slserve_ingest_last_rows_per_sec gauge")
-	fmt.Fprintf(w, "slserve_ingest_last_rows_per_sec %g\n", m.ingest.lastRowsPerSec)
-	fmt.Fprintln(w, "# HELP slserve_ingest_last_shard_skew Max-shard/mean-shard row ratio of the most recent completed ingest (1 = balanced).")
-	fmt.Fprintln(w, "# TYPE slserve_ingest_last_shard_skew gauge")
-	fmt.Fprintf(w, "slserve_ingest_last_shard_skew %g\n", m.ingest.lastSkew)
-	fmt.Fprintln(w, "# HELP slserve_ingest_last_peak_heap_bytes Peak live-heap estimate sampled during the most recent completed ingest.")
-	fmt.Fprintln(w, "# TYPE slserve_ingest_last_peak_heap_bytes gauge")
-	fmt.Fprintf(w, "slserve_ingest_last_peak_heap_bytes %d\n", m.ingest.lastPeakHeap)
-	fmt.Fprintln(w, "# HELP slserve_ingest_inflight_bytes Declared bytes of corpus uploads currently ingesting.")
-	fmt.Fprintln(w, "# TYPE slserve_ingest_inflight_bytes gauge")
-	fmt.Fprintf(w, "slserve_ingest_inflight_bytes %d\n", g.IngestInFlightBytes)
-	fmt.Fprintln(w, "# HELP slserve_ingest_inflight_uploads Corpus uploads currently ingesting.")
-	fmt.Fprintln(w, "# TYPE slserve_ingest_inflight_uploads gauge")
-	fmt.Fprintf(w, "slserve_ingest_inflight_uploads %d\n", g.IngestInFlightUploads)
-	fmt.Fprintln(w, "# HELP slserve_ingest_capacity_bytes Admission-gate capacity for concurrent corpus uploads (0 = unguarded).")
-	fmt.Fprintln(w, "# TYPE slserve_ingest_capacity_bytes gauge")
-	fmt.Fprintf(w, "slserve_ingest_capacity_bytes %d\n", g.IngestCapacityBytes)
+	scalar(w, "slserve_ingest_uploads_total", "counter", "Completed streaming corpus uploads.", m.ingest.uploads)
+	scalar(w, "slserve_ingest_failures_total", "counter", "Admitted corpus uploads that failed to ingest.", m.ingest.failures)
+	scalar(w, "slserve_ingest_rows_total", "counter", "Rows folded by the streaming sharded ingest.", m.ingest.rows)
+	scalar(w, "slserve_ingest_last_rows_per_sec", "gauge", "Fold throughput of the most recent completed ingest.", m.ingest.lastRowsPerSec)
+	scalar(w, "slserve_ingest_last_shard_skew", "gauge", "Max-shard/mean-shard row ratio of the most recent completed ingest (1 = balanced).", m.ingest.lastSkew)
+	scalar(w, "slserve_ingest_last_peak_heap_bytes", "gauge", "Peak live-heap estimate sampled during the most recent completed ingest.", m.ingest.lastPeakHeap)
+	scalar(w, "slserve_ingest_inflight_bytes", "gauge", "Declared bytes of corpus uploads currently ingesting.", g.IngestInFlightBytes)
+	scalar(w, "slserve_ingest_inflight_uploads", "gauge", "Corpus uploads currently ingesting.", g.IngestInFlightUploads)
+	scalar(w, "slserve_ingest_capacity_bytes", "gauge", "Admission-gate capacity for concurrent corpus uploads (0 = unguarded).", g.IngestCapacityBytes)
 
 	if g.Ledger == nil {
 		return
 	}
-	fmt.Fprintln(w, "# HELP slserve_corpora Corpora in the disk-backed store.")
-	fmt.Fprintln(w, "# TYPE slserve_corpora gauge")
-	fmt.Fprintf(w, "slserve_corpora %d\n", g.Ledger.Corpora)
-	fmt.Fprintln(w, "# HELP slserve_ledger_budget_epsilon Configured per-corpus epsilon allowance.")
-	fmt.Fprintln(w, "# TYPE slserve_ledger_budget_epsilon gauge")
-	fmt.Fprintf(w, "slserve_ledger_budget_epsilon %g\n", g.Ledger.BudgetEpsilon)
-	fmt.Fprintln(w, "# HELP slserve_ledger_budget_delta Configured per-corpus delta allowance.")
-	fmt.Fprintln(w, "# TYPE slserve_ledger_budget_delta gauge")
-	fmt.Fprintf(w, "slserve_ledger_budget_delta %g\n", g.Ledger.BudgetDelta)
-	fmt.Fprintln(w, "# HELP slserve_ledger_spent_epsilon Cumulative epsilon charged per corpus under sequential composition.")
-	fmt.Fprintln(w, "# TYPE slserve_ledger_spent_epsilon gauge")
+	scalar(w, "slserve_corpora", "gauge", "Corpora in the disk-backed store.", g.Ledger.Corpora)
+	scalar(w, "slserve_ledger_budget_epsilon", "gauge", "Configured per-corpus epsilon allowance.", g.Ledger.BudgetEpsilon)
+	scalar(w, "slserve_ledger_budget_delta", "gauge", "Configured per-corpus delta allowance.", g.Ledger.BudgetDelta)
+	family(w, "slserve_ledger_spent_epsilon", "gauge", "Cumulative epsilon charged per corpus under sequential composition.")
 	for _, c := range g.Ledger.PerCorpus {
 		fmt.Fprintf(w, "slserve_ledger_spent_epsilon{corpus=%q} %g\n", c.Name, c.SpentEpsilon)
 	}
-	fmt.Fprintln(w, "# HELP slserve_ledger_spent_delta Cumulative delta charged per corpus under sequential composition.")
-	fmt.Fprintln(w, "# TYPE slserve_ledger_spent_delta gauge")
+	family(w, "slserve_ledger_spent_delta", "gauge", "Cumulative delta charged per corpus under sequential composition.")
 	for _, c := range g.Ledger.PerCorpus {
 		fmt.Fprintf(w, "slserve_ledger_spent_delta{corpus=%q} %g\n", c.Name, c.SpentDelta)
 	}
-	fmt.Fprintln(w, "# HELP slserve_ledger_releases_total Journaled releases per corpus.")
-	fmt.Fprintln(w, "# TYPE slserve_ledger_releases_total counter")
+	family(w, "slserve_ledger_releases_total", "counter", "Journaled releases per corpus.")
 	for _, c := range g.Ledger.PerCorpus {
 		fmt.Fprintf(w, "slserve_ledger_releases_total{corpus=%q} %d\n", c.Name, c.Releases)
 	}
+}
+
+// family writes the HELP and TYPE header of one metric family.
+func family(w io.Writer, name, typ, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// scalar writes a family with one unlabeled sample. %v renders integers in
+// decimal and floats as %g, the exposition's number forms.
+func scalar(w io.Writer, name, typ, help string, v any) {
+	family(w, name, typ, help)
+	fmt.Fprintf(w, "%s %v\n", name, v)
 }
 
 // formatBound renders a bucket bound the way Prometheus expects ("0.005",

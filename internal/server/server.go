@@ -14,7 +14,14 @@
 //	POST /v1/lambda       max DP output size λ for (ε, δ) — cheap planning
 //	POST /v1/stats        Table-3 characteristics of a posted log
 //	GET  /healthz         liveness
+//	GET  /readyz          readiness: 200 once the corpus store and ledger
+//	                      journal have opened
 //	GET  /metrics         Prometheus text exposition
+//	GET  /v1/debug/traces recently completed request traces, newest first
+//
+// The mux is the route table: an unrouted request gets the mux's own
+// verdict — 404, or 405 with its Allow header (every GET route also serves
+// HEAD) — in the error envelope.
 //
 // With a data directory configured (Config.DataDir), the stateful corpus
 // subsystem adds upload-once/sanitize-many endpoints whose releases are
@@ -293,19 +300,25 @@ func New(cfg Config) (*Server, error) {
 	s.handle("GET /v1/jobs/{id}", s.handleJobGet)
 	s.handle("POST /v1/lambda", s.handleLambda)
 	s.handle("POST /v1/stats", s.handleStats)
-	s.handle("PUT /v1/corpora/{name}", s.corpusEnabled(s.handleCorpusPut))
+	s.handle(routeCorpusPut, s.corpusEnabled(s.handleCorpusPut))
 	s.handle("GET /v1/corpora", s.corpusEnabled(s.handleCorpusList))
 	s.handle("GET /v1/corpora/{name}", s.corpusEnabled(s.handleCorpusGet))
 	s.handle("DELETE /v1/corpora/{name}", s.corpusEnabled(s.handleCorpusDelete))
-	s.handle("POST /v1/corpora/{name}/append", s.corpusEnabled(s.handleCorpusAppend))
+	s.handle(routeCorpusAppend, s.corpusEnabled(s.handleCorpusAppend))
 	s.handle("GET /v1/corpora/{name}/versions", s.corpusEnabled(s.handleCorpusVersionList))
 	s.handle("GET /v1/corpora/{name}/versions/{digest}", s.corpusEnabled(s.handleCorpusVersionGet))
 	s.handle("POST /v1/corpora/{name}/sanitize", s.corpusEnabled(s.handleCorpusSanitize))
 	s.handle("GET /v1/corpora/{name}/budget", s.corpusEnabled(s.handleCorpusBudget))
 	s.handle("GET /v1/corpora/{name}/releases", s.corpusEnabled(s.handleCorpusReleases))
-	s.handle("/", s.handleNotFound)
 	return s, nil
 }
+
+// The corpus upload routes, whose raw bodies stream through the sharded
+// ingest under the corpus body cap.
+const (
+	routeCorpusPut    = "PUT /v1/corpora/{name}"
+	routeCorpusAppend = "POST /v1/corpora/{name}/append"
+)
 
 // openState opens the corpus store and replays the ledger journal, then
 // closes ready. The channel close publishes the field writes (happens-
@@ -336,30 +349,30 @@ func (s *Server) Close() {
 	}
 }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler. The mux's match picks the body cap; a
+// request no route matches is answered by the instrumented "/" handler with
+// the mux's own 404/405 verdict.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Body != nil {
-		// Corpus uploads stream through the sharded ingest and get the
-		// (much larger) corpus cap; everything else is slurped and keeps
-		// the tight general cap.
-		if limit := s.bodyCap(r); limit > 0 {
-			r.Body = http.MaxBytesReader(w, r.Body, limit)
-		}
+	verdict, pattern := s.mux.Handler(r)
+	if limit := s.bodyCap(pattern, r); r.Body != nil && limit > 0 {
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
 	}
+	if pattern == "" {
+		s.serve("/", true, func(w http.ResponseWriter, r *http.Request) { s.handleUnrouted(w, r, verdict) }, w, r)
+		return
+	}
+	// Dispatch through the mux rather than calling verdict: only
+	// ServeMux.ServeHTTP binds the {name} path values the handlers read.
 	s.mux.ServeHTTP(w, r)
 }
 
-// bodyCap picks the request-body limit for one request; ≤ 0 means no cap.
-// Only the *streaming* corpus upload (raw TSV/AOL body) earns the large
-// corpus cap: a JSON-envelope upload is slurped by decodeJSON, so it keeps
-// the tight general cap — otherwise one multi-GB JSON body could
+// bodyCap picks the request-body limit for one matched pattern; ≤ 0 means
+// no cap. Only a *streaming* corpus upload (raw TSV/AOL body) earns the
+// large corpus cap: a JSON-envelope upload is slurped by decodeJSON, so it
+// keeps the tight general cap — otherwise one multi-GB JSON body could
 // materialize in memory.
-func (s *Server) bodyCap(r *http.Request) int64 {
-	if !strings.HasPrefix(r.URL.Path, "/v1/corpora/") || isJSONRequest(r) {
-		return s.cfg.MaxBodyBytes
-	}
-	if r.Method == http.MethodPut ||
-		(r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/append")) {
+func (s *Server) bodyCap(pattern string, r *http.Request) int64 {
+	if (pattern == routeCorpusPut || pattern == routeCorpusAppend) && !isJSONRequest(r) {
 		return s.cfg.MaxCorpusBytes
 	}
 	return s.cfg.MaxBodyBytes
@@ -370,47 +383,46 @@ func (s *Server) bodyCap(r *http.Request) int64 {
 // X-Trace-Id response header) and structured request logging. The pattern
 // doubles as the handler label in /metrics and as the root span name.
 func (s *Server) handle(pattern string, h http.HandlerFunc) {
-	s.register(pattern, h, true)
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) { s.serve(pattern, true, h, w, r) })
 }
 
 // handleUntraced registers a scrape-path pattern: metrics-observed but
 // neither traced nor logged, so health probes and Prometheus scrapes do not
 // evict real request traces from the ring buffer or spam the access log.
 func (s *Server) handleUntraced(pattern string, h http.HandlerFunc) {
-	s.register(pattern, h, false)
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) { s.serve(pattern, false, h, w, r) })
 }
 
-func (s *Server) register(pattern string, h http.HandlerFunc, traced bool) {
-	label := pattern
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		var root *obs.Span
-		if traced {
-			var ctx context.Context
-			ctx, root = s.tracer.Start(r.Context(), label)
-			root.SetAttr("method", r.Method)
-			root.SetAttr("path", r.URL.Path)
-			w.Header().Set("X-Trace-Id", root.TraceID)
-			r = r.WithContext(ctx)
-		}
-		h(rec, r)
-		elapsed := time.Since(start)
-		if root != nil {
-			root.SetAttr("status", rec.code)
-			root.End()
-		}
-		s.metrics.Observe(label, rec.code, elapsed.Seconds())
-		if s.logger != nil && root != nil {
-			s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.Int("status", rec.code),
-				slog.Float64("duration_ms", float64(elapsed.Microseconds())/1000),
-				slog.String("trace_id", root.TraceID),
-			)
-		}
-	})
+// serve runs h under the instrumentation of label: the request metrics
+// and, when traced, the root span and the access log.
+func (s *Server) serve(label string, traced bool, h http.HandlerFunc, w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
+	var root *obs.Span
+	if traced {
+		var ctx context.Context
+		ctx, root = s.tracer.Start(r.Context(), label)
+		root.SetAttr("method", r.Method)
+		root.SetAttr("path", r.URL.Path)
+		w.Header().Set("X-Trace-Id", root.TraceID)
+		r = r.WithContext(ctx)
+	}
+	h(rec, r)
+	elapsed := time.Since(start)
+	if root != nil {
+		root.SetAttr("status", rec.code)
+		root.End()
+	}
+	s.metrics.Observe(label, rec.code, elapsed.Seconds())
+	if s.logger != nil && root != nil {
+		s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
+			slog.String("method", r.Method),
+			slog.String("path", r.URL.Path),
+			slog.Int("status", rec.code),
+			slog.Float64("duration_ms", float64(elapsed.Microseconds())/1000),
+			slog.String("trace_id", root.TraceID),
+		)
+	}
 }
 
 type statusRecorder struct {
@@ -433,12 +445,34 @@ type Record struct {
 	Count int    `json:"count"`
 }
 
+// logBody is the {records, tsv} log envelope every JSON body that carries a
+// log embeds. Exactly one of Records and TSV must carry the log.
+type logBody struct {
+	Records []Record `json:"records,omitempty"`
+	TSV     string   `json:"tsv,omitempty"`
+}
+
+// log materializes the log the envelope carries.
+func (b logBody) log() (*dpslog.Log, error) {
+	switch {
+	case len(b.Records) > 0 && b.TSV != "":
+		return nil, errors.New("provide records or tsv, not both")
+	case len(b.Records) > 0:
+		recs := make([]dpslog.Record, len(b.Records))
+		for i, r := range b.Records {
+			recs[i] = dpslog.Record{User: r.User, Query: r.Query, URL: r.URL, Count: r.Count}
+		}
+		return dpslog.NewLog(recs)
+	case b.TSV != "":
+		return dpslog.ReadTSV(strings.NewReader(b.TSV))
+	}
+	return nil, errors.New("empty log: provide records or tsv")
+}
+
 // sanitizeRequest is the JSON body of POST /v1/sanitize and POST /v1/jobs.
-// Exactly one of Records and TSV must carry the log.
 type sanitizeRequest struct {
 	Options dpslog.Options `json:"options"`
-	Records []Record       `json:"records,omitempty"`
-	TSV     string         `json:"tsv,omitempty"`
+	logBody
 }
 
 // planJSON is the wire form of the audited optimization outcome.
@@ -500,16 +534,10 @@ type sanitizeResponse struct {
 }
 
 type lambdaRequest struct {
-	Epsilon float64  `json:"epsilon,omitzero"`
-	EExp    float64  `json:"eexp,omitzero"` // e^ε, the paper's parameterization
-	Delta   float64  `json:"delta"`
-	Records []Record `json:"records,omitempty"`
-	TSV     string   `json:"tsv,omitempty"`
-}
-
-type statsRequest struct {
-	Records []Record `json:"records,omitempty"`
-	TSV     string   `json:"tsv,omitempty"`
+	Epsilon float64 `json:"epsilon,omitzero"`
+	EExp    float64 `json:"eexp,omitzero"` // e^ε, the paper's parameterization
+	Delta   float64 `json:"delta"`
+	logBody
 }
 
 // statusClientClosedRequest is the nginx-convention status recorded when
@@ -542,22 +570,14 @@ func decodeJSON(r *http.Request, v any) error {
 	return nil
 }
 
-// buildLog materializes the log named by a (records, tsv) pair; exactly one
-// source must be present.
-func buildLog(records []Record, tsv string) (*dpslog.Log, error) {
-	switch {
-	case len(records) > 0 && tsv != "":
-		return nil, errors.New("provide records or tsv, not both")
-	case len(records) > 0:
-		recs := make([]dpslog.Record, len(records))
-		for i, r := range records {
-			recs[i] = dpslog.Record{User: r.User, Query: r.Query, URL: r.URL, Count: r.Count}
-		}
-		return dpslog.NewLog(recs)
-	case tsv != "":
-		return dpslog.ReadTSV(strings.NewReader(tsv))
+// decodeLogJSON strictly decodes a bare {records, tsv} JSON body into its
+// log.
+func decodeLogJSON(r *http.Request) (*dpslog.Log, error) {
+	var b logBody
+	if err := decodeJSON(r, &b); err != nil {
+		return nil, err
 	}
-	return nil, errors.New("empty log: provide records or tsv")
+	return b.log()
 }
 
 // decodeSanitizeRequest reads either a JSON envelope or a raw TSV body with
@@ -565,16 +585,11 @@ func buildLog(records []Record, tsv string) (*dpslog.Log, error) {
 func decodeSanitizeRequest(r *http.Request) (*dpslog.Log, dpslog.Options, error) {
 	if isJSONRequest(r) {
 		var req sanitizeRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			return nil, dpslog.Options{}, fmt.Errorf("bad JSON body: %w", err)
-		}
-		l, err := buildLog(req.Records, req.TSV)
-		if err != nil {
+		if err := decodeJSON(r, &req); err != nil {
 			return nil, dpslog.Options{}, err
 		}
-		return l, req.Options, nil
+		l, err := req.log()
+		return l, req.Options, err
 	}
 	opts, err := optionsFromQuery(r)
 	if err != nil {
@@ -876,56 +891,35 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// allowedMethods maps each route to its methods, for 405s. The catch-all
-// "/" pattern swallows the mux's own method matching, so the fallback
-// handler re-derives it here.
-var allowedMethods = map[string]string{
-	"/healthz":         "GET",
-	"/readyz":          "GET",
-	"/metrics":         "GET",
-	"/v1/sanitize":     "POST",
-	"/v1/jobs":         "GET, POST",
-	"/v1/lambda":       "POST",
-	"/v1/stats":        "POST",
-	"/v1/corpora":      "GET",
-	"/v1/debug/traces": "GET",
-}
-
-// corpusAllow derives the allowed methods for /v1/corpora/{name}[/...]
-// paths, mirroring the registered route patterns.
-func corpusAllow(path string) (allow string, known bool) {
-	rest, ok := strings.CutPrefix(path, "/v1/corpora/")
-	if !ok || rest == "" {
-		return "", false
-	}
-	switch parts := strings.SplitN(rest, "/", 2); {
-	case len(parts) == 1:
-		return "DELETE, GET, PUT", true
-	case parts[1] == "sanitize" || parts[1] == "append":
-		return "POST", true
-	case parts[1] == "budget" || parts[1] == "releases",
-		parts[1] == "versions" || strings.HasPrefix(parts[1], "versions/"):
-		return "GET", true
-	}
-	return "", false
-}
-
-func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
-	path := r.URL.Path
-	allow, known := allowedMethods[path]
-	if !known && strings.HasPrefix(path, "/v1/jobs/") {
-		allow, known = "GET", true
-	}
-	if !known {
-		allow, known = corpusAllow(path)
-	}
-	if known {
+// handleUnrouted answers a request no route matches with the mux's own
+// verdict in the error envelope: 405 with the mux's Allow header when the
+// path is routed for other methods, else 404. Any other verdict (a redirect
+// to the cleaned path) is served as the mux wrote it.
+func (s *Server) handleUnrouted(w http.ResponseWriter, r *http.Request, verdict http.Handler) {
+	probe := &verdictRecorder{header: http.Header{}}
+	verdict.ServeHTTP(probe, r)
+	switch probe.code {
+	case http.StatusMethodNotAllowed:
+		allow := probe.header.Get("Allow")
 		w.Header().Set("Allow", allow)
-		s.writeError(w, http.StatusMethodNotAllowed, "%s does not allow %s (allowed: %s)", path, r.Method, allow)
-		return
+		s.writeError(w, http.StatusMethodNotAllowed, "%s does not allow %s (allowed: %s)", r.URL.Path, r.Method, allow)
+	case http.StatusNotFound:
+		s.writeError(w, http.StatusNotFound, "no such endpoint: %s %s", r.Method, r.URL.Path)
+	default:
+		verdict.ServeHTTP(w, r)
 	}
-	s.writeError(w, http.StatusNotFound, "no such endpoint: %s %s", r.Method, path)
 }
+
+// verdictRecorder captures the status and headers of the mux's fallback
+// handler, discarding its plain-text body.
+type verdictRecorder struct {
+	header http.Header
+	code   int
+}
+
+func (v *verdictRecorder) Header() http.Header         { return v.header }
+func (v *verdictRecorder) Write(b []byte) (int, error) { return len(b), nil }
+func (v *verdictRecorder) WriteHeader(code int)        { v.code = code }
 
 func (s *Server) handleSanitize(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
@@ -951,24 +945,10 @@ func (s *Server) handleSanitize(w http.ResponseWriter, r *http.Request) {
 		resp   *sanitizeResponse
 		runErr error
 	)
-	// The queue.wait span closes as the first act of the task — on a worker
-	// — so it measures exactly the backlog time. End is idempotent; the
-	// second call below covers the never-ran error paths.
-	_, qsp := obs.Start(ctx, "queue.wait")
-	err = s.pool.Do(ctx, func() { qsp.End(); resp, runErr = s.runSanitize(ctx, mech, l, opts, digest) })
-	qsp.End()
-	switch {
-	case errors.Is(err, ErrSaturated):
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusServiceUnavailable, "worker pool saturated; retry or submit an async job to /v1/jobs")
+	if !s.runPooled(w, r, func() { resp, runErr = s.runSanitize(ctx, mech, l, opts, digest) }) {
 		return
-	case errors.Is(err, ErrClosed):
-		s.writeError(w, http.StatusServiceUnavailable, "server shutting down")
-		return
-	case err != nil: // client went away; the solve finishes in background
-		w.WriteHeader(statusClientClosedRequest)
-		return
-	case runErr != nil:
+	}
+	if runErr != nil {
 		s.writeError(w, http.StatusUnprocessableEntity, "%v", runErr)
 		return
 	}
@@ -980,6 +960,37 @@ func (s *Server) handleSanitize(w http.ResponseWriter, r *http.Request) {
 		resp.Trace = obs.FromContext(ctx).Snapshot()
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// runPooled runs work on a pool worker and waits for it. A queue.wait span
+// measures the backlog time: it closes as the first act of the task, and
+// again (End is idempotent) on the paths where work never ran. When work
+// did not run, runPooled writes the shed response and returns false.
+func (s *Server) runPooled(w http.ResponseWriter, r *http.Request, work func()) bool {
+	_, qsp := obs.Start(r.Context(), "queue.wait")
+	err := s.pool.Do(r.Context(), func() { qsp.End(); work() })
+	qsp.End()
+	if err != nil {
+		s.writePoolError(w, err)
+		return false
+	}
+	return true
+}
+
+// writePoolError writes the response for a task the pool did not run: 503
+// with Retry-After when the backlog is full, 503 when the server is
+// shutting down, and 499 when the client went away (the work still
+// finishes in the background).
+func (s *Server) writePoolError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, ErrSaturated):
+		w.Header().Set("Retry-After", "1")
+		s.writeError(w, http.StatusServiceUnavailable, "worker pool saturated; retry shortly")
+	case errors.Is(err, ErrClosed):
+		s.writeError(w, http.StatusServiceUnavailable, "server shutting down")
+	default:
+		w.WriteHeader(statusClientClosedRequest)
+	}
 }
 
 // wantTrace reports whether the client asked for the span tree inline.
@@ -1023,8 +1034,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		// Load-shedding is not a job outcome: drop the never-started job so
 		// the store doesn't accumulate failures no client holds an ID for.
 		s.jobs.Remove(job.ID)
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusServiceUnavailable, "worker pool saturated")
+		s.writePoolError(w, err)
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+job.ID)
@@ -1053,17 +1063,15 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleLambda(w http.ResponseWriter, r *http.Request) {
 	var req lambdaRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad JSON body: %v", err)
+	if err := decodeJSON(r, &req); err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	eps := req.Epsilon
 	if req.EExp != 0 {
 		eps = math.Log(req.EExp)
 	}
-	l, err := buildLog(req.Records, req.TSV)
+	l, err := req.log()
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1072,27 +1080,13 @@ func (s *Server) handleLambda(w http.ResponseWriter, r *http.Request) {
 		lambda int
 		runErr error
 	)
-	_, qsp := obs.Start(r.Context(), "queue.wait")
-	err = s.pool.Do(r.Context(), func() {
-		qsp.End()
-		// Same oversubscription guard as sanitize solves: the worker pool
-		// already fills the cores, so components solve at the configured
-		// per-solve parallelism rather than the library's GOMAXPROCS.
-		lambda, runErr = dpslog.LambdaParallelism(l, eps, req.Delta, s.cfg.SolveParallelism)
-	})
-	qsp.End()
-	switch {
-	case errors.Is(err, ErrSaturated):
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusServiceUnavailable, "worker pool saturated")
+	// Same oversubscription guard as sanitize solves: the worker pool
+	// already fills the cores, so components solve at the configured
+	// per-solve parallelism rather than the library's GOMAXPROCS.
+	if !s.runPooled(w, r, func() { lambda, runErr = dpslog.LambdaParallelism(l, eps, req.Delta, s.cfg.SolveParallelism) }) {
 		return
-	case errors.Is(err, ErrClosed):
-		s.writeError(w, http.StatusServiceUnavailable, "server shutting down")
-		return
-	case err != nil:
-		w.WriteHeader(statusClientClosedRequest)
-		return
-	case runErr != nil:
+	}
+	if runErr != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", runErr)
 		return
 	}
@@ -1110,14 +1104,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		err error
 	)
 	if isJSONRequest(r) {
-		var req statsRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad JSON body: %v", err)
-			return
-		}
-		l, err = buildLog(req.Records, req.TSV)
+		l, err = decodeLogJSON(r)
 	} else {
 		l, err = dpslog.ReadTSV(r.Body)
 	}

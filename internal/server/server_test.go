@@ -134,7 +134,7 @@ func TestSanitizeJSONRecords(t *testing.T) {
 	}
 	req := sanitizeRequest{
 		Options: dpslog.Options{Epsilon: math.Log(2), Delta: 0.5, Seed: 9},
-		Records: recs,
+		logBody: logBody{Records: recs},
 	}
 	body, _ := json.Marshal(req)
 	resp, raw := e.post(t, "/v1/sanitize", "application/json", body)
@@ -391,7 +391,11 @@ func TestMetricsScrape(t *testing.T) {
 }
 
 func TestSaturationReturns503(t *testing.T) {
-	e := newTestEnv(t, Config{Workers: 1, Queue: 1})
+	e := newTestEnv(t, Config{Workers: 1, Queue: 1, DataDir: t.TempDir()})
+	// Corpus uploads ingest on the request goroutine, not the pool.
+	if resp, raw := e.do(t, http.MethodPut, "/v1/corpora/c", "text/plain", e.tsv); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("corpus PUT %d: %s", resp.StatusCode, raw)
+	}
 	// Occupy the single worker and fill the one-slot backlog directly.
 	release := make(chan struct{})
 	defer close(release) // before the env's cleanup closes the pool
@@ -404,12 +408,25 @@ func TestSaturationReturns503(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, raw := e.post(t, "/v1/sanitize?eexp=2&delta=0.5", "text/plain", e.tsv)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503: %s", resp.StatusCode, raw)
+	for _, tc := range []struct{ path, contentType, body string }{
+		{"/v1/sanitize?eexp=2&delta=0.5", "text/plain", string(e.tsv)},
+		{"/v1/lambda", "application/json", `{"eexp":2,"delta":0.5,"tsv":"u\tq\thttp://u\t1\n"}`},
+		{"/v1/corpora/c/sanitize", "application/json", `{"options":{"epsilon":0.7,"delta":0.25,"seed":3}}`},
+	} {
+		resp, raw := e.post(t, tc.path, tc.contentType, []byte(tc.body))
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s: status %d, want 503: %s", tc.path, resp.StatusCode, raw)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s: 503 should carry Retry-After", tc.path)
+		}
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 should carry Retry-After")
+	// A shed corpus release never ran, so it charged nothing.
+	_, raw := e.get(t, "/v1/corpora/c/budget")
+	if b := decode[struct {
+		Budget budgetJSON `json:"budget"`
+	}](t, raw).Budget; b.Releases != 0 || b.Spent != (dpslog.Budget{}) {
+		t.Fatalf("shed release was charged: %+v", b)
 	}
 	resp2, _ := e.post(t, "/v1/jobs?eexp=2&delta=0.5", "text/plain", e.tsv)
 	if resp2.StatusCode != http.StatusServiceUnavailable {

@@ -55,8 +55,8 @@ const (
 
 // WarmStarts is a concurrency-safe pool of simplex basis snapshots shared
 // across related solves of one corpus: the ε/δ grid sweeps re-solve the
-// same constraint matrix under different budgets, and the serving layer
-// re-solves the same corpus on plan-cache misses. Bases are keyed by
+// same constraint matrix under different budgets, and the §7 frontier
+// ladders re-solve it under different target sizes. Bases are keyed by
 // (problem kind, decomposition scope, LP shape), so a snapshot can only
 // ever seed a structurally compatible solve — and the LP layer re-validates
 // shape, nonsingularity and primal feasibility before using one, falling
@@ -66,9 +66,11 @@ const (
 // A sticky pool keeps the first basis stored per key ("anchor" semantics):
 // every later solve warm-starts from the same snapshot regardless of the
 // order concurrent solves complete in, which keeps grid experiments
-// deterministic under parallel prewarming. A rolling (non-sticky) pool
-// keeps the latest basis — the right choice for sequential sweeps such as
-// the frontier bisection, where each step continues from its predecessor.
+// deterministic under parallel prewarming (the internal/experiments anchor
+// and slbench's warm grid sweep). A rolling (non-sticky) pool keeps the
+// latest basis — the right choice for sequential sweeps such as the
+// frontier ladder of dpslog.MinBudgetForSizes and slbench's warm frontier
+// sweep, where each step continues from its predecessor.
 type WarmStarts struct {
 	mu     sync.Mutex
 	sticky bool
@@ -118,10 +120,11 @@ func (w *WarmStarts) store(key string, b *lp.Basis) {
 type Options struct {
 	// LP is passed through to the simplex solver.
 	LP lp.Options
-	// Warm, when non-nil, shares simplex bases across solves (grid sweeps,
-	// plan-cache-miss re-solves). Pools are corpus-scoped: callers must not
-	// share one pool across different corpora — a mismatched basis is
-	// harmless (it fails warm-start validation) but wastes the lookup.
+	// Warm, when non-nil, shares simplex bases across solves: the sticky
+	// experiments anchor and the rolling MinBudgetForSizes and slbench
+	// frontier ladders (see WarmStarts). Pools are corpus-scoped: callers
+	// must not share one pool across different corpora — a mismatched basis
+	// is harmless (it fails warm-start validation) but wastes the lookup.
 	Warm *WarmStarts
 	// warmScope namespaces pool keys by decomposition context (monolithic
 	// vs per-component); set internally by the decompose entry points.
