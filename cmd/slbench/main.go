@@ -37,6 +37,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -45,6 +46,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"testing"
 
@@ -405,11 +407,12 @@ func benchIngest(traj *trajectory, profile string, raw *searchlog.Log) {
 // pre-append solve. The incremental plan must be byte-identical to the
 // cold one and reuse every untouched component — the cache may only change
 // wall-clock — and on profiles with ≥ 16 components (paper-sharded) the
-// incremental path must be ≥ 5× faster, the PR 10 headline gate (enforced
-// in-process: the ratio is same-machine, unlike the cross-machine objective
-// baseline). Smaller sharded profiles report the ratio ungated: their
-// components are small enough that the linear decompose+digest floor both
-// paths share compresses the achievable ratio.
+// incremental path must be ≥ 5× faster in the median of appendPairs
+// paired runs, the continual-release headline gate (enforced in-process:
+// the ratio is same-machine, unlike the cross-machine objective baseline).
+// Smaller sharded profiles report the ratio ungated: their components are
+// small enough that the linear decompose+digest floor both paths share
+// compresses the achievable ratio.
 func benchAppend(traj *trajectory, profile string, raw *searchlog.Log, params dp.Params) {
 	pre1, _ := searchlog.Preprocess(raw)
 
@@ -461,41 +464,7 @@ func benchAppend(traj *trajectory, profile string, raw *searchlog.Log, params dp
 		fatal(fmt.Errorf("%s/append: reused %d of %d components, want all but the touched one", profile, inc.Reused, inc.Components))
 	}
 
-	// The ratio gate below divides two measurements, so each side is the
-	// best of three testing.Benchmark runs: at -benchtime 1x a single
-	// descheduling blip on either side would swing a one-iteration ratio
-	// far more than any real regression.
-	bestOf3 := func(f func(b *testing.B)) testing.BenchmarkResult {
-		best := testing.Benchmark(f)
-		for i := 0; i < 2; i++ {
-			if r := testing.Benchmark(f); r.NsPerOp() < best.NsPerOp() {
-				best = r
-			}
-		}
-		return best
-	}
-	rCold := bestOf3(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := solve(nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	rInc := bestOf3(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			// Re-prime outside the timed region: each iteration measures one
-			// post-append re-solve against the pre-append cache state, not a
-			// fully warmed second pass.
-			b.StopTimer()
-			cache := primed()
-			b.StartTimer()
-			if _, err := solve(cache); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	ratios, rCold, rInc := appendSpeedups(appendBench(solve, func() *ump.ComponentCache { return nil }), appendBench(solve, primed))
 	for _, row := range []struct {
 		mode string
 		plan *ump.Plan
@@ -506,12 +475,65 @@ func benchAppend(traj *trajectory, profile string, raw *searchlog.Log, params dp
 	} {
 		traj.add(profile, "output-size", row.mode, pre2, 1, row.plan.Components, row.plan.Objective, row.r)
 	}
-	speedup := float64(rCold.NsPerOp()) / float64(rInc.NsPerOp())
-	fmt.Fprintf(os.Stderr, "slbench: %s/append speedup %.2fx (cold %d ns/op, incremental %d ns/op, %d/%d components reused)\n",
-		profile, speedup, rCold.NsPerOp(), rInc.NsPerOp(), inc.Reused, inc.Components)
-	if inc.Components >= 16 && speedup < 5 {
-		fatal(fmt.Errorf("%s/append: incremental re-solve only %.2fx faster than cold, want ≥ 5x", profile, speedup))
+	if err := appendGate(profile, inc.Components, inc.Reused, ratios); err != nil {
+		fatal(err)
 	}
+}
+
+// appendPairs is the number of alternating (cold, incremental) measurement
+// pairs behind the append speedup gate.
+const appendPairs = 5
+
+// appendBench times solve against the cache state fresh returns, rebuilt
+// outside the timed region before every iteration: each iteration of the
+// incremental side measures one post-append re-solve against the
+// pre-append cache state, not a fully warmed second pass.
+func appendBench(solve func(*ump.ComponentCache) (*ump.Plan, error), fresh func() *ump.ComponentCache) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			cache := fresh()
+			b.StartTimer()
+			if _, err := solve(cache); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// appendSpeedups runs appendPairs alternating (cold, incremental)
+// testing.Benchmark pairs and returns each pair's cold/incremental ratio,
+// plus each side's median-time run for the emitted rows. Alternation puts
+// both sides of a pair under the same machine state, and the gate reads
+// the median ratio: at -benchtime 1x one descheduling blip swings a single
+// one-iteration ratio far more than any real regression.
+func appendSpeedups(cold, inc func(b *testing.B)) (ratios []float64, rCold, rInc testing.BenchmarkResult) {
+	colds := make([]testing.BenchmarkResult, appendPairs)
+	incs := make([]testing.BenchmarkResult, appendPairs)
+	for k := range appendPairs {
+		colds[k] = testing.Benchmark(cold)
+		incs[k] = testing.Benchmark(inc)
+		ratios = append(ratios, float64(colds[k].NsPerOp())/float64(incs[k].NsPerOp()))
+	}
+	byTime := func(a, b testing.BenchmarkResult) int { return cmp.Compare(a.NsPerOp(), b.NsPerOp()) }
+	slices.SortFunc(colds, byTime)
+	slices.SortFunc(incs, byTime)
+	return ratios, colds[appendPairs/2], incs[appendPairs/2]
+}
+
+// appendGate prints the min/median/max paired speedup and enforces the
+// continual-release headline bound on its median: with ≥ 16 components
+// the incremental re-solve must be ≥ 5× faster than cold.
+func appendGate(profile string, components, reused int, ratios []float64) error {
+	sorted := slices.Sorted(slices.Values(ratios))
+	median := sorted[len(sorted)/2]
+	fmt.Fprintf(os.Stderr, "slbench: %s/append speedup median %.2fx (min %.2fx, max %.2fx over %d pairs, %d/%d components reused)\n",
+		profile, median, sorted[0], sorted[len(sorted)-1], len(sorted), reused, components)
+	if components >= 16 && median < 5 {
+		return fmt.Errorf("%s/append: incremental re-solve only %.2fx faster than cold (median of %d pairs), want ≥ 5x", profile, median, len(sorted))
+	}
+	return nil
 }
 
 // benchMechanisms runs every registered release mechanism end to end over

@@ -2,10 +2,17 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dpslog/internal/dp"
+	"dpslog/internal/gen"
+	"dpslog/internal/searchlog"
+	"dpslog/internal/ump"
 )
 
 // writeBaseline stores rows as a trajectory file and returns its path.
@@ -120,5 +127,56 @@ func TestRowName(t *testing.T) {
 		if got := rowName(tc.profile, tc.objective, tc.mode); got != tc.want {
 			t.Errorf("rowName(%q, %q, %q) = %q, want %q", tc.profile, tc.objective, tc.mode, got, tc.want)
 		}
+	}
+}
+
+// TestAppendGateMedian pins the gate's statistic: the median paired ratio,
+// armed only from 16 components on.
+func TestAppendGateMedian(t *testing.T) {
+	if err := appendGate("p", 16, 15, []float64{9, 1, 8, 2, 7}); err != nil {
+		t.Errorf("median 7x failed the gate: %v", err)
+	}
+	if err := appendGate("p", 16, 15, []float64{9, 1, 4, 2, 7}); err == nil {
+		t.Error("median 4x passed the gate")
+	}
+	if err := appendGate("p", 8, 7, []float64{1, 1, 1, 1, 1}); err != nil {
+		t.Errorf("gate armed below 16 components: %v", err)
+	}
+}
+
+// TestAppendGateRejectsUnprimedCache is the gate's negative control: with a
+// cache that was never primed, the "incremental" side re-solves every
+// component, so on a 16-component corpus the measured median ratio sits
+// near 1 and the gate must fail.
+func TestAppendGateRejectsUnprimedCache(t *testing.T) {
+	prev := flag.Lookup("test.benchtime").Value.String()
+	if err := flag.Set("test.benchtime", "1x"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { flag.Set("test.benchtime", prev) })
+
+	p := gen.SmallSharded()
+	p.Shards = 16
+	raw, err := gen.Generate(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, _ := searchlog.Preprocess(raw)
+	params := dp.Params{Eps: math.Log(2), Delta: 0.5}
+	solve := func(cache *ump.ComponentCache) (*ump.Plan, error) {
+		return ump.MaxOutputSize(pre, params, ump.Options{Parallelism: 1, Comp: cache})
+	}
+	plan, err := solve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Components < 16 {
+		t.Fatalf("fixture has %d components, want ≥ 16 to arm the gate", plan.Components)
+	}
+	ratios, _, _ := appendSpeedups(
+		appendBench(solve, func() *ump.ComponentCache { return nil }),
+		appendBench(solve, func() *ump.ComponentCache { return ump.NewComponentCache(0) }))
+	if err := appendGate("unprimed", plan.Components, 0, ratios); err == nil {
+		t.Errorf("unprimed cache passed the ≥ 5x gate (ratios %v)", ratios)
 	}
 }

@@ -68,7 +68,7 @@ func TestBoundSensitivityWithRealSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ump.Verify(mustPre(t, tight), params, plan); err != nil {
+	if err := dp.VerifyLog(mustPre(t, tight), params, plan.Counts); err != nil {
 		t.Errorf("post-bounding plan fails audit: %v", err)
 	}
 }

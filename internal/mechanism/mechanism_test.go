@@ -5,9 +5,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"testing"
 
 	"dpslog/internal/gen"
+	"dpslog/internal/metrics"
 	"dpslog/internal/searchlog"
 	"dpslog/internal/ump"
 )
@@ -83,5 +85,87 @@ func TestMechanismContract(t *testing.T) {
 				t.Errorf("%s: input Log.Digest changed across Sanitize", name)
 			}
 		}
+	}
+}
+
+// TestDegenerateFrequentAndCombinedReports covers budgets so small that
+// λ = 0 on tiny: nothing can be released, and the plan must still report
+// the objective the caller asked for, realized on the empty plan. F-UMP
+// reports its own kind and the empty plan's Equation-5 distance (each
+// frequent pair's full input support); C-UMP with unit weights reports
+// that distance negated.
+func TestDegenerateFrequentAndCombinedReports(t *testing.T) {
+	_, pre, _, err := gen.GeneratePreprocessed(gen.Tiny(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const minSupport = 0.01
+	empty := make([]int, pre.NumPairs())
+	want, _, _ := metrics.SupportDistances(pre, empty, minSupport)
+	if math.Abs(want-0.7968) > 5e-5 {
+		t.Fatalf("empty-plan distance %.6f, want ≈ 0.7968 (fixture drifted)", want)
+	}
+	for _, eExp := range []float64{1.0001, 1.001, 1.01} {
+		for _, tc := range []struct {
+			obj       Objective
+			kind      string
+			objective float64
+		}{
+			{ObjectiveFrequent, "F-UMP", want},
+			{ObjectiveCombined, "C-UMP", -want},
+		} {
+			opts := Options{Epsilon: math.Log(eExp), Delta: 1e-4, Objective: tc.obj, MinSupport: minSupport, Seed: 1}
+			res, err := RunUMP(context.Background(), pre, opts)
+			if err != nil {
+				t.Fatalf("e^ε=%g %s: %v", eExp, tc.kind, err)
+			}
+			p := res.Plan
+			if p.OutputSize != 0 || p.Lambda != 0 {
+				t.Fatalf("e^ε=%g %s: size %d, λ %d; want a degenerate budget", eExp, tc.kind, p.OutputSize, p.Lambda)
+			}
+			if p.Kind != tc.kind || p.Objective != tc.objective {
+				t.Errorf("e^ε=%g: plan reports %s objective %.6f, want %s %.6f", eExp, p.Kind, p.Objective, tc.kind, tc.objective)
+			}
+		}
+	}
+}
+
+// TestColdFrequentReleaseReusesNothing pins the component accounting of a
+// cold F-UMP release on a connected corpus with a fresh component cache:
+// the one component's F-UMP LP is solved fresh, and with a single
+// component |O| needs no λ split, so nothing is served from the cache.
+func TestColdFrequentReleaseReusesNothing(t *testing.T) {
+	_, pre, _, err := gen.GeneratePreprocessed(gen.Tiny(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Epsilon: math.Log(2), Delta: 0.25, Objective: ObjectiveFrequent, MinSupport: 0.01, Seed: 1,
+		Comp: ump.NewComponentCache(0)}
+	res, err := RunUMP(context.Background(), pre, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := res.Plan; p.Components != 1 || p.Reused != 0 || p.Solver.LPSolves != 1 {
+		t.Errorf("cold F-UMP release: %d components, %d reused, %d LP solves; want 1, 0, 1",
+			p.Components, p.Reused, p.Solver.LPSolves)
+	}
+}
+
+// TestEmptyEndToEndCombinedObjective covers a §4.2 C-UMP release of a log
+// that preprocessing empties: the noisy-count recompute shares the joint
+// objective of ump.CombinedWeights, so the empty release scores 0, not
+// NaN (which the server's JSON encoder rejects).
+func TestEmptyEndToEndCombinedObjective(t *testing.T) {
+	b := searchlog.NewBuilder()
+	b.Add("u1", "q1", "http://a", 3)
+	b.Add("u2", "q2", "http://b", 3)
+	opts := Options{Epsilon: math.Log(2), Delta: 0.5, Objective: ObjectiveCombined, MinSupport: 0.01,
+		EndToEnd: true, D: 1, EpsPrime: 1, Seed: 1}
+	res, err := RunUMP(context.Background(), b.Log(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Plan.NoiseApplied || res.Plan.Objective != 0 {
+		t.Errorf("empty end-to-end C-UMP release: noise %v, objective %g; want noise and 0", res.Plan.NoiseApplied, res.Plan.Objective)
 	}
 }

@@ -200,11 +200,11 @@ func (o Options) Validate() error {
 // configured values, or (1, 1) when both are left zero. Canonical, the
 // solve dispatch and the noisy-objective recompute must all agree on this
 // defaulting, so it lives in exactly one place.
-func (o Options) CombinedWeights() (sizeWeight, distanceWeight float64) {
+func (o Options) CombinedWeights() ump.CombinedWeights {
 	if o.SizeWeight == 0 && o.DistanceWeight == 0 {
-		return 1, 1
+		return ump.CombinedWeights{SizeWeight: 1, DistanceWeight: 1}
 	}
-	return o.SizeWeight, o.DistanceWeight
+	return ump.CombinedWeights{SizeWeight: o.SizeWeight, DistanceWeight: o.DistanceWeight}
 }
 
 // umpCanonical is the UMP mechanism's canonical form: the Solver default
@@ -227,7 +227,8 @@ func umpCanonical(o Options) Options {
 	switch o.Objective {
 	case ObjectiveFrequent:
 	case ObjectiveCombined:
-		o.SizeWeight, o.DistanceWeight = o.CombinedWeights()
+		w := o.CombinedWeights()
+		o.SizeWeight, o.DistanceWeight = w.SizeWeight, w.DistanceWeight
 		o.OutputSize = 0
 	default:
 		o.MinSupport, o.OutputSize = 0, 0

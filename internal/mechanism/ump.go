@@ -6,6 +6,7 @@ import (
 
 	"dpslog/internal/dp"
 	"dpslog/internal/ledger"
+	"dpslog/internal/metrics"
 	"dpslog/internal/obs"
 	"dpslog/internal/rng"
 	"dpslog/internal/sampling"
@@ -199,11 +200,9 @@ func RunUMP(ctx context.Context, in *searchlog.Log, opts Options) (*Result, erro
 		case ObjectiveFrequent:
 			// The realized support-distance sum (previously NaN, which also
 			// broke JSON encoding of the server's sync response).
-			objective = ump.SupportDistance(pre, opts.MinSupport, counts)
+			objective, _, _ = metrics.SupportDistances(pre, counts, opts.MinSupport)
 		case ObjectiveCombined:
-			ws, wd := opts.CombinedWeights()
-			dist := ump.SupportDistance(pre, opts.MinSupport, counts)
-			objective = ws*float64(outSize)/float64(pre.Size()) - wd*dist
+			objective = opts.CombinedWeights().Objective(pre, opts.MinSupport, counts)
 		}
 	}
 	return &Result{
@@ -273,8 +272,14 @@ func solveObjectiveWithLambda(pre *searchlog.Log, opts Options, params dp.Params
 				outSize, lambda, opts.Epsilon, opts.Delta)
 		}
 		if outSize == 0 {
-			// Degenerate budget: fall back to the (empty) O-UMP plan.
-			return lp, lambda, nil
+			// Degenerate budget: no F-UMP LP can run at |O| = 0, so the
+			// O-UMP plan stands in, reported as F-UMP with its realized
+			// distance.
+			plan := *lp
+			plan.Kind = ump.KindFrequent
+			plan.Objective, _, _ = metrics.SupportDistances(pre, plan.Counts, opts.MinSupport)
+			plan.RelaxationObjective = plan.Objective
+			return &plan, lambda, nil
 		}
 		plan, err := ump.FrequentSupport(pre, params, opts.MinSupport, outSize, uopts)
 		return plan, lambda, err
@@ -282,9 +287,7 @@ func solveObjectiveWithLambda(pre *searchlog.Log, opts Options, params dp.Params
 		plan, err := ump.Diversity(pre, params, uopts)
 		return plan, 0, err
 	case ObjectiveCombined:
-		var w ump.CombinedWeights
-		w.SizeWeight, w.DistanceWeight = opts.CombinedWeights()
-		plan, err := ump.Combined(pre, params, opts.MinSupport, w, uopts)
+		plan, err := ump.Combined(pre, params, opts.MinSupport, opts.CombinedWeights(), uopts)
 		return plan, 0, err
 	case ObjectiveQueryDiversity:
 		plan, err := ump.QueryDiversity(pre, params, uopts)

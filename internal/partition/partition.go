@@ -43,6 +43,21 @@ func (c *Component) Scatter(local []int, dst []int) {
 	}
 }
 
+// Whole returns the log as its own single component, sharing l, with
+// identity index maps: the shape Decompose gives a connected log, built
+// without the union-find pass.
+func Whole(l *searchlog.Log) Component {
+	pairs := make([]int, l.NumPairs())
+	for i := range pairs {
+		pairs[i] = i
+	}
+	users := make([]int, l.NumUsers())
+	for k := range users {
+		users[k] = k
+	}
+	return Component{Log: l, Pairs: pairs, Users: users}
+}
+
 // unionFind is a standard disjoint-set forest with path halving and union by
 // size, over user indices.
 type unionFind struct {
@@ -128,13 +143,7 @@ func decompose(l *searchlog.Log) []Component {
 		comps[ci].Pairs = append(comps[ci].Pairs, i)
 	}
 	if len(comps) == 1 {
-		users := make([]int, l.NumUsers())
-		for k := range users {
-			users[k] = k
-		}
-		comps[0].Users = users
-		comps[0].Log = l
-		return comps
+		return []Component{Whole(l)}
 	}
 	for k := 0; k < l.NumUsers(); k++ {
 		// Every user in a Log holds at least one pair, so its root is mapped.

@@ -15,11 +15,11 @@ package ump
 // the components served from cache.
 //
 // Only solves whose per-component outcome is independent of the other
-// components are cached: O-UMP (also F-UMP's and C-UMP's phase-1 λ
-// solves, which are O-UMP by construction) and D-UMP. Q-UMP selects its
-// candidates globally and F-UMP/C-UMP phase 2 depend on the global
-// allocation and scale, so those always re-solve — correctness first,
-// reuse second.
+// components are cached: O-UMP (also the λ phase of C-UMP, and of F-UMP
+// over two or more components, which is O-UMP by construction) and D-UMP.
+// Q-UMP selects its candidates globally and the F-UMP/C-UMP LPs depend on
+// the global allocation and scale, so those always re-solve — correctness
+// first, reuse second.
 
 import (
 	"fmt"

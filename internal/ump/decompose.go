@@ -1,29 +1,33 @@
 package ump
 
-// This file is the component-decomposed front door of the package. Theorem
-// 1's constraints couple pairs only through shared users — each row is one
-// user log, and a user's pairs all lie in the user's connected component of
-// the user–pair incidence graph — so every utility-maximizing problem whose
+// This file is the front door of the package: every public solve lists the
+// log's components, solves each one, and stitches the plans. Theorem 1's
+// constraints couple pairs only through shared users — each row is one user
+// log, and a user's pairs all lie in the user's connected component of the
+// user–pair incidence graph — so every utility-maximizing problem whose
 // objective is separable across pairs splits into independent per-component
-// solves whose plans stitch back together losslessly (DESIGN.md §6):
+// solves whose plans stitch back together losslessly (DESIGN.md §6). A
+// connected log, an empty log and Options.NoDecompose are the one-component
+// case: the whole log is its own component. Against that whole-log solve:
 //
 //   - O-UMP: fully separable; λ and the plan are additive.
 //   - D-UMP: the BIP optimum is additive. The default SPE heuristic is not
 //     ordering-invariant across components (it eliminates the globally
 //     largest coefficient even from satisfied components), so the
-//     per-component solve retains ≥ as many pairs as the monolithic one.
+//     per-component solve retains ≥ as many pairs as the whole-log one.
 //   - Q-UMP: candidates (one pair per distinct query) are selected globally
 //     — a query's pairs can span components — then inserted per component;
-//     the greedy outcome equals the monolithic one exactly.
-//   - F-UMP: the Σx = |O| row spans components, so |O| is allocated across
-//     components proportionally to their per-component λ (largest-remainder
-//     rounding). The allocation is a heuristic: the decomposed optimum is
-//     the monolithic one restricted to that allocation, hence ≥ it in
-//     distance. The linearization scale 1/|O| and the frequent-pair set use
-//     the global corpus, so the model is otherwise identical.
+//     the greedy outcome equals the whole-log one exactly.
+//   - F-UMP: the Σx = |O| row spans components, so with two or more
+//     components |O| is allocated across them proportionally to their
+//     per-component λ (largest-remainder rounding). The allocation is a
+//     heuristic: the decomposed optimum is the whole-log one restricted to
+//     that allocation, hence ≥ it in distance. The linearization scale 1/|O|
+//     and the frequent-pair set use the global corpus, so the model is
+//     otherwise identical.
 //   - C-UMP: separable once the scale anchor λ is fixed; the decomposed
 //     path anchors against the sum of per-component λ_LP (within FP
-//     round-off of the monolithic anchor).
+//     round-off of the whole-log anchor).
 //
 // Per-component solves run concurrently on a bounded worker pool
 // (Options.Parallelism, default GOMAXPROCS). Plans are invariant in the
@@ -38,6 +42,7 @@ import (
 	"sync"
 
 	"dpslog/internal/dp"
+	"dpslog/internal/metrics"
 	"dpslog/internal/obs"
 	"dpslog/internal/partition"
 	"dpslog/internal/searchlog"
@@ -64,10 +69,23 @@ func compScope(ci, n int) string {
 	return fmt.Sprintf("c%d.%d", ci, n)
 }
 
+// components lists the components to solve over: the connected components
+// of l, or — under Options.NoDecompose and for an empty log — the whole log
+// as its one component, built without the union-find pass.
+func (o Options) components(l *searchlog.Log) []partition.Component {
+	if !o.NoDecompose {
+		if comps := partition.DecomposeCtx(o.ctx(), l); len(comps) > 0 {
+			return comps
+		}
+	}
+	return []partition.Component{partition.Whole(l)}
+}
+
 // solvePerComponent runs solve for every component on a bounded worker pool
 // and returns the plans in component order (deterministic regardless of
-// scheduling). The first error by component index wins and is annotated
-// with the component's shape.
+// scheduling). Each solve sees Options scoped to its component for warm
+// starts. The first error by component index wins and is annotated with the
+// component's shape.
 func solvePerComponent(comps []partition.Component, opts Options, solve func(o Options, ci int, c *partition.Component) (*Plan, error)) ([]*Plan, error) {
 	plans := make([]*Plan, len(comps))
 	errs := make([]error, len(comps))
@@ -82,7 +100,7 @@ func solvePerComponent(comps []partition.Component, opts Options, solve func(o O
 		sp.SetAttr("pairs", comps[ci].Log.NumPairs())
 		sp.SetAttr("users", comps[ci].Log.NumUsers())
 		defer sp.End()
-		co := opts
+		co := opts.scoped(compScope(ci, len(comps)))
 		co.Ctx = cctx
 		return solve(co, ci, &comps[ci])
 	}
@@ -114,15 +132,22 @@ func solvePerComponent(comps []partition.Component, opts Options, solve func(o O
 }
 
 // stitch scatters per-component plans back into a parent-indexed plan,
-// summing sizes, objectives and iteration counts in component order.
+// summing sizes, objectives and iteration counts in component order. A
+// single component is the whole log, so its plan is already
+// parent-indexed and its Counts are taken as they are.
 func stitch(kind Kind, l *searchlog.Log, comps []partition.Component, plans []*Plan) *Plan {
 	plan := &Plan{
 		Kind:       kind,
-		Counts:     make([]int, l.NumPairs()),
+		Counts:     plans[0].Counts,
 		Components: len(comps),
 	}
+	if len(comps) > 1 {
+		plan.Counts = make([]int, l.NumPairs())
+	}
 	for ci, p := range plans {
-		comps[ci].Scatter(p.Counts, plan.Counts)
+		if len(comps) > 1 {
+			comps[ci].Scatter(p.Counts, plan.Counts)
+		}
 		plan.OutputSize += p.OutputSize
 		plan.Objective += p.Objective
 		plan.RelaxationObjective += p.RelaxationObjective
@@ -133,21 +158,35 @@ func stitch(kind Kind, l *searchlog.Log, comps []partition.Component, plans []*P
 	return plan
 }
 
+// addAuxiliary folds the solver effort and cache reuse of auxiliary
+// per-component solves (the λ phase of F-UMP and C-UMP) into plan.
+func (p *Plan) addAuxiliary(aux []*Plan) {
+	for _, a := range aux {
+		p.Stats.add(a.Stats)
+		p.Reused += a.Reused
+	}
+}
+
+// outputSizePlans solves O-UMP per component through the component cache.
+// MaxOutputSize stitches them; F-UMP and C-UMP read their λ from them, so
+// the three share the "oump" cache entries — after an append, only the
+// components the delta touched re-derive their λ.
+func outputSizePlans(comps []partition.Component, params dp.Params, opts Options) ([]*Plan, error) {
+	return solvePerComponent(comps, opts, func(o Options, _ int, c *partition.Component) (*Plan, error) {
+		return o.cachedComponent("oump", params, "", c, func() (*Plan, error) {
+			return solveOutputSize(c.Log, params, o)
+		})
+	})
+}
+
 // MaxOutputSize solves O-UMP: the maximum differentially private output size
 // λ for the preprocessed log under the given parameters. The solve runs per
 // connected component (concurrently, bounded by Options.Parallelism) and is
 // exactly additive: no Theorem-1 row spans two components and the objective
 // Σ x_ij is separable.
 func MaxOutputSize(l *searchlog.Log, params dp.Params, opts Options) (*Plan, error) {
-	comps := decomposeFor(l, opts)
-	if comps == nil {
-		return maxOutputSizeMono(l, params, opts.scoped("mono"))
-	}
-	plans, err := solvePerComponent(comps, opts, func(o Options, ci int, c *partition.Component) (*Plan, error) {
-		return o.cachedComponent("oump", params, "", c, func() (*Plan, error) {
-			return maxOutputSizeMono(c.Log, params, o.scoped(compScope(ci, len(comps))))
-		})
-	})
+	comps := opts.components(l)
+	plans, err := outputSizePlans(comps, params, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -161,19 +200,16 @@ func MaxOutputSize(l *searchlog.Log, params dp.Params, opts Options) (*Plan, err
 // the selected pairs receive an output count of one (a single multinomial
 // trial), exactly as §5.3 prescribes. The BIP solves per connected
 // component; with an exact solver the retained-pair count is exactly the
-// monolithic one, and with the SPE heuristics it is at least as large.
+// whole-log one, and with the SPE heuristics it is at least as large.
 func Diversity(l *searchlog.Log, params dp.Params, opts Options) (*Plan, error) {
-	comps := decomposeFor(l, opts)
-	if comps == nil {
-		return diversityMono(l, params, opts)
+	solver := opts.Solver
+	if solver == "" {
+		solver = "spe"
 	}
+	comps := opts.components(l)
 	plans, err := solvePerComponent(comps, opts, func(o Options, _ int, c *partition.Component) (*Plan, error) {
-		solver := o.Solver
-		if solver == "" {
-			solver = "spe"
-		}
 		return o.cachedComponent("dump", params, solver, c, func() (*Plan, error) {
-			return diversityMono(c.Log, params, o)
+			return solveDiversity(c.Log, params, solver, o)
 		})
 	})
 	if err != nil {
@@ -193,21 +229,18 @@ func Diversity(l *searchlog.Log, params dp.Params, opts Options) (*Plan, error) 
 // count 1 to each selected pair, like D-UMP.
 //
 // Candidates are selected globally — a query's pairs can span components —
-// and inserted per component, which reproduces the monolithic greedy
-// exactly (the insertion order restricted to a component is the component's
-// own insertion order, and feasibility checks touch only rows of the
+// and inserted per component, which reproduces one whole-log greedy exactly
+// (the insertion order restricted to a component is the component's own
+// insertion order, and feasibility checks touch only rows of the
 // candidate's component).
 func QueryDiversity(l *searchlog.Log, params dp.Params, opts Options) (*Plan, error) {
-	comps := decomposeFor(l, opts)
-	if comps == nil {
-		return queryDiversityMono(l, params, opts)
-	}
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	if !searchlog.IsPreprocessed(l) {
 		return nil, dp.ErrNotPreprocessed
 	}
+	comps := opts.components(l)
 	// Global candidate selection needs only each pair's worst coefficient,
 	// computable straight from the histogram — restriction preserves the
 	// coefficients, so no full parent constraint system is built; each
@@ -217,14 +250,10 @@ func QueryDiversity(l *searchlog.Log, params dp.Params, opts Options) (*Plan, er
 	// per-component sort by (maxCoef, local index) preserves the global
 	// order: local index order is parent order restricted.
 	compOfPair := make([]int, l.NumPairs())
-	for ci := range comps {
-		for _, pi := range comps[ci].Pairs {
-			compOfPair[pi] = ci
-		}
-	}
 	localOfPair := make([]int, l.NumPairs())
 	for ci := range comps {
 		for j, pi := range comps[ci].Pairs {
+			compOfPair[pi] = ci
 			localOfPair[pi] = j
 		}
 	}
@@ -269,13 +298,13 @@ func QueryDiversity(l *searchlog.Log, params dp.Params, opts Options) (*Plan, er
 // outputSize, which must lie in (0, λ]. The integral plan's realized size
 // can fall slightly below outputSize because of flooring.
 //
-// The decomposed solve allocates outputSize across connected components in
-// proportion to each component's λ (its maximum private output size), then
-// solves each component at its allocation with the global linearization
-// scale and frequent-pair set. The allocation is a heuristic — the paper's
-// Σx = |O| row genuinely couples components — so the decomposed distance is
-// an upper bound on the monolithic one; it coincides on connected logs,
-// where the decomposition is a no-op.
+// With two or more components the solve allocates outputSize across them
+// in proportion to each component's λ (its maximum private output size),
+// then solves each component at its allocation with the global
+// linearization scale and frequent-pair set. The allocation is a heuristic
+// — the paper's Σx = |O| row genuinely couples components — so the
+// decomposed distance is an upper bound on the whole-log one. A single
+// component takes all of outputSize and needs no λ.
 func FrequentSupport(l *searchlog.Log, params dp.Params, minSupport float64, outputSize int, opts Options) (*Plan, error) {
 	if !(minSupport > 0 && minSupport <= 1) {
 		return nil, fmt.Errorf("ump: minimum support must be in (0, 1], got %g", minSupport)
@@ -283,42 +312,37 @@ func FrequentSupport(l *searchlog.Log, params dp.Params, minSupport float64, out
 	if outputSize <= 0 {
 		return nil, fmt.Errorf("ump: output size must be positive, got %d", outputSize)
 	}
-	comps := decomposeFor(l, opts)
-	if comps == nil {
-		return frequentSupportMono(l, params, minSupport, outputSize, opts.scoped("mono"))
+	comps := opts.components(l)
+	alloc := []int{outputSize}
+	var lamPlans []*Plan
+	if len(comps) > 1 {
+		// The λ phase. Capacities come from the *fractional* λ_LP (floored):
+		// any integer allocation s_c ≤ ⌊λ_c^LP⌋ is LP-feasible for its
+		// component (scale the λ-achieving solution down), and the
+		// fractional bound is never below the integral plan's size, so the
+		// feasibility precheck stays as close to the whole-log one
+		// (outputSize ≤ λ_LP) as an integral allocation permits.
+		var err error
+		lamPlans, err = outputSizePlans(comps, params, opts)
+		if err != nil {
+			return nil, err
+		}
+		lambdas := make([]int, len(comps))
+		totalLam := 0
+		for ci, p := range lamPlans {
+			lambdas[ci] = int(math.Floor(p.RelaxationObjective + 1e-7))
+			totalLam += lambdas[ci]
+		}
+		if outputSize > totalLam {
+			return nil, fmt.Errorf("ump: F-UMP infeasible: output size %d exceeds λ = %d for these parameters", outputSize, totalLam)
+		}
+		alloc = allocateProportional(outputSize, lambdas)
 	}
-	// Phase 1: per-component λ, for the allocation. Capacities come from the
-	// *fractional* λ_LP (floored): any integer allocation s_c ≤ ⌊λ_c^LP⌋ is
-	// LP-feasible for its component (scale the λ-achieving solution down),
-	// and the fractional bound is never below the integral plan's size, so
-	// the feasibility precheck stays as close to the monolithic one
-	// (outputSize ≤ λ_LP) as an integral allocation permits.
-	// The λ solves are plain per-component O-UMP, so they share the "oump"
-	// component-cache entries with MaxOutputSize — after an append, only the
-	// components the delta touched re-derive their λ.
-	lamPlans, err := solvePerComponent(comps, opts, func(o Options, ci int, c *partition.Component) (*Plan, error) {
-		return o.cachedComponent("oump", params, "", c, func() (*Plan, error) {
-			return maxOutputSizeMono(c.Log, params, o.scoped(compScope(ci, len(comps))))
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	lambdas := make([]int, len(comps))
-	totalLam := 0
-	for ci, p := range lamPlans {
-		lambdas[ci] = int(math.Floor(p.RelaxationObjective + 1e-7))
-		totalLam += lambdas[ci]
-	}
-	if outputSize > totalLam {
-		return nil, fmt.Errorf("ump: F-UMP infeasible: output size %d exceeds λ = %d for these parameters", outputSize, totalLam)
-	}
-	alloc := allocateProportional(outputSize, lambdas)
 
-	// Phase 2: per-component F-UMP at the allocated sizes. The frequent set
-	// and supports are measured against the parent corpus (component pair
+	// Per-component F-UMP at the allocated sizes. The frequent set and
+	// supports are measured against the parent corpus (component pair
 	// totals equal parent pair totals), and the y rows scale by the global
-	// 1/|O|, so the component LPs are exactly the monolithic model plus the
+	// 1/|O|, so the component LPs are exactly the whole-log model plus the
 	// per-component allocation rows.
 	inSize := float64(l.Size())
 	invO := 1 / float64(outputSize)
@@ -326,24 +350,16 @@ func FrequentSupport(l *searchlog.Log, params dp.Params, minSupport float64, out
 		if alloc[ci] == 0 {
 			return &Plan{Kind: KindFrequent, Counts: make([]int, c.Log.NumPairs()), Components: 1}, nil
 		}
-		ccons, err := dp.Build(c.Log, params)
-		if err != nil {
-			return nil, err
-		}
-		frequent, supIn := frequentPairs(c.Log, minSupport, inSize)
-		return frequentCore(c.Log, ccons, frequent, supIn, invO, alloc[ci], o.scoped(compScope(ci, len(comps))))
+		return solveFrequent(c.Log, params, minSupport, inSize, invO, alloc[ci], o)
 	})
 	if err != nil {
 		return nil, err
 	}
 	plan := stitch(KindFrequent, l, comps, plans)
-	for _, p := range lamPlans {
-		plan.Stats.add(p.Stats)
-		plan.Reused += p.Reused
-	}
+	plan.addAuxiliary(lamPlans)
 	// Realized objective at the stitched integral plan, over the global
 	// frequent set and realized |O|.
-	plan.Objective = SupportDistance(l, minSupport, plan.Counts)
+	plan.Objective, _, _ = metrics.SupportDistances(l, plan.Counts, minSupport)
 	return plan, nil
 }
 
@@ -358,11 +374,11 @@ func FrequentSupport(l *searchlog.Log, params dp.Params, minSupport float64, out
 // Because |O| is variable, the support linearization anchors the output
 // support against the *input* scale (x_f/|D|·γ with γ = |D|/λ_LP), which
 // keeps the model linear; the realized objective is recomputed exactly on
-// the integral plan.
+// the integral plan (CombinedWeights.Objective).
 //
 // The model has no row spanning components, so the decomposed solve is
 // exact once the anchor λ_LP is fixed; the decomposed path anchors against
-// the sum of per-component λ_LP, which agrees with the monolithic anchor up
+// the sum of per-component λ_LP, which agrees with the whole-log anchor up
 // to simplex round-off.
 func Combined(l *searchlog.Log, params dp.Params, minSupport float64, w CombinedWeights, opts Options) (*Plan, error) {
 	if err := w.Validate(); err != nil {
@@ -371,17 +387,9 @@ func Combined(l *searchlog.Log, params dp.Params, minSupport float64, w Combined
 	if !(minSupport > 0 && minSupport <= 1) {
 		return nil, fmt.Errorf("ump: minimum support must be in (0, 1], got %g", minSupport)
 	}
-	comps := decomposeFor(l, opts)
-	if comps == nil {
-		return combinedMono(l, params, minSupport, w, opts.scoped("mono"))
-	}
-	// Phase 1: the λ anchor, from the per-component O-UMP relaxations
-	// (cache-shared with MaxOutputSize, like F-UMP's phase 1).
-	lamPlans, err := solvePerComponent(comps, opts, func(o Options, ci int, c *partition.Component) (*Plan, error) {
-		return o.cachedComponent("oump", params, "", c, func() (*Plan, error) {
-			return maxOutputSizeMono(c.Log, params, o.scoped(compScope(ci, len(comps))))
-		})
-	})
+	comps := opts.components(l)
+	// The λ anchor, from the per-component O-UMP relaxations.
+	lamPlans, err := outputSizePlans(comps, params, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -389,54 +397,23 @@ func Combined(l *searchlog.Log, params dp.Params, minSupport float64, w Combined
 	for _, p := range lamPlans {
 		lam += p.RelaxationObjective
 	}
+	var plan *Plan
 	if lam < 1 {
 		// Nothing can be released; the λ plan (empty) is the optimum.
-		plan := stitch(KindCombined, l, comps, lamPlans)
-		plan.Objective = 0
-		return plan, nil
-	}
-	inSize := float64(l.Size())
-	sizeCoef := w.SizeWeight / inSize
-	invScale := 1 / lam
-	plans, err := solvePerComponent(comps, opts, func(o Options, ci int, c *partition.Component) (*Plan, error) {
-		ccons, err := dp.Build(c.Log, params)
+		plan = stitch(KindCombined, l, comps, lamPlans)
+	} else {
+		inSize := float64(l.Size())
+		plans, err := solvePerComponent(comps, opts, func(o Options, _ int, c *partition.Component) (*Plan, error) {
+			return solveCombined(c.Log, params, minSupport, inSize, w, 1/lam, o)
+		})
 		if err != nil {
 			return nil, err
 		}
-		frequent, supIn := frequentPairs(c.Log, minSupport, inSize)
-		return combinedCore(c.Log, ccons, frequent, supIn, sizeCoef, w.DistanceWeight, invScale, o.scoped(compScope(ci, len(comps))))
-	})
-	if err != nil {
-		return nil, err
+		plan = stitch(KindCombined, l, comps, plans)
+		plan.addAuxiliary(lamPlans)
 	}
-	plan := stitch(KindCombined, l, comps, plans)
-	for _, p := range lamPlans {
-		plan.Stats.add(p.Stats)
-		plan.Reused += p.Reused
-	}
-	dist := SupportDistance(l, minSupport, plan.Counts)
-	plan.Objective = w.SizeWeight*float64(plan.OutputSize)/inSize - w.DistanceWeight*dist
+	plan.Objective = w.Objective(l, minSupport, plan.Counts)
 	return plan, nil
-}
-
-// decomposeFor returns the components to solve over, or nil when the
-// monolithic path should run instead: decomposition disabled, an empty log,
-// or a single connected component (where the per-component solve would be
-// the monolithic solve anyway — the nil short-circuit keeps that case
-// bit-identical and copy-free). With a component cache attached, a single
-// connected component still takes the per-component path: the cache must
-// see the component (a connected log shares the parent *Log, so this stays
-// copy-free) or an append that splits off a new component could never reuse
-// the pre-append solve.
-func decomposeFor(l *searchlog.Log, opts Options) []partition.Component {
-	if opts.NoDecompose {
-		return nil
-	}
-	comps := partition.DecomposeCtx(opts.ctx(), l)
-	if len(comps) == 0 || (len(comps) == 1 && opts.Comp == nil) {
-		return nil
-	}
-	return comps
 }
 
 // allocateProportional splits total into per-component shares proportional

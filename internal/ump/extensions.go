@@ -20,6 +20,7 @@ import (
 
 	"dpslog/internal/dp"
 	"dpslog/internal/lp"
+	"dpslog/internal/metrics"
 	"dpslog/internal/searchlog"
 )
 
@@ -42,52 +43,32 @@ func (w CombinedWeights) Validate() error {
 	return nil
 }
 
-// combinedMono solves the joint utility-maximizing problem over the whole
-// log in one LP (anchored against the monolithic λ_LP). Combined
-// (decompose.go) is the public entry point and carries the model
-// documentation.
-func combinedMono(l *searchlog.Log, params dp.Params, minSupport float64, w CombinedWeights, opts Options) (*Plan, error) {
+// Objective evaluates the joint objective on an integral plan over l:
+// SizeWeight·|O|/|D| − DistanceWeight·(Equation-5 distance sum), with |O|
+// the plan's total. An empty plan scores no size term.
+func (w CombinedWeights) Objective(l *searchlog.Log, minSupport float64, counts []int) float64 {
+	dist, _, _ := metrics.SupportDistances(l, counts, minSupport)
+	size := 0.0
+	if n := sum(counts); n > 0 {
+		size = w.SizeWeight * float64(n) / float64(l.Size())
+	}
+	return size - w.DistanceWeight*dist
+}
+
+// solveCombined solves the joint LP over one component sub-log and returns
+// the integral plan without a realized objective. inSize is |D| of the
+// *parent* corpus (it fixes the frequent set, and the per-unit objective
+// weight w_size/|D| makes component objectives sum to the whole-log one);
+// invScale is 1/λ with the global anchor λ.
+func solveCombined(l *searchlog.Log, params dp.Params, minSupport, inSize float64, w CombinedWeights, invScale float64, opts Options) (*Plan, error) {
 	cons, err := dp.Build(l, params)
 	if err != nil {
 		return nil, err
 	}
-	if l.NumPairs() == 0 {
-		return &Plan{Kind: KindCombined, Counts: nil, Components: 1}, nil
-	}
-	// Scale anchor: the achievable output size λ, so x/λ is a support-like
-	// quantity comparable to c/|D|.
-	lamPlan, err := maxOutputSizeMono(l, params, opts)
-	if err != nil {
-		return nil, err
-	}
-	lam := lamPlan.RelaxationObjective
-	if lam < 1 {
-		// Nothing can be released; the λ plan (empty) is the optimum.
-		lamPlan.Kind = KindCombined
-		return lamPlan, nil
-	}
-	inSize := float64(l.Size())
 	frequent, supIn := frequentPairs(l, minSupport, inSize)
-	plan, err := combinedCore(l, cons, frequent, supIn, w.SizeWeight/inSize, w.DistanceWeight, 1/lam, opts)
-	if err != nil {
-		return nil, err
-	}
-	plan.Stats.add(lamPlan.Stats)
-	// Realized joint objective on the integral plan.
-	dist := SupportDistance(l, minSupport, plan.Counts)
-	plan.Objective = w.SizeWeight*float64(plan.OutputSize)/inSize - w.DistanceWeight*dist
-	return plan, nil
-}
-
-// combinedCore solves the joint LP over l (the whole log, or one component
-// sub-log) and returns the integral plan without a realized objective.
-// sizeCoef is the per-unit objective weight w_size/|D| (|D| of the *parent*
-// corpus, so component objectives sum to the monolithic one); invScale is
-// 1/λ with the global anchor λ.
-func combinedCore(l *searchlog.Log, cons *dp.Constraints, frequent []int, supIn []float64, sizeCoef, distWeight, invScale float64, opts Options) (*Plan, error) {
-	prob := buildBase(l, cons, lp.Maximize, sizeCoef, opts.NoBoxConstraint)
+	prob := buildBase(l, cons, lp.Maximize, w.SizeWeight/inSize, opts.NoBoxConstraint)
 	for f, i := range frequent {
-		y := prob.AddVariable(-distWeight, 0, math.Inf(1))
+		y := prob.AddVariable(-w.DistanceWeight, 0, math.Inf(1))
 		r1 := prob.AddConstraint(lp.LE, supIn[f]) // x/λ − y ≤ c/|D|
 		prob.SetCoef(r1, i, invScale)
 		prob.SetCoef(r1, y, -1)
@@ -104,12 +85,12 @@ func combinedCore(l *searchlog.Log, cons *dp.Constraints, frequent []int, supIn 
 	}
 	opts.storeWarm("cump", prob, sol)
 	counts := floorCounts(sol.X, l.NumPairs())
-	repair(cons, counts)
+	dp.RepairPlan(cons, counts)
 	frac := fracParts(sol.X, counts)
 	for _, i := range frequent {
 		frac[i] += 1
 	}
-	roundUp(cons, counts, frac, pairCaps(l, opts.NoBoxConstraint), 0)
+	roundUp(cons, counts, frac, pairCaps(l, opts.NoBoxConstraint), 0, roundUpPasses)
 	return &Plan{
 		Kind:                KindCombined,
 		Counts:              counts,
@@ -193,13 +174,19 @@ func MinPrivacy(l *searchlog.Log, target int, opts Options) (*MinPrivacyResult, 
 	// Integral completion. The fractional optimum spreads mass thinly, so
 	// flooring it can lose everything; instead, binary-search the smallest
 	// budget b ≥ z_LP at which a cheapest-first integral fill reaches the
-	// target, then report that fill and its exact realized exposure.
+	// target, then report that fill and its exact realized exposure. The
+	// fill is roundUp from an empty plan, prioritizing pairs by ascending
+	// worst-case coefficient and sweeping until no pair can take a unit.
 	caps := pairCaps(l, opts.NoBoxConstraint)
 	rows := constraintRows(l)
+	cheapest := maxCoefFromLog(l)
+	for i := range cheapest {
+		cheapest[i] = -cheapest[i]
+	}
 	fill := func(budget float64) []int {
 		counts := make([]int, l.NumPairs())
 		cons := &dp.Constraints{Rows: rows, Budget: budget, NumPairs: l.NumPairs()}
-		fillCheapestFirst(cons, counts, caps, target, l)
+		roundUp(cons, counts, cheapest, caps, target, 0)
 		return counts
 	}
 	lo := math.Max(zLP, 1e-9)
@@ -263,73 +250,6 @@ func constraintRows(l *searchlog.Log) []dp.Row {
 	return rows
 }
 
-// fillCheapestFirst adds units to the plan cheapest-pair-first (ascending
-// worst-case coefficient) while every row stays within the budget, until
-// the target size is reached or no pair can take another unit.
-func fillCheapestFirst(cons *dp.Constraints, counts []int, caps []int, target int, l *searchlog.Log) {
-	n := len(counts)
-	maxCoef := make([]float64, n)
-	for _, row := range cons.Rows {
-		for _, t := range row.Terms {
-			if t.Coef > maxCoef[t.Pair] {
-				maxCoef[t.Pair] = t.Coef
-			}
-		}
-	}
-	// Cheapest pairs get the highest round-up priority.
-	frac := make([]float64, n)
-	for i := range frac {
-		frac[i] = -maxCoef[i]
-	}
-	type entry struct {
-		row  int
-		coef float64
-	}
-	byPair := make([][]entry, n)
-	lhs := make([]float64, len(cons.Rows))
-	for k, row := range cons.Rows {
-		for _, t := range row.Terms {
-			byPair[t.Pair] = append(byPair[t.Pair], entry{row: k, coef: t.Coef})
-		}
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return frac[order[a]] > frac[order[b]] })
-	total := sum(counts)
-	for {
-		progressed := false
-		for _, i := range order {
-			if total >= target {
-				return
-			}
-			if caps != nil && counts[i] >= caps[i] {
-				continue
-			}
-			ok := true
-			for _, e := range byPair[i] {
-				if lhs[e.row]+e.coef > cons.Budget+1e-12 {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			counts[i]++
-			total++
-			progressed = true
-			for _, e := range byPair[i] {
-				lhs[e.row] += e.coef
-			}
-		}
-		if !progressed {
-			return
-		}
-	}
-}
-
 // queryCand is one query's candidate pair for Q-UMP: the query's cheapest
 // pair by worst-case coefficient.
 type queryCand struct {
@@ -337,22 +257,9 @@ type queryCand struct {
 	maxCoef float64
 }
 
-// maxCoefPerPair returns each pair's largest constraint coefficient — the
-// pair's worst-case per-unit privacy cost across user logs.
-func maxCoefPerPair(cons *dp.Constraints, numPairs int) []float64 {
-	maxCoef := make([]float64, numPairs)
-	for _, row := range cons.Rows {
-		for _, t := range row.Terms {
-			if t.Coef > maxCoef[t.Pair] {
-				maxCoef[t.Pair] = t.Coef
-			}
-		}
-	}
-	return maxCoef
-}
-
-// maxCoefFromLog computes the same worst coefficients straight from the
-// histogram (max entry per pair), without materializing a constraint
+// maxCoefFromLog returns each pair's largest constraint coefficient — the
+// pair's worst-case per-unit privacy cost across user logs — straight from
+// the histogram (max entry per pair), without materializing a constraint
 // system. The log must be preprocessed, or the coefficient is +Inf.
 func maxCoefFromLog(l *searchlog.Log) []float64 {
 	maxCoef := make([]float64, l.NumPairs())
@@ -369,7 +276,7 @@ func maxCoefFromLog(l *searchlog.Log) []float64 {
 // the ascending scan) — sorted by ascending sensitivity with a
 // deterministic pair-index tie-break. The sort order is preserved under
 // restriction to a component, which is what makes the per-component greedy
-// reproduce the monolithic one exactly.
+// reproduce one whole-log greedy exactly.
 func queryCandidates(l *searchlog.Log, maxCoef []float64) []queryCand {
 	best := map[string]queryCand{}
 	for i := 0; i < l.NumPairs(); i++ {
@@ -395,56 +302,13 @@ func queryCandidates(l *searchlog.Log, maxCoef []float64) []queryCand {
 // pair's count to one whenever every touched user budget still holds, and
 // returns the number retained.
 func greedyInsertCands(cons *dp.Constraints, cands []queryCand, counts []int) int {
-	lhs := make([]float64, len(cons.Rows))
-	// pair → (row, coef) transpose for incremental feasibility.
-	type entry struct {
-		row  int
-		coef float64
-	}
-	byPair := make([][]entry, len(counts))
-	for k, row := range cons.Rows {
-		for _, t := range row.Terms {
-			byPair[t.Pair] = append(byPair[t.Pair], entry{row: k, coef: t.Coef})
-		}
-	}
+	walk := newBudgetWalk(cons, counts)
 	retained := 0
 	for _, c := range cands {
-		ok := true
-		for _, e := range byPair[c.pair] {
-			if lhs[e.row]+e.coef > cons.Budget+1e-12 {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		counts[c.pair] = 1
-		retained++
-		for _, e := range byPair[c.pair] {
-			lhs[e.row] += e.coef
+		if walk.add(c.pair) {
+			counts[c.pair] = 1
+			retained++
 		}
 	}
 	return retained
-}
-
-// queryDiversityMono solves Q-UMP over the whole log in one greedy pass.
-// QueryDiversity (decompose.go) is the public entry point.
-func queryDiversityMono(l *searchlog.Log, params dp.Params, opts Options) (*Plan, error) {
-	cons, err := dp.Build(l, params)
-	if err != nil {
-		return nil, err
-	}
-	cands := queryCandidates(l, maxCoefPerPair(cons, l.NumPairs()))
-	counts := make([]int, l.NumPairs())
-	retained := greedyInsertCands(cons, cands, counts)
-	plan := &Plan{
-		Kind:       KindQueryDiversity,
-		Counts:     counts,
-		OutputSize: retained,
-		Objective:  float64(retained),
-		Components: 1,
-	}
-	plan.RelaxationObjective = float64(retained)
-	return plan, nil
 }

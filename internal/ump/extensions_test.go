@@ -34,7 +34,7 @@ func TestCombinedPlanFeasible(t *testing.T) {
 	if plan.Kind != KindCombined {
 		t.Errorf("kind = %v", plan.Kind)
 	}
-	if err := Verify(l, p, plan); err != nil {
+	if err := dp.VerifyLog(l, p, plan.Counts); err != nil {
 		t.Fatalf("combined plan violates DP constraints: %v", err)
 	}
 	if plan.OutputSize < 0 {
@@ -176,7 +176,7 @@ func TestQueryDiversityBasics(t *testing.T) {
 	if plan.Kind != KindQueryDiversity {
 		t.Errorf("kind = %v", plan.Kind)
 	}
-	if err := Verify(l, p, plan); err != nil {
+	if err := dp.VerifyLog(l, p, plan.Counts); err != nil {
 		t.Fatalf("query-diversity plan violates DP constraints: %v", err)
 	}
 	// At most one pair retained per query.

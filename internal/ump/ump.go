@@ -14,6 +14,11 @@
 // exactly — flooring only decreases the non-negative left-hand sides, and a
 // final repair pass removes any residue of floating-point noise.
 //
+// Every public solve takes one path: it lists the connected components of
+// the log (decompose.go), solves each one, and stitches the component plans
+// back together. A connected log, an empty log and Options.NoDecompose are
+// the one-component case, where the whole log is its own component.
+//
 // The paper's formulations list only non-negativity and the DP rows, but its
 // Table 4 saturates as the budget grows, which is only possible with the
 // implicit cap x_ij ≤ c_ij (see DESIGN.md §2). The cap is applied by
@@ -126,8 +131,8 @@ type Options struct {
 	// must not share one pool across different corpora — a mismatched basis
 	// is harmless (it fails warm-start validation) but wastes the lookup.
 	Warm *WarmStarts
-	// warmScope namespaces pool keys by decomposition context (monolithic
-	// vs per-component); set internally by the decompose entry points.
+	// warmScope namespaces pool keys by component (index and count); set
+	// internally by solvePerComponent.
 	warmScope string
 	// Comp, when non-nil, caches per-component plans by component content
 	// digest so a re-solve after an append only pays for the components the
@@ -147,9 +152,9 @@ type Options struct {
 	// GOMAXPROCS, 1 solves components sequentially). Plans are invariant in
 	// it — only wall-clock changes.
 	Parallelism int
-	// NoDecompose skips the component decomposition and solves the log
-	// monolithically, exactly as before internal/partition existed. It is
-	// the differential-testing and ablation-benchmark baseline.
+	// NoDecompose skips the component decomposition: the whole log is
+	// solved as one component, in one LP or BIP. It is the
+	// differential-testing and ablation-benchmark baseline.
 	NoDecompose bool
 	// Ctx, when non-nil, carries an obs trace: every LP/BIP solve and the
 	// decomposition record child spans under it. It never affects which
@@ -189,7 +194,7 @@ type Plan struct {
 	// (D-UMP); for a decomposed solve it is the sum over components.
 	Iterations int
 	// Components is the number of connected components the solve decomposed
-	// into (1 for a monolithic solve or a connected log).
+	// into (1 for a connected or empty log, or under NoDecompose).
 	Components int
 	// Reused counts the components whose plans were served byte-identically
 	// from an Options.Comp cache instead of re-solving (0 for a cold solve).
@@ -273,14 +278,10 @@ func (o Options) solveLP(kind string, prob *lp.Problem) (*lp.Solution, error) {
 	return sol, err
 }
 
-// warmKey builds the pool key for one LP solve: kind, decomposition scope
-// and LP shape, so snapshots only ever seed structurally compatible solves.
+// warmKey builds the pool key for one LP solve: kind, component scope and
+// LP shape, so snapshots only ever seed structurally compatible solves.
 func (o Options) warmKey(kind string, prob *lp.Problem) string {
-	scope := o.warmScope
-	if scope == "" {
-		scope = "mono"
-	}
-	return fmt.Sprintf("%s|%s|%dx%d", kind, scope, prob.NumVariables(), prob.NumConstraints())
+	return fmt.Sprintf("%s|%s|%dx%d", kind, o.warmScope, prob.NumVariables(), prob.NumConstraints())
 }
 
 // lpOptions returns o.LP with a warm-start basis attached when the pool
@@ -302,7 +303,7 @@ func (o Options) storeWarm(kind string, prob *lp.Problem, sol *lp.Solution) {
 }
 
 // scoped returns a copy of o with the warm-start scope set (decompose.go
-// tags monolithic and per-component solves so their bases never mix).
+// tags each component's solves so bases of different components never mix).
 func (o Options) scoped(scope string) Options {
 	o.warmScope = scope
 	return o
@@ -355,14 +356,6 @@ func floorCounts(x []float64, n int) []int {
 	return counts
 }
 
-// repair enforces the DP rows exactly on an integral plan via
-// dp.RepairPlan. Flooring makes violations at most round-off-sized, so this
-// rarely fires; it exists so Plan feasibility is an invariant rather than a
-// probability.
-func repair(cons *dp.Constraints, counts []int) int {
-	return dp.RepairPlan(cons, counts)
-}
-
 func sum(counts []int) int {
 	s := 0
 	for _, c := range counts {
@@ -371,40 +364,74 @@ func sum(counts []int) int {
 	return s
 }
 
+// budgetWalk is the incremental Theorem-1 feasibility check behind every
+// integral fill (roundUp, greedyInsertCands): a pair→row transpose of the
+// constraint rows plus each row's running activity.
+type budgetWalk struct {
+	budget float64
+	lhs    []float64
+	byPair [][]rowTerm
+}
+
+// rowTerm is one constraint-row entry seen from its pair.
+type rowTerm struct {
+	row  int
+	coef float64
+}
+
+// newBudgetWalk transposes cons and records each row's activity at counts.
+func newBudgetWalk(cons *dp.Constraints, counts []int) *budgetWalk {
+	w := &budgetWalk{budget: cons.Budget, lhs: make([]float64, len(cons.Rows)), byPair: make([][]rowTerm, len(counts))}
+	for k, row := range cons.Rows {
+		for _, t := range row.Terms {
+			w.byPair[t.Pair] = append(w.byPair[t.Pair], rowTerm{row: k, coef: t.Coef})
+			w.lhs[k] += float64(counts[t.Pair]) * t.Coef
+		}
+	}
+	return w
+}
+
+// add takes one more unit of pair i when every row it touches stays within
+// the budget (to 1e-12) and reports whether it did. Because the constraint
+// matrix is non-negative, every accepted unit keeps the plan exactly
+// feasible.
+func (w *budgetWalk) add(i int) bool {
+	for _, e := range w.byPair[i] {
+		if w.lhs[e.row]+e.coef > w.budget+1e-12 {
+			return false
+		}
+	}
+	for _, e := range w.byPair[i] {
+		w.lhs[e.row] += e.coef
+	}
+	return true
+}
+
+// roundUpPasses bounds roundUp's sweeps over the LP-backed plans.
+const roundUpPasses = 8
+
 // roundUp converts floor slack back into output mass: starting from the
 // floored plan, it increments pairs by one unit in order of decreasing
-// fractional remainder (largest-remainder rounding) whenever the increment
-// keeps every DP row within budget and the pair below its cap. Passes repeat
-// until a full sweep makes no progress. Because the constraint matrix is
-// non-negative, every accepted increment preserves exact feasibility, so the
-// result still satisfies Theorem 1 while recovering most of the integrality
-// gap that plain flooring leaves behind (significant when the fractional
-// optimum spreads mass below 1 across many pairs).
+// priority (for LP plans the fractional remainder: largest-remainder
+// rounding) whenever the increment keeps every DP row within budget and the
+// pair below its cap. Passes repeat until a full sweep makes no progress or
+// maxPasses sweeps ran (≤ 0: no limit). Every accepted increment preserves
+// exact feasibility, so the result still satisfies Theorem 1 while
+// recovering most of the integrality gap that plain flooring leaves behind
+// (significant when the fractional optimum spreads mass below 1 across many
+// pairs).
 //
 // maxTotal, when positive, caps the total output size (used by F-UMP to
 // respect the requested |O|). caps may be nil for unbounded pairs.
-func roundUp(cons *dp.Constraints, counts []int, frac []float64, caps []int, maxTotal int) {
-	n := len(counts)
-	// Row activity and a pair→rows transpose for incremental checks.
-	lhs := make([]float64, len(cons.Rows))
-	type entry struct {
-		row  int
-		coef float64
-	}
-	byPair := make([][]entry, n)
-	for k, row := range cons.Rows {
-		for _, t := range row.Terms {
-			byPair[t.Pair] = append(byPair[t.Pair], entry{row: k, coef: t.Coef})
-			lhs[k] += float64(counts[t.Pair]) * t.Coef
-		}
-	}
+func roundUp(cons *dp.Constraints, counts []int, priority []float64, caps []int, maxTotal, maxPasses int) {
+	walk := newBudgetWalk(cons, counts)
 	total := sum(counts)
-	order := make([]int, n)
+	order := make([]int, len(counts))
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return frac[order[a]] > frac[order[b]] })
-	for pass := 0; pass < 8; pass++ {
+	sort.SliceStable(order, func(a, b int) bool { return priority[order[a]] > priority[order[b]] })
+	for pass := 0; maxPasses <= 0 || pass < maxPasses; pass++ {
 		progressed := false
 		for _, i := range order {
 			if maxTotal > 0 && total >= maxTotal {
@@ -413,22 +440,12 @@ func roundUp(cons *dp.Constraints, counts []int, frac []float64, caps []int, max
 			if caps != nil && counts[i] >= caps[i] {
 				continue
 			}
-			ok := true
-			for _, e := range byPair[i] {
-				if lhs[e.row]+e.coef > cons.Budget+1e-12 {
-					ok = false
-					break
-				}
-			}
-			if !ok {
+			if !walk.add(i) {
 				continue
 			}
 			counts[i]++
 			total++
 			progressed = true
-			for _, e := range byPair[i] {
-				lhs[e.row] += e.coef
-			}
 		}
 		if !progressed {
 			return
@@ -465,10 +482,9 @@ func pairCaps(l *searchlog.Log, noBox bool) []int {
 	return caps
 }
 
-// maxOutputSizeMono solves O-UMP over the whole log in one LP. MaxOutputSize
-// (decompose.go) is the public entry point; it runs this per connected
-// component unless Options.NoDecompose forces the monolithic path.
-func maxOutputSizeMono(l *searchlog.Log, params dp.Params, opts Options) (*Plan, error) {
+// solveOutputSize solves O-UMP over one component sub-log in one LP.
+// MaxOutputSize (decompose.go) is the public entry point.
+func solveOutputSize(l *searchlog.Log, params dp.Params, opts Options) (*Plan, error) {
 	cons, err := dp.Build(l, params)
 	if err != nil {
 		return nil, err
@@ -490,8 +506,8 @@ func maxOutputSizeMono(l *searchlog.Log, params dp.Params, opts Options) (*Plan,
 		return nil, statusErr("O-UMP", sol)
 	}
 	counts := floorCounts(sol.X, l.NumPairs())
-	repair(cons, counts)
-	roundUp(cons, counts, fracParts(sol.X, counts), pairCaps(l, opts.NoBoxConstraint), 0)
+	dp.RepairPlan(cons, counts)
+	roundUp(cons, counts, fracParts(sol.X, counts), pairCaps(l, opts.NoBoxConstraint), 0, roundUpPasses)
 	plan := &Plan{
 		Kind:                KindOutputSize,
 		Counts:              counts,
@@ -508,7 +524,7 @@ func maxOutputSizeMono(l *searchlog.Log, params dp.Params, opts Options) (*Plan,
 // frequentPairs lists the pair indices of l whose input support, measured
 // against inSize tuples, reaches minSupport, together with those supports.
 // For a component sub-log inSize is the *parent* corpus size, so the
-// frequent set matches the monolithic model exactly (component pair totals
+// frequent set matches the whole-log model exactly (component pair totals
 // equal parent pair totals — every user holding a pair lies in its
 // component).
 func frequentPairs(l *searchlog.Log, minSupport, inSize float64) (frequent []int, supIn []float64) {
@@ -523,36 +539,19 @@ func frequentPairs(l *searchlog.Log, minSupport, inSize float64) (frequent []int
 	return frequent, supIn
 }
 
-// SupportDistance returns the F-UMP objective realized by an integral plan:
-// the sum over l's frequent pairs (input support ≥ minSupport against l's
-// own size) of |x_f/|O| − c_f/|D||, where |O| = Σ counts. An empty output
-// realizes the maximal distance Σ_f c_f/|D|. It is exported for the
-// sanitizer, which must recompute the objective after §4.2 noise perturbs
-// the counts.
-func SupportDistance(l *searchlog.Log, minSupport float64, counts []int) float64 {
-	inSize := float64(l.Size())
-	frequent, supIn := frequentPairs(l, minSupport, inSize)
-	outSize := sum(counts)
-	realized := 0.0
-	if outSize > 0 {
-		for f, i := range frequent {
-			realized += math.Abs(float64(counts[i])/float64(outSize) - supIn[f])
-		}
-	} else {
-		for _, s := range supIn {
-			realized += s
-		}
+// solveFrequent solves the F-UMP LP over one component sub-log and returns
+// the integral plan without a realized objective — FrequentSupport computes
+// that on the stitched plan. inSize is |D| of the parent corpus (it fixes
+// the frequent set and input supports), invO is 1/|O| of the *global*
+// requested output size (the linearization scale of the y rows), and alloc
+// is the portion of |O| assigned to l, the right-hand side of the Σx
+// equality row.
+func solveFrequent(l *searchlog.Log, params dp.Params, minSupport, inSize, invO float64, alloc int, opts Options) (*Plan, error) {
+	cons, err := dp.Build(l, params)
+	if err != nil {
+		return nil, err
 	}
-	return realized
-}
-
-// frequentCore solves the F-UMP LP over l (the whole log, or one component
-// sub-log) and returns the integral plan without a realized objective —
-// callers compute that where the full output is known. frequent/supIn come
-// from frequentPairs; invO is 1/|O| of the *global* requested output size
-// (the linearization scale of the y rows); alloc is the portion of |O|
-// assigned to l, the right-hand side of the Σx equality row.
-func frequentCore(l *searchlog.Log, cons *dp.Constraints, frequent []int, supIn []float64, invO float64, alloc int, opts Options) (*Plan, error) {
+	frequent, supIn := frequentPairs(l, minSupport, inSize)
 	prob := buildBase(l, cons, lp.Minimize, 0, opts.NoBoxConstraint)
 
 	// Σ x_ij = alloc.
@@ -585,7 +584,7 @@ func frequentCore(l *searchlog.Log, cons *dp.Constraints, frequent []int, supIn 
 	}
 	opts.storeWarm("fump", prob, sol)
 	counts := floorCounts(sol.X, l.NumPairs())
-	repair(cons, counts)
+	dp.RepairPlan(cons, counts)
 	// Round-up priority: frequent pairs first (a unit of mass on a frequent
 	// pair moves the objective; on an infrequent pair it can only create a
 	// spurious output-frequent pair and hurt Precision). Boosting their
@@ -595,7 +594,7 @@ func frequentCore(l *searchlog.Log, cons *dp.Constraints, frequent []int, supIn 
 	for _, i := range frequent {
 		frac[i] += 1
 	}
-	roundUp(cons, counts, frac, pairCaps(l, opts.NoBoxConstraint), alloc)
+	roundUp(cons, counts, frac, pairCaps(l, opts.NoBoxConstraint), alloc, roundUpPasses)
 	return &Plan{
 		Kind:                KindFrequent,
 		Counts:              counts,
@@ -607,39 +606,16 @@ func frequentCore(l *searchlog.Log, cons *dp.Constraints, frequent []int, supIn 
 	}, nil
 }
 
-// frequentSupportMono solves F-UMP over the whole log in one LP.
-// FrequentSupport (decompose.go) is the public entry point.
-func frequentSupportMono(l *searchlog.Log, params dp.Params, minSupport float64, outputSize int, opts Options) (*Plan, error) {
+// solveDiversity solves D-UMP over one component sub-log in one BIP with
+// the named solver. Diversity (decompose.go) is the public entry point.
+// Note the default SPE heuristic is *not* decomposition-invariant: it
+// eliminates the globally largest coefficient even when that column's rows
+// are already satisfied, so the per-component solve retains at least as
+// many pairs as one whole-log BIP (see DESIGN.md §6).
+func solveDiversity(l *searchlog.Log, params dp.Params, name string, opts Options) (*Plan, error) {
 	cons, err := dp.Build(l, params)
 	if err != nil {
 		return nil, err
-	}
-	if l.NumPairs() == 0 {
-		return nil, fmt.Errorf("ump: empty log cannot meet output size %d", outputSize)
-	}
-	frequent, supIn := frequentPairs(l, minSupport, float64(l.Size()))
-	plan, err := frequentCore(l, cons, frequent, supIn, 1/float64(outputSize), outputSize, opts)
-	if err != nil {
-		return nil, err
-	}
-	// Realized objective at the integral plan.
-	plan.Objective = SupportDistance(l, minSupport, plan.Counts)
-	return plan, nil
-}
-
-// diversityMono solves D-UMP over the whole log in one BIP. Diversity
-// (decompose.go) is the public entry point. Note the default SPE heuristic
-// is *not* decomposition-invariant: it eliminates the globally largest
-// coefficient even when that column's rows are already satisfied, so the
-// per-component solve retains at least as many pairs (see DESIGN.md §6).
-func diversityMono(l *searchlog.Log, params dp.Params, opts Options) (*Plan, error) {
-	cons, err := dp.Build(l, params)
-	if err != nil {
-		return nil, err
-	}
-	name := opts.Solver
-	if name == "" {
-		name = "spe"
 	}
 	solver, err := bip.New(name)
 	if err != nil {
@@ -674,7 +650,7 @@ func diversityMono(l *searchlog.Log, params dp.Params, opts Options) (*Plan, err
 			counts[i] = 1
 		}
 	}
-	repair(cons, counts)
+	dp.RepairPlan(cons, counts)
 	plan := &Plan{
 		Kind:                KindDiversity,
 		Counts:              counts,
@@ -685,10 +661,4 @@ func diversityMono(l *searchlog.Log, params dp.Params, opts Options) (*Plan, err
 	}
 	plan.Objective = float64(plan.OutputSize)
 	return plan, nil
-}
-
-// Verify re-audits a plan against the log it was built from. It is a thin
-// wrapper over dp.VerifyLog so callers can assert the package invariant.
-func Verify(l *searchlog.Log, params dp.Params, plan *Plan) error {
-	return dp.VerifyLog(l, params, plan.Counts)
 }

@@ -72,7 +72,7 @@ func TestMaxOutputSizePlanFeasibleAndCapped(t *testing.T) {
 	if plan.Kind != KindOutputSize {
 		t.Errorf("kind = %v", plan.Kind)
 	}
-	if err := Verify(l, p, plan); err != nil {
+	if err := dp.VerifyLog(l, p, plan.Counts); err != nil {
 		t.Fatalf("plan violates DP constraints: %v", err)
 	}
 	// Budget ln 2 ≈ .693, coefficient ln(30/29) ≈ .0339 → each user admits
@@ -103,7 +103,7 @@ func TestMaxOutputSizeFixtureFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(l, p, plan); err != nil {
+	if err := dp.VerifyLog(l, p, plan.Counts); err != nil {
 		t.Fatalf("plan violates DP constraints: %v", err)
 	}
 	if plan.RelaxationObjective <= 0 {
@@ -201,7 +201,7 @@ func TestFrequentSupportBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(l, p, plan); err != nil {
+	if err := dp.VerifyLog(l, p, plan.Counts); err != nil {
 		t.Fatalf("F-UMP plan violates DP constraints: %v", err)
 	}
 	if plan.OutputSize > O {
@@ -283,7 +283,7 @@ func TestDiversityAllSolvers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := Verify(l, p, plan); err != nil {
+		if err := dp.VerifyLog(l, p, plan.Counts); err != nil {
 			t.Fatalf("%s plan violates DP constraints: %v", name, err)
 		}
 		for i, x := range plan.Counts {
@@ -376,7 +376,7 @@ func TestRepairFixesInjectedViolation(t *testing.T) {
 	for i := range counts {
 		counts[i] = l.PairCount(i) // wildly infeasible
 	}
-	n := repair(cons, counts)
+	n := dp.RepairPlan(cons, counts)
 	if n == 0 {
 		t.Fatal("repair did nothing on an infeasible plan")
 	}

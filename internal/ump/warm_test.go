@@ -100,7 +100,7 @@ func TestWarmStartsAcrossBudgets(t *testing.T) {
 		if pooled.OutputSize != cold.OutputSize {
 			t.Errorf("e^ε=%g: pooled λ %d != cold λ %d", eExp, pooled.OutputSize, cold.OutputSize)
 		}
-		if err := Verify(pre, p, pooled); err != nil {
+		if err := dp.VerifyLog(pre, p, pooled.Counts); err != nil {
 			t.Errorf("e^ε=%g: pooled plan fails audit: %v", eExp, err)
 		}
 	}
