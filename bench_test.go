@@ -156,18 +156,11 @@ func BenchmarkAblation_SPEVariants(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prob := &bip.Problem{NumCols: pre.NumPairs(), Rows: make([][]bip.Term, len(cons.Rows)), RHS: make([]float64, len(cons.Rows))}
-	for k, row := range cons.Rows {
-		prob.RHS[k] = cons.Budget
-		for _, t := range row.Terms {
-			prob.Rows[k] = append(prob.Rows[k], bip.Term{Col: t.Pair, Coef: t.Coef})
-		}
-	}
 	for _, solver := range []bip.Solver{bip.SPE{}, bip.SPEViolated{}} {
 		b.Run(solver.Name(), func(b *testing.B) {
 			var kept int
 			for i := 0; i < b.N; i++ {
-				sol, err := solver.Solve(prob)
+				sol, err := solver.Solve(cons)
 				if err != nil {
 					b.Fatal(err)
 				}

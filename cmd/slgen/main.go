@@ -3,19 +3,22 @@
 //
 // Usage:
 //
-//	slgen [-profile tiny|small|paper|tiny-sharded|small-sharded|paper-sharded] [-seed N] [-o file] [-preprocess]
+//	slgen [-profile name] [-seed N] [-o file] [-preprocess]
+//
+// slgen -h lists the profile names.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"dpslog"
 )
 
 func main() {
-	profile := flag.String("profile", "small", "corpus profile: tiny, small, paper, tiny-sharded, small-sharded or paper-sharded")
+	profile := flag.String("profile", "small", "corpus profile: "+strings.Join(dpslog.GenerateProfiles(), ", "))
 	seed := flag.Uint64("seed", 1, "generation seed")
 	out := flag.String("o", "", "output file (default stdout)")
 	pre := flag.Bool("preprocess", false, "remove unique query-url pairs before writing")

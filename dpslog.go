@@ -97,11 +97,12 @@ func ComputeStats(l *Log) Stats { return searchlog.ComputeStats(l) }
 // cache keys on (Digest, Options.Canonical()).
 func Digest(l *Log) string { return l.Digest() }
 
-// Generate synthesizes an AOL-like corpus. Profile is "tiny", "small",
-// "paper" (single-market logs; see DESIGN.md for the calibration) or
-// "tiny-sharded", "small-sharded" (multi-market logs whose user–pair
-// graphs decompose into one connected component per market; DESIGN.md §6);
-// the result is deterministic in the seed. The returned log is raw —
+// Generate synthesizes an AOL-like corpus for one of the GenerateProfiles
+// names: "tiny", "small", "paper" and the ingest-stress "dense" are
+// single-market logs (see DESIGN.md for the calibration); "tiny-sharded",
+// "small-sharded" and "paper-sharded" are multi-market logs whose user–pair
+// graphs decompose into one connected component per market (DESIGN.md §6).
+// The result is deterministic in the seed. The returned log is raw —
 // Sanitize will preprocess it.
 func Generate(profile string, seed uint64) (*Log, error) {
 	p, err := gen.Profiles(profile)
@@ -112,6 +113,4 @@ func Generate(profile string, seed uint64) (*Log, error) {
 }
 
 // GenerateProfiles lists the available synthetic corpus profiles.
-func GenerateProfiles() []string {
-	return []string{"tiny", "small", "paper", "tiny-sharded", "small-sharded"}
-}
+func GenerateProfiles() []string { return gen.ProfileNames() }

@@ -2,75 +2,95 @@ package bip
 
 import (
 	"math"
+	"sync"
 	"testing"
 
+	"dpslog/internal/dp"
 	"dpslog/internal/rng"
 )
 
-// smallProblem builds a 6-column, 3-row packing BIP with a known optimum.
-func smallProblem() *Problem {
-	return &Problem{
-		NumCols: 6,
-		Rows: [][]Term{
-			{{Col: 0, Coef: 0.9}, {Col: 1, Coef: 0.2}, {Col: 2, Coef: 0.3}},
-			{{Col: 2, Coef: 0.4}, {Col: 3, Coef: 0.5}, {Col: 4, Coef: 0.1}},
-			{{Col: 0, Coef: 0.2}, {Col: 4, Coef: 0.2}, {Col: 5, Coef: 0.6}},
-		},
-		RHS: []float64{1.0, 1.0, 1.0},
+// system builds a constraint system over n pairs with one user row per
+// term list, every row under the same budget.
+func system(n int, budget float64, rows ...[]dp.Term) *dp.Constraints {
+	rs := make([]dp.Row, len(rows))
+	for k, terms := range rows {
+		rs[k] = dp.Row{User: k, Terms: terms}
 	}
+	c, err := dp.NewConstraints(n, budget, rs)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// smallProblem builds a 6-column, 3-row packing BIP with a known optimum.
+func smallProblem() *dp.Constraints {
+	return system(6, 1.0,
+		[]dp.Term{{Pair: 0, Coef: 0.9}, {Pair: 1, Coef: 0.2}, {Pair: 2, Coef: 0.3}},
+		[]dp.Term{{Pair: 2, Coef: 0.4}, {Pair: 3, Coef: 0.5}, {Pair: 4, Coef: 0.1}},
+		[]dp.Term{{Pair: 0, Coef: 0.2}, {Pair: 4, Coef: 0.2}, {Pair: 5, Coef: 0.6}},
+	)
 }
 
 // randomProblem generates a random packing BIP in the D-UMP coefficient
 // regime (ln t_ijk with modest counts). density is the probability that a
 // column participates in a row; real search logs are very sparse (a pair is
 // held by a handful of users).
-func randomProblem(g *rng.RNG, nCols, nRows int, budget, density float64) *Problem {
-	p := &Problem{NumCols: nCols, RHS: make([]float64, nRows), Rows: make([][]Term, nRows)}
+func randomProblem(g *rng.RNG, nCols, nRows int, budget, density float64) *dp.Constraints {
+	rows := make([][]dp.Term, nRows)
 	for i := 0; i < nRows; i++ {
-		p.RHS[i] = budget
 		for j := 0; j < nCols; j++ {
 			if g.Float64() < density {
 				// ln(c/(c-k)) for c in 2..20, k in 1..c-1.
 				c := 2 + g.IntN(19)
 				k := 1 + g.IntN(c-1)
-				p.Rows[i] = append(p.Rows[i], Term{Col: j, Coef: math.Log(float64(c) / float64(c-k))})
+				rows[i] = append(rows[i], dp.Term{Pair: j, Coef: math.Log(float64(c) / float64(c-k))})
 			}
 		}
 	}
-	return p
+	return system(nCols, budget, rows...)
 }
 
 func TestValidate(t *testing.T) {
-	p := smallProblem()
-	if err := p.Validate(); err != nil {
+	if err := smallProblem().Validate(); err != nil {
 		t.Errorf("valid problem rejected: %v", err)
 	}
-	bad := &Problem{NumCols: 2, Rows: [][]Term{{{Col: 5, Coef: 1}}}, RHS: []float64{1}}
-	if err := bad.Validate(); err == nil {
-		t.Error("out-of-range column accepted")
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		terms  []dp.Term
+	}{
+		{"out-of-range column", 1, []dp.Term{{Pair: 5, Coef: 1}}},
+		{"negative coefficient", 1, []dp.Term{{Pair: 0, Coef: -1}}},
+		{"infinite coefficient", 1, []dp.Term{{Pair: 0, Coef: math.Inf(1)}}},
+		{"zero budget", 0, []dp.Term{{Pair: 0, Coef: 1}}},
+		{"infinite budget", math.Inf(1), []dp.Term{{Pair: 0, Coef: 1}}},
+	} {
+		if _, err := dp.NewConstraints(2, tc.budget, []dp.Row{{Terms: tc.terms}}); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
-	bad2 := &Problem{NumCols: 2, Rows: [][]Term{{{Col: 0, Coef: -1}}}, RHS: []float64{1}}
-	if err := bad2.Validate(); err == nil {
-		t.Error("negative coefficient accepted")
-	}
-	bad3 := &Problem{NumCols: 2, Rows: [][]Term{{{Col: 0, Coef: 1}}}, RHS: []float64{0}}
-	if err := bad3.Validate(); err == nil {
-		t.Error("zero rhs accepted")
-	}
-	bad4 := &Problem{NumCols: 2, Rows: [][]Term{{{Col: 0, Coef: 1}}}, RHS: []float64{1, 2}}
-	if err := bad4.Validate(); err == nil {
-		t.Error("row/rhs length mismatch accepted")
+	// Every solver refuses a system that fails Validate.
+	bad := smallProblem().WithBudget(0)
+	for _, name := range Names() {
+		s, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Solve(bad); err == nil {
+			t.Errorf("%s solved a zero-budget system", name)
+		}
 	}
 }
 
 func TestFeasibleAndObjective(t *testing.T) {
 	p := smallProblem()
 	all := []bool{true, true, true, true, true, true}
-	if p.Feasible(all, 0) {
+	if feasible(p, all) {
 		t.Error("selecting everything should violate row 0 (0.9+0.2+0.3)")
 	}
 	none := make([]bool, 6)
-	if !p.Feasible(none, 0) {
+	if !feasible(p, none) {
 		t.Error("empty selection infeasible")
 	}
 	if Objective(all) != 6 || Objective(none) != 0 {
@@ -84,7 +104,7 @@ func TestExhaustiveOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Feasible(sol.Y, 0) {
+	if !feasible(p, sol.Y) {
 		t.Fatal("exhaustive returned infeasible selection")
 	}
 	// Dropping column 0 (0.9) leaves rows: {0.2,0.3}=0.5, {0.4,0.5,0.1}=1.0,
@@ -92,7 +112,7 @@ func TestExhaustiveOracle(t *testing.T) {
 	if sol.Objective != 5 {
 		t.Errorf("optimum = %d, want 5", sol.Objective)
 	}
-	big := &Problem{NumCols: 23}
+	big := system(23, 1.0)
 	if _, err := Exhaustive(big); err == nil {
 		t.Error("exhaustive accepted 23 columns")
 	}
@@ -115,7 +135,7 @@ func TestAllSolversFeasibleAndReasonable(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d solver %s: %v", trial, name, err)
 			}
-			if !p.Feasible(sol.Y, 0) {
+			if !feasible(p, sol.Y) {
 				t.Fatalf("trial %d solver %s returned infeasible selection", trial, name)
 			}
 			if sol.Objective != Objective(sol.Y) {
@@ -152,14 +172,10 @@ func TestBranchBoundExactOnSmallInstances(t *testing.T) {
 
 func TestSPEMatchesPaperBehaviour(t *testing.T) {
 	// SPE must remove the pair with the global maximum coefficient first.
-	p := &Problem{
-		NumCols: 3,
-		Rows: [][]Term{
-			{{Col: 0, Coef: 2.0}, {Col: 1, Coef: 0.1}},
-			{{Col: 1, Coef: 0.1}, {Col: 2, Coef: 0.3}},
-		},
-		RHS: []float64{0.5, 0.5},
-	}
+	p := system(3, 0.5,
+		[]dp.Term{{Pair: 0, Coef: 2.0}, {Pair: 1, Coef: 0.1}},
+		[]dp.Term{{Pair: 1, Coef: 0.1}, {Pair: 2, Coef: 0.3}},
+	)
 	sol, err := SPE{}.Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -176,11 +192,7 @@ func TestSPEMatchesPaperBehaviour(t *testing.T) {
 }
 
 func TestSPENoRemovalsWhenFeasible(t *testing.T) {
-	p := &Problem{
-		NumCols: 2,
-		Rows:    [][]Term{{{Col: 0, Coef: 0.1}, {Col: 1, Coef: 0.1}}},
-		RHS:     []float64{1.0},
-	}
+	p := system(2, 1.0, []dp.Term{{Pair: 0, Coef: 0.1}, {Pair: 1, Coef: 0.1}})
 	for _, s := range []Solver{SPE{}, SPEViolated{}} {
 		sol, err := s.Solve(p)
 		if err != nil {
@@ -195,14 +207,10 @@ func TestSPENoRemovalsWhenFeasible(t *testing.T) {
 func TestSPEViolatedAtLeastAsSelective(t *testing.T) {
 	// On an instance where one row is violated and another is slack, the
 	// violated-row variant must not touch columns confined to the slack row.
-	p := &Problem{
-		NumCols: 3,
-		Rows: [][]Term{
-			{{Col: 0, Coef: 1.0}, {Col: 1, Coef: 0.9}}, // violated (1.9 > 1)
-			{{Col: 2, Coef: 0.95}},                     // satisfied alone
-		},
-		RHS: []float64{1.0, 1.0},
-	}
+	p := system(3, 1.0,
+		[]dp.Term{{Pair: 0, Coef: 1.0}, {Pair: 1, Coef: 0.9}}, // violated (1.9 > 1)
+		[]dp.Term{{Pair: 2, Coef: 0.95}},                      // satisfied alone
+	)
 	sol, err := SPEViolated{}.Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -210,18 +218,14 @@ func TestSPEViolatedAtLeastAsSelective(t *testing.T) {
 	if !sol.Y[2] {
 		t.Error("spe-violated dropped a column from a satisfied row")
 	}
-	if !p.Feasible(sol.Y, 0) {
+	if !feasible(p, sol.Y) {
 		t.Error("infeasible result")
 	}
 }
 
 func TestGreedyOrdersBySensitivity(t *testing.T) {
 	// Budget admits only one column; greedy must take the least sensitive.
-	p := &Problem{
-		NumCols: 2,
-		Rows:    [][]Term{{{Col: 0, Coef: 0.8}, {Col: 1, Coef: 0.3}}},
-		RHS:     []float64{0.5},
-	}
+	p := system(2, 0.5, []dp.Term{{Pair: 0, Coef: 0.8}, {Pair: 1, Coef: 0.3}})
 	sol, err := Greedy{}.Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -234,16 +238,12 @@ func TestGreedyOrdersBySensitivity(t *testing.T) {
 func TestRoundingFeasibleOnFractionalLP(t *testing.T) {
 	// The LP relaxation of this instance is fractional (classic knapsack
 	// structure); rounding must still return a feasible integral point.
-	p := &Problem{
-		NumCols: 3,
-		Rows:    [][]Term{{{Col: 0, Coef: 0.7}, {Col: 1, Coef: 0.7}, {Col: 2, Coef: 0.7}}},
-		RHS:     []float64{1.0},
-	}
+	p := system(3, 1.0, []dp.Term{{Pair: 0, Coef: 0.7}, {Pair: 1, Coef: 0.7}, {Pair: 2, Coef: 0.7}})
 	sol, err := Rounding{}.Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Feasible(sol.Y, 0) {
+	if !feasible(p, sol.Y) {
 		t.Fatal("rounding returned infeasible selection")
 	}
 	if sol.Objective != 1 {
@@ -259,7 +259,7 @@ func TestFeasPumpFindsFeasible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !p.Feasible(sol.Y, 0) {
+		if !feasible(p, sol.Y) {
 			t.Fatalf("trial %d: feaspump infeasible", trial)
 		}
 	}
@@ -282,11 +282,6 @@ func TestRegistry(t *testing.T) {
 	if _, err := New("nope"); err == nil {
 		t.Error("unknown solver accepted")
 	}
-	for _, n := range ComparisonSet() {
-		if _, err := New(n); err != nil {
-			t.Errorf("comparison set member %q not registered", n)
-		}
-	}
 }
 
 func TestSolversScaleToMediumInstance(t *testing.T) {
@@ -296,7 +291,7 @@ func TestSolversScaleToMediumInstance(t *testing.T) {
 	g := rng.New(400)
 	p := randomProblem(g, 400, 80, 0.6, 0.02)
 	results := map[string]int{}
-	for _, name := range ComparisonSet() {
+	for _, name := range Names() {
 		s, err := New(name)
 		if err != nil {
 			t.Fatal(err)
@@ -305,7 +300,7 @@ func TestSolversScaleToMediumInstance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !p.Feasible(sol.Y, 0) {
+		if !feasible(p, sol.Y) {
 			t.Fatalf("%s: infeasible on medium instance", name)
 		}
 		results[name] = sol.Objective
@@ -316,4 +311,46 @@ func TestSolversScaleToMediumInstance(t *testing.T) {
 			t.Errorf("%s retained nothing", name)
 		}
 	}
+}
+
+// TestSolversShareConstraints runs every solver concurrently on one shared
+// system: the pair-major view is built with the system and never written
+// afterwards, so concurrent solves agree with sequential ones.
+func TestSolversShareConstraints(t *testing.T) {
+	c := randomProblem(rng.New(500), 60, 20, 0.6, 0.1)
+	want := map[string]int{}
+	for _, name := range Names() {
+		s, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := s.Solve(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = sol.Objective
+	}
+	var wg sync.WaitGroup
+	for _, name := range Names() {
+		for rep := 0; rep < 2; rep++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s, err := New(name)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				sol, err := s.Solve(c)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if sol.Objective != want[name] {
+					t.Errorf("%s: concurrent objective %d, sequential %d", name, sol.Objective, want[name])
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }

@@ -5,15 +5,18 @@ import (
 	"math"
 	"sort"
 
+	"dpslog/internal/dp"
 	"dpslog/internal/lp"
 	"dpslog/internal/rng"
 )
 
-// relaxation builds the LP relaxation of the BIP with optional fixings:
-// fixed[j] ∈ {-1 free, 0, 1}. The objective maximizes Σ y_j.
-func relaxation(p *Problem, fixed []int8) *lp.Problem {
-	rel := lp.NewProblem(lp.Maximize)
-	for j := 0; j < p.NumCols; j++ {
+// packingLP builds an LP over c with one [0, 1] variable per pair, pair j
+// weighted obj(j) in the objective and narrowed by fixed[j] ∈ {-1 free,
+// 0, 1} when fixed is non-nil, and one row per user log with right-hand
+// side Budget.
+func packingLP(c *dp.Constraints, sense lp.Sense, obj func(j int) float64, fixed []int8) *lp.Problem {
+	prob := lp.NewProblem(sense)
+	for j := 0; j < c.NumPairs; j++ {
 		lo, hi := 0.0, 1.0
 		if fixed != nil {
 			switch fixed[j] {
@@ -23,52 +26,47 @@ func relaxation(p *Problem, fixed []int8) *lp.Problem {
 				lo = 1
 			}
 		}
-		rel.AddVariable(1, lo, hi)
+		prob.AddVariable(obj(j), lo, hi)
 	}
-	for i, row := range p.Rows {
-		r := rel.AddConstraint(lp.LE, p.RHS[i])
-		for _, t := range row {
-			rel.SetCoef(r, t.Col, t.Coef)
+	for _, row := range c.Rows {
+		r := prob.AddConstraint(lp.LE, c.Budget)
+		for _, t := range row.Terms {
+			prob.SetCoef(r, t.Pair, t.Coef)
 		}
 	}
-	return rel
+	return prob
 }
 
-// greedyFill adds unselected columns to y in the given order while all rows
-// stay feasible, updating lhs in place. Columns already true are skipped.
-func greedyFill(p *Problem, y []bool, lhs []float64, order []int) {
-	cols := p.transpose()
+// relaxation is the LP relaxation of the BIP under the fixings: maximize
+// Σ y_j.
+func relaxation(c *dp.Constraints, fixed []int8) *lp.Problem {
+	return packingLP(c, lp.Maximize, func(int) float64 { return 1 }, fixed)
+}
+
+// greedyFill adds unselected columns to y in the given order while every row
+// stays within the budget. Columns already true are skipped.
+func greedyFill(c *dp.Constraints, y []bool, order []int) {
+	w := c.NewWalk(counts(y), dp.AuditTol)
 	for _, j := range order {
-		if y[j] {
-			continue
-		}
-		ok := true
-		for _, t := range cols[j] {
-			if lhs[t.Col]+t.Coef > p.RHS[t.Col]+1e-9 {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		y[j] = true
-		for _, t := range cols[j] {
-			lhs[t.Col] += t.Coef
+		if !y[j] && w.Add(j) {
+			y[j] = true
 		}
 	}
 }
 
 // ascendingSensitivity orders columns by their largest coefficient (the
-// pair's worst single-user domination), least sensitive first.
-func ascendingSensitivity(p *Problem) []int {
-	order := make([]int, p.NumCols)
+// pair's worst single-user domination), least sensitive first. A column
+// absent from every row has maximum 0 and is always selectable.
+func ascendingSensitivity(c *dp.Constraints) []int {
+	maxes := make([]float64, c.NumPairs)
+	for _, row := range c.Rows {
+		for _, t := range row.Terms {
+			maxes[t.Pair] = math.Max(maxes[t.Pair], t.Coef)
+		}
+	}
+	order := make([]int, c.NumPairs)
 	for j := range order {
 		order[j] = j
-	}
-	maxes := make([]float64, p.NumCols)
-	for j := range maxes {
-		maxes[j] = p.maxCoef(j)
 	}
 	sort.SliceStable(order, func(a, b int) bool { return maxes[order[a]] < maxes[order[b]] })
 	return order
@@ -77,8 +75,8 @@ func ascendingSensitivity(p *Problem) []int {
 // roundDown converts an LP point into a feasible selection by keeping only
 // coordinates at (numerically) one. Because the matrix is non-negative and
 // the LP point feasible, the result is always feasible.
-func roundDown(p *Problem, x []float64) []bool {
-	y := make([]bool, p.NumCols)
+func roundDown(c *dp.Constraints, x []float64) []bool {
+	y := make([]bool, c.NumPairs)
 	for j, v := range x {
 		if v >= 1-1e-7 {
 			y[j] = true
@@ -97,13 +95,12 @@ type Greedy struct{}
 func (Greedy) Name() string { return "greedy" }
 
 // Solve implements Solver.
-func (Greedy) Solve(p *Problem) (*Solution, error) {
-	if err := p.Validate(); err != nil {
+func (Greedy) Solve(c *dp.Constraints) (*Solution, error) {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	y := make([]bool, p.NumCols)
-	lhs := make([]float64, len(p.Rows))
-	greedyFill(p, y, lhs, ascendingSensitivity(p))
+	y := make([]bool, c.NumPairs)
+	greedyFill(c, y, ascendingSensitivity(c))
 	return &Solution{Y: y, Objective: Objective(y)}, nil
 }
 
@@ -117,25 +114,24 @@ type Rounding struct{}
 func (Rounding) Name() string { return "rounding" }
 
 // Solve implements Solver.
-func (Rounding) Solve(p *Problem) (*Solution, error) {
-	if err := p.Validate(); err != nil {
+func (Rounding) Solve(c *dp.Constraints) (*Solution, error) {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	sol, err := lp.Solve(relaxation(p, nil), lp.Options{})
+	sol, err := lp.Solve(relaxation(c, nil), lp.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("bip/rounding: relaxation: %w", err)
 	}
 	if sol.Status != lp.Optimal {
 		return nil, fmt.Errorf("bip/rounding: relaxation status %v", sol.Status)
 	}
-	y := roundDown(p, sol.X)
-	lhs := p.LHS(y)
-	order := make([]int, p.NumCols)
+	y := roundDown(c, sol.X)
+	order := make([]int, c.NumPairs)
 	for j := range order {
 		order[j] = j
 	}
 	sort.SliceStable(order, func(a, b int) bool { return sol.X[order[a]] > sol.X[order[b]] })
-	greedyFill(p, y, lhs, order)
+	greedyFill(c, y, order)
 	return &Solution{Y: y, Objective: Objective(y), Nodes: sol.Iterations}, nil
 }
 
@@ -155,8 +151,8 @@ type FeasPump struct {
 func (FeasPump) Name() string { return "feaspump" }
 
 // Solve implements Solver.
-func (f FeasPump) Solve(p *Problem) (*Solution, error) {
-	if err := p.Validate(); err != nil {
+func (f FeasPump) Solve(c *dp.Constraints) (*Solution, error) {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	maxIter := f.MaxIter
@@ -169,7 +165,7 @@ func (f FeasPump) Solve(p *Problem) (*Solution, error) {
 	}
 	g := rng.New(seed)
 
-	sol, err := lp.Solve(relaxation(p, nil), lp.Options{})
+	sol, err := lp.Solve(relaxation(c, nil), lp.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("bip/feaspump: relaxation: %w", err)
 	}
@@ -199,9 +195,9 @@ func (f FeasPump) Solve(p *Problem) (*Solution, error) {
 	}
 	seen := map[uint64]bool{}
 	yHat := round(x)
-	best := roundDown(p, x) // guaranteed-feasible fallback
+	best := roundDown(c, x) // guaranteed-feasible fallback
 	for iter := 0; iter < maxIter; iter++ {
-		if p.Feasible(yHat, 0) {
+		if feasible(c, yHat) {
 			best = yHat
 			break
 		}
@@ -218,20 +214,12 @@ func (f FeasPump) Solve(p *Problem) (*Solution, error) {
 		seen[h] = true
 		// Distance LP: minimize Σ_{ŷ=0} y_j − Σ_{ŷ=1} y_j (equals L1 distance
 		// up to a constant).
-		dist := lp.NewProblem(lp.Minimize)
-		for j := 0; j < p.NumCols; j++ {
-			c := 1.0
+		dist := packingLP(c, lp.Minimize, func(j int) float64 {
 			if yHat[j] {
-				c = -1.0
+				return -1
 			}
-			dist.AddVariable(c, 0, 1)
-		}
-		for i, row := range p.Rows {
-			r := dist.AddConstraint(lp.LE, p.RHS[i])
-			for _, t := range row {
-				dist.SetCoef(r, t.Col, t.Coef)
-			}
-		}
+			return 1
+		}, nil)
 		dsol, err := lp.Solve(dist, lp.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("bip/feaspump: distance LP: %w", err)
@@ -242,17 +230,16 @@ func (f FeasPump) Solve(p *Problem) (*Solution, error) {
 		nodes += dsol.Iterations
 		x = dsol.X
 		yHat = round(x)
-		if p.Feasible(yHat, 0) {
+		if feasible(c, yHat) {
 			best = yHat
 			break
 		}
 		// Keep the best feasible round-down seen along the way.
-		if rd := roundDown(p, x); Objective(rd) > Objective(best) {
+		if rd := roundDown(c, x); Objective(rd) > Objective(best) {
 			best = rd
 		}
 	}
-	lhs := p.LHS(best)
-	greedyFill(p, best, lhs, ascendingSensitivity(p))
+	greedyFill(c, best, ascendingSensitivity(c))
 	return &Solution{Y: best, Objective: Objective(best), Nodes: nodes}, nil
 }
 
@@ -270,26 +257,25 @@ type BranchBound struct {
 func (BranchBound) Name() string { return "branchbound" }
 
 // Solve implements Solver.
-func (bb BranchBound) Solve(p *Problem) (*Solution, error) {
-	if err := p.Validate(); err != nil {
+func (bb BranchBound) Solve(c *dp.Constraints) (*Solution, error) {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	nodeLimit := bb.NodeLimit
 	if nodeLimit <= 0 {
 		nodeLimit = 400
 	}
-	// Incumbent from the greedy heuristic.
-	gsol, err := Greedy{}.Solve(p)
-	if err != nil {
-		return nil, err
-	}
-	incumbent := gsol.Y
-	incObj := gsol.Objective
+	// The fill order is the same at every node: compute it once. The
+	// incumbent starts as the greedy heuristic's selection.
+	order := ascendingSensitivity(c)
+	incumbent := make([]bool, c.NumPairs)
+	greedyFill(c, incumbent, order)
+	incObj := Objective(incumbent)
 
 	type node struct {
 		fixed []int8
 	}
-	root := make([]int8, p.NumCols)
+	root := make([]int8, c.NumPairs)
 	for j := range root {
 		root[j] = -1
 	}
@@ -305,7 +291,7 @@ func (bb BranchBound) Solve(p *Problem) (*Solution, error) {
 		stack = stack[:len(stack)-1]
 		nodes++
 
-		sol, err := lp.Solve(relaxation(p, nd.fixed), lp.Options{})
+		sol, err := lp.Solve(relaxation(c, nd.fixed), lp.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("bip/branchbound: node LP: %w", err)
 		}
@@ -321,9 +307,8 @@ func (bb BranchBound) Solve(p *Problem) (*Solution, error) {
 		}
 		// Primal heuristic: round down, honoring fixed-to-one variables
 		// (they are at 1 in any feasible LP point of this node).
-		cand := roundDown(p, sol.X)
-		lhs := p.LHS(cand)
-		greedyFill(p, cand, lhs, ascendingSensitivity(p))
+		cand := roundDown(c, sol.X)
+		greedyFill(c, cand, order)
 		if o := Objective(cand); o > incObj {
 			incObj, incumbent = o, cand
 		}
@@ -342,8 +327,8 @@ func (bb BranchBound) Solve(p *Problem) (*Solution, error) {
 		if branch < 0 {
 			// Integral relaxation: it is feasible and integral, hence a
 			// candidate solution.
-			cand := roundDown(p, sol.X)
-			if o := Objective(cand); o > incObj && p.Feasible(cand, 0) {
+			cand := roundDown(c, sol.X)
+			if o := Objective(cand); o > incObj && feasible(c, cand) {
 				incObj, incumbent = o, cand
 			}
 			continue

@@ -1,12 +1,16 @@
 // Package bip implements the binary integer program of the paper's D-UMP
-// (Equation 8) and five solvers for it:
+// (Equation 8) and five solvers for it. The program is Theorem 1's
+// constraint system with a binary x, read directly from *dp.Constraints:
+// columns are the log's pairs and every user-log row has the right-hand side
+// Budget = min{ε, ln 1/(1−δ)}:
 //
 //	maximize   Σ_j y_j
-//	subject to Σ_{j∈row i} a_ij·y_j ≤ rhs_i   for every row i
+//	subject to Σ_{j∈A_k} y_j·ln t_ijk ≤ Budget   for every user log A_k
 //	           y_j ∈ {0, 1}
 //
-// with a sparse, non-negative constraint matrix (one row per user log,
-// coefficients ln t_ijk, identical right-hand sides min{ε, ln 1/(1−δ)}).
+// The matrix is sparse and non-negative (coefficients ln t_ijk > 0), so
+// dropping a column never breaks a row. Every row comparison goes through
+// dp.Walk or Constraints.Verify with dp's audit margin, dp.AuditTol.
 //
 // The paper compares its SPE heuristic (Algorithm 2) against Matlab
 // bintprog and the NEOS solvers qsopt_ex, scip and feaspump (Table 7,
@@ -23,91 +27,7 @@
 //	               primal heuristics)
 package bip
 
-import (
-	"fmt"
-	"math"
-)
-
-// Term is a sparse matrix entry within a row.
-type Term struct {
-	Col  int
-	Coef float64
-}
-
-// Problem is a packing-style binary integer program. Coefficients must be
-// non-negative and right-hand sides positive; both properties hold for every
-// D-UMP instance by construction (coefficients are ln t_ijk > 0).
-type Problem struct {
-	NumCols int
-	Rows    [][]Term
-	RHS     []float64
-
-	colRows [][]Term // transpose: per column, (row, coef); built lazily
-}
-
-// Validate checks the packing structure.
-func (p *Problem) Validate() error {
-	if p.NumCols < 0 {
-		return fmt.Errorf("bip: negative column count")
-	}
-	if len(p.Rows) != len(p.RHS) {
-		return fmt.Errorf("bip: %d rows but %d right-hand sides", len(p.Rows), len(p.RHS))
-	}
-	for i, rhs := range p.RHS {
-		if !(rhs > 0) || math.IsInf(rhs, 1) || math.IsNaN(rhs) {
-			return fmt.Errorf("bip: row %d has non-positive rhs %g", i, rhs)
-		}
-		for _, t := range p.Rows[i] {
-			if t.Col < 0 || t.Col >= p.NumCols {
-				return fmt.Errorf("bip: row %d references column %d out of range", i, t.Col)
-			}
-			if !(t.Coef >= 0) || math.IsInf(t.Coef, 1) {
-				return fmt.Errorf("bip: row %d column %d has invalid coefficient %g", i, t.Col, t.Coef)
-			}
-		}
-	}
-	return nil
-}
-
-// transpose returns the per-column view, building it on first use.
-func (p *Problem) transpose() [][]Term {
-	if p.colRows != nil {
-		return p.colRows
-	}
-	p.colRows = make([][]Term, p.NumCols)
-	for i, row := range p.Rows {
-		for _, t := range row {
-			p.colRows[t.Col] = append(p.colRows[t.Col], Term{Col: i, Coef: t.Coef})
-		}
-	}
-	return p.colRows
-}
-
-// LHS computes every row's activity under the selection y.
-func (p *Problem) LHS(y []bool) []float64 {
-	lhs := make([]float64, len(p.Rows))
-	for i, row := range p.Rows {
-		for _, t := range row {
-			if y[t.Col] {
-				lhs[i] += t.Coef
-			}
-		}
-	}
-	return lhs
-}
-
-// Feasible reports whether the selection satisfies every row within tol.
-func (p *Problem) Feasible(y []bool, tol float64) bool {
-	if tol <= 0 {
-		tol = 1e-9
-	}
-	for i, lhs := range p.LHS(y) {
-		if lhs > p.RHS[i]+tol {
-			return false
-		}
-	}
-	return true
-}
+import "dpslog/internal/dp"
 
 // Objective counts the selected columns.
 func Objective(y []bool) int {
@@ -120,16 +40,20 @@ func Objective(y []bool) int {
 	return n
 }
 
-// maxCoef returns the largest coefficient attached to a column, or 0 for a
-// column absent from every row (always selectable).
-func (p *Problem) maxCoef(col int) float64 {
-	max := 0.0
-	for _, t := range p.transpose()[col] {
-		if t.Coef > max {
-			max = t.Coef
+// counts expresses a selection as a 0/1 plan of output counts.
+func counts(y []bool) []int {
+	x := make([]int, len(y))
+	for j, v := range y {
+		if v {
+			x[j] = 1
 		}
 	}
-	return max
+	return x
+}
+
+// feasible reports whether the selection satisfies every row of c.
+func feasible(c *dp.Constraints, y []bool) bool {
+	return len(c.Verify(counts(y))) == 0
 }
 
 // Solution is a feasible selection with its objective value.
@@ -145,11 +69,14 @@ type Solution struct {
 	Nodes int
 }
 
+// Counts returns the selection as a 0/1 plan of output counts.
+func (s *Solution) Counts() []int { return counts(s.Y) }
+
 // Solver is a D-UMP BIP solver.
 type Solver interface {
 	// Name is the registry key, e.g. "spe".
 	Name() string
 	// Solve returns a feasible solution. Implementations must never return
 	// an infeasible selection; heuristics return their best effort.
-	Solve(p *Problem) (*Solution, error)
+	Solve(c *dp.Constraints) (*Solution, error)
 }

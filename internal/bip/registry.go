@@ -3,6 +3,8 @@ package bip
 import (
 	"fmt"
 	"sort"
+
+	"dpslog/internal/dp"
 )
 
 // factories maps registry names to solver constructors with default options.
@@ -34,28 +36,21 @@ func Names() []string {
 	return names
 }
 
-// ComparisonSet is the solver lineup of the paper's Table 7 and Figure 5, in
-// presentation order: the SPE heuristic first, then the four generic-solver
-// stand-ins.
-func ComparisonSet() []string {
-	return []string{"spe", "branchbound", "rounding", "greedy", "feaspump"}
-}
-
 // Exhaustive finds the true optimum by enumerating all 2^n selections. It is
 // the test oracle for small instances and refuses n > 22.
-func Exhaustive(p *Problem) (*Solution, error) {
-	if err := p.Validate(); err != nil {
+func Exhaustive(c *dp.Constraints) (*Solution, error) {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if p.NumCols > 22 {
-		return nil, fmt.Errorf("bip: exhaustive search refused for %d columns", p.NumCols)
+	if c.NumPairs > 22 {
+		return nil, fmt.Errorf("bip: exhaustive search refused for %d columns", c.NumPairs)
 	}
-	best := make([]bool, p.NumCols)
+	best := make([]bool, c.NumPairs)
 	bestObj := 0
-	y := make([]bool, p.NumCols)
-	for mask := uint64(0); mask < uint64(1)<<p.NumCols; mask++ {
+	y := make([]bool, c.NumPairs)
+	for mask := uint64(0); mask < uint64(1)<<c.NumPairs; mask++ {
 		obj := 0
-		for j := 0; j < p.NumCols; j++ {
+		for j := 0; j < c.NumPairs; j++ {
 			y[j] = mask&(1<<uint(j)) != 0
 			if y[j] {
 				obj++
@@ -64,7 +59,7 @@ func Exhaustive(p *Problem) (*Solution, error) {
 		if obj <= bestObj {
 			continue
 		}
-		if p.Feasible(y, 0) {
+		if feasible(c, y) {
 			bestObj = obj
 			copy(best, y)
 		}

@@ -1,6 +1,10 @@
 package bip
 
-import "sort"
+import (
+	"sort"
+
+	"dpslog/internal/dp"
+)
 
 // SPE is the paper's Algorithm 2, the Sensitive query-url Pair Eliminating
 // heuristic: start with every pair retained, then repeatedly find the
@@ -18,18 +22,14 @@ type SPE struct{}
 func (SPE) Name() string { return "spe" }
 
 // Solve implements Solver.
-func (SPE) Solve(p *Problem) (*Solution, error) {
-	if err := p.Validate(); err != nil {
+func (SPE) Solve(c *dp.Constraints) (*Solution, error) {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	y := make([]bool, p.NumCols)
-	for j := range y {
-		y[j] = true
-	}
-	lhs := p.LHS(y)
+	y, w := selectAll(c)
 	violated := 0
-	for i := range lhs {
-		if lhs[i] > p.RHS[i]+1e-9 {
+	for k := range c.Rows {
+		if !w.Fits(k) {
 			violated++
 		}
 	}
@@ -42,9 +42,9 @@ func (SPE) Solve(p *Problem) (*Solution, error) {
 		coef     float64
 	}
 	var entries []entry
-	for i, row := range p.Rows {
-		for _, t := range row {
-			entries = append(entries, entry{row: i, col: t.Col, coef: t.Coef})
+	for k, row := range c.Rows {
+		for _, t := range row.Terms {
+			entries = append(entries, entry{row: k, col: t.Pair, coef: t.Coef})
 		}
 	}
 	// Descending coefficient; ties broken by column then row for determinism.
@@ -58,7 +58,6 @@ func (SPE) Solve(p *Problem) (*Solution, error) {
 		return entries[a].row < entries[b].row
 	})
 
-	cols := p.transpose()
 	nodes := 0
 	for _, e := range entries {
 		if violated == 0 {
@@ -70,16 +69,18 @@ func (SPE) Solve(p *Problem) (*Solution, error) {
 		// Eliminate the column holding the current global maximum t_ijk.
 		y[e.col] = false
 		nodes++
-		for _, t := range cols[e.col] {
-			i := t.Col // row index in the transpose view
-			wasViolated := lhs[i] > p.RHS[i]+1e-9
-			lhs[i] -= t.Coef
-			if wasViolated && lhs[i] <= p.RHS[i]+1e-9 {
-				violated--
-			}
-		}
+		violated -= w.Remove(e.col)
 	}
 	return &Solution{Y: y, Objective: Objective(y), Nodes: nodes}, nil
+}
+
+// selectAll returns the all-retained selection and its walk.
+func selectAll(c *dp.Constraints) ([]bool, *dp.Walk) {
+	y := make([]bool, c.NumPairs)
+	for j := range y {
+		y[j] = true
+	}
+	return y, c.NewWalk(counts(y), dp.AuditTol)
 }
 
 // SPEViolated is the ablation variant of Algorithm 2: instead of the global
@@ -93,31 +94,26 @@ type SPEViolated struct{}
 func (SPEViolated) Name() string { return "spe-violated" }
 
 // Solve implements Solver.
-func (SPEViolated) Solve(p *Problem) (*Solution, error) {
-	if err := p.Validate(); err != nil {
+func (SPEViolated) Solve(c *dp.Constraints) (*Solution, error) {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	y := make([]bool, p.NumCols)
-	for j := range y {
-		y[j] = true
-	}
-	lhs := p.LHS(y)
-	cols := p.transpose()
+	y, w := selectAll(c)
 	nodes := 0
 	for {
 		// Find the largest active coefficient within violated rows.
 		bestCoef := -1.0
 		bestCol := -1
-		for i, row := range p.Rows {
-			if lhs[i] <= p.RHS[i]+1e-9 {
+		for k, row := range c.Rows {
+			if w.Fits(k) {
 				continue
 			}
-			for _, t := range row {
-				if !y[t.Col] {
+			for _, t := range row.Terms {
+				if !y[t.Pair] {
 					continue
 				}
-				if t.Coef > bestCoef || (t.Coef == bestCoef && t.Col < bestCol) {
-					bestCoef, bestCol = t.Coef, t.Col
+				if t.Coef > bestCoef || (t.Coef == bestCoef && t.Pair < bestCol) {
+					bestCoef, bestCol = t.Coef, t.Pair
 				}
 			}
 		}
@@ -126,9 +122,7 @@ func (SPEViolated) Solve(p *Problem) (*Solution, error) {
 		}
 		y[bestCol] = false
 		nodes++
-		for _, t := range cols[bestCol] {
-			lhs[t.Col] -= t.Coef
-		}
+		w.Remove(bestCol)
 	}
 	return &Solution{Y: y, Objective: Objective(y), Nodes: nodes}, nil
 }

@@ -1,7 +1,8 @@
 // Package dp implements the paper's privacy machinery: the
 // (ε, δ)-probabilistic differential privacy parameters (Definition 2), the
-// per-user-log linear constraints of Theorem 1 (Equation 4), a verifier that
-// audits a plan of output counts against those conditions, an exact
+// per-user-log linear constraints of Theorem 1 (Equation 4), the one
+// incremental feasibility walk over them, a verifier that audits a plan of
+// output counts against those conditions, an exact
 // Definition-2 checker for small enumerable logs, and the §4.2 end-to-end
 // pieces (sensitivity bounding and the Laplace mechanism over the optimal
 // counts).
@@ -57,6 +58,18 @@ func MinDeltaFor(eps float64) float64 {
 	return 1 - math.Exp(-eps)
 }
 
+// Feasibility margins of the Theorem-1 row comparisons. Every comparison of
+// a row's activity against the budget uses one of these two; each site keeps
+// the margin it has always used, because changing one would move plans.
+const (
+	// AuditTol is the slack of the release audits (Verify, VerifyLog) and of
+	// the BIP heuristics in internal/bip.
+	AuditTol = 1e-9
+	// FillTol is the slack of RepairPlan and of the integral fills in
+	// internal/ump (LP round-up, Q-UMP greedy, MinPrivacy's bisection fill).
+	FillTol = 1e-12
+)
+
 // Term is one coefficient of a user's DP constraint: pair index and
 // ln t_ijk = ln(c_ij / (c_ij − c_ijk)).
 type Term struct {
@@ -71,7 +84,18 @@ type Row struct {
 	Terms []Term
 }
 
-// Constraints is the full DP constraint system for a preprocessed log.
+// colTerm is one coefficient seen from its pair: the user row it sits in
+// and ln t_ijk.
+type colTerm struct {
+	row  int
+	coef float64
+}
+
+// Constraints is the full DP constraint system for a preprocessed log: the
+// one Theorem-1 matrix every solver, fill and audit reads. Construct it with
+// Build, BuildRows or NewConstraints, which also build the pair-major view;
+// it is never mutated afterwards, so one system may be shared across
+// goroutines.
 type Constraints struct {
 	// Rows has one entry per user log, in user-index order.
 	Rows []Row
@@ -79,6 +103,10 @@ type Constraints struct {
 	Budget float64
 	// NumPairs is the variable count (pair count of the log).
 	NumPairs int
+
+	// cols is the pair-major view: cols[i] lists pair i's coefficients in
+	// ascending row order.
+	cols [][]colTerm
 }
 
 // ErrNotPreprocessed reports a log still containing unique pairs; constraint
@@ -103,15 +131,23 @@ func Build(l *searchlog.Log, p Params) (*Constraints, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	c, err := BuildRows(l)
+	if err != nil {
+		return nil, err
+	}
+	c.Budget = p.Budget()
+	return c, nil
+}
+
+// BuildRows derives the Theorem-1 rows of a preprocessed log without a
+// budget (Budget is +Inf); callers that search over budgets, such as the §7
+// breach-minimizing problem, attach one with WithBudget.
+func BuildRows(l *searchlog.Log) (*Constraints, error) {
 	if !searchlog.IsPreprocessed(l) {
 		return nil, ErrNotPreprocessed
 	}
-	c := &Constraints{
-		Rows:     make([]Row, l.NumUsers()),
-		Budget:   p.Budget(),
-		NumPairs: l.NumPairs(),
-	}
-	for k := 0; k < l.NumUsers(); k++ {
+	rows := make([]Row, l.NumUsers())
+	for k := range rows {
 		u := l.User(k)
 		row := Row{User: k, Terms: make([]Term, 0, len(u.Pairs))}
 		for _, up := range u.Pairs {
@@ -122,9 +158,61 @@ func Build(l *searchlog.Log, p Params) (*Constraints, error) {
 			}
 			row.Terms = append(row.Terms, Term{Pair: up.Pair, Coef: coef})
 		}
-		c.Rows[k] = row
+		rows[k] = row
 	}
-	return c, nil
+	return newConstraints(l.NumPairs(), math.Inf(1), rows), nil
+}
+
+// NewConstraints assembles a system from explicit rows (packing instances
+// that do not come from a log, such as solver tests) after checking it with
+// Validate.
+func NewConstraints(numPairs int, budget float64, rows []Row) (*Constraints, error) {
+	c := &Constraints{Rows: rows, Budget: budget, NumPairs: numPairs}
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	return newConstraints(numPairs, budget, rows), nil
+}
+
+// newConstraints attaches the pair-major view to well-formed rows.
+func newConstraints(numPairs int, budget float64, rows []Row) *Constraints {
+	cols := make([][]colTerm, numPairs)
+	for k, row := range rows {
+		for _, t := range row.Terms {
+			cols[t.Pair] = append(cols[t.Pair], colTerm{row: k, coef: t.Coef})
+		}
+	}
+	return &Constraints{Rows: rows, Budget: budget, NumPairs: numPairs, cols: cols}
+}
+
+// Validate checks the packing structure every solver relies on: a positive
+// finite budget, and non-negative finite coefficients on in-range pairs.
+func (c *Constraints) Validate() error {
+	if c.NumPairs < 0 {
+		return fmt.Errorf("dp: negative pair count %d", c.NumPairs)
+	}
+	if !(c.Budget > 0) || math.IsInf(c.Budget, 1) {
+		return fmt.Errorf("dp: budget must be positive and finite, got %g", c.Budget)
+	}
+	for k, row := range c.Rows {
+		for _, t := range row.Terms {
+			if t.Pair < 0 || t.Pair >= c.NumPairs {
+				return fmt.Errorf("dp: row %d references pair %d out of range", k, t.Pair)
+			}
+			if !(t.Coef >= 0) || math.IsInf(t.Coef, 1) {
+				return fmt.Errorf("dp: row %d pair %d has invalid coefficient %g", k, t.Pair, t.Coef)
+			}
+		}
+	}
+	return nil
+}
+
+// WithBudget returns the same rows under another budget, sharing the rows
+// and the pair-major view.
+func (c *Constraints) WithBudget(budget float64) *Constraints {
+	cc := *c
+	cc.Budget = budget
+	return &cc
 }
 
 // LHS returns Σ x·coef for one row given the plan of output counts.
@@ -134,6 +222,62 @@ func (c *Constraints) LHS(row int, counts []int) float64 {
 		s += float64(counts[t.Pair]) * t.Coef
 	}
 	return s
+}
+
+// Walk is the one incremental Theorem-1 feasibility check: each row's
+// running activity under a plan that grows or shrinks one unit at a time.
+// Every integral fill (internal/ump) and BIP heuristic (internal/bip) takes
+// its "one more unit if every touched row still fits" step here. Because the
+// constraint matrix is non-negative, every unit Add accepts keeps the plan
+// within the budget.
+type Walk struct {
+	c   *Constraints
+	tol float64
+	lhs []float64
+}
+
+// NewWalk starts a walk at the plan counts (nil for the empty plan) with
+// feasibility margin tol (AuditTol or FillTol).
+func (c *Constraints) NewWalk(counts []int, tol float64) *Walk {
+	w := &Walk{c: c, tol: tol, lhs: make([]float64, len(c.Rows))}
+	if counts != nil {
+		for k := range w.lhs {
+			w.lhs[k] = c.LHS(k, counts)
+		}
+	}
+	return w
+}
+
+// Fits reports whether row k is within the budget.
+func (w *Walk) Fits(k int) bool { return w.lhs[k] <= w.c.Budget+w.tol }
+
+// Add takes one more unit of pair i when every row it touches stays within
+// the budget, and reports whether it did.
+func (w *Walk) Add(i int) bool {
+	col := w.c.cols[i]
+	for _, e := range col {
+		if w.lhs[e.row]+e.coef > w.c.Budget+w.tol {
+			return false
+		}
+	}
+	for _, e := range col {
+		w.lhs[e.row] += e.coef
+	}
+	return true
+}
+
+// Remove gives back one unit of pair i and returns how many of the rows it
+// touches it brought back within the budget.
+func (w *Walk) Remove(i int) int {
+	restored := 0
+	for _, e := range w.c.cols[i] {
+		over := !w.Fits(e.row)
+		w.lhs[e.row] -= e.coef
+		if over && w.Fits(e.row) {
+			restored++
+		}
+	}
+	return restored
 }
 
 // Violation describes one user-log constraint exceeded by a plan.
@@ -149,26 +293,25 @@ func (v Violation) Error() string {
 
 // Verify audits a plan of output counts against the full Theorem-1 system:
 // Condition 1 (unique pairs zeroed — vacuous for a preprocessed log) and the
-// merged Conditions 2/3 per user log. It returns all violations. tol guards
-// against floating-point noise; 0 means 1e-9.
-func (c *Constraints) Verify(counts []int, tol float64) []Violation {
-	if tol <= 0 {
-		tol = 1e-9
-	}
+// merged Conditions 2/3 per user log, to AuditTol. It returns all
+// violations.
+func (c *Constraints) Verify(counts []int) []Violation {
 	var out []Violation
 	for k := range c.Rows {
-		if lhs := c.LHS(k, counts); lhs > c.Budget+tol {
+		if lhs := c.LHS(k, counts); lhs > c.Budget+AuditTol {
 			out = append(out, Violation{User: k, LHS: lhs, Budget: c.Budget})
 		}
 	}
 	return out
 }
 
-// VerifyLog is the standalone audit used by the public API: it rebuilds the
-// constraints for the (possibly non-preprocessed) input log and checks a
-// plan expressed over that log's pair indices. Unique pairs must have a zero
-// planned count (Condition 1), every user row must satisfy the merged budget
-// (Conditions 2/3), and counts must be non-negative.
+// VerifyLog is the standalone audit used by the public API: it recomputes
+// the constraints for the (possibly non-preprocessed) input log and checks a
+// plan expressed over that log's pair indices. It deliberately reads no
+// Constraints: as the release audit it stays independent of the system the
+// solvers read. Unique pairs must have a zero planned count (Condition 1),
+// every user row must satisfy the merged budget (Conditions 2/3), and counts
+// must be non-negative.
 func VerifyLog(l *searchlog.Log, p Params, counts []int) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -195,7 +338,7 @@ func VerifyLog(l *searchlog.Log, p Params, counts []int) error {
 			coef := Coef(l.PairCount(up.Pair), up.Count)
 			lhs += float64(counts[up.Pair]) * coef
 		}
-		if lhs > budget+1e-9 {
+		if lhs > budget+AuditTol {
 			return Violation{User: k, LHS: lhs, Budget: budget}
 		}
 	}

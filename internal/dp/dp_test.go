@@ -127,14 +127,14 @@ func TestVerifyAndLHS(t *testing.T) {
 		t.Fatal(err)
 	}
 	zero := make([]int, l.NumPairs())
-	if v := c.Verify(zero, 0); len(v) != 0 {
+	if v := c.Verify(zero); len(v) != 0 {
 		t.Errorf("all-zero plan flagged: %v", v)
 	}
 	huge := make([]int, l.NumPairs())
 	for i := range huge {
 		huge[i] = 1000
 	}
-	v := c.Verify(huge, 0)
+	v := c.Verify(huge)
 	if len(v) != l.NumUsers() {
 		t.Errorf("huge plan: %d violations, want %d", len(v), l.NumUsers())
 	}
@@ -144,6 +144,37 @@ func TestVerifyAndLHS(t *testing.T) {
 		}
 		if lhs := c.LHS(v[0].User, huge); math.Abs(lhs-v[0].LHS) > 1e-12 {
 			t.Errorf("LHS mismatch: %g vs %g", lhs, v[0].LHS)
+		}
+	}
+}
+
+func TestWalkBuiltPlansVerify(t *testing.T) {
+	pre, _ := searchlog.Preprocess(sharedLog(t))
+	for _, eExp := range []float64{1.01, 1.5, 2, 10} {
+		for _, tol := range []float64{FillTol, AuditTol} {
+			c, err := Build(pre, FromEExp(eExp, 0.5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Fill unit by unit, round-robin over the pairs, until no pair
+			// can take another unit.
+			counts := make([]int, c.NumPairs)
+			w := c.NewWalk(nil, tol)
+			for progressed := true; progressed; {
+				progressed = false
+				for i := range counts {
+					if w.Add(i) {
+						counts[i]++
+						progressed = true
+					}
+				}
+			}
+			if v := c.Verify(counts); len(v) != 0 {
+				t.Errorf("e^ε=%g tol=%g: walk-built plan %v violates %v", eExp, tol, counts, v)
+			}
+			if counts[0]+counts[1]+counts[2] == 0 && eExp >= 2 {
+				t.Errorf("e^ε=%g: walk took nothing", eExp)
+			}
 		}
 	}
 }
@@ -227,7 +258,7 @@ func TestVerifiedPlanBoundsHold(t *testing.T) {
 		for i := range counts {
 			counts[i] = g.IntN(4)
 		}
-		if len(c.Verify(counts, 0)) > 0 {
+		if len(c.Verify(counts)) > 0 {
 			continue
 		}
 		accepted++
@@ -297,7 +328,7 @@ func TestExactCheckMatchesVerifier(t *testing.T) {
 	checked := 0
 	for trial := 0; trial < 50 && checked < 8; trial++ {
 		counts := []int{g.IntN(3), g.IntN(3)}
-		if len(c.Verify(counts, 0)) > 0 {
+		if len(c.Verify(counts)) > 0 {
 			continue
 		}
 		checked++

@@ -147,7 +147,7 @@ func RepairPlan(c *Constraints, counts []int) int {
 	for iter := 0; iter < 1<<22; iter++ {
 		worstRow, worstLHS := -1, c.Budget
 		for k := range c.Rows {
-			if lhs := c.LHS(k, counts); lhs > worstLHS+1e-12 {
+			if lhs := c.LHS(k, counts); lhs > worstLHS+FillTol {
 				worstRow, worstLHS = k, lhs
 			}
 		}

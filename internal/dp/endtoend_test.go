@@ -161,7 +161,7 @@ func TestProjectFeasible(t *testing.T) {
 		bad[i] = 100
 	}
 	fixed := ProjectFeasible(c, bad)
-	if v := c.Verify(fixed, 0); len(v) != 0 {
+	if v := c.Verify(fixed); len(v) != 0 {
 		t.Errorf("projection left violations: %v", v)
 	}
 	// A feasible plan passes through unchanged.
@@ -188,7 +188,7 @@ func TestProjectFeasibleAlwaysTerminatesFeasible(t *testing.T) {
 			counts[i] = g.IntN(1000)
 		}
 		fixed := ProjectFeasible(c, counts)
-		if v := c.Verify(fixed, 0); len(v) != 0 {
+		if v := c.Verify(fixed); len(v) != 0 {
 			t.Fatalf("trial %d: projection infeasible: %v", trial, v)
 		}
 	}

@@ -102,7 +102,7 @@ func TestEndToEndNoiseThenProjectionAudits(t *testing.T) {
 			t.Fatal(err)
 		}
 		fixed := dp.ProjectFeasible(cons, noisy)
-		if v := cons.Verify(fixed, 0); len(v) != 0 {
+		if v := cons.Verify(fixed); len(v) != 0 {
 			t.Errorf("ε′=%g: projected plan violates constraints: %v", epsPrime, v)
 		}
 		for i, x := range fixed {

@@ -269,25 +269,10 @@ func (r *Runner) fumpPlan(p dp.Params, minSupport float64, outputSize int) (*ump
 }
 
 // planRecall computes Equation 9's Recall between the input's frequent
-// pairs and the plan-induced output supports (sampling preserves pair
-// totals exactly, so plan supports equal sampled-output supports).
+// pairs and the plan-induced output supports.
 func (r *Runner) planRecall(plan *ump.Plan, minSupport float64) float64 {
-	inFreq := metrics.FrequentPairs(r.pre, minSupport)
-	if len(inFreq) == 0 {
-		return 1
-	}
-	hit := 0
-	for i := 0; i < r.pre.NumPairs(); i++ {
-		if plan.OutputSize == 0 || plan.Counts[i] == 0 {
-			continue
-		}
-		if float64(plan.Counts[i])/float64(plan.OutputSize) >= minSupport {
-			if _, ok := inFreq[r.pre.Pair(i).Key()]; ok {
-				hit++
-			}
-		}
-	}
-	return float64(hit) / float64(len(inFreq))
+	_, recall := metrics.PlanPrecisionRecall(r.pre, r.pre, plan.Counts, minSupport)
+	return recall
 }
 
 // referenceLambda returns ⌊λ_LP⌋ at the paper's reference point
@@ -440,28 +425,6 @@ func (r *Runner) outputGrid() ([]int, error) {
 	return out, nil
 }
 
-// planPrecision computes Equation 9's Precision on the plan supports: the
-// fraction of output-frequent pairs that are also input-frequent.
-func (r *Runner) planPrecision(plan *ump.Plan, minSupport float64) float64 {
-	inFreq := metrics.FrequentPairs(r.pre, minSupport)
-	outFreq, hit := 0, 0
-	for i := 0; i < r.pre.NumPairs(); i++ {
-		if plan.OutputSize == 0 || plan.Counts[i] == 0 {
-			continue
-		}
-		if float64(plan.Counts[i])/float64(plan.OutputSize) >= minSupport {
-			outFreq++
-			if _, ok := inFreq[r.pre.Pair(i).Key()]; ok {
-				hit++
-			}
-		}
-	}
-	if outFreq == 0 {
-		return 1
-	}
-	return float64(hit) / float64(outFreq)
-}
-
 // Table5 reports Recall on (|O|, s) at e^ε = 2, δ = 0.5, with the measured
 // minimum Precision across the grid in the notes (the paper reports
 // Precision ≡ 1 in all its F-UMP experiments).
@@ -469,10 +432,9 @@ func (r *Runner) Table5() (*Table, error) {
 	minPrecision := 1.0
 	t, err := r.fumpGridTable("table5", "Recall on output size |O| and minimum support s (e^ε = 2, δ = 0.5)",
 		func(plan *ump.Plan, s float64) string {
-			if p := r.planPrecision(plan, s); p < minPrecision {
-				minPrecision = p
-			}
-			return fmt.Sprintf("%.4f", r.planRecall(plan, s))
+			precision, recall := metrics.PlanPrecisionRecall(r.pre, r.pre, plan.Counts, s)
+			minPrecision = math.Min(minPrecision, precision)
+			return fmt.Sprintf("%.4f", recall)
 		})
 	if err != nil {
 		return nil, err
@@ -582,28 +544,6 @@ func (r *Runner) solverSet() []bip.Solver {
 	}
 }
 
-// bipProblem assembles the D-UMP BIP for the given parameters.
-func (r *Runner) bipProblem(p dp.Params) (*bip.Problem, error) {
-	cons, err := dp.Build(r.pre, p)
-	if err != nil {
-		return nil, err
-	}
-	prob := &bip.Problem{
-		NumCols: r.pre.NumPairs(),
-		Rows:    make([][]bip.Term, len(cons.Rows)),
-		RHS:     make([]float64, len(cons.Rows)),
-	}
-	for k, row := range cons.Rows {
-		prob.RHS[k] = cons.Budget
-		terms := make([]bip.Term, len(row.Terms))
-		for i, term := range row.Terms {
-			terms[i] = bip.Term{Col: term.Pair, Coef: term.Coef}
-		}
-		prob.Rows[k] = terms
-	}
-	return prob, nil
-}
-
 // solverComparison runs every solver over a parameter axis, returning
 // retained-diversity percentages.
 func (r *Runner) solverComparison(id, title, axisLabel string, axis []float64, paramsOf func(float64) dp.Params) (*Table, error) {
@@ -624,11 +564,11 @@ func (r *Runner) solverComparison(id, title, axisLabel string, axis []float64, p
 			key := cellKey{s.Name(), budgetKey(p)}
 			pct, ok := cache[key]
 			if !ok {
-				prob, err := r.bipProblem(p)
+				cons, err := dp.Build(r.pre, p)
 				if err != nil {
 					return nil, err
 				}
-				sol, err := s.Solve(prob)
+				sol, err := s.Solve(cons)
 				if err != nil {
 					return nil, err
 				}
@@ -660,8 +600,7 @@ func (r *Runner) Table7b() (*Table, error) {
 // Fig5 times each BIP solver on the paper's D-UMP instance
 // (e^ε = 1.7, δ = 10⁻³), reproducing the log-scale runtime comparison.
 func (r *Runner) Fig5() (*Table, error) {
-	p := params(1.7, 1e-3)
-	prob, err := r.bipProblem(p)
+	cons, err := dp.Build(r.pre, params(1.7, 1e-3))
 	if err != nil {
 		return nil, err
 	}
@@ -672,7 +611,7 @@ func (r *Runner) Fig5() (*Table, error) {
 	}
 	for _, s := range r.solverSet() {
 		start := time.Now()
-		sol, err := s.Solve(prob)
+		sol, err := s.Solve(cons)
 		if err != nil {
 			return nil, err
 		}

@@ -18,6 +18,7 @@ package gen
 
 import (
 	"fmt"
+	"strings"
 
 	"dpslog/internal/rng"
 	"dpslog/internal/searchlog"
@@ -155,25 +156,27 @@ func PaperSharded() Profile {
 	return p
 }
 
+// named lists every named profile in presentation order; Profiles and
+// ProfileNames both read it.
+var named = []func() Profile{Tiny, Small, Paper, Dense, TinySharded, SmallSharded, PaperSharded}
+
+// ProfileNames lists the named profiles in presentation order.
+func ProfileNames() []string {
+	names := make([]string, len(named))
+	for i, f := range named {
+		names[i] = f().Name
+	}
+	return names
+}
+
 // Profiles returns the named profile.
 func Profiles(name string) (Profile, error) {
-	switch name {
-	case "tiny":
-		return Tiny(), nil
-	case "small":
-		return Small(), nil
-	case "paper":
-		return Paper(), nil
-	case "dense":
-		return Dense(), nil
-	case "tiny-sharded":
-		return TinySharded(), nil
-	case "small-sharded":
-		return SmallSharded(), nil
-	case "paper-sharded":
-		return PaperSharded(), nil
+	for _, f := range named {
+		if p := f(); p.Name == name {
+			return p, nil
+		}
 	}
-	return Profile{}, fmt.Errorf("gen: unknown profile %q (have tiny, small, paper, dense, tiny-sharded, small-sharded, paper-sharded)", name)
+	return Profile{}, fmt.Errorf("gen: unknown profile %q (have %s)", name, strings.Join(ProfileNames(), ", "))
 }
 
 // Generate synthesizes a corpus for the profile, deterministically in the

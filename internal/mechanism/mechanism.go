@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"dpslog/internal/ledger"
+	"dpslog/internal/metrics"
 	"dpslog/internal/searchlog"
 )
 
@@ -100,41 +101,25 @@ func (r *Release) Digest() string {
 // shapes: plan supports for a schema-preserving release, noisy-mass shares
 // for an aggregate one.
 func (r *Release) FrequentRecall(in *searchlog.Log, s float64) float64 {
-	inFreq := map[searchlog.PairKey]bool{}
-	inSize := in.Size()
-	for i := 0; i < in.NumPairs(); i++ {
-		p := in.Pair(i)
-		if float64(p.Total)/float64(inSize) >= s {
-			inFreq[p.Key()] = true
-		}
+	if r.Output != nil {
+		_, recall := metrics.PlanPrecisionRecall(in, r.Result.Preprocessed, r.Result.Plan.Counts, s)
+		return recall
 	}
+	inFreq := metrics.FrequentPairs(in, s)
 	if len(inFreq) == 0 {
 		return 1
 	}
-	hit := 0
-	if r.Output == nil {
-		// A released pair counts as frequent when its noisy share of the
-		// positive released mass is ≥ s.
-		total := 0.0
-		for _, pc := range r.Pairs {
-			if pc.Count > 0 {
-				total += pc.Count
-			}
+	// A released pair counts as frequent when its noisy share of the
+	// positive released mass is ≥ s.
+	total := 0.0
+	for _, pc := range r.Pairs {
+		if pc.Count > 0 {
+			total += pc.Count
 		}
-		for _, pc := range r.Pairs {
-			if total > 0 && pc.Count/total >= s && inFreq[searchlog.PairKey{Query: pc.Query, URL: pc.URL}] {
-				hit++
-			}
-		}
-		return float64(hit) / float64(len(inFreq))
 	}
-	pre := r.Result.Preprocessed
-	plan := r.Result.Plan
-	for i := 0; i < pre.NumPairs(); i++ {
-		if plan.OutputSize == 0 || plan.Counts[i] == 0 {
-			continue
-		}
-		if float64(plan.Counts[i])/float64(plan.OutputSize) >= s && inFreq[pre.Pair(i).Key()] {
+	hit := 0
+	for _, pc := range r.Pairs {
+		if _, ok := inFreq[searchlog.PairKey{Query: pc.Query, URL: pc.URL}]; ok && total > 0 && pc.Count/total >= s {
 			hit++
 		}
 	}

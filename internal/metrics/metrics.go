@@ -62,6 +62,30 @@ func PrecisionRecall(s0, s FrequentSet) (precision, recall float64) {
 	return precision, recall
 }
 
+// PlanPrecisionRecall evaluates Equation 9 on a plan of output counts over
+// the log out: the output frequent set holds out's pairs whose share
+// counts[i]/|O| of the plan total reaches s, and it is matched against the
+// frequent pairs of the input log in by PairKey, so in and out may index
+// pairs differently (a raw input and its preprocessed log). Sampling
+// preserves pair totals exactly, so plan supports equal the supports of any
+// sampled output.
+func PlanPrecisionRecall(in, out *searchlog.Log, counts []int, s float64) (precision, recall float64) {
+	outSize := 0
+	for _, x := range counts {
+		outSize += x
+	}
+	outFreq := FrequentSet{}
+	for i, x := range counts {
+		if x == 0 {
+			continue
+		}
+		if sup := Support(x, outSize); sup >= s {
+			outFreq[out.Pair(i).Key()] = sup
+		}
+	}
+	return PrecisionRecall(FrequentPairs(in, s), outFreq)
+}
+
 // SupportDistances evaluates the F-UMP objective (Equation 5) for a plan of
 // output counts: Σ over the input's frequent pairs of |x_ij/|O| − c_ij/|D||,
 // with |O| the plan's total. It returns the sum, the average per frequent

@@ -77,6 +77,24 @@ func TestPrecisionRecall(t *testing.T) {
 	}
 }
 
+func TestPlanPrecisionRecall(t *testing.T) {
+	in := fixture(t) // pairs sorted: book, car, google; frequent at .25: google, book
+	// The plan log lacks book and orders its pairs differently from in.
+	out := buildLog(t, []searchlog.Record{
+		{User: "x", Query: "google", URL: "g.com", Count: 1},
+		{User: "x", Query: "car", URL: "k.com", Count: 1},
+	})
+	// counts over out (car, google): car 3/4, google 1/4 — both output-frequent.
+	p, r := PlanPrecisionRecall(in, out, []int{3, 1}, 0.25)
+	if p != 0.5 || r != 0.5 {
+		t.Errorf("precision %g recall %g, want 0.5, 0.5", p, r)
+	}
+	// An empty plan emits nothing: precision 1, recall 0.
+	if p, r := PlanPrecisionRecall(in, out, []int{0, 0}, 0.25); p != 1 || r != 0 {
+		t.Errorf("empty plan: precision %g recall %g, want 1, 0", p, r)
+	}
+}
+
 func TestSupportDistances(t *testing.T) {
 	l := fixture(t)
 	// Plan keeps supports identical: x proportional to c with |O| = 10.

@@ -23,35 +23,38 @@ func (p *Pair) IsUnique() bool {
 // Preprocess returns a new Log with all unique query-url pairs removed, as
 // required by Condition 1 of Theorem 1 before any of the utility-maximizing
 // problems are formulated. Pairs with zero remaining count and users with no
-// remaining pairs are dropped. The input log is not modified.
+// remaining pairs are dropped. The result is the parent restricted to the
+// kept pairs and users (Restrict), so it keeps the parent's pair and user
+// order. The input log is not modified.
 func Preprocess(l *Log) (*Log, PreprocessStats) {
 	var st PreprocessStats
 	drop := make([]bool, l.NumPairs())
+	pairs := make([]int, 0, l.NumPairs())
 	for i := range l.pairs {
 		if l.pairs[i].IsUnique() {
 			drop[i] = true
 			st.RemovedPairs++
 			st.RemovedMass += l.pairs[i].Total
+			continue
 		}
+		pairs = append(pairs, i)
 	}
-	b := NewBuilder()
+	users := make([]int, 0, l.NumUsers())
 	for k := range l.users {
-		u := &l.users[k]
 		kept := false
-		for _, up := range u.Pairs {
-			if drop[up.Pair] {
-				continue
+		for _, up := range l.users[k].Pairs {
+			if !drop[up.Pair] {
+				kept = true
+				break
 			}
-			p := &l.pairs[up.Pair]
-			b.Add(u.ID, p.Query, p.URL, up.Count)
-			kept = true
 		}
-		if !kept {
+		if kept {
+			users = append(users, k)
+		} else {
 			st.RemovedUsers++
 		}
 	}
-	out := b.Log()
-	return out, st
+	return l.Restrict(pairs, users), st
 }
 
 // IsPreprocessed reports whether the log contains no unique pairs, i.e.

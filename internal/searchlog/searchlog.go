@@ -185,9 +185,10 @@ func (l *Log) NumTriplets() int { return l.numTriplets() }
 // WithoutUser returns a copy of the log with user index k's entire user log
 // removed (the neighboring input D' = D − A_k of Definition 2). Pairs whose
 // count drops to zero disappear; indices are NOT preserved across the copy.
+// An out-of-range k removes nothing and returns l itself.
 func (l *Log) WithoutUser(k int) *Log {
 	if k < 0 || k >= len(l.users) {
-		return l.clone()
+		return l // a Log is immutable, so it is its own copy
 	}
 	b := NewBuilder()
 	for ki := range l.users {
@@ -195,18 +196,6 @@ func (l *Log) WithoutUser(k int) *Log {
 			continue
 		}
 		u := &l.users[ki]
-		for _, up := range u.Pairs {
-			p := &l.pairs[up.Pair]
-			b.Add(u.ID, p.Query, p.URL, up.Count)
-		}
-	}
-	return b.Log()
-}
-
-func (l *Log) clone() *Log {
-	b := NewBuilder()
-	for k := range l.users {
-		u := &l.users[k]
 		for _, up := range u.Pairs {
 			p := &l.pairs[up.Pair]
 			b.Add(u.ID, p.Query, p.URL, up.Count)

@@ -126,8 +126,9 @@ func MinPrivacy(l *searchlog.Log, target int, opts Options) (*MinPrivacyResult, 
 	if target <= 0 {
 		return nil, fmt.Errorf("ump: target output size must be positive, got %d", target)
 	}
-	if !searchlog.IsPreprocessed(l) {
-		return nil, dp.ErrNotPreprocessed
+	cons, err := dp.BuildRows(l)
+	if err != nil {
+		return nil, err
 	}
 	totalCap := 0
 	for i := 0; i < l.NumPairs(); i++ {
@@ -146,13 +147,12 @@ func MinPrivacy(l *searchlog.Log, target int, opts Options) (*MinPrivacyResult, 
 		prob.AddVariable(0, 0, up)
 	}
 	z := prob.AddVariable(1, 0, math.Inf(1))
-	for k := 0; k < l.NumUsers(); k++ {
-		u := l.User(k)
-		row := prob.AddConstraint(lp.LE, 0) // Σ x·lnt − z ≤ 0
-		for _, up := range u.Pairs {
-			prob.SetCoef(row, up.Pair, dp.Coef(l.PairCount(up.Pair), up.Count))
+	for _, row := range cons.Rows {
+		r := prob.AddConstraint(lp.LE, 0) // Σ x·lnt − z ≤ 0
+		for _, t := range row.Terms {
+			prob.SetCoef(r, t.Pair, t.Coef)
 		}
-		prob.SetCoef(row, z, -1)
+		prob.SetCoef(r, z, -1)
 	}
 	eq := prob.AddConstraint(lp.EQ, float64(target))
 	for i := 0; i < l.NumPairs(); i++ {
@@ -178,15 +178,13 @@ func MinPrivacy(l *searchlog.Log, target int, opts Options) (*MinPrivacyResult, 
 	// fill is roundUp from an empty plan, prioritizing pairs by ascending
 	// worst-case coefficient and sweeping until no pair can take a unit.
 	caps := pairCaps(l, opts.NoBoxConstraint)
-	rows := constraintRows(l)
 	cheapest := maxCoefFromLog(l)
 	for i := range cheapest {
 		cheapest[i] = -cheapest[i]
 	}
 	fill := func(budget float64) []int {
 		counts := make([]int, l.NumPairs())
-		cons := &dp.Constraints{Rows: rows, Budget: budget, NumPairs: l.NumPairs()}
-		roundUp(cons, counts, cheapest, caps, target, 0)
+		roundUp(cons.WithBudget(budget), counts, cheapest, caps, target, 0)
 		return counts
 	}
 	lo := math.Max(zLP, 1e-9)
@@ -212,7 +210,6 @@ func MinPrivacy(l *searchlog.Log, target int, opts Options) (*MinPrivacyResult, 
 	}
 
 	// Exact exposure of the final integral plan.
-	cons := &dp.Constraints{Rows: rows, Budget: math.Inf(1), NumPairs: l.NumPairs()}
 	realized := 0.0
 	for k := range cons.Rows {
 		if lhs := cons.LHS(k, counts); lhs > realized {
@@ -233,21 +230,6 @@ func MinPrivacy(l *searchlog.Log, target int, opts Options) (*MinPrivacyResult, 
 		Stats:               lpStats(sol),
 	}
 	return &MinPrivacyResult{Plan: plan, Epsilon: realized}, nil
-}
-
-// constraintRows builds the Theorem-1 rows of a preprocessed log without a
-// budget (callers attach budgets as needed).
-func constraintRows(l *searchlog.Log) []dp.Row {
-	rows := make([]dp.Row, l.NumUsers())
-	for k := 0; k < l.NumUsers(); k++ {
-		u := l.User(k)
-		row := dp.Row{User: k, Terms: make([]dp.Term, 0, len(u.Pairs))}
-		for _, up := range u.Pairs {
-			row.Terms = append(row.Terms, dp.Term{Pair: up.Pair, Coef: dp.Coef(l.PairCount(up.Pair), up.Count)})
-		}
-		rows[k] = row
-	}
-	return rows
 }
 
 // queryCand is one query's candidate pair for Q-UMP: the query's cheapest
@@ -302,10 +284,10 @@ func queryCandidates(l *searchlog.Log, maxCoef []float64) []queryCand {
 // pair's count to one whenever every touched user budget still holds, and
 // returns the number retained.
 func greedyInsertCands(cons *dp.Constraints, cands []queryCand, counts []int) int {
-	walk := newBudgetWalk(cons, counts)
+	walk := cons.NewWalk(counts, dp.FillTol)
 	retained := 0
 	for _, c := range cands {
-		if walk.add(c.pair) {
+		if walk.Add(c.pair) {
 			counts[c.pair] = 1
 			retained++
 		}

@@ -364,58 +364,16 @@ func sum(counts []int) int {
 	return s
 }
 
-// budgetWalk is the incremental Theorem-1 feasibility check behind every
-// integral fill (roundUp, greedyInsertCands): a pair→row transpose of the
-// constraint rows plus each row's running activity.
-type budgetWalk struct {
-	budget float64
-	lhs    []float64
-	byPair [][]rowTerm
-}
-
-// rowTerm is one constraint-row entry seen from its pair.
-type rowTerm struct {
-	row  int
-	coef float64
-}
-
-// newBudgetWalk transposes cons and records each row's activity at counts.
-func newBudgetWalk(cons *dp.Constraints, counts []int) *budgetWalk {
-	w := &budgetWalk{budget: cons.Budget, lhs: make([]float64, len(cons.Rows)), byPair: make([][]rowTerm, len(counts))}
-	for k, row := range cons.Rows {
-		for _, t := range row.Terms {
-			w.byPair[t.Pair] = append(w.byPair[t.Pair], rowTerm{row: k, coef: t.Coef})
-			w.lhs[k] += float64(counts[t.Pair]) * t.Coef
-		}
-	}
-	return w
-}
-
-// add takes one more unit of pair i when every row it touches stays within
-// the budget (to 1e-12) and reports whether it did. Because the constraint
-// matrix is non-negative, every accepted unit keeps the plan exactly
-// feasible.
-func (w *budgetWalk) add(i int) bool {
-	for _, e := range w.byPair[i] {
-		if w.lhs[e.row]+e.coef > w.budget+1e-12 {
-			return false
-		}
-	}
-	for _, e := range w.byPair[i] {
-		w.lhs[e.row] += e.coef
-	}
-	return true
-}
-
 // roundUpPasses bounds roundUp's sweeps over the LP-backed plans.
 const roundUpPasses = 8
 
 // roundUp converts floor slack back into output mass: starting from the
 // floored plan, it increments pairs by one unit in order of decreasing
 // priority (for LP plans the fractional remainder: largest-remainder
-// rounding) whenever the increment keeps every DP row within budget and the
-// pair below its cap. Passes repeat until a full sweep makes no progress or
-// maxPasses sweeps ran (≤ 0: no limit). Every accepted increment preserves
+// rounding) whenever the increment keeps every DP row within budget (one
+// dp.Walk step at dp.FillTol) and the pair below its cap. Passes repeat
+// until a full sweep makes no progress or maxPasses sweeps ran (≤ 0: no
+// limit). Every accepted increment preserves
 // exact feasibility, so the result still satisfies Theorem 1 while
 // recovering most of the integrality gap that plain flooring leaves behind
 // (significant when the fractional optimum spreads mass below 1 across many
@@ -424,7 +382,7 @@ const roundUpPasses = 8
 // maxTotal, when positive, caps the total output size (used by F-UMP to
 // respect the requested |O|). caps may be nil for unbounded pairs.
 func roundUp(cons *dp.Constraints, counts []int, priority []float64, caps []int, maxTotal, maxPasses int) {
-	walk := newBudgetWalk(cons, counts)
+	walk := cons.NewWalk(counts, dp.FillTol)
 	total := sum(counts)
 	order := make([]int, len(counts))
 	for i := range order {
@@ -440,7 +398,7 @@ func roundUp(cons *dp.Constraints, counts []int, priority []float64, caps []int,
 			if caps != nil && counts[i] >= caps[i] {
 				continue
 			}
-			if !walk.add(i) {
+			if !walk.Add(i) {
 				continue
 			}
 			counts[i]++
@@ -621,20 +579,11 @@ func solveDiversity(l *searchlog.Log, params dp.Params, name string, opts Option
 	if err != nil {
 		return nil, err
 	}
-	prob := &bip.Problem{NumCols: l.NumPairs(), Rows: make([][]bip.Term, len(cons.Rows)), RHS: make([]float64, len(cons.Rows))}
-	for k, row := range cons.Rows {
-		prob.RHS[k] = cons.Budget
-		terms := make([]bip.Term, len(row.Terms))
-		for t, term := range row.Terms {
-			terms[t] = bip.Term{Col: term.Pair, Coef: term.Coef}
-		}
-		prob.Rows[k] = terms
-	}
 	_, sp := obs.Start(opts.ctx(), "bip.solve")
-	sol, err := solver.Solve(prob)
+	sol, err := solver.Solve(cons)
 	if sp != nil {
 		sp.SetAttr("solver", name)
-		sp.SetAttr("cols", prob.NumCols)
+		sp.SetAttr("cols", cons.NumPairs)
 		if sol != nil {
 			sp.SetAttr("nodes", sol.Nodes)
 			sp.SetAttr("retained", sol.Objective)
@@ -644,12 +593,7 @@ func solveDiversity(l *searchlog.Log, params dp.Params, name string, opts Option
 	if err != nil {
 		return nil, fmt.Errorf("ump: D-UMP (%s): %w", name, err)
 	}
-	counts := make([]int, l.NumPairs())
-	for i, keep := range sol.Y {
-		if keep {
-			counts[i] = 1
-		}
-	}
+	counts := sol.Counts()
 	dp.RepairPlan(cons, counts)
 	plan := &Plan{
 		Kind:                KindDiversity,

@@ -380,7 +380,7 @@ func TestRepairFixesInjectedViolation(t *testing.T) {
 	if n == 0 {
 		t.Fatal("repair did nothing on an infeasible plan")
 	}
-	if v := cons.Verify(counts, 0); len(v) != 0 {
+	if v := cons.Verify(counts); len(v) != 0 {
 		t.Fatalf("repair left violations: %v", v)
 	}
 }
