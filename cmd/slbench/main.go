@@ -1,10 +1,9 @@
 // Command slbench measures the solver hot paths — monolithic vs
 // component-decomposed, sequential vs parallel — plus the multinomial
-// sampling step, the warm-started grid
-// sweeps, the streaming sharded ingest fold and every registered release
-// mechanism end to end, and emits a machine-readable benchmark trajectory
-// (BENCH_slbench.json, the committed baseline) that future changes are
-// compared against.
+// sampling step, the warm-started grid sweeps, the streaming ingest fold
+// and every registered release mechanism end to end, and emits a
+// machine-readable benchmark trajectory (BENCH_slbench.json, the committed
+// baseline) that future changes are compared against.
 //
 // Usage:
 //
@@ -178,11 +177,10 @@ func main() {
 			benchSweeps(&traj, profile, pre)
 		}
 
-		// The streaming sharded ingest fold, sequential vs parallel, over
-		// the raw corpus bytes. The recorded objective is the ingested
-		// log's total size — any drift means the streaming path no longer
-		// reproduces the histogram, which is exactly what the baseline
-		// gate should catch.
+		// The streaming ingest fold over the raw corpus bytes. The
+		// recorded objective is the ingested log's total size — any drift
+		// means the streaming path no longer reproduces the histogram,
+		// which is exactly what the baseline gate should catch.
 		benchIngest(&traj, profile, raw)
 
 		// Every registered release mechanism, end to end.
@@ -372,33 +370,26 @@ func benchSweeps(traj *trajectory, profile string, pre *searchlog.Log) {
 }
 
 // benchIngest measures ingest.Ingest over the profile's canonical TSV
-// bytes at fold widths 1 and GOMAXPROCS, asserting along the way that the
-// shard count does not change the digest (the ingest determinism
-// invariant), and records the ingested size as the gated objective.
+// bytes, asserting along the way that the fold reproduces the generated
+// log's digest, and records the ingested size as the gated objective.
 func benchIngest(traj *trajectory, profile string, raw *searchlog.Log) {
 	var buf bytes.Buffer
 	if _, err := searchlog.WriteTSV(&buf, raw); err != nil {
 		fatal(err)
 	}
 	data := buf.Bytes()
-	wantDigest := raw.Digest()
-	// Fixed fold widths (not GOMAXPROCS) so benchmark names — and with
-	// them the baseline comparison — are machine-independent.
-	for _, shards := range []int{1, 8} {
-		mode := fmt.Sprintf("shards-%d", shards)
-		l, _, err := ingest.Ingest(bytes.NewReader(data), ingest.Config{Shards: shards})
-		if err != nil {
-			fatal(fmt.Errorf("%s/ingest/%s: %w", profile, mode, err))
-		}
-		if l.Digest() != wantDigest {
-			fatal(fmt.Errorf("%s/ingest/%s: digest diverged from the in-memory path", profile, mode))
-		}
-		r := measure(func() error {
-			_, _, err := ingest.Ingest(bytes.NewReader(data), ingest.Config{Shards: shards})
-			return err
-		})
-		traj.add(profile, "ingest", mode, raw, shards, 1, float64(l.Size()), r)
+	l, _, err := ingest.Ingest(bytes.NewReader(data), ingest.Config{})
+	if err != nil {
+		fatal(fmt.Errorf("%s/ingest: %w", profile, err))
 	}
+	if l.Digest() != raw.Digest() {
+		fatal(fmt.Errorf("%s/ingest: digest diverged from the generated log", profile))
+	}
+	r := measure(func() error {
+		_, _, err := ingest.Ingest(bytes.NewReader(data), ingest.Config{})
+		return err
+	})
+	traj.add(profile, "ingest", "ingest", raw, 1, 1, float64(l.Size()), r)
 }
 
 // benchAppend measures the continual-release re-solve (PR 10): a ~1%

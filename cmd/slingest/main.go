@@ -3,25 +3,27 @@
 // or straight into a running slserve via a chunked PUT, all under bounded
 // memory. Nothing in the pipeline ever holds the whole corpus: generation
 // emits click events one user at a time (gen.Stream), uploads flow through
-// an io.Pipe into the HTTP body, and local ingestion uses the sharded
-// streaming fold (internal/ingest).
+// an io.Pipe into the HTTP body, and local ingestion uses the one
+// streaming fold (internal/ingest: one scanner goroutine feeding one
+// Builder), the same fold the server runs on an upload.
 //
 // Usage:
 //
 //	slingest [-profile small] [-seed 1] [-users N] [-min-bytes N]
 //	         [-file F] [-format tsv|aol]
 //	         [-o FILE|-] | [-url http://host:port -corpus NAME] | [-stats]
-//	         [-shards N] [-chunk BYTES] [-quiet]
+//	         [-quiet]
 //
 // Source: -file reads an existing log; otherwise rows are generated from
-// -profile/-seed (with -users overriding the profile's user count, and
-// -min-bytes repeating the profile in disjoint namespaced blocks until at
-// least that many bytes have been emitted — how a laptop-sized profile
-// becomes a multi-hundred-MB corpus).
+// -profile/-seed (slingest -h lists the profile names), with -users
+// overriding the profile's user count and -min-bytes repeating the
+// profile in disjoint namespaced blocks until at least that many bytes
+// have been emitted — how a laptop-sized profile becomes a
+// multi-hundred-MB corpus.
 //
 // Sink: -url/-corpus PUTs the stream to /v1/corpora/{name} (chunked
 // transfer, -format sent as the Content-Type — application/x-aol-log for
-// AOL — so the server's sharded ingest does the folding); -o writes the raw
+// AOL — so the server's ingest does the folding); -o writes the raw
 // rows to a file or stdout; -stats folds locally and prints the digest,
 // shape and ingest statistics as JSON.
 //
@@ -48,14 +50,13 @@ import (
 
 	"dpslog/internal/gen"
 	"dpslog/internal/ingest"
-	"dpslog/internal/searchlog"
 )
 
 // aolHeader matches the historical release's first line.
 const aolHeader = "AnonID\tQuery\tQueryTime\tItemRank\tClickURL\n"
 
 func main() {
-	profile := flag.String("profile", "small", "generation profile (tiny, small, paper, tiny-sharded, small-sharded)")
+	profile := flag.String("profile", "small", "generation profile: "+strings.Join(gen.ProfileNames(), ", "))
 	seed := flag.Uint64("seed", 1, "generation seed")
 	users := flag.Int("users", 0, "override the profile's user count (0 = profile default)")
 	minBytes := flag.Int64("min-bytes", 0, "repeat the profile in disjoint blocks until at least this many bytes are emitted (0 = one block)")
@@ -64,9 +65,7 @@ func main() {
 	out := flag.String("o", "", "write rows to this file ('-' = stdout)")
 	url := flag.String("url", "", "slserve base URL; with -corpus, stream the rows into PUT /v1/corpora/{name}")
 	corpusName := flag.String("corpus", "", "corpus name for the server upload")
-	stats := flag.Bool("stats", false, "fold the source locally (sharded streaming ingest) and print digest + stats JSON")
-	shards := flag.Int("shards", 0, "local fold shards for -stats (0 = GOMAXPROCS)")
-	chunk := flag.Int("chunk", 0, "streaming reader chunk bytes for -stats (0 = 256 KiB)")
+	stats := flag.Bool("stats", false, "fold the source locally (the server's streaming ingest) and print digest + stats JSON")
 	quiet := flag.Bool("quiet", false, "suppress the progress/summary lines on stderr")
 	flag.Parse()
 
@@ -96,11 +95,7 @@ func main() {
 			fatal(err)
 		}
 		defer src.Close()
-		l, st, err := ingest.Ingest(src, ingest.Config{
-			Format: f,
-			Shards: *shards,
-			Scan:   searchlog.ScanConfig{ChunkBytes: *chunk},
-		})
+		l, st, err := ingest.Ingest(src, ingest.Config{Format: f})
 		if err != nil {
 			fatal(err)
 		}

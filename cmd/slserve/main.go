@@ -8,8 +8,7 @@
 //	slserve [-addr :8080] [-ops-addr ADDR] [-workers N] [-queue N] [-cache N]
 //	        [-max-jobs N] [-max-body BYTES] [-solve-parallelism N]
 //	        [-data-dir DIR] [-budget-eexp X | -budget-epsilon X]
-//	        [-budget-delta X] [-mechanisms LIST] [-ingest-shards N]
-//	        [-ingest-chunk BYTES] [-max-ingest-bytes BYTES]
+//	        [-budget-delta X] [-mechanisms LIST] [-max-ingest-bytes BYTES]
 //	        [-max-corpus-bytes BYTES] [-comp-cache N] [-trace-buffer N]
 //	        [-quiet]
 //
@@ -40,13 +39,12 @@
 // Every non-2xx response carries the structured error envelope {"error",
 // "code", "status", "detail"?}.
 //
-// Corpus uploads stream through the sharded ingest fold (see
-// internal/ingest): the body is never slurped, memory is bounded by the
-// aggregated histogram, and -max-ingest-bytes admission-controls the
-// declared bytes of concurrent uploads (excess uploads get 503).
-// -ingest-shards sets the fold parallelism, -ingest-chunk the streaming
-// reader's chunk size, -max-corpus-bytes the per-upload body cap; the
-// /metrics exposition reports rows/sec, shard skew and the peak-heap
+// Corpus uploads stream through the one ingest fold (searchlog.Fold via
+// internal/ingest: one scanner goroutine feeding one Builder): the body is
+// never slurped, memory is bounded by the aggregated histogram, and
+// -max-ingest-bytes admission-controls the declared bytes of concurrent
+// uploads (excess uploads get 503). -max-corpus-bytes is the per-upload
+// body cap; the /metrics exposition reports rows/sec and the live-heap
 // estimate of the latest ingest.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM, draining in-flight
@@ -89,8 +87,6 @@ func main() {
 	budgetEps := flag.Float64("budget-epsilon", 0, "per-corpus privacy budget ε (0 = default ln 16)")
 	budgetDelta := flag.Float64("budget-delta", 0, "per-corpus privacy budget δ (0 = default 1.0)")
 	mechanisms := flag.String("mechanisms", "", "comma-separated mechanism allowlist (ump, laplace, zealous, localdp; empty = all)")
-	ingestShards := flag.Int("ingest-shards", 0, "fold workers per streaming corpus upload (0 = GOMAXPROCS)")
-	ingestChunk := flag.Int("ingest-chunk", 0, "streaming reader chunk size in bytes (0 = 256 KiB)")
 	maxIngest := flag.Int64("max-ingest-bytes", 0, "declared bytes of concurrent corpus uploads admitted at once (0 = 256 MiB, negative = unguarded)")
 	maxCorpus := flag.Int64("max-corpus-bytes", 0, "per-upload corpus body cap in bytes (0 = 8 GiB, negative = uncapped)")
 	compCache := flag.Int("comp-cache", 0, "component-plan cache entries for incremental post-append re-solves (0 = 4096, negative disables)")
@@ -127,8 +123,6 @@ func main() {
 		DataDir:          *dataDir,
 		Budget:           budget,
 		Mechanisms:       allowed,
-		IngestShards:     *ingestShards,
-		IngestChunkBytes: *ingestChunk,
 		MaxIngestBytes:   *maxIngest,
 		MaxCorpusBytes:   *maxCorpus,
 		CompCacheSize:    *compCache,

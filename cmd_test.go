@@ -7,7 +7,6 @@ package dpslog_test
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -119,9 +118,10 @@ func TestCLIPipeline(t *testing.T) {
 }
 
 // TestCLIIngestRoundTrip: slingest generates the same corpus twice — once
-// to a file in each format — and its local sharded -stats fold must report
-// the identical digest for both, at different shard counts: the TSV and
-// AOL renderings of one generation stream normalize to one histogram.
+// to a file in each format — and its local -stats fold must report the
+// identical digest for both files and for the generated stream itself:
+// the TSV and AOL renderings of one generation stream normalize to one
+// histogram.
 func TestCLIIngestRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke tests skipped in -short mode")
@@ -139,8 +139,8 @@ func TestCLIIngestRoundTrip(t *testing.T) {
 	run(t, bin, "-profile", "tiny", "-seed", "9", "-format", "tsv", "-o", tsv, "-quiet")
 	run(t, bin, "-profile", "tiny", "-seed", "9", "-format", "aol", "-o", aol, "-quiet")
 
-	digestOf := func(file, format string, shards int) string {
-		out, _ := run(t, bin, "-file", file, "-format", format, "-stats", "-shards", fmt.Sprint(shards), "-quiet")
+	digestOf := func(args ...string) string {
+		out, _ := run(t, bin, append(args, "-stats", "-quiet")...)
 		var res struct {
 			Digest string `json:"digest"`
 		}
@@ -149,14 +149,12 @@ func TestCLIIngestRoundTrip(t *testing.T) {
 		}
 		return res.Digest
 	}
-	want := digestOf(tsv, "tsv", 1)
-	for _, shards := range []int{2, 8} {
-		if got := digestOf(tsv, "tsv", shards); got != want {
-			t.Fatalf("tsv digest at %d shards: %s != %s", shards, got, want)
-		}
-	}
-	if got := digestOf(aol, "aol", 4); got != want {
+	want := digestOf("-file", tsv, "-format", "tsv")
+	if got := digestOf("-file", aol, "-format", "aol"); got != want {
 		t.Fatalf("aol digest %s != tsv digest %s", got, want)
+	}
+	if got := digestOf("-profile", "tiny", "-seed", "9", "-format", "aol"); got != want {
+		t.Fatalf("generated-stream digest %s != file digest %s", got, want)
 	}
 }
 

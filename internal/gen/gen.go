@@ -118,7 +118,7 @@ func Paper() Profile {
 // heavy per-user click volumes, so the raw click stream is enormous
 // relative to its aggregated (user, query, url) histogram — one generated
 // block is ~3M AOL rows (~180 MB) folding into under ~100k distinct
-// triplets. This is the regime the streaming sharded ingest is judged in:
+// triplets. This is the regime the streaming ingest is judged in:
 // corpus size is unbounded, resident memory is histogram-bounded.
 func Dense() Profile {
 	return Profile{

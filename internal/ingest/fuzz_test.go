@@ -3,38 +3,30 @@ package ingest
 import (
 	"strings"
 	"testing"
-
-	"dpslog/internal/searchlog"
 )
 
-// FuzzIngestTSV: over arbitrary (malformed, truncated, binary) input and
-// arbitrary shard/chunk/batch geometry, the sharded streaming fold must
-// agree with the in-memory ReadTSV verdict exactly — both reject, or both
-// accept with byte-identical digests. This is the equivalence oracle for
-// the whole streaming path: any divergence in skip rules, error positions,
-// chunk reassembly or merge determinism shows up here.
+// FuzzIngestTSV: over arbitrary (malformed, truncated, binary) input,
+// Ingest must agree with the sequential reference at an arbitrary chunk
+// size exactly — both reject with the same error text, or both accept with
+// byte-identical digests. This is the equivalence oracle for the whole
+// streaming path: any divergence in skip rules, error positions, chunk
+// reassembly or the batch hand-over shows up here.
 func FuzzIngestTSV(f *testing.F) {
-	f.Add("u\tq\tl\t2\n", 1, 7, 1)
-	f.Add("# c\n\nu\tq\tl\t1\nu\tq\tl\t3\n", 3, 1, 2)
-	f.Add("a\tb\tc\tx\n", 2, 4096, 64)
-	f.Add("a\tb\tc\t-1\n", 4, 3, 8)
-	f.Add("u\tq\tl\t1", 5, 2, 1) // truncated final row
-	f.Add(strings.Repeat("u\tq\tl\t1\n", 50), 8, 13, 3)
-	f.Add("u\r\tq\tl\t1\r\n", 2, 1, 1)
-	f.Fuzz(func(t *testing.T, input string, shards, chunk, batch int) {
-		// Clamp the geometry rather than reject it, so the fuzzer spends
+	f.Add("u\tq\tl\t2\n", 7)
+	f.Add("# c\n\nu\tq\tl\t1\nu\tq\tl\t3\n", 1)
+	f.Add("a\tb\tc\tx\n", 4096)
+	f.Add("a\tb\tc\t-1\n", 3)
+	f.Add("u\tq\tl\t1", 2) // truncated final row
+	f.Add(strings.Repeat("u\tq\tl\t1\n", 50), 13)
+	f.Add("u\r\tq\tl\t1\r\n", 1)
+	f.Fuzz(func(t *testing.T, input string, chunk int) {
+		// Clamp the chunk size rather than reject it, so the fuzzer spends
 		// its budget on input bytes, not on argument validity.
-		shards = 1 + abs(shards)%8
 		chunk = 1 + abs(chunk)%8192
-		batch = 1 + abs(batch)%256
-		want, wantErr := searchlog.ReadTSV(strings.NewReader(input))
-		got, _, err := Ingest(strings.NewReader(input), Config{
-			Shards:    shards,
-			Scan:      searchlog.ScanConfig{ChunkBytes: chunk},
-			BatchRows: batch,
-		})
+		want, wantErr := sequential(input, FormatTSV, chunk)
+		got, _, err := Ingest(strings.NewReader(input), Config{})
 		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("verdicts diverged: ingest=%v, in-memory=%v", err, wantErr)
+			t.Fatalf("verdicts diverged: ingest=%v, sequential=%v", err, wantErr)
 		}
 		if err != nil {
 			if err.Error() != wantErr.Error() {
@@ -43,7 +35,7 @@ func FuzzIngestTSV(f *testing.F) {
 			return
 		}
 		if got.Digest() != want.Digest() {
-			t.Fatalf("digest diverged at shards=%d chunk=%d batch=%d", shards, chunk, batch)
+			t.Fatalf("digest diverged at chunk=%d", chunk)
 		}
 	})
 }
@@ -51,24 +43,25 @@ func FuzzIngestTSV(f *testing.F) {
 // FuzzIngestAOL: same oracle for the 5-column AOL format, whose skip rules
 // (header, clickless rows, AnonID trimming) are richer.
 func FuzzIngestAOL(f *testing.F) {
-	f.Add("AnonID\tQuery\tQueryTime\tItemRank\tClickURL\n1\tcar\t2006\t1\tkbb.com\n", 2, 16)
-	f.Add("1\tq\tt\t\t\n", 1, 1)
-	f.Add(" 1 \tq\tt\t1\tu\n1\tq\tt\t1\tu\n", 4, 3)
-	f.Add("short\trow\n", 3, 5)
-	f.Fuzz(func(t *testing.T, input string, shards, chunk int) {
-		shards = 1 + abs(shards)%8
+	f.Add("AnonID\tQuery\tQueryTime\tItemRank\tClickURL\n1\tcar\t2006\t1\tkbb.com\n", 16)
+	f.Add("1\tq\tt\t\t\n", 1)
+	f.Add(" 1 \tq\tt\t1\tu\n1\tq\tt\t1\tu\n", 3)
+	f.Add("short\trow\n", 5)
+	f.Fuzz(func(t *testing.T, input string, chunk int) {
 		chunk = 1 + abs(chunk)%8192
-		want, wantErr := searchlog.ReadAOL(strings.NewReader(input))
-		got, _, err := Ingest(strings.NewReader(input), Config{
-			Format: FormatAOL,
-			Shards: shards,
-			Scan:   searchlog.ScanConfig{ChunkBytes: chunk},
-		})
+		want, wantErr := sequential(input, FormatAOL, chunk)
+		got, _, err := Ingest(strings.NewReader(input), Config{Format: FormatAOL})
 		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("verdicts diverged: ingest=%v, in-memory=%v", err, wantErr)
+			t.Fatalf("verdicts diverged: ingest=%v, sequential=%v", err, wantErr)
 		}
-		if err == nil && got.Digest() != want.Digest() {
-			t.Fatalf("digest diverged at shards=%d chunk=%d", shards, chunk)
+		if err != nil {
+			if err.Error() != wantErr.Error() {
+				t.Fatalf("error text diverged: %q vs %q", err, wantErr)
+			}
+			return
+		}
+		if got.Digest() != want.Digest() {
+			t.Fatalf("digest diverged at chunk=%d", chunk)
 		}
 	})
 }

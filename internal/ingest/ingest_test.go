@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -23,37 +24,52 @@ func corpusTSV(t *testing.T, profile gen.Profile, seed uint64) ([]byte, *searchl
 	return buf.Bytes(), l
 }
 
-// TestIngestShardCountNeverChangesDigest is the central determinism
-// property: for a realistic generated corpus, every (shards, chunk, batch)
-// combination must produce a Log byte-identical (same digest) to the
-// in-memory ReadTSV path.
-func TestIngestShardCountNeverChangesDigest(t *testing.T) {
+// sequential is the reference Ingest must match: the format's scanner at
+// an explicit chunk size, feeding one Builder on one goroutine — no
+// batches, no channel.
+func sequential(input string, f Format, chunk int) (*searchlog.Log, error) {
+	scan := searchlog.ScanTSV
+	if f == FormatAOL {
+		scan = searchlog.ScanAOL
+	}
+	b := searchlog.NewBuilder()
+	if _, err := scan(strings.NewReader(input), searchlog.ScanConfig{ChunkBytes: chunk}, func(row searchlog.Row) error {
+		b.Add(row.User, row.Query, row.URL, row.Count)
+		return b.Err()
+	}); err != nil {
+		return nil, err
+	}
+	return b.BuildLog()
+}
+
+// TestIngestMatchesSequentialFold is the central determinism property: for
+// a realistic generated corpus, Ingest produces a Log byte-identical (same
+// digest) to the generated one and to the sequential reference at any
+// chunk size.
+func TestIngestMatchesSequentialFold(t *testing.T) {
 	raw, want := corpusTSV(t, gen.Tiny(), 7)
-	wantDigest := want.Digest()
-	for _, shards := range []int{1, 2, 3, 5, 8, 16} {
-		for _, chunk := range []int{17, 4096, 256 << 10} {
-			for _, batchRows := range []int{1, 7, 1024} {
-				l, st, err := Ingest(bytes.NewReader(raw), Config{
-					Shards:    shards,
-					Scan:      searchlog.ScanConfig{ChunkBytes: chunk},
-					BatchRows: batchRows,
-				})
-				if err != nil {
-					t.Fatalf("shards=%d chunk=%d batch=%d: %v", shards, chunk, batchRows, err)
-				}
-				if got := l.Digest(); got != wantDigest {
-					t.Fatalf("shards=%d chunk=%d batch=%d: digest %s != %s", shards, chunk, batchRows, got, wantDigest)
-				}
-				if st.Shards != shards || st.Rows != int64(want.NumTriplets()) {
-					t.Fatalf("shards=%d: stats %+v, want %d rows", shards, st, want.NumTriplets())
-				}
-			}
+	l, st, err := Ingest(bytes.NewReader(raw), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Digest() != want.Digest() || st.Rows != int64(want.NumTriplets()) {
+		t.Fatalf("ingest diverged from the generated log: stats %+v, want %d rows", st, want.NumTriplets())
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, chunk := range []int{1, 17, 4096, 256 << 10, 1 + rng.Intn(64), 1 + rng.Intn(8192)} {
+		ref, err := sequential(string(raw), FormatTSV, chunk)
+		if err != nil {
+			t.Fatalf("chunk=%d: %v", chunk, err)
+		}
+		if ref.Digest() != l.Digest() {
+			t.Fatalf("chunk=%d: sequential digest %s != ingest %s", chunk, ref.Digest(), l.Digest())
 		}
 	}
 }
 
-// TestIngestAOLEquivalence: the AOL format through the sharded fold matches
-// ReadAOL exactly, including header/clickless skips and AnonID trimming.
+// TestIngestAOLEquivalence: the AOL format through the fold matches the
+// sequential reference exactly, including header/clickless skips and
+// AnonID trimming.
 func TestIngestAOLEquivalence(t *testing.T) {
 	input := "AnonID\tQuery\tQueryTime\tItemRank\tClickURL\n" +
 		"142\tcars \t2006-03-01\t1\tkbb.com\n" +
@@ -61,25 +77,19 @@ func TestIngestAOLEquivalence(t *testing.T) {
 		"142\tweather\t2006-03-02\t\t\n" + // clickless: dropped
 		" 99 \tnews\t2006-03-03\t2\tcnn.com\n" + // padded AnonID folds to 99
 		"99\tnews\t2006-03-04\t2\tcnn.com\n"
-	want, err := searchlog.ReadAOL(strings.NewReader(input))
+	want, err := sequential(input, FormatAOL, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 4} {
-		l, st, err := Ingest(strings.NewReader(input), Config{
-			Format: FormatAOL,
-			Shards: shards,
-			Scan:   searchlog.ScanConfig{ChunkBytes: 13},
-		})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if l.Digest() != want.Digest() {
-			t.Fatalf("shards=%d: AOL ingest diverged from ReadAOL", shards)
-		}
-		if st.Rows != 4 {
-			t.Fatalf("shards=%d: %d rows folded, want 4 (clicked rows only)", shards, st.Rows)
-		}
+	l, st, err := Ingest(strings.NewReader(input), Config{Format: FormatAOL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Digest() != want.Digest() {
+		t.Fatal("AOL ingest diverged from the sequential reference")
+	}
+	if st.Rows != 4 {
+		t.Fatalf("%d rows folded, want 4 (clicked rows only)", st.Rows)
 	}
 	if want.NumUsers() != 2 {
 		t.Fatalf("fixture users = %d, want 2", want.NumUsers())
@@ -87,65 +97,52 @@ func TestIngestAOLEquivalence(t *testing.T) {
 }
 
 // TestIngestParseErrorKeepsPosition: a malformed row mid-stream aborts the
-// ingest with the same line-numbered error the in-memory reader gives, at
-// every shard and chunk size.
+// ingest with the same line-numbered error the sequential reference gives
+// at every chunk size.
 func TestIngestParseErrorKeepsPosition(t *testing.T) {
 	input := "u1\tq\tl\t1\nu2\tq\tl\t2\nbroken row\nu3\tq\tl\t1\n"
-	_, wantErr := searchlog.ReadTSV(strings.NewReader(input))
-	if wantErr == nil {
-		t.Fatal("fixture unexpectedly parses")
+	_, _, err := Ingest(strings.NewReader(input), Config{})
+	if err == nil {
+		t.Fatal("malformed row accepted")
 	}
-	for _, shards := range []int{1, 4} {
-		for _, chunk := range []int{3, 4096} {
-			_, _, err := Ingest(strings.NewReader(input), Config{Shards: shards, Scan: searchlog.ScanConfig{ChunkBytes: chunk}})
-			if err == nil {
-				t.Fatalf("shards=%d chunk=%d: malformed row accepted", shards, chunk)
-			}
-			if err.Error() != wantErr.Error() {
-				t.Fatalf("shards=%d chunk=%d: error %q != in-memory %q", shards, chunk, err, wantErr)
-			}
-			if !strings.Contains(err.Error(), "line 3") {
-				t.Fatalf("error lost its position: %v", err)
-			}
+	if !strings.Contains(err.Error(), "line 3") {
+		t.Fatalf("error lost its position: %v", err)
+	}
+	for _, chunk := range []int{3, 4096} {
+		_, wantErr := sequential(input, FormatTSV, chunk)
+		if wantErr == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("chunk=%d: error %q != sequential %v", chunk, err, wantErr)
 		}
 	}
 }
 
-// TestIngestEmptyInput: zero accepted rows yields an empty log and sane
-// stats, not a crash or a skewed division.
+// TestIngestEmptyInput: zero accepted rows yields an empty log and zero
+// stats, not a crash or a division by zero.
 func TestIngestEmptyInput(t *testing.T) {
-	l, st, err := Ingest(strings.NewReader("# only a comment\n\n"), Config{Shards: 4})
+	l, st, err := Ingest(strings.NewReader("# only a comment\n\n"), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l.Size() != 0 || l.NumUsers() != 0 {
 		t.Fatalf("empty input produced size %d, users %d", l.Size(), l.NumUsers())
 	}
-	if st.Rows != 0 || st.SkewRatio != 0 {
+	if st.Rows != 0 || st.RowsPerSec != 0 || st.Users != 0 || st.Pairs != 0 {
 		t.Fatalf("empty stats: %+v", st)
 	}
 }
 
-// TestIngestStats: shard row counts must sum to the total, skew must be
-// ≥ 1 when rows exist, and the heap estimate must be non-zero.
+// TestIngestStats: the row count, shape and heap estimate describe the run.
 func TestIngestStats(t *testing.T) {
 	raw, want := corpusTSV(t, gen.Tiny(), 3)
-	_, st, err := Ingest(bytes.NewReader(raw), Config{Shards: 4, BatchRows: 8})
+	_, st, err := Ingest(bytes.NewReader(raw), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sum int64
-	for _, n := range st.ShardRows {
-		sum += n
+	if st.Rows != int64(want.NumTriplets()) {
+		t.Fatalf("rows %d, want %d", st.Rows, want.NumTriplets())
 	}
-	if sum != st.Rows || st.Rows != int64(want.NumTriplets()) {
-		t.Fatalf("shard rows sum %d, total %d, want %d", sum, st.Rows, want.NumTriplets())
-	}
-	if st.SkewRatio < 1 {
-		t.Fatalf("skew ratio %g < 1 with %d rows", st.SkewRatio, st.Rows)
-	}
-	if st.PeakHeapBytes == 0 {
-		t.Fatal("peak heap estimate never sampled")
+	if st.PeakHeapBytes == 0 || st.Elapsed <= 0 || st.RowsPerSec <= 0 {
+		t.Fatalf("run statistics not recorded: %+v", st)
 	}
 	if st.Users != want.NumUsers() || st.Pairs != want.NumPairs() {
 		t.Fatalf("shape %d users/%d pairs, want %d/%d", st.Users, st.Pairs, want.NumUsers(), want.NumPairs())
@@ -170,15 +167,15 @@ func TestParseFormat(t *testing.T) {
 }
 
 // TestIngestZeroCountRows: explicit zero-count TSV rows are accepted and
-// ignored, exactly like Builder.Add does on the in-memory path — including
-// a user whose every row is zero, who must vanish from the log.
+// ignored, exactly like Builder.Add does — including a user whose every
+// row is zero, who must vanish from the log.
 func TestIngestZeroCountRows(t *testing.T) {
 	input := "u1\tq\tl\t0\nu2\tq\tl\t3\nu1\tq2\tl2\t0\n"
-	want, err := searchlog.ReadTSV(strings.NewReader(input))
+	want, err := sequential(input, FormatTSV, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, st, err := Ingest(strings.NewReader(input), Config{Shards: 3})
+	l, st, err := Ingest(strings.NewReader(input), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

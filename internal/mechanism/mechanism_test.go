@@ -130,24 +130,32 @@ func TestDegenerateFrequentAndCombinedReports(t *testing.T) {
 	}
 }
 
-// TestColdFrequentReleaseReusesNothing pins the component accounting of a
-// cold F-UMP release on a connected corpus with a fresh component cache:
-// the one component's F-UMP LP is solved fresh, and with a single
-// component |O| needs no λ split, so nothing is served from the cache.
+// TestColdFrequentReleaseReusesNothing pins the solver accounting of a
+// cold F-UMP release, with no component cache and with a fresh one: λ is
+// solved once (one O-UMP LP per component) and the F-UMP LPs once more per
+// component, every one of them is counted, and nothing is served from the
+// cache — a fresh cache holds nothing the release did not put there itself.
 func TestColdFrequentReleaseReusesNothing(t *testing.T) {
-	_, pre, _, err := gen.GeneratePreprocessed(gen.Tiny(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Epsilon: math.Log(2), Delta: 0.25, Objective: ObjectiveFrequent, MinSupport: 0.01, Seed: 1,
-		Comp: ump.NewComponentCache(0)}
-	res, err := RunUMP(context.Background(), pre, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := res.Plan; p.Components != 1 || p.Reused != 0 || p.Solver.LPSolves != 1 {
-		t.Errorf("cold F-UMP release: %d components, %d reused, %d LP solves; want 1, 0, 1",
-			p.Components, p.Reused, p.Solver.LPSolves)
+	for _, tc := range []struct {
+		profile    gen.Profile
+		components int
+	}{{gen.Tiny(), 1}, {gen.SmallSharded(), 8}} {
+		_, pre, _, err := gen.GeneratePreprocessed(tc.profile, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cache := range []*ump.ComponentCache{nil, ump.NewComponentCache(0)} {
+			opts := Options{Epsilon: math.Log(2), Delta: 0.25, Objective: ObjectiveFrequent, MinSupport: 0.01, Seed: 1,
+				Comp: cache}
+			res, err := RunUMP(context.Background(), pre, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := res.Plan; p.Components != tc.components || p.Reused != 0 || p.Solver.LPSolves != 2*tc.components {
+				t.Errorf("%s cold F-UMP release (cache %v): %d components, %d reused, %d LP solves; want %d, 0, %d",
+					tc.profile.Name, cache != nil, p.Components, p.Reused, p.Solver.LPSolves, tc.components, 2*tc.components)
+			}
+		}
 	}
 }
 

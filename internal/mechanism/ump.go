@@ -258,31 +258,17 @@ func solveObjectiveWithLambda(pre *searchlog.Log, opts Options, params dp.Params
 		plan, err := ump.MaxOutputSize(pre, params, uopts)
 		return plan, 0, err
 	case ObjectiveFrequent:
-		lp, err := ump.MaxOutputSize(pre, params, uopts)
+		plan, err := ump.FrequentSupport(pre, params, opts.MinSupport, opts.OutputSize, uopts)
 		if err != nil {
 			return nil, 0, err
 		}
-		lambda := lp.OutputSize
-		outSize := opts.OutputSize
-		if outSize == 0 {
-			outSize = lambda / 2
-		}
-		if outSize > lambda {
+		// ump bounds an explicit size by the floored fractional λ; a
+		// release keeps the integral λ as its bound.
+		if opts.OutputSize > plan.Lambda {
 			return nil, 0, fmt.Errorf("dpslog: OutputSize %d exceeds λ = %d for ε=%g δ=%g",
-				outSize, lambda, opts.Epsilon, opts.Delta)
+				opts.OutputSize, plan.Lambda, opts.Epsilon, opts.Delta)
 		}
-		if outSize == 0 {
-			// Degenerate budget: no F-UMP LP can run at |O| = 0, so the
-			// O-UMP plan stands in, reported as F-UMP with its realized
-			// distance.
-			plan := *lp
-			plan.Kind = ump.KindFrequent
-			plan.Objective, _, _ = metrics.SupportDistances(pre, plan.Counts, opts.MinSupport)
-			plan.RelaxationObjective = plan.Objective
-			return &plan, lambda, nil
-		}
-		plan, err := ump.FrequentSupport(pre, params, opts.MinSupport, outSize, uopts)
-		return plan, lambda, err
+		return plan, plan.Lambda, nil
 	case ObjectiveDiversity:
 		plan, err := ump.Diversity(pre, params, uopts)
 		return plan, 0, err

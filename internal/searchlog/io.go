@@ -49,18 +49,12 @@ func WriteTSV(w io.Writer, l *Log) (int, error) {
 
 // ReadTSV parses the canonical 4-column format produced by WriteTSV.
 // Blank lines and lines starting with '#' are skipped. Duplicate
-// (user, query, url) rows accumulate. It is the in-memory form of ScanTSV —
-// the streaming scanner is the only parser — so errors carry the same
-// 1-based line numbers.
+// (user, query, url) rows accumulate. It is Fold over ScanTSV — the
+// streaming scanner is the only parser — so errors carry the same 1-based
+// line numbers.
 func ReadTSV(r io.Reader) (*Log, error) {
-	b := NewBuilder()
-	if _, err := ScanTSV(r, ScanConfig{}, func(row Row) error {
-		b.Add(row.User, row.Query, row.URL, row.Count)
-		return b.Err()
-	}); err != nil {
-		return nil, err
-	}
-	return b.BuildLog()
+	l, _, err := Fold(r, ScanTSV)
+	return l, err
 }
 
 // ReadAOL parses the historical AOL release format
@@ -70,15 +64,75 @@ func ReadTSV(r io.Reader) (*Log, error) {
 // keeping only rows with a non-empty ClickURL (the paper "only collect[s] the
 // tuples with clicks") and aggregating repeated (user, query, url) rows into
 // counts. Query time and item rank are ignored, as in the paper. A header
-// line starting with "AnonID" is skipped. Like ReadTSV, it is the in-memory
-// form of the streaming ScanAOL.
+// line starting with "AnonID" is skipped. Like ReadTSV, it is Fold over the
+// streaming ScanAOL.
 func ReadAOL(r io.Reader) (*Log, error) {
+	l, _, err := Fold(r, ScanAOL)
+	return l, err
+}
+
+// foldBatch is how many rows the scanner goroutine hands over per send,
+// amortizing the channel hand-off over many rows. foldDepth is how many
+// full batches may wait for the Builder, so short stalls on either side (a
+// slow read, a map growth) do not stall the other. Together they bound the
+// rows in flight to (foldDepth+2)·foldBatch.
+const (
+	foldBatch = 1024
+	foldDepth = 4
+)
+
+// Fold is the one path from raw rows to a Log. scan (ScanTSV or ScanAOL)
+// runs on its own goroutine at the default ScanConfig and hands accepted
+// rows over in fixed-size batches; the caller's goroutine adds them to a
+// single Builder, so parsing and aggregation overlap. It returns the frozen
+// Log and the number of accepted rows. A scan error — a malformed row with
+// its line number, or the reader's own error — is returned as the scanner
+// reported it. The caller drains every batch, so the scanner goroutine has
+// always exited when Fold returns.
+func Fold(r io.Reader, scan func(io.Reader, ScanConfig, func(Row) error) (int, error)) (*Log, int, error) {
+	// Drained batches go back through free, so a long fold reuses a few
+	// batch buffers instead of allocating one per foldBatch rows. A
+	// new buffer is made only when free is empty, so at most foldDepth+2
+	// exist (queued, filling, draining): free holds them all and the
+	// hand-back never blocks.
+	batches := make(chan []Row, foldDepth)
+	free := make(chan []Row, foldDepth+2)
+	var scanErr error
+	go func() {
+		defer close(batches)
+		next := func() []Row {
+			select {
+			case batch := <-free:
+				return batch[:0]
+			default:
+				return make([]Row, 0, foldBatch)
+			}
+		}
+		batch := next()
+		_, scanErr = scan(r, ScanConfig{}, func(row Row) error {
+			batch = append(batch, row)
+			if len(batch) == foldBatch {
+				batches <- batch
+				batch = next()
+			}
+			return nil
+		})
+		if scanErr == nil && len(batch) > 0 {
+			batches <- batch
+		}
+	}()
 	b := NewBuilder()
-	if _, err := ScanAOL(r, ScanConfig{}, func(row Row) error {
-		b.Add(row.User, row.Query, row.URL, row.Count)
-		return b.Err()
-	}); err != nil {
-		return nil, err
+	rows := 0
+	for batch := range batches {
+		rows += len(batch)
+		for _, row := range batch {
+			b.Add(row.User, row.Query, row.URL, row.Count)
+		}
+		free <- batch
 	}
-	return b.BuildLog()
+	if scanErr != nil {
+		return nil, 0, scanErr
+	}
+	l, err := b.BuildLog()
+	return l, rows, err
 }

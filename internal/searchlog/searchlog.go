@@ -266,12 +266,11 @@ func (b *Builder) BuildLog() (*Log, error) {
 }
 
 // BuildFromUserCounts freezes a user → pair → count histogram directly into
-// an immutable Log. It is the merge point of the sharded streaming ingest
-// (internal/ingest): shard workers fold disjoint user subsets into maps of
-// exactly this shape, and because the construction below sorts users and
-// pairs globally, the resulting Log — and therefore its digest — is a pure
-// function of the histogram, independent of how many shards (or chunks, or
-// input orderings) produced it. Zero counts are skipped, users with no
+// an immutable Log. It freezes every Builder (and so every Fold) and the
+// corpus versions folded from UserCounts; because the construction below
+// sorts users and pairs globally, the resulting Log — and therefore its
+// digest — is a pure function of the histogram, independent of the chunks,
+// batches or input order that produced it. Zero counts are skipped, users with no
 // positive pairs are dropped, and a negative count is an error. The maps
 // are read, not retained.
 func BuildFromUserCounts(counts map[string]map[PairKey]int) (*Log, error) {

@@ -1,16 +1,15 @@
 package searchlog
 
-// Streaming row access to the two on-disk formats. ReadTSV/ReadAOL slurp a
-// whole log into a Builder; at AOL scale (~20M rows) the interesting
-// consumers — the sharded ingest fold (internal/ingest), the corpus store's
-// upload path — want rows one at a time under bounded memory. ScanTSV and
-// ScanAOL deliver exactly the rows the in-memory readers would have
-// accumulated, via a hand-rolled chunked line splitter whose chunk size is
-// explicit: rows crossing a chunk boundary are reassembled exactly once, a
-// line longer than MaxLineBytes is an error (with its line number) rather
-// than a silent truncation, and parse errors keep their 1-based line number
-// no matter how the input was chunked. The in-memory readers are thin
-// wrappers over the scanners, so there is exactly one parser to trust.
+// Streaming row access to the two on-disk formats. At AOL scale (~20M
+// rows) a log must be read one row at a time under bounded memory: ScanTSV
+// and ScanAOL deliver the accepted rows via a hand-rolled chunked line
+// splitter whose chunk size is explicit: rows crossing a chunk boundary are
+// reassembled exactly once, a line longer than MaxLineBytes is an error
+// (with its line number) rather than a silent truncation, and parse errors
+// keep their 1-based line number no matter how the input was chunked.
+// Fold (io.go) runs a scanner on its own goroutine feeding one Builder; it
+// is the one path from raw rows to a Log, so there is exactly one parser
+// and one aggregation to trust.
 
 import (
 	"bytes"

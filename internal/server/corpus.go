@@ -19,7 +19,6 @@ import (
 	"dpslog/internal/corpus"
 	"dpslog/internal/ingest"
 	"dpslog/internal/obs"
-	"dpslog/internal/searchlog"
 )
 
 // corpusMetaJSON is the wire form of a stored corpus: its identity plus
@@ -146,7 +145,7 @@ func uploadFormat(r *http.Request) ingest.Format {
 // decodeCorpusUpload materializes the uploaded log of a PUT or append:
 // a JSON envelope {"records": [...]} / {"tsv": "..."} slurped under the
 // general body cap, or a raw body in the negotiated format streamed through
-// the sharded ingest fold — bounded memory however large the upload, with
+// the streaming ingest fold — bounded memory however large the upload, with
 // the admission gate (managed by the caller) shedding uploads that would
 // overcommit it. On failure the response has been written and the second
 // result is false.
@@ -162,11 +161,7 @@ func (s *Server) decodeCorpusUpload(w http.ResponseWriter, r *http.Request) (*dp
 		return l, true
 	}
 	_, isp := obs.Start(r.Context(), "ingest")
-	l, st, err := ingest.Ingest(r.Body, ingest.Config{
-		Format: uploadFormat(r),
-		Shards: s.cfg.IngestShards,
-		Scan:   searchlog.ScanConfig{ChunkBytes: s.cfg.IngestChunkBytes},
-	})
+	l, st, err := ingest.Ingest(r.Body, ingest.Config{Format: uploadFormat(r)})
 	if err == nil {
 		isp.SetAttr("rows", st.Rows)
 		isp.SetAttr("rows_per_sec", st.RowsPerSec)
@@ -175,7 +170,7 @@ func (s *Server) decodeCorpusUpload(w http.ResponseWriter, r *http.Request) (*dp
 	var tooBig *http.MaxBytesError
 	switch {
 	case err == nil:
-		s.metrics.ObserveIngest(st.Rows, st.RowsPerSec, st.SkewRatio, st.PeakHeapBytes)
+		s.metrics.ObserveIngest(st.Rows, st.RowsPerSec, st.PeakHeapBytes)
 		return l, true
 	case errors.As(err, &tooBig):
 		s.writeError(w, http.StatusRequestEntityTooLarge, "corpus body exceeds the %d-byte cap", tooBig.Limit)
@@ -244,7 +239,7 @@ func (s *Server) handleCorpusPut(w http.ResponseWriter, r *http.Request) {
 // handleCorpusAppend folds new rows into the latest version of a stored
 // corpus, producing a new immutable version (POST /v1/corpora/{name}/append).
 // The body is the same shape as a PUT — raw TSV/AOL streamed through the
-// sharded ingest fold, or a small JSON envelope. The new version has its own
+// streaming ingest fold, or a small JSON envelope. The new version has its own
 // digest, and therefore its own untouched (ε, δ) budget; releases already
 // journaled against ancestor versions stay replayable and spend-free.
 func (s *Server) handleCorpusAppend(w http.ResponseWriter, r *http.Request) {

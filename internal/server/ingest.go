@@ -1,7 +1,8 @@
 package server
 
 // The streaming upload path of the corpus subsystem. A corpus PUT body is
-// never slurped: it flows through internal/ingest's sharded fold, so the
+// never slurped: it flows through the one streaming fold (searchlog.Fold
+// via internal/ingest), so the
 // server's memory during an upload is bounded by the aggregated histogram,
 // not the body size — a multi-hundred-MB AOL-scale corpus uploads under a
 // small resident footprint. What must still be guarded is concurrency:

@@ -16,8 +16,8 @@ import (
 )
 
 // TestCorpusPutChunkedStreaming: a PUT body with no Content-Length (HTTP
-// chunked transfer, the slingest pipe mode) streams through the sharded
-// ingest and stores the same digest the in-memory path would have.
+// chunked transfer, the slingest pipe mode) flows through the ingest fold
+// and stores the same digest the in-memory path would have.
 func TestCorpusPutChunkedStreaming(t *testing.T) {
 	e := newTestEnv(t, Config{DataDir: t.TempDir()})
 	req, err := http.NewRequest(http.MethodPut, e.ts.URL+"/v1/corpora/chunked", io.NopCloser(bytes.NewReader(e.tsv)))
@@ -79,10 +79,9 @@ func TestCorpusPutAOLFormat(t *testing.T) {
 }
 
 // TestCorpusPutParseErrorKeepsLineNumber: a malformed row in a streamed
-// upload fails with 400 and the row's 1-based line number — position must
-// survive the chunked scanner.
+// upload fails with 400 and the row's 1-based line number.
 func TestCorpusPutParseErrorKeepsLineNumber(t *testing.T) {
-	e := newTestEnv(t, Config{DataDir: t.TempDir(), IngestChunkBytes: 7})
+	e := newTestEnv(t, Config{DataDir: t.TempDir()})
 	body := "u1\tq\tl\t1\nu2\tq\tl\t2\nbroken\n"
 	resp, raw := e.do(t, http.MethodPut, "/v1/corpora/bad", "text/plain", []byte(body))
 	if resp.StatusCode != http.StatusBadRequest {
@@ -263,7 +262,6 @@ func TestMetricsIngestSeries(t *testing.T) {
 		"slserve_ingest_failures_total 0",
 		"slserve_ingest_rows_total",
 		"slserve_ingest_last_rows_per_sec",
-		"slserve_ingest_last_shard_skew",
 		"slserve_ingest_last_peak_heap_bytes",
 		"slserve_ingest_inflight_bytes 0",
 		"slserve_ingest_capacity_bytes",

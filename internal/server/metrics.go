@@ -44,15 +44,14 @@ type solverMetrics struct {
 }
 
 // ingestMetrics accumulates the streaming corpus-upload counters plus a
-// snapshot of the most recent completed ingest (rate, skew, peak heap) —
-// the operational signals of the sharded fold.
+// snapshot of the most recent completed ingest (rate, peak heap estimate) —
+// the operational signals of the streaming fold.
 type ingestMetrics struct {
 	uploads  int64
 	failures int64
 	rows     int64
 	// last completed ingest:
 	lastRowsPerSec float64
-	lastSkew       float64
 	lastPeakHeap   uint64
 }
 
@@ -174,15 +173,14 @@ func (m *Metrics) ObserveSolveComponents(n int) {
 }
 
 // ObserveIngest records one completed streaming corpus upload: the rows
-// folded, the fold throughput, the shard skew ratio and the peak live-heap
-// estimate sampled during the run.
-func (m *Metrics) ObserveIngest(rows int64, rowsPerSec, skew float64, peakHeap uint64) {
+// folded, the fold throughput and the live-heap estimate sampled when the
+// fold returned.
+func (m *Metrics) ObserveIngest(rows int64, rowsPerSec float64, peakHeap uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.ingest.uploads++
 	m.ingest.rows += rows
 	m.ingest.lastRowsPerSec = rowsPerSec
-	m.ingest.lastSkew = skew
 	m.ingest.lastPeakHeap = peakHeap
 }
 
@@ -306,9 +304,8 @@ func (m *Metrics) WriteTo(w io.Writer, g Gauges) {
 
 	scalar(w, "slserve_ingest_uploads_total", "counter", "Completed streaming corpus uploads.", m.ingest.uploads)
 	scalar(w, "slserve_ingest_failures_total", "counter", "Admitted corpus uploads that failed to ingest.", m.ingest.failures)
-	scalar(w, "slserve_ingest_rows_total", "counter", "Rows folded by the streaming sharded ingest.", m.ingest.rows)
+	scalar(w, "slserve_ingest_rows_total", "counter", "Rows folded by the streaming ingest.", m.ingest.rows)
 	scalar(w, "slserve_ingest_last_rows_per_sec", "gauge", "Fold throughput of the most recent completed ingest.", m.ingest.lastRowsPerSec)
-	scalar(w, "slserve_ingest_last_shard_skew", "gauge", "Max-shard/mean-shard row ratio of the most recent completed ingest (1 = balanced).", m.ingest.lastSkew)
 	scalar(w, "slserve_ingest_last_peak_heap_bytes", "gauge", "Peak live-heap estimate sampled during the most recent completed ingest.", m.ingest.lastPeakHeap)
 	scalar(w, "slserve_ingest_inflight_bytes", "gauge", "Declared bytes of corpus uploads currently ingesting.", g.IngestInFlightBytes)
 	scalar(w, "slserve_ingest_inflight_uploads", "gauge", "Corpus uploads currently ingesting.", g.IngestInFlightUploads)

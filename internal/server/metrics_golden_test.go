@@ -67,8 +67,8 @@ func TestMetricsGolden(t *testing.T) {
 	m.ObserveSanitizeMechanism("ump")
 	m.ObserveSanitizeMechanism("ump")
 	m.ObserveSanitizeMechanism("laplace")
-	m.ObserveIngest(1200, 350000.5, 1.25, 8<<20)
-	m.ObserveIngest(34, 1e7, 3, 1<<40)
+	m.ObserveIngest(1200, 350000.5, 8<<20)
+	m.ObserveIngest(34, 1e7, 1<<40)
 	m.ObserveIngestFailure()
 
 	out := withoutRuntimeFamilies(scrape(t, m, Gauges{

@@ -119,9 +119,10 @@ type Config struct {
 	// finished jobs are evicted first.
 	MaxJobs int
 	// MaxBodyBytes caps request bodies (default 32 MiB). Corpus uploads
-	// (PUT /v1/corpora/{name}) are exempt — they stream through the
-	// sharded ingest under MaxCorpusBytes and the MaxIngestBytes gate
-	// instead of being slurped.
+	// (PUT /v1/corpora/{name} and its append) are exempt — they stream
+	// through the one ingest fold (searchlog.Fold: one scanner goroutine
+	// feeding one Builder, with no tuning knobs) under MaxCorpusBytes and
+	// the MaxIngestBytes gate instead of being slurped.
 	MaxBodyBytes int64
 	// MaxCorpusBytes caps one corpus upload body (default 8 GiB; negative
 	// disables the cap). It bounds disk, not memory — the body streams.
@@ -132,12 +133,6 @@ type Config struct {
 	// are shed with 503, never queued. A chunked upload without a declared
 	// length reserves MaxIngestBytes/4.
 	MaxIngestBytes int64
-	// IngestShards is the fold parallelism of one streaming upload
-	// (default GOMAXPROCS). The ingested log is invariant in it.
-	IngestShards int
-	// IngestChunkBytes is the streaming reader's chunk size (default
-	// 256 KiB).
-	IngestChunkBytes int
 	// SolveParallelism is the per-solve component parallelism applied to
 	// requests that leave options.parallelism at zero (default 1: with
 	// Workers concurrent solves already saturating the cores, sequential
@@ -313,8 +308,8 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// The corpus upload routes, whose raw bodies stream through the sharded
-// ingest under the corpus body cap.
+// The corpus upload routes, whose raw bodies stream through the ingest
+// fold under the corpus body cap.
 const (
 	routeCorpusPut    = "PUT /v1/corpora/{name}"
 	routeCorpusAppend = "POST /v1/corpora/{name}/append"

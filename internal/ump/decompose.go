@@ -295,48 +295,65 @@ func QueryDiversity(l *searchlog.Log, params dp.Params, opts Options) (*Plan, er
 
 // FrequentSupport solves F-UMP: minimize the sum of support distances of the
 // input's frequent pairs (support ≥ minSupport) at the fixed output size
-// outputSize, which must lie in (0, λ]. The integral plan's realized size
-// can fall slightly below outputSize because of flooring.
+// outputSize, which must lie in [0, λ]; 0 selects ⌊λ/2⌋. The integral
+// plan's realized size can fall slightly below outputSize because of
+// flooring.
+//
+// λ, the maximum private output size, comes from the λ phase: O-UMP per
+// component through the component cache. It runs once per call, is
+// counted in the plan's Stats and Reused, and is reported in Lambda (the
+// O-UMP plan's integral size). When ⌊λ/2⌋ is 0 no F-UMP LP can run at
+// |O| = 0, so the O-UMP plan stands in, reported as F-UMP with its
+// realized distance.
 //
 // With two or more components the solve allocates outputSize across them
-// in proportion to each component's λ (its maximum private output size),
-// then solves each component at its allocation with the global
-// linearization scale and frequent-pair set. The allocation is a heuristic
-// — the paper's Σx = |O| row genuinely couples components — so the
-// decomposed distance is an upper bound on the whole-log one. A single
-// component takes all of outputSize and needs no λ.
+// in proportion to each component's fractional λ, then solves each
+// component at its allocation with the global linearization scale and
+// frequent-pair set. The allocation is a heuristic — the paper's Σx = |O|
+// row genuinely couples components — so the decomposed distance is an
+// upper bound on the whole-log one. A single component takes all of
+// outputSize.
 func FrequentSupport(l *searchlog.Log, params dp.Params, minSupport float64, outputSize int, opts Options) (*Plan, error) {
 	if !(minSupport > 0 && minSupport <= 1) {
 		return nil, fmt.Errorf("ump: minimum support must be in (0, 1], got %g", minSupport)
 	}
-	if outputSize <= 0 {
-		return nil, fmt.Errorf("ump: output size must be positive, got %d", outputSize)
+	if outputSize < 0 {
+		return nil, fmt.Errorf("ump: output size must be non-negative, got %d", outputSize)
 	}
 	comps := opts.components(l)
+	lamPlans, err := outputSizePlans(comps, params, opts)
+	if err != nil {
+		return nil, err
+	}
+	// Capacities come from the *fractional* λ_LP (floored): any integer
+	// allocation s_c ≤ ⌊λ_c^LP⌋ is LP-feasible for its component (scale the
+	// λ-achieving solution down), and the fractional bound is never below
+	// the integral plan's size, so the feasibility precheck stays as close
+	// to the whole-log one (outputSize ≤ λ_LP) as an integral allocation
+	// permits.
+	lambda, totalCap := 0, 0
+	capacities := make([]int, len(comps))
+	for ci, p := range lamPlans {
+		lambda += p.OutputSize
+		capacities[ci] = int(math.Floor(p.RelaxationObjective + 1e-7))
+		totalCap += capacities[ci]
+	}
+	if outputSize == 0 {
+		outputSize = lambda / 2
+	}
+	if outputSize == 0 {
+		plan := stitch(KindFrequent, l, comps, lamPlans)
+		plan.Objective, _, _ = metrics.SupportDistances(l, plan.Counts, minSupport)
+		plan.RelaxationObjective = plan.Objective
+		plan.Lambda = lambda
+		return plan, nil
+	}
+	if outputSize > totalCap {
+		return nil, fmt.Errorf("ump: F-UMP infeasible: output size %d exceeds λ = %d for these parameters", outputSize, totalCap)
+	}
 	alloc := []int{outputSize}
-	var lamPlans []*Plan
 	if len(comps) > 1 {
-		// The λ phase. Capacities come from the *fractional* λ_LP (floored):
-		// any integer allocation s_c ≤ ⌊λ_c^LP⌋ is LP-feasible for its
-		// component (scale the λ-achieving solution down), and the
-		// fractional bound is never below the integral plan's size, so the
-		// feasibility precheck stays as close to the whole-log one
-		// (outputSize ≤ λ_LP) as an integral allocation permits.
-		var err error
-		lamPlans, err = outputSizePlans(comps, params, opts)
-		if err != nil {
-			return nil, err
-		}
-		lambdas := make([]int, len(comps))
-		totalLam := 0
-		for ci, p := range lamPlans {
-			lambdas[ci] = int(math.Floor(p.RelaxationObjective + 1e-7))
-			totalLam += lambdas[ci]
-		}
-		if outputSize > totalLam {
-			return nil, fmt.Errorf("ump: F-UMP infeasible: output size %d exceeds λ = %d for these parameters", outputSize, totalLam)
-		}
-		alloc = allocateProportional(outputSize, lambdas)
+		alloc = allocateProportional(outputSize, capacities)
 	}
 
 	// Per-component F-UMP at the allocated sizes. The frequent set and
@@ -357,6 +374,7 @@ func FrequentSupport(l *searchlog.Log, params dp.Params, minSupport float64, out
 	}
 	plan := stitch(KindFrequent, l, comps, plans)
 	plan.addAuxiliary(lamPlans)
+	plan.Lambda = lambda
 	// Realized objective at the stitched integral plan, over the global
 	// frequent set and realized |O|.
 	plan.Objective, _, _ = metrics.SupportDistances(l, plan.Counts, minSupport)

@@ -190,6 +190,9 @@ type Plan struct {
 	// RelaxationObjective is the fractional LP optimum where applicable
 	// (equals Objective for D-UMP).
 	RelaxationObjective float64
+	// Lambda is λ, the O-UMP maximum output size (integral), that an F-UMP
+	// plan's λ phase computed; 0 for the other kinds.
+	Lambda int
 	// Iterations counts simplex iterations (LP problems) or solver nodes
 	// (D-UMP); for a decomposed solve it is the sum over components.
 	Iterations int

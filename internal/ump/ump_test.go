@@ -2,6 +2,7 @@ package ump
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dpslog/internal/dp"
@@ -217,6 +218,33 @@ func TestFrequentSupportBasics(t *testing.T) {
 	}
 }
 
+// TestFrequentSupportDefaultSize: output size 0 selects ⌊λ/2⌋, and every
+// F-UMP plan reports the λ its own λ phase computed — the O-UMP plan's
+// size — so callers need no separate MaxOutputSize solve.
+func TestFrequentSupportDefaultSize(t *testing.T) {
+	l := tinyCorpus(t)
+	p := params(2.0, 0.5)
+	lambda, err := MaxOutputSize(l, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := 4.0 / float64(l.Size())
+	def, err := FrequentSupport(l, p, s, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	half, err := FrequentSupport(l, p, s, lambda.OutputSize/2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Lambda != lambda.OutputSize || half.Lambda != lambda.OutputSize {
+		t.Fatalf("plans report λ %d and %d, want %d", def.Lambda, half.Lambda, lambda.OutputSize)
+	}
+	if !slices.Equal(def.Counts, half.Counts) || def.Objective != half.Objective {
+		t.Fatal("the default size diverged from an explicit ⌊λ/2⌋")
+	}
+}
+
 func TestFrequentSupportPrecisionOne(t *testing.T) {
 	// §6.3: every pair frequent in the output is frequent in the input —
 	// otherwise the solution would not be optimal. Check on the integral
@@ -265,8 +293,8 @@ func TestFrequentSupportValidation(t *testing.T) {
 	if _, err := FrequentSupport(l, p, 1.5, 10, Options{}); err == nil {
 		t.Error("support > 1 accepted")
 	}
-	if _, err := FrequentSupport(l, p, 0.1, 0, Options{}); err == nil {
-		t.Error("zero output size accepted")
+	if _, err := FrequentSupport(l, p, 0.1, -1, Options{}); err == nil {
+		t.Error("negative output size accepted")
 	}
 	// |O| beyond λ must be infeasible.
 	if _, err := FrequentSupport(l, p, 0.1, l.Size()*10, Options{}); err == nil {
