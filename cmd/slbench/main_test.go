@@ -180,3 +180,14 @@ func TestAppendGateRejectsUnprimedCache(t *testing.T) {
 		t.Errorf("unprimed cache passed the ≥ 5x gate (ratios %v)", ratios)
 	}
 }
+
+// TestMedianGateBound pins the Figure 5 gate's statistic: the median of
+// the slowest-LP/SPE ratios must reach 1, whatever single rounds read.
+func TestMedianGateBound(t *testing.T) {
+	if err := medianGate("fig5", []float64{0.5, 3, 1, 0.2, 4}, 1, ""); err != nil {
+		t.Errorf("median 1x failed the gate: %v", err)
+	}
+	if err := medianGate("fig5", []float64{5, 0.9, 0.8, 7, 0.5}, 1, ""); err == nil {
+		t.Error("median 0.9x passed the gate")
+	}
+}

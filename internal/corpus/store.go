@@ -5,9 +5,12 @@
 //
 // Each corpus is one canonical TSV file under the store directory, written
 // atomically (temp file + fsync + rename) so a crash can never leave a
-// half-written corpus behind. An in-memory index holds every corpus's
+// half-written corpus behind; the file is hashed as it is written, and
+// that hash is the corpus digest. An in-memory index holds every corpus's
 // digest and shape, and the parsed Log itself is cached — uploads are rare
 // and reads are hot, which is exactly the profile an in-memory cache wants.
+// Appends add versions (see version.go): each folds a delta into the latest
+// Log with a linear merge that shares the parent's unchanged rows.
 package corpus
 
 import (
@@ -161,18 +164,18 @@ func (s *Store) Put(name string, l *searchlog.Log) (Meta, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Streaming digest: the canonical rows are hashed as they are written,
-	// so storing a corpus costs exactly one serialization pass — no
-	// post-hoc l.Digest() re-walk of a multi-hundred-MB log.
-	h := sha256.New()
-	size, err := s.writeAtomic(s.path(name), func(w io.Writer) error {
-		_, err := searchlog.WriteTSV(io.MultiWriter(w, h), l)
+	// The canonical rows are hashed as they are written, so storing a
+	// corpus costs exactly one serialization pass — no post-hoc l.Digest()
+	// re-walk of a multi-hundred-MB log.
+	var digest string
+	size, err := s.writeAtomic(s.path(name), func(w io.Writer) (err error) {
+		digest, err = searchlog.WriteTSVDigest(w, l)
 		return err
 	})
 	if err != nil {
 		return Meta{}, err
 	}
-	m := metaOf(name, l, hex.EncodeToString(h.Sum(nil)), size, time.Now())
+	m := metaOf(name, l, digest, size, time.Now())
 	// A PUT is a full replacement, not an append: the version chain resets
 	// to a single base version and any prior deltas are orphaned. (Budget
 	// accounting is digest-keyed in the ledger and survives untouched.)

@@ -2,8 +2,12 @@ package corpus
 
 // The append-only version chain of a corpus. A corpus starts life as a
 // single base version (a PUT); every append folds a delta histogram into
-// the latest version via searchlog.BuildFromUserCounts and produces a new
-// immutable version with its own digest. Three kinds of file make up a
+// the latest version with searchlog.Merge and produces a new immutable
+// version with its own digest. Merge is one linear pass over the two
+// sorted logs that shares every row and index map the delta leaves
+// unchanged with the parent, so an append costs in proportion to the
+// delta plus one copy of the row headers, and the new latest file is
+// written once, hashed as it is written. Three kinds of file make up a
 // versioned corpus on disk:
 //
 //	name.tsv           the materialized LATEST version (canonical TSV) —
@@ -12,8 +16,10 @@ package corpus
 //	name.d<seq>.tsv    the append delta that produced version <seq>
 //	name.versions.json the chain metadata (digest, parent, rows, created)
 //
-// Every write is temp + fsync + rename. An append commits in the order
-// delta → versions.json → name.tsv, so a crash can strand the store in
+// Every write is temp + fsync + rename. An append stages the new name.tsv
+// first (written, hashed and fsynced under a temp name, which yields the
+// version digest) and then commits in the order delta → versions.json →
+// rename of the staged name.tsv, so a crash can strand the store in
 // exactly one recoverable intermediate state: the chain already names a
 // version whose materialization never landed. Open detects this (the
 // latest file hashes to an ancestor, not the chain head) and self-heals by
@@ -88,32 +94,51 @@ func (s *Store) deltaPath(name string, seq int) string {
 // writeAtomic writes the bytes produced by fill to path via a temp file in
 // the store directory, fsynced and renamed into place.
 func (s *Store) writeAtomic(path string, fill func(io.Writer) error) (int64, error) {
+	tmp, size, err := s.stage(path, fill)
+	if err != nil {
+		return 0, err
+	}
+	defer os.Remove(tmp) // no-op after a successful rename
+	return size, s.publish(tmp, path)
+}
+
+// stage writes the bytes produced by fill, destined for path, to a new
+// temp file in the store directory and fsyncs it. It returns the temp
+// file's name and size; publish renames it into place, and the caller
+// removes it if it is never published.
+func (s *Store) stage(path string, fill func(io.Writer) error) (string, int64, error) {
 	tmp, err := os.CreateTemp(s.dir, ".corpus.tmp-*")
 	if err != nil {
-		return 0, fmt.Errorf("corpus: create temp file: %w", err)
+		return "", 0, fmt.Errorf("corpus: create temp file: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := fill(tmp); err != nil {
+	fail := func(op string, err error) (string, int64, error) {
 		tmp.Close()
-		return 0, fmt.Errorf("corpus: write %s: %w", path, err)
+		os.Remove(tmp.Name())
+		return "", 0, fmt.Errorf("corpus: %s %s: %w", op, path, err)
+	}
+	if err := fill(tmp); err != nil {
+		return fail("write", err)
 	}
 	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("corpus: sync %s: %w", path, err)
+		return fail("sync", err)
 	}
 	info, err := tmp.Stat()
 	if err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("corpus: stat %s: %w", path, err)
+		return fail("stat", err)
 	}
 	if err := tmp.Close(); err != nil {
-		return 0, fmt.Errorf("corpus: close %s: %w", path, err)
+		return fail("close", err)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return 0, fmt.Errorf("corpus: publish %s: %w", path, err)
+	return tmp.Name(), info.Size(), nil
+}
+
+// publish renames a staged temp file to path and makes the rename durable.
+func (s *Store) publish(tmp, path string) error {
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("corpus: publish %s: %w", path, err)
 	}
 	syncDir(s.dir)
-	return info.Size(), nil
+	return nil
 }
 
 // writeVersions persists the chain metadata atomically.
@@ -196,7 +221,6 @@ func (s *Store) reconcile(name string, l *searchlog.Log, digest string, bytes in
 		}
 	}
 	if at >= 0 {
-		counts := l.UserCounts()
 		healed := l
 		ok := true
 		for i := at + 1; i < len(vs); i++ {
@@ -205,9 +229,8 @@ func (s *Store) reconcile(name string, l *searchlog.Log, digest string, bytes in
 				ok = false
 				break
 			}
-			addCounts(counts, delta)
-			next, berr := searchlog.BuildFromUserCounts(counts)
-			if berr != nil || next.Digest() != vs[i].Digest {
+			next, merr := searchlog.Merge(healed, delta)
+			if merr != nil || next.Digest() != vs[i].Digest {
 				ok = false
 				break
 			}
@@ -252,20 +275,6 @@ func (s *Store) readDelta(name string, seq int) (*searchlog.Log, error) {
 	return searchlog.ReadTSV(f)
 }
 
-// addCounts folds a delta log's histogram into counts in place.
-func addCounts(counts map[string]map[searchlog.PairKey]int, delta *searchlog.Log) {
-	for id, m := range delta.UserCounts() {
-		dst := counts[id]
-		if dst == nil {
-			counts[id] = m
-			continue
-		}
-		for key, c := range m {
-			dst[key] += c
-		}
-	}
-}
-
 // subCounts removes a delta log's histogram from counts in place. It is
 // exact for histograms built by addition: every count stays ≥ 0 and cells
 // that return to zero are dropped by BuildFromUserCounts.
@@ -303,13 +312,22 @@ func (s *Store) Append(name string, delta *searchlog.Log) (Meta, Version, []stri
 		return Meta{}, Version{}, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	parent := s.logs[name]
-	counts := parent.UserCounts()
-	addCounts(counts, delta)
-	merged, err := searchlog.BuildFromUserCounts(counts)
+	merged, err := searchlog.Merge(parent, delta)
 	if err != nil {
 		return Meta{}, Version{}, nil, fmt.Errorf("corpus: fold append into %s: %w", name, err)
 	}
-	digest := merged.Digest()
+	// The new latest is serialized once: staged (fsynced, unpublished) and
+	// hashed as it is written, which yields the version digest the chain
+	// entry needs before anything is published.
+	var digest string
+	staged, n, err := s.stage(s.path(name), func(w io.Writer) (err error) {
+		digest, err = searchlog.WriteTSVDigest(w, merged)
+		return err
+	})
+	if err != nil {
+		return Meta{}, Version{}, nil, err
+	}
+	defer os.Remove(staged) // no-op once published
 	if digest == m.Digest {
 		// Cannot happen for a non-empty delta (the mass strictly grows), but
 		// guard it: two chain entries with one digest would break every
@@ -346,11 +364,7 @@ func (s *Store) Append(name string, delta *searchlog.Log) (Meta, Version, []stri
 	if err := s.writeVersions(name, next); err != nil {
 		return Meta{}, Version{}, nil, err
 	}
-	n, err := s.writeAtomic(s.path(name), func(w io.Writer) error {
-		_, e := searchlog.WriteTSV(w, merged)
-		return e
-	})
-	if err != nil {
+	if err := s.publish(staged, s.path(name)); err != nil {
 		return Meta{}, Version{}, nil, err
 	}
 

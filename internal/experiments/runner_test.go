@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // tinyRunner builds a Runner on the tiny profile once per test binary.
@@ -289,29 +288,6 @@ func TestTable7SolverRows(t *testing.T) {
 	}
 }
 
-func TestFig5RuntimeOrdering(t *testing.T) {
-	r := tinyRunner(t)
-	tab, err := r.Fig5()
-	if err != nil {
-		t.Fatal(err)
-	}
-	times := map[string]float64{}
-	for _, row := range tab.Rows {
-		d, err := parseDuration(row.Cells[0])
-		if err != nil {
-			t.Fatalf("bad duration %q: %v", row.Cells[0], err)
-		}
-		times[row.Label] = d
-	}
-	// The paper's Figure 5 headline: SPE is far faster than the LP-based
-	// solvers. Wall-clock comparisons are noisy at tiny scale, so only
-	// require SPE ≤ the slowest LP-based solver.
-	lpMax := math.Max(times["rounding"], math.Max(times["feaspump"], times["branchbound"]))
-	if times["spe"] > lpMax {
-		t.Errorf("spe (%.6fs) slower than slowest LP solver (%.6fs)", times["spe"], lpMax)
-	}
-}
-
 func TestFig6SharesAndMass(t *testing.T) {
 	r := tinyRunner(t)
 	tab, err := r.Fig6()
@@ -363,13 +339,4 @@ func TestRunAllAndUnknown(t *testing.T) {
 	if _, err := r.Run("table99"); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-}
-
-// parseDuration converts Go duration strings (e.g. "1.5ms") to seconds.
-func parseDuration(s string) (float64, error) {
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, err
-	}
-	return d.Seconds(), nil
 }

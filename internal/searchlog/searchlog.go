@@ -267,10 +267,10 @@ func (b *Builder) BuildLog() (*Log, error) {
 
 // BuildFromUserCounts freezes a user → pair → count histogram directly into
 // an immutable Log. It freezes every Builder (and so every Fold) and the
-// corpus versions folded from UserCounts; because the construction below
-// sorts users and pairs globally, the resulting Log — and therefore its
-// digest — is a pure function of the histogram, independent of the chunks,
-// batches or input order that produced it. Zero counts are skipped, users with no
+// ancestor corpus versions rebuilt from UserCounts; because the
+// construction below sorts users and pairs globally, the resulting Log —
+// and therefore its digest — is a pure function of the histogram,
+// independent of the chunks, batches or input order that produced it. Zero counts are skipped, users with no
 // positive pairs are dropped, and a negative count is an error. The maps
 // are read, not retained.
 func BuildFromUserCounts(counts map[string]map[PairKey]int) (*Log, error) {
@@ -357,13 +357,11 @@ func BuildFromUserCounts(counts map[string]map[PairKey]int) (*Log, error) {
 }
 
 // UserCounts materializes the log's user → pair → count histogram — the
-// exact shape BuildFromUserCounts consumes. It is the fold point for
-// append-only corpus versions (internal/corpus): the stored latest
-// version's histogram plus an append delta's histogram rebuilds the next
-// version via BuildFromUserCounts, and because that construction sorts
-// globally, the result is independent of which side a count arrived on.
-// The returned maps are freshly allocated; mutating them does not touch
-// the log.
+// exact shape BuildFromUserCounts consumes. internal/corpus rebuilds an
+// ancestor version from it by subtracting the later append deltas; appends
+// themselves fold with Merge, which equals BuildFromUserCounts over the
+// summed histograms. The returned maps are freshly allocated; mutating
+// them does not touch the log.
 func (l *Log) UserCounts() map[string]map[PairKey]int {
 	counts := make(map[string]map[PairKey]int, len(l.users))
 	for k := range l.users {
