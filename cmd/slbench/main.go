@@ -36,8 +36,10 @@
 // With -baseline, slbench looks up every emitted row in the named earlier
 // trajectory by benchmark name and exits nonzero when a row is missing or
 // its objective value differs: speed may drift between machines, λ and plan
-// objectives may not. Baseline rows this run does not emit are ignored, so
-// partial runs (-profiles, -append-profiles) gate against the full file.
+// objectives may not. A run with every row filter (-profiles, -objectives,
+// -no-sweeps, -append-profiles) at its default also fails on a baseline row
+// it does not emit, so the committed file holds no stale rows; partial runs
+// gate against the full file and ignore the rows they skip.
 package main
 
 import (
@@ -93,15 +95,22 @@ type trajectory struct {
 	Benchmarks []benchResult `json:"benchmarks"`
 }
 
+// The row filters' defaults: a run with all of them emits every row.
+const (
+	defaultProfiles       = "tiny,small,tiny-sharded,small-sharded"
+	defaultObjectives     = "output-size,diversity"
+	defaultAppendProfiles = "tiny-sharded,small-sharded,paper-sharded"
+)
+
 func main() {
 	out := flag.String("o", "BENCH_slbench.json", "output JSON file (- for stdout)")
-	profiles := flag.String("profiles", "tiny,small,tiny-sharded,small-sharded", "comma-separated corpus profiles")
-	objectives := flag.String("objectives", "output-size,diversity", "comma-separated objectives: output-size, diversity")
+	profiles := flag.String("profiles", defaultProfiles, "comma-separated corpus profiles")
+	objectives := flag.String("objectives", defaultObjectives, "comma-separated objectives: output-size, diversity")
 	benchtime := flag.String("benchtime", "", "per-benchmark budget, go test style (e.g. 2s or 1x); empty = testing default (1s)")
 	seed := flag.Uint64("seed", 1, "corpus generation seed")
 	baseline := flag.String("baseline", "", "earlier trajectory JSON; every emitted row must be in it with the same objective value (λ drift fails the run)")
 	noSweeps := flag.Bool("no-sweeps", false, "skip the warm-started table4/frontier sweep benchmarks")
-	appendProfiles := flag.String("append-profiles", "tiny-sharded,small-sharded,paper-sharded", "comma-separated multi-market profiles for the continual-release append benchmark (empty = skip)")
+	appendProfiles := flag.String("append-profiles", defaultAppendProfiles, "comma-separated multi-market profiles for the continual-release append benchmark (empty = skip)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile covering the whole run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file once the benchmarks finish")
 	testing.Init()
@@ -243,7 +252,9 @@ func main() {
 	}
 	enc = append(enc, '\n')
 	if *baseline != "" {
-		if err := checkBaseline(traj, *baseline); err != nil {
+		full := *profiles == defaultProfiles && *objectives == defaultObjectives &&
+			!*noSweeps && *appendProfiles == defaultAppendProfiles
+		if err := checkBaseline(traj, *baseline, full); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "slbench: objective values match baseline %s\n", *baseline)
@@ -635,8 +646,9 @@ func benchMechanisms(traj *trajectory, profile string, pre *searchlog.Log, seed 
 // checkBaseline fails when an emitted benchmark is missing from the baseline
 // at path or disagrees with it on its objective value: engines and machines
 // may change speed, never λ or plan objectives, and a new row is gated from
-// the run that adds it. Baseline rows this run does not emit are ignored.
-func checkBaseline(traj trajectory, path string) error {
+// the run that adds it. Baseline rows this run does not emit fail a full run
+// (every row filter at its default), and are ignored otherwise.
+func checkBaseline(traj trajectory, path string, full bool) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("baseline: %w", err)
@@ -651,7 +663,9 @@ func checkBaseline(traj trajectory, path string) error {
 	}
 	var mismatches []string
 	compared := 0
+	emitted := make(map[string]bool, len(traj.Benchmarks))
 	for _, r := range traj.Benchmarks {
+		emitted[r.Name] = true
 		want, ok := baseVals[r.Name]
 		if !ok {
 			mismatches = append(mismatches, fmt.Sprintf("%s: missing from baseline", r.Name))
@@ -660,6 +674,13 @@ func checkBaseline(traj trajectory, path string) error {
 		compared++
 		if r.ObjectiveValue != want {
 			mismatches = append(mismatches, fmt.Sprintf("%s: objective %g != baseline %g", r.Name, r.ObjectiveValue, want))
+		}
+	}
+	if full {
+		for _, r := range base.Benchmarks {
+			if !emitted[r.Name] {
+				mismatches = append(mismatches, fmt.Sprintf("%s: stale baseline row, not emitted by a full run", r.Name))
+			}
 		}
 	}
 	if compared == 0 {

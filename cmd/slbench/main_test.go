@@ -39,6 +39,7 @@ func TestCheckBaseline(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		base, run []benchResult
+		full      bool   // every row filter at its default
 		wantErr   string // "" = pass
 	}{
 		{
@@ -47,10 +48,23 @@ func TestCheckBaseline(t *testing.T) {
 			run:  []benchResult{fast, row("tiny/sampling", 0)},
 		},
 		{
-			// Historical rows and partial runs (-profiles) stay allowed.
+			// A partial run (-profiles) skips baseline rows freely.
 			name: "baseline row not emitted",
 			base: []benchResult{row("tiny/output-size/monolithic", 13), row("small/output-size/monolithic-dense", 40)},
 			run:  []benchResult{row("tiny/output-size/monolithic", 13)},
+		},
+		{
+			name:    "stale baseline row in a full run",
+			base:    []benchResult{row("tiny/output-size/monolithic", 13), row("small/output-size/monolithic-dense", 40)},
+			run:     []benchResult{row("tiny/output-size/monolithic", 13)},
+			full:    true,
+			wantErr: "\n  small/output-size/monolithic-dense: stale baseline row, not emitted by a full run",
+		},
+		{
+			name: "full run emitting every baseline row",
+			base: []benchResult{row("tiny/output-size/monolithic", 13), row("tiny/sampling", 0)},
+			run:  []benchResult{row("tiny/output-size/monolithic", 13), row("tiny/sampling", 0)},
+			full: true,
 		},
 		{
 			name:    "drifted objective",
@@ -72,7 +86,7 @@ func TestCheckBaseline(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := checkBaseline(trajectory{Benchmarks: tc.run}, writeBaseline(t, tc.base...))
+			err := checkBaseline(trajectory{Benchmarks: tc.run}, writeBaseline(t, tc.base...), tc.full)
 			switch {
 			case tc.wantErr == "" && err != nil:
 				t.Fatal(err)
@@ -85,14 +99,14 @@ func TestCheckBaseline(t *testing.T) {
 
 func TestCheckBaselineUnreadableFails(t *testing.T) {
 	got := trajectory{Benchmarks: []benchResult{row("tiny/output-size/monolithic", 13)}}
-	if err := checkBaseline(got, filepath.Join(t.TempDir(), "absent.json")); err == nil {
+	if err := checkBaseline(got, filepath.Join(t.TempDir(), "absent.json"), false); err == nil {
 		t.Error("missing baseline file passed")
 	}
 	garbled := filepath.Join(t.TempDir(), "garbled.json")
 	if err := os.WriteFile(garbled, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := checkBaseline(got, garbled); err == nil {
+	if err := checkBaseline(got, garbled, false); err == nil {
 		t.Error("unparsable baseline file passed")
 	}
 }
@@ -112,7 +126,7 @@ func TestCommittedBaselineMatchesItself(t *testing.T) {
 	if len(traj.Benchmarks) == 0 {
 		t.Fatal("committed baseline has no rows")
 	}
-	if err := checkBaseline(traj, path); err != nil {
+	if err := checkBaseline(traj, path, true); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,8 +4,8 @@ package corpus
 // single base version (a PUT); every append folds a delta histogram into
 // the latest version with searchlog.Merge and produces a new immutable
 // version with its own digest. Merge is one linear pass over the two
-// sorted logs that shares every row and index map the delta leaves
-// unchanged with the parent, so an append costs in proportion to the
+// sorted logs that shares every row the delta leaves unchanged with the
+// parent, so an append costs in proportion to the
 // delta plus one copy of the row headers, and the new latest file is
 // written once, hashed as it is written. Three kinds of file make up a
 // versioned corpus on disk:

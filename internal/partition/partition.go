@@ -129,29 +129,45 @@ func decompose(l *searchlog.Log) []Component {
 	}
 
 	// Component ids in order of first appearance over ascending pair index,
-	// which orders components by smallest parent pair index.
-	compOf := make(map[int]int)
-	var comps []Component
+	// which orders components by smallest parent pair index. compOf maps a
+	// union-find root to its component id + 1 (0: not seen yet), and a
+	// root's union-find size is its component's user count.
+	compOf := make([]int, l.NumUsers())
+	var roots, numPairs []int
 	for i := 0; i < l.NumPairs(); i++ {
 		root := uf.find(l.Pair(i).Entries[0].User)
-		ci, ok := compOf[root]
-		if !ok {
-			ci = len(comps)
-			compOf[root] = ci
-			comps = append(comps, Component{})
+		if compOf[root] == 0 {
+			roots = append(roots, root)
+			numPairs = append(numPairs, 0)
+			compOf[root] = len(roots)
 		}
-		comps[ci].Pairs = append(comps[ci].Pairs, i)
+		numPairs[compOf[root]-1]++
 	}
-	if len(comps) == 1 {
+	if len(roots) == 1 {
 		return []Component{Whole(l)}
+	}
+	// Every component's index lists are carved, at their exact length, from
+	// one slab.
+	sels := make([]searchlog.Selection, len(roots))
+	slab := make([]int, l.NumPairs()+l.NumUsers())
+	for ci, root := range roots {
+		np, nu := numPairs[ci], uf.size[root]
+		sels[ci] = searchlog.Selection{Pairs: slab[:0:np], Users: slab[np : np : np+nu]}
+		slab = slab[np+nu:]
+	}
+	for i := 0; i < l.NumPairs(); i++ {
+		s := &sels[compOf[uf.find(l.Pair(i).Entries[0].User)]-1]
+		s.Pairs = append(s.Pairs, i)
 	}
 	for k := 0; k < l.NumUsers(); k++ {
 		// Every user in a Log holds at least one pair, so its root is mapped.
-		ci := compOf[uf.find(k)]
-		comps[ci].Users = append(comps[ci].Users, k)
+		s := &sels[compOf[uf.find(k)]-1]
+		s.Users = append(s.Users, k)
 	}
-	for ci := range comps {
-		comps[ci].Log = l.Restrict(comps[ci].Pairs, comps[ci].Users)
+	subs := l.Split(sels)
+	comps := make([]Component, len(sels))
+	for ci, s := range sels {
+		comps[ci] = Component{Log: subs[ci], Pairs: s.Pairs, Users: s.Users}
 	}
 	return comps
 }

@@ -171,3 +171,37 @@ func TestScatter(t *testing.T) {
 		t.Fatalf("scatter produced %v, want [7 9]", dst)
 	}
 }
+
+// TestPreprocessAndDecomposeAllocs: the release path's two sub-log
+// constructions allocate per component, not per pair or user. On
+// small-sharded (thousands of pairs) a per-row allocation anywhere in
+// Preprocess or Decompose blows both bounds.
+func TestPreprocessAndDecomposeAllocs(t *testing.T) {
+	p, err := gen.Profiles("small-sharded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := gen.Generate(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, st := searchlog.Preprocess(raw)
+	if st.RemovedPairs == 0 {
+		t.Fatal("small-sharded lost no pair to preprocessing; the Preprocess bound would measure nothing")
+	}
+	comps := len(Decompose(pre))
+	if comps != p.Shards {
+		t.Fatalf("%d components, want %d", comps, p.Shards)
+	}
+	// Three index arrays and the one-selection split: its table, result
+	// slice, and the sub-log with its two row arrays and two cell slabs.
+	if got := testing.AllocsPerRun(5, func() { searchlog.Preprocess(raw) }); got > 12 {
+		t.Errorf("Preprocess: %v allocations, want ≤ 12 (%d pairs, %d users)", got, raw.NumPairs(), raw.NumUsers())
+	}
+	// Union-find, the component lists and the split: a constant part plus
+	// a Log, two row arrays and two cell slabs per component.
+	if got, want := testing.AllocsPerRun(5, func() { Decompose(pre) }), float64(24+6*comps); got > want {
+		t.Errorf("Decompose: %v allocations over %d components, want ≤ %v (%d pairs, %d users)",
+			got, comps, want, pre.NumPairs(), pre.NumUsers())
+	}
+}

@@ -13,13 +13,13 @@ import (
 // by (query, url), so one two-pointer pass per orientation yields the
 // merged order and the old→new index maps.
 //
-// The merged log shares every slice and index map of parent that the
-// delta leaves unchanged: a user's Pairs, a pair's Entries, and the
-// pairIndex and userIndex maps when the delta adds no pair or no user.
-// Logs are immutable, so sharing is safe. A key the delta inserts shifts
-// the indices after it, and slices that reference a shifted index are
-// copied with the new one; no second code path handles new keys. Neither
-// input is modified. The only error is a cell count that overflows int.
+// The merged log shares every row slice of parent that the delta leaves
+// unchanged: a user's Pairs and a pair's Entries. Logs are immutable, so
+// sharing is safe. A key the delta inserts shifts the indices after it,
+// and slices that reference a shifted index are copied with the new one;
+// no second code path handles new keys. Like every Log, the merged one
+// builds its key → index maps on first lookup. Neither input is modified.
+// The only error is a cell count that overflows int.
 func Merge(parent, delta *Log) (*Log, error) {
 	pp, dp := parent.pairs, delta.pairs
 	pairAt, dPairAt, np := mergeOrder(len(pp), len(dp), func(i, j int) int {
@@ -32,13 +32,7 @@ func Merge(parent, delta *Log) (*Log, error) {
 	userAt, dUserAt, nu := mergeOrder(len(pu), len(du), func(i, j int) int {
 		return strings.Compare(pu[i].ID, du[j].ID)
 	})
-	m := &Log{
-		pairs:     make([]Pair, np),
-		users:     make([]User, nu),
-		pairIndex: parent.pairIndex,
-		userIndex: parent.userIndex,
-		size:      parent.size + delta.size,
-	}
+	m := &Log{pairs: make([]Pair, np), users: make([]User, nu), size: parent.size + delta.size}
 
 	for i := range pp {
 		p := pp[i]
@@ -77,19 +71,6 @@ func Merge(parent, delta *Log) (*Log, error) {
 			return nil, fmt.Errorf("searchlog: merged count overflows for user %q", d.ID)
 		}
 		u.Pairs, u.Total = ups, u.Total+d.Total
-	}
-
-	if np > len(pp) {
-		m.pairIndex = make(map[PairKey]int, np)
-		for i := range m.pairs {
-			m.pairIndex[m.pairs[i].Key()] = i
-		}
-	}
-	if nu > len(pu) {
-		m.userIndex = make(map[string]int, nu)
-		for k := range m.users {
-			m.userIndex[m.users[k].ID] = k
-		}
 	}
 	return m, nil
 }

@@ -20,12 +20,13 @@ func (p *Pair) IsUnique() bool {
 	return max == p.Total
 }
 
-// Preprocess returns a new Log with all unique query-url pairs removed, as
+// Preprocess returns the log with all unique query-url pairs removed, as
 // required by Condition 1 of Theorem 1 before any of the utility-maximizing
 // problems are formulated. Pairs with zero remaining count and users with no
-// remaining pairs are dropped. The result is the parent restricted to the
-// kept pairs and users (Restrict), so it keeps the parent's pair and user
-// order. The input log is not modified.
+// remaining pairs are dropped. The result is the parent's one-selection
+// Split over the kept pairs and users, so it keeps the parent's pair and
+// user order; when nothing is removed it is the input itself (a Log is
+// immutable). The input log is not modified.
 func Preprocess(l *Log) (*Log, PreprocessStats) {
 	var st PreprocessStats
 	drop := make([]bool, l.NumPairs())
@@ -54,7 +55,10 @@ func Preprocess(l *Log) (*Log, PreprocessStats) {
 			st.RemovedUsers++
 		}
 	}
-	return l.Restrict(pairs, users), st
+	if st.RemovedPairs == 0 && st.RemovedUsers == 0 {
+		return l, st
+	}
+	return l.Split([]Selection{{Pairs: pairs, Users: users}})[0], st
 }
 
 // IsPreprocessed reports whether the log contains no unique pairs, i.e.

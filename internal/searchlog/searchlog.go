@@ -80,13 +80,18 @@ type User struct {
 
 // Log is an immutable search log D holding both orientations of the
 // query-url-user histogram: pair-major (for sampling and constraint
-// coefficients) and user-major (for per-user-log DP constraints).
+// coefficients) and user-major (for per-user-log DP constraints). The
+// key → index maps behind PairIndex and UserIndex are built on the first
+// lookup; the release path never looks keys up, so most logs never build
+// them.
 type Log struct {
-	pairs     []Pair
-	users     []User
+	pairs []Pair
+	users []User
+	size  int // |D| = Σ_ij c_ij
+
+	indexOnce sync.Once
 	pairIndex map[PairKey]int
 	userIndex map[string]int
-	size      int // |D| = Σ_ij c_ij
 
 	// digest memoizes Digest(): a Log is immutable once built, so its
 	// canonical-TSV hash never changes and concurrent solvers can share one
@@ -116,6 +121,7 @@ func (l *Log) User(k int) *User { return &l.users[k] }
 
 // PairIndex returns the index of the pair with the given key, or -1.
 func (l *Log) PairIndex(key PairKey) int {
+	l.index()
 	i, ok := l.pairIndex[key]
 	if !ok {
 		return -1
@@ -125,11 +131,26 @@ func (l *Log) PairIndex(key PairKey) int {
 
 // UserIndex returns the index of the user with the given external ID, or -1.
 func (l *Log) UserIndex(id string) int {
+	l.index()
 	k, ok := l.userIndex[id]
 	if !ok {
 		return -1
 	}
 	return k
+}
+
+// index builds both key → index maps once; concurrent lookups share them.
+func (l *Log) index() {
+	l.indexOnce.Do(func() {
+		l.pairIndex = make(map[PairKey]int, len(l.pairs))
+		for i := range l.pairs {
+			l.pairIndex[l.pairs[i].Key()] = i
+		}
+		l.userIndex = make(map[string]int, len(l.users))
+		for k := range l.users {
+			l.userIndex[l.users[k].ID] = k
+		}
+	})
 }
 
 // PairCount returns c_ij for pair index i.
@@ -310,18 +331,13 @@ func BuildFromUserCounts(counts map[string]map[PairKey]int) (*Log, error) {
 		return keys[a].URL < keys[b].URL
 	})
 
-	l := &Log{
-		pairs:     make([]Pair, len(keys)),
-		users:     make([]User, len(userIDs)),
-		pairIndex: make(map[PairKey]int, len(keys)),
-		userIndex: make(map[string]int, len(userIDs)),
-	}
+	l := &Log{pairs: make([]Pair, len(keys)), users: make([]User, len(userIDs))}
+	pairIndex := make(map[PairKey]int, len(keys))
 	for i, key := range keys {
 		l.pairs[i] = Pair{Query: key.Query, URL: key.URL}
-		l.pairIndex[key] = i
+		pairIndex[key] = i
 	}
 	for k, id := range userIDs {
-		l.userIndex[id] = k
 		m := counts[id]
 		ups := make([]UserPair, 0, len(m))
 		total := 0
@@ -329,7 +345,7 @@ func BuildFromUserCounts(counts map[string]map[PairKey]int) (*Log, error) {
 			if c == 0 {
 				continue
 			}
-			ups = append(ups, UserPair{Pair: l.pairIndex[key], Count: c})
+			ups = append(ups, UserPair{Pair: pairIndex[key], Count: c})
 			total += c
 		}
 		sort.Slice(ups, func(a, b int) bool { return ups[a].Pair < ups[b].Pair })

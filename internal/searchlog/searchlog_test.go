@@ -167,6 +167,23 @@ func TestPreprocessPaperExample(t *testing.T) {
 	}
 }
 
+// TestPreprocessReturnsPreprocessedInput: a log Preprocess removes nothing
+// from comes back as itself, not as a copy.
+func TestPreprocessReturnsPreprocessedInput(t *testing.T) {
+	raw := paperLog(t)
+	pre, _ := Preprocess(raw)
+	if pre == raw {
+		t.Fatal("Preprocess returned its input although it removed pairs")
+	}
+	again, st := Preprocess(pre)
+	if again != pre {
+		t.Error("Preprocess copied a log it removed nothing from")
+	}
+	if st != (PreprocessStats{}) {
+		t.Errorf("stats %+v on an already-preprocessed log, want zero", st)
+	}
+}
+
 func TestPreprocessDropsEmptiedUsers(t *testing.T) {
 	b := NewBuilder()
 	b.Add("lonely", "q", "u", 5) // unique pair; user must vanish
