@@ -16,10 +16,11 @@
 // The arrival offsets (every 1/rps, or Poisson from -load-seed) are drawn
 // once up to -duration, one request record each, and the trace is paced
 // open-loop with batched per-class p50/p95/p99 reporting. -distinct
-// rotates the sanitization seed across N values so the run mixes
-// plan-cache hits with real solves; -distinct 1 measures the pure cache
-// path after the first request. The process exits non-zero if any request
-// fails, making it usable as a CI smoke gate.
+// rotates the sanitization seed across N values so the run mixes repeats
+// of one release with fresh ones; -distinct 1 repeats one release after
+// the first request (each repeat re-derives it, reusing the component
+// plans). The process exits non-zero if any request fails, making it
+// usable as a CI smoke gate.
 //
 // -corpus switches to the corpus-referencing mode against a stateful
 // slserve (-data-dir): the TSV corpus is uploaded ONCE to
@@ -136,7 +137,7 @@ func parseFlags(fs *flag.FlagSet, args []string) *flags {
 		objective:  fs.String("objective", "size", "sanitization objective (size, frequent, diversity, ...)"),
 		solver:     fs.String("solver", "", "D-UMP BIP solver (diversity objectives)"),
 		support:    fs.Float64("support", 0.002, "frequent-pair minimum support (objective=frequent)"),
-		distinct:   fs.Int("distinct", 4, "rotate the sanitize seed across N values (1 = pure cache path)"),
+		distinct:   fs.Int("distinct", 4, "rotate the sanitize seed across N values (1 = repeat one release)"),
 		batch:      fs.Duration("batch", 5*time.Second, "latency reporting batch window"),
 		timeout:    fs.Duration("timeout", 30*time.Second, "per-request timeout"),
 		endpoint:   fs.String("endpoint", "sanitize", "target endpoint: sanitize, lambda or stats (live mode)"),

@@ -1,11 +1,10 @@
 // Command slserve runs the HTTP sanitization service: the dpslog library
-// behind a JSON/TSV API with a bounded worker pool, an async job store, an
-// LRU plan cache and Prometheus metrics (see internal/server for the
-// endpoint reference).
+// behind a JSON/TSV API with a bounded worker pool, an async job store and
+// Prometheus metrics (see internal/server for the endpoint reference).
 //
 // Usage:
 //
-//	slserve [-addr :8080] [-ops-addr ADDR] [-workers N] [-queue N] [-cache N]
+//	slserve [-addr :8080] [-ops-addr ADDR] [-workers N] [-queue N]
 //	        [-max-jobs N] [-max-body BYTES] [-solve-parallelism N]
 //	        [-data-dir DIR] [-budget-eexp X | -budget-epsilon X]
 //	        [-budget-delta X] [-mechanisms LIST] [-max-ingest-bytes BYTES]
@@ -30,11 +29,13 @@
 // uploaded once to /v1/corpora/{name} and sanitized by reference, every
 // release charged against the per-corpus (ε, δ) budget; the release
 // journal under the data directory is replayed on restart, so accounting
-// survives crashes. POST /v1/corpora/{name}/append folds new rows into a
-// new immutable corpus version with its own digest and budget; the shared
-// component-plan cache (-comp-cache) makes the re-solve after an append
-// incremental, re-solving only the connected components the appended rows
-// touched.
+// survives crashes. No response is cached: repeating a journaled release
+// re-derives it, and a repeat whose release digest differs from the
+// journaled one is withheld with a 500. POST /v1/corpora/{name}/append
+// folds new rows into a new immutable corpus version with its own digest
+// and budget; the shared component-plan cache (-comp-cache) makes the
+// re-solve after an append incremental, re-solving only the connected
+// components the appended rows touched.
 //
 // Every non-2xx response carries the structured error envelope {"error",
 // "code", "status", "detail"?}.
@@ -78,7 +79,6 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress per-request JSON access logging")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "worker pool backlog (0 = 4×workers)")
-	cache := flag.Int("cache", 0, "plan cache entries (0 = 128, negative disables)")
 	maxJobs := flag.Int("max-jobs", 0, "retained async jobs (0 = 1024)")
 	maxBody := flag.Int64("max-body", 0, "request body cap in bytes (0 = 32 MiB)")
 	solvePar := flag.Int("solve-parallelism", 0, "component parallelism per solve when the request omits it (0 = 1, sequential; negative = GOMAXPROCS)")
@@ -116,7 +116,6 @@ func main() {
 	srv, err := server.New(server.Config{
 		Workers:          *workers,
 		Queue:            *queue,
-		CacheSize:        *cache,
 		MaxJobs:          *maxJobs,
 		MaxBodyBytes:     *maxBody,
 		SolveParallelism: *solvePar,

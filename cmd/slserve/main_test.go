@@ -90,25 +90,46 @@ func call(t *testing.T, method, url, contentType, body string) (int, string) {
 	return resp.StatusCode, string(raw)
 }
 
+// released is what a corpus release response identifies: the digest of
+// the released bytes and the journal entry's sequence number.
+type released struct {
+	ReleaseDigest string `json:"release_digest"`
+	Release       struct {
+		Seq int `json:"seq"`
+	} `json:"release"`
+}
+
 // release asks p for an (ln 2, 0.25) release of the corpus "smoke", requires
-// status want, and returns the release digest.
-func release(t *testing.T, p *process, options string, want int) string {
+// status want, and returns the release's identity.
+func release(t *testing.T, p *process, options string, want int) released {
 	t.Helper()
 	code, body := call(t, http.MethodPost, p.base+"/v1/corpora/smoke/sanitize", "application/json",
 		`{"options":{`+options+`,"epsilon":0.6931471805599453,"delta":0.25}}`)
-	var rel struct {
-		ReleaseDigest string `json:"release_digest"`
-	}
+	var rel released
 	if code != want || json.Unmarshal([]byte(body), &rel) != nil {
 		t.Fatalf("release %s: status %d, want %d: %s", options, code, want, body)
 	}
-	return rel.ReleaseDigest
+	return rel
+}
+
+// spent reads the corpus "smoke"'s cumulative spend from p.
+func spent(t *testing.T, p *process) dpslog.Budget {
+	t.Helper()
+	code, body := call(t, http.MethodGet, p.base+"/v1/corpora/smoke/budget", "", "")
+	var b struct {
+		Budget struct{ Spent dpslog.Budget }
+	}
+	if code != http.StatusOK || json.Unmarshal([]byte(body), &b) != nil {
+		t.Fatalf("budget: status %d: %s", code, body)
+	}
+	return b.Budget.Spent
 }
 
 // TestServeBudgetSurvivesKill runs real slserve processes on one data
 // directory: the flags wire a (ln 4, 0.5) per-corpus budget, the ops
 // listener serves readiness and pprof, the budget refuses a third release,
-// a SIGKILLed server restarts with its ledger intact, and SIGTERM exits 0.
+// a SIGKILLed server restarts with its ledger intact and re-derives a
+// journaled release free of charge, and SIGTERM exits 0.
 func TestServeBudgetSurvivesKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-process slserve test skipped in -short mode")
@@ -142,6 +163,7 @@ func TestServeBudgetSurvivesKill(t *testing.T) {
 	journaled := release(t, p, `"seed":1`, http.StatusOK)
 	release(t, p, `"seed":2`, http.StatusOK)
 	release(t, p, `"seed":3`, http.StatusTooManyRequests)
+	before := spent(t, p)
 
 	// SIGKILL gives the server no chance to flush or close anything.
 	if err := p.cmd.Process.Signal(syscall.SIGKILL); err != nil {
@@ -151,8 +173,13 @@ func TestServeBudgetSurvivesKill(t *testing.T) {
 	p = start(t, bin, dataDir)
 	release(t, p, `"seed":99`, http.StatusTooManyRequests)
 	release(t, p, `"mechanism":"zealous","seed":7`, http.StatusTooManyRequests)
+	// The restarted process holds no state from the first but the journal:
+	// the repeat re-derives the release, which must match its entry.
 	if got := release(t, p, `"seed":1`, http.StatusOK); got != journaled {
-		t.Fatalf("journaled release replayed as %s, want %s", got, journaled)
+		t.Fatalf("journaled release repeated as %+v, want %+v", got, journaled)
+	}
+	if after := spent(t, p); after != before {
+		t.Fatalf("repeat changed the spend: %+v, want %+v", after, before)
 	}
 
 	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {

@@ -87,7 +87,7 @@ func TestSanitizeComponentsReported(t *testing.T) {
 }
 
 // TestCanonicalIgnoresParallelism: plans are parallelism-invariant, so the
-// canonical options (the plan-cache key) must not distinguish parallelism
+// canonical options (the release key) must not distinguish parallelism
 // levels.
 func TestCanonicalIgnoresParallelism(t *testing.T) {
 	a := Options{Epsilon: 1, Delta: 0.5, Parallelism: 8}.Canonical()

@@ -54,7 +54,7 @@ func ValidName(name string) bool {
 type Meta struct {
 	Name string `json:"name"`
 	// Digest is the hex SHA-256 of the canonical TSV form — the identity
-	// the plan cache and the privacy ledger key on.
+	// the release key and the privacy ledger key on.
 	Digest   string    `json:"digest"`
 	Size     int       `json:"size"` // total click-count mass
 	NumUsers int       `json:"num_users"`

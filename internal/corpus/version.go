@@ -58,7 +58,7 @@ var ErrEmptyDelta = errors.New("corpus: append delta is empty")
 // appended onto ("" for the base version).
 type Version struct {
 	// Digest is the hex SHA-256 of this version's canonical TSV — the
-	// identity the plan cache and the privacy ledger key on. Appending
+	// identity the release key and the privacy ledger key on. Appending
 	// never reuses a digest, so each version's releases are charged
 	// independently under sequential composition.
 	Digest string `json:"digest"`

@@ -9,9 +9,11 @@
 // byte-identical data share one budget (they are the same dataset), and
 // deleting or renaming a corpus cannot reset its spend. Identical releases
 // — the same (digest, canonical options, seed), which reproduce the same
-// output bytes — are idempotent: re-serving an already-journaled release
+// output bytes — are idempotent: repeating an already-journaled release
 // costs nothing, while any variation (a new seed, a different budget)
-// composes sequentially and is charged in full.
+// composes sequentially and is charged in full. Each entry records the
+// digest of the bytes its release produced, so the caller can check that a
+// repeat re-derived exactly those bytes; the ledger itself only accounts.
 //
 // Every accepted release is appended to a JSON-lines journal and fsynced
 // before it is committed in memory, so accounting survives crashes: Open
@@ -66,6 +68,13 @@ type Release struct {
 	// key to see which mechanism spent the budget. Empty in journals
 	// written before mechanisms existed (all of which were UMP).
 	Mechanism string `json:"mechanism,omitempty"`
+	// ReleaseDigest is the content hash of the bytes this release produced
+	// (mechanism.Release.Digest). Every mechanism is deterministic in the
+	// Key, so a repeat of the Key must re-derive exactly this digest; the
+	// server withholds a repeat that does not. Empty in journals written
+	// before releases recorded their output, whose repeats are checked for
+	// spend only.
+	ReleaseDigest string `json:"release_digest,omitempty"`
 	// Epsilon and Delta are the privacy cost charged for this release
 	// (ε plus ε′ when the end-to-end mode also spends on noisy counts).
 	Epsilon float64 `json:"epsilon"`
@@ -298,43 +307,31 @@ func (l *Ledger) overLocked(digest string, eps, delta float64) error {
 	}
 }
 
-// Charge atomically admits and journals one release. It returns the
-// journaled entry and whether new budget was spent: a key already in the
-// journal is an idempotent replay (existing entry, spent=false); otherwise
-// the (eps, delta) cost is checked against the remaining allowance, the
-// entry is appended and fsynced, and only then committed in memory. On an
-// *OverBudgetError nothing is spent and the release must be withheld.
-func (l *Ledger) Charge(corpus, digest, key string, eps, delta float64) (Release, bool, error) {
-	return l.ChargeCtx(context.Background(), corpus, digest, key, "", eps, delta)
-}
-
-// ChargeCtx is Charge with a "ledger.charge" span (and child spans around
-// the journal append and fsync) when ctx carries an active obs trace, and
-// with the producing mechanism's resolved name recorded on the journal
-// entry.
-func (l *Ledger) ChargeCtx(ctx context.Context, corpus, digest, key, mech string, eps, delta float64) (Release, bool, error) {
+// Charge atomically admits and journals one release. The caller fills rel's
+// identity and cost (Corpus, Digest, Key, Mechanism, ReleaseDigest, Epsilon,
+// Delta); Charge assigns Seq and Time. It returns the journaled entry and
+// whether new budget was spent: a Key already in the journal is an
+// idempotent replay (the existing entry, spent=false, nothing journaled);
+// otherwise the cost is checked against the remaining allowance, the entry
+// is appended and fsynced, and only then committed in memory. On an
+// *OverBudgetError nothing is spent and the release must be withheld. When
+// ctx carries an active obs trace, Charge records a "ledger.charge" span
+// with child spans around the journal append and fsync.
+func (l *Ledger) Charge(ctx context.Context, rel Release) (Release, bool, error) {
 	ctx, sp := obs.Start(ctx, "ledger.charge")
 	defer sp.End()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if prior, ok := l.byKey[key]; ok {
+	if prior, ok := l.byKey[rel.Key]; ok {
 		sp.SetAttr("idempotent", true)
 		return *prior, false, nil
 	}
-	if err := l.overLocked(digest, eps, delta); err != nil {
+	if err := l.overLocked(rel.Digest, rel.Epsilon, rel.Delta); err != nil {
 		sp.SetAttr("admitted", false)
 		return Release{}, false, err
 	}
-	rel := Release{
-		Seq:       l.seq + 1,
-		Corpus:    corpus,
-		Digest:    digest,
-		Key:       key,
-		Mechanism: mech,
-		Epsilon:   eps,
-		Delta:     delta,
-		Time:      l.now().UTC(),
-	}
+	rel.Seq = l.seq + 1
+	rel.Time = l.now().UTC()
 	line, err := json.Marshal(rel)
 	if err != nil {
 		return Release{}, false, fmt.Errorf("ledger: marshal release: %w", err)
@@ -360,11 +357,18 @@ func (l *Ledger) ChargeCtx(ctx context.Context, corpus, digest, key, mech string
 		return Release{}, false, fmt.Errorf("ledger: sync journal: %w", serr)
 	}
 	sp.SetAttr("admitted", true)
-	sp.SetAttr("eps", eps)
-	sp.SetAttr("delta", delta)
+	sp.SetAttr("eps", rel.Epsilon)
+	sp.SetAttr("delta", rel.Delta)
 	l.off += int64(len(line))
 	l.commit(rel)
 	return rel, true, nil
+}
+
+// ChargeCtx is Charge for a release whose output digest is not recorded:
+// the identity and cost travel as arguments, and the producing mechanism's
+// resolved name is recorded on the journal entry.
+func (l *Ledger) ChargeCtx(ctx context.Context, corpus, digest, key, mech string, eps, delta float64) (Release, bool, error) {
+	return l.Charge(ctx, Release{Corpus: corpus, Digest: digest, Key: key, Mechanism: mech, Epsilon: eps, Delta: delta})
 }
 
 // ErrNoLedger is returned by servers whose corpus subsystem is disabled.

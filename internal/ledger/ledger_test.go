@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -22,13 +23,18 @@ func openTest(t *testing.T, budget Budget) (*Ledger, string) {
 	return l, path
 }
 
+// charge journals a release that records no output digest.
+func charge(l *Ledger, corpus, digest, key string, eps, delta float64) (Release, bool, error) {
+	return l.ChargeCtx(context.Background(), corpus, digest, key, "", eps, delta)
+}
+
 func TestSequentialComposition(t *testing.T) {
 	// Budget sized for exactly two (ε=ln 2, δ=0.5) releases.
 	eps := math.Log(2)
 	l, _ := openTest(t, Budget{Epsilon: 2 * eps, Delta: 1.0})
 
 	for i := 1; i <= 2; i++ {
-		rel, spent, err := l.Charge("c", "digest-a", fmt.Sprintf("key-%d", i), eps, 0.5)
+		rel, spent, err := charge(l, "c", "digest-a", fmt.Sprintf("key-%d", i), eps, 0.5)
 		if err != nil || !spent {
 			t.Fatalf("release %d: spent=%v err=%v", i, spent, err)
 		}
@@ -42,7 +48,7 @@ func TestSequentialComposition(t *testing.T) {
 	}
 
 	// A third distinct release must be refused with the full accounting.
-	_, _, err := l.Charge("c", "digest-a", "key-3", eps, 0.5)
+	_, _, err := charge(l, "c", "digest-a", "key-3", eps, 0.5)
 	var over *OverBudgetError
 	if !errors.As(err, &over) {
 		t.Fatalf("want OverBudgetError, got %v", err)
@@ -55,20 +61,20 @@ func TestSequentialComposition(t *testing.T) {
 	}
 
 	// Budgets are per corpus digest: a different dataset is unaffected.
-	if _, _, err := l.Charge("other", "digest-b", "key-b", eps, 0.5); err != nil {
+	if _, _, err := charge(l, "other", "digest-b", "key-b", eps, 0.5); err != nil {
 		t.Fatalf("independent corpus refused: %v", err)
 	}
 }
 
 func TestIdempotentReplayIsFree(t *testing.T) {
 	l, _ := openTest(t, Budget{Epsilon: 1, Delta: 1})
-	first, spent, err := l.Charge("c", "d", "same-key", 1, 1)
+	first, spent, err := charge(l, "c", "d", "same-key", 1, 1)
 	if err != nil || !spent {
 		t.Fatalf("first: %v %v", spent, err)
 	}
 	// The budget is now exhausted, but re-serving the identical release
 	// (same key → same output bytes) must stay admissible and free.
-	again, spent, err := l.Charge("c", "d", "same-key", 1, 1)
+	again, spent, err := charge(l, "c", "d", "same-key", 1, 1)
 	if err != nil || spent {
 		t.Fatalf("replay: spent=%v err=%v", spent, err)
 	}
@@ -94,13 +100,14 @@ func TestJournalReplayRestoresAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.now = func() time.Time { return time.Unix(1700000000, 0) }
-	if _, _, err := l.Charge("a", "dig-a", "k1", 1, 0.5); err != nil {
+	first := Release{Corpus: "a", Digest: "dig-a", Key: "k1", Mechanism: "ump", ReleaseDigest: "out-1", Epsilon: 1, Delta: 0.5}
+	if _, _, err := l.Charge(context.Background(), first); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.Charge("a", "dig-a", "k2", 1, 0.5); err != nil {
+	if _, _, err := charge(l, "a", "dig-a", "k2", 1, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.Charge("b", "dig-b", "k3", 2, 1); err != nil {
+	if _, _, err := charge(l, "b", "dig-b", "k3", 2, 1); err != nil {
 		t.Fatal(err)
 	}
 	wantA, wantB := l.Spent("dig-a"), l.Spent("dig-b")
@@ -127,12 +134,13 @@ func TestJournalReplayRestoresAccounting(t *testing.T) {
 			t.Fatalf("release %d diverged: %+v vs %+v", i, rels[i], wantRels[i])
 		}
 	}
-	// The idempotency index survives the restart...
-	if _, spent, err := re.Charge("a", "dig-a", "k1", 1, 0.5); err != nil || spent {
-		t.Fatalf("journaled key re-charged after replay: spent=%v err=%v", spent, err)
+	// The idempotency index survives the restart, and a repeat of the key
+	// returns the journaled output digest for the caller to compare against.
+	if prior, spent, err := charge(re, "a", "dig-a", "k1", 1, 0.5); err != nil || spent || prior.ReleaseDigest != "out-1" {
+		t.Fatalf("journaled key after replay: spent=%v release digest %q err=%v", spent, prior.ReleaseDigest, err)
 	}
 	// ...and the sequence keeps counting where it left off.
-	rel, _, err := re.Charge("a", "dig-a", "k4", 1, 0.5)
+	rel, _, err := charge(re, "a", "dig-a", "k4", 1, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +155,7 @@ func TestTornTailIsTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.Charge("c", "d", "k1", 1, 0.25); err != nil {
+	if _, _, err := charge(l, "c", "d", "k1", 1, 0.25); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -172,7 +180,7 @@ func TestTornTailIsTruncated(t *testing.T) {
 	}
 	// The torn bytes are gone: the next charge lands on a clean boundary
 	// and a fresh replay still parses.
-	if _, _, err := re.Charge("c", "d", "k2", 1, 0.25); err != nil {
+	if _, _, err := charge(re, "c", "d", "k2", 1, 0.25); err != nil {
 		t.Fatal(err)
 	}
 	re.Close()
@@ -198,7 +206,7 @@ func TestUnterminatedTailIsKeptAndRepaired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.Charge("c", "d", "k1", 1, 0.25); err != nil {
+	if _, _, err := charge(l, "c", "d", "k1", 1, 0.25); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -223,7 +231,7 @@ func TestUnterminatedTailIsKeptAndRepaired(t *testing.T) {
 		t.Fatalf("unterminated entry dropped: spent %+v", got)
 	}
 	// Appending after the repair must land on a clean line boundary...
-	if _, _, err := re.Charge("c", "d", "k2", 1, 0.25); err != nil {
+	if _, _, err := charge(re, "c", "d", "k2", 1, 0.25); err != nil {
 		t.Fatal(err)
 	}
 	re.Close()
@@ -275,7 +283,7 @@ func TestConcurrentChargesNeverOverspend(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, spent, err := l.Charge("c", "dig", fmt.Sprintf("key-%d", i), eps, 0.25)
+			_, spent, err := charge(l, "c", "dig", fmt.Sprintf("key-%d", i), eps, 0.25)
 			mu.Lock()
 			defer mu.Unlock()
 			switch {

@@ -31,12 +31,12 @@ func TestVersionSpendIsPerDigest(t *testing.T) {
 
 	// Exhaust v1 with two releases.
 	for i := 1; i <= 2; i++ {
-		if _, spent, err := l.Charge("c", digV1, fmt.Sprintf("v1-key-%d", i), eps, 0.5); err != nil || !spent {
+		if _, spent, err := charge(l, "c", digV1, fmt.Sprintf("v1-key-%d", i), eps, 0.5); err != nil || !spent {
 			t.Fatalf("v1 release %d: spent=%v err=%v", i, spent, err)
 		}
 	}
 	var over *OverBudgetError
-	if _, _, err := l.Charge("c", digV1, "v1-key-3", eps, 0.5); !errors.As(err, &over) {
+	if _, _, err := charge(l, "c", digV1, "v1-key-3", eps, 0.5); !errors.As(err, &over) {
 		t.Fatalf("v1 over budget: want OverBudgetError, got %v", err)
 	}
 
@@ -48,7 +48,7 @@ func TestVersionSpendIsPerDigest(t *testing.T) {
 		if r := l.Remaining(dig); math.Abs(r.Epsilon-2*eps) > 1e-12 || r.Delta != 1.0 {
 			t.Fatalf("%s remaining %+v, want the full budget", dig, r)
 		}
-		if _, spent, err := l.Charge("c", dig, dig+"-key-1", eps, 0.5); err != nil || !spent {
+		if _, spent, err := charge(l, "c", dig, dig+"-key-1", eps, 0.5); err != nil || !spent {
 			t.Fatalf("%s first release: spent=%v err=%v", dig, spent, err)
 		}
 	}
@@ -71,13 +71,13 @@ func TestAncestorReplayFreeAcrossRestart(t *testing.T) {
 	budget := Budget{Epsilon: 2 * eps, Delta: 1.0}
 	l, path := openTest(t, budget)
 
-	first, spent, err := l.Charge("c", digV1, "v1-key", eps, 0.5)
+	first, spent, err := charge(l, "c", digV1, "v1-key", eps, 0.5)
 	if err != nil || !spent {
 		t.Fatalf("v1 release: spent=%v err=%v", spent, err)
 	}
 	// The corpus is appended twice; both new versions get their own release.
 	for _, dig := range []string{digV2, digV3} {
-		if _, _, err := l.Charge("c", dig, dig+"-key", eps, 0.5); err != nil {
+		if _, _, err := charge(l, "c", dig, dig+"-key", eps, 0.5); err != nil {
 			t.Fatalf("%s release: %v", dig, err)
 		}
 	}
@@ -93,7 +93,7 @@ func TestAncestorReplayFreeAcrossRestart(t *testing.T) {
 	defer l2.Close()
 
 	// The ancestor replay is free and byte-for-byte the original entry.
-	replay, spent, err := l2.Charge("c", digV1, "v1-key", eps, 0.5)
+	replay, spent, err := charge(l2, "c", digV1, "v1-key", eps, 0.5)
 	if err != nil {
 		t.Fatalf("ancestor replay: %v", err)
 	}
@@ -108,7 +108,7 @@ func TestAncestorReplayFreeAcrossRestart(t *testing.T) {
 	}
 	// Check agrees: the journaled key is admitted even with no headroom.
 	exhausted, _ := openTest(t, Budget{})
-	if _, _, err := exhausted.Charge("c", digV1, "tiny", 0, 0); err != nil {
+	if _, _, err := charge(exhausted, "c", digV1, "tiny", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := exhausted.Check(digV1, "tiny", eps, 0.5); err != nil {
@@ -131,15 +131,15 @@ func TestAppendMidFlightKeepsReleaseIdentity(t *testing.T) {
 	}
 
 	// While the v1 solve runs, an append creates v2 and spends on it.
-	if _, _, err := l.Charge("c", digV2, "v2-key-a", eps, 0.5); err != nil {
+	if _, _, err := charge(l, "c", digV2, "v2-key-a", eps, 0.5); err != nil {
 		t.Fatalf("mid-flight v2 release: %v", err)
 	}
-	if _, _, err := l.Charge("c", digV2, "v2-key-b", eps, 0.5); err != nil {
+	if _, _, err := charge(l, "c", digV2, "v2-key-b", eps, 0.5); err != nil {
 		t.Fatalf("mid-flight v2 release: %v", err)
 	}
 
 	// The in-flight release commits under its admission-time identity.
-	rel, spent, err := l.Charge("c", digV1, "v1-key", eps, 0.5)
+	rel, spent, err := charge(l, "c", digV1, "v1-key", eps, 0.5)
 	if err != nil || !spent {
 		t.Fatalf("in-flight charge: spent=%v err=%v", spent, err)
 	}
@@ -158,7 +158,7 @@ func TestAppendMidFlightKeepsReleaseIdentity(t *testing.T) {
 	}
 	// Re-serving the in-flight release later is an idempotent replay even
 	// though v1 is no longer the latest version.
-	if replay, spent, err := l.Charge("c", digV1, "v1-key", eps, 0.5); err != nil || spent || replay.Seq != rel.Seq {
+	if replay, spent, err := charge(l, "c", digV1, "v1-key", eps, 0.5); err != nil || spent || replay.Seq != rel.Seq {
 		t.Fatalf("replay of superseded version: seq=%d spent=%v err=%v", replay.Seq, spent, err)
 	}
 }

@@ -24,8 +24,8 @@ type Mechanism interface {
 	// Validate rejects option combinations the mechanism cannot run.
 	Validate(opts Options) error
 	// Canonical zeroes the fields the mechanism ignores and materializes
-	// its defaults, producing the identity the plan cache and the release
-	// ledger key on. Two option values with equal canonical forms must
+	// its defaults, producing the identity the server's release key and
+	// the release ledger key on. Two option values with equal canonical forms must
 	// produce byte-identical releases.
 	Canonical(opts Options) Options
 	// Cost declares the (ε, δ) this mechanism charges a corpus budget per

@@ -27,7 +27,7 @@ func contentDigest(t *testing.T, l *searchlog.Log) string {
 }
 
 // TestMechanismContract checks the promises every registered mechanism
-// makes to the plan cache, the ledger and its callers: Canonical is
+// makes to the ledger and its callers: Canonical is
 // idempotent, Cost is invariant under Canonical (the ledger pre-checks
 // and charges on the canonical options), the canonical options validate,
 // and Sanitize does not mutate its input.

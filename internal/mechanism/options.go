@@ -102,7 +102,7 @@ type Options struct {
 	// Mechanism names the release mechanism: "" or "ump" (the paper's
 	// Algorithm 1, the default), "laplace", "zealous" or "localdp". The
 	// canonical form of UMP options leaves this empty so pre-mechanism
-	// cache and ledger keys remain byte-identical.
+	// ledger keys remain byte-identical.
 	Mechanism string `json:"mechanism,omitzero"`
 	// Epsilon is ε > 0. The paper parameterizes experiments by e^ε; use
 	// math.Log to convert.
@@ -174,8 +174,7 @@ type Options struct {
 // hash) identically. The normalization is mechanism-specific — it
 // dispatches through the registry — and an unknown mechanism name returns
 // the options unchanged (Validate is where the error surfaces). The
-// server's plan cache and the ledger's release identity key on the
-// canonical form, which is why each mechanism's canonicalization must
+// ledger's release identity keys on the canonical form, which is why each mechanism's canonicalization must
 // materialize its defaults: requests that run the same mechanism the same
 // way must charge the budget once.
 func (o Options) Canonical() Options {
@@ -240,9 +239,9 @@ func umpCanonical(o Options) Options {
 		o.D, o.EpsPrime, o.BoundSensitivity = 0, 0, false
 	}
 	// Plans (and therefore outputs) are parallelism-invariant, so the
-	// canonical form — and the server's plan cache key — ignores it:
-	// identical corpora solved at different parallelism levels share one
-	// cache entry.
+	// canonical form — and the ledger's release key — ignores it:
+	// identical corpora solved at different parallelism levels are one
+	// release.
 	o.Parallelism = 0
 	o.Comp = nil
 	return o

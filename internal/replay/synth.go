@@ -42,7 +42,8 @@ type SynthConfig struct {
 	// charged per version however the open-loop requests interleave.
 	EExp, Delta float64
 	Objective   string
-	// Distinct rotates stateless sanitize seeds (plan-cache mix);
+	// Distinct rotates stateless sanitize seeds (how often a release
+	// repeats);
 	// CorpusDistinct bounds the distinct corpus-release seeds (budget
 	// spend). Defaults 4 and 2.
 	Distinct, CorpusDistinct int

@@ -10,7 +10,9 @@ package server
 // silently recomposed per request.
 
 import (
+	"cmp"
 	"errors"
+	"log/slog"
 	"net/http"
 	"strings"
 	"time"
@@ -429,16 +431,17 @@ func (s *Server) handleCorpusReleases(w http.ResponseWriter, r *http.Request) {
 // and charges under sequential composition. The release is charged against
 // the corpus budget *after* the solve succeeds but *before* any output byte
 // reaches the client; identical releases (same digest, canonical options
-// and seed — byte-identical output) are idempotent and free. Requests the
-// remaining budget cannot cover get a structured 429 carrying the remaining
-// (ε, δ).
+// and seed — byte-identical output) are idempotent and free. A repeat
+// re-derives its release and must reproduce the journaled release digest:
+// one that does not is withheld with a 500 and counted in
+// slserve_rederive_mismatch_total. Requests the remaining budget cannot
+// cover get a structured 429 carrying the remaining (ε, δ).
 func (s *Server) handleCorpusSanitize(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	// Capture the (log, digest) pair once, atomically: the Log is immutable,
 	// so a concurrent PUT replacing the name cannot desynchronize the data
-	// the solve reads from the digest the ledger charges and the plan cache
-	// keys — the release is always accounted against exactly the dataset it
-	// was computed from.
+	// the solve reads from the digest the ledger charges — the release is
+	// always accounted against exactly the dataset it was computed from.
 	name := r.PathValue("name")
 	l, m, gerr := s.corpora.Get(name)
 	if gerr != nil {
@@ -446,9 +449,9 @@ func (s *Server) handleCorpusSanitize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// ?version= selects an ancestor of the chain; the default is the latest.
-	// Everything downstream — seed, plan cache, ledger check and charge — is
-	// keyed by the resolved version's digest, so old-version releases compose
-	// against that version's own budget and replay for free forever.
+	// Everything downstream — seed, release key, ledger check and charge —
+	// is keyed by the resolved version's digest, so old-version releases
+	// compose against that version's own budget and replay for free forever.
 	l, digest, ok := s.resolveVersion(w, r, m, l, true)
 	if !ok {
 		return
@@ -469,7 +472,7 @@ func (s *Server) handleCorpusSanitize(w http.ResponseWriter, r *http.Request) {
 	if opts.Seed == 0 {
 		opts.Seed = seedFromDigest(digest)
 	}
-	key := cacheKey(digest, opts)
+	key := releaseKey(digest, opts)
 	cost := mech.Cost(opts)
 	eps, delta := cost.Epsilon, cost.Delta
 
@@ -502,7 +505,15 @@ func (s *Server) handleCorpusSanitize(w http.ResponseWriter, r *http.Request) {
 	// output byte leaves the server. A race with concurrent releases can
 	// still exhaust the budget here; the solve is then discarded — compute
 	// is wasted, privacy is not.
-	rel, _, err := s.budgets.ChargeCtx(ctx, m.Name, digest, key, mech.Name(), eps, delta)
+	rel, _, err := s.budgets.Charge(ctx, dpslog.Release{
+		Corpus:        m.Name,
+		Digest:        digest,
+		Key:           key,
+		Mechanism:     mech.Name(),
+		ReleaseDigest: resp.ReleaseDigest,
+		Epsilon:       eps,
+		Delta:         delta,
+	})
 	if err != nil {
 		var over *dpslog.OverBudgetError
 		if errors.As(err, &over) {
@@ -510,6 +521,22 @@ func (s *Server) handleCorpusSanitize(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	// A repeat returns the journaled entry. Its key fixes the release, so a
+	// different re-derived digest means the bytes first released are not
+	// what the journal's key now produces: serve nothing. Entries journaled
+	// before release digests were recorded carry none and skip the check.
+	if rel.ReleaseDigest != "" && rel.ReleaseDigest != resp.ReleaseDigest {
+		s.metrics.ObserveRederiveMismatch()
+		cmp.Or(s.logger, slog.Default()).LogAttrs(ctx, slog.LevelError, "rederive mismatch",
+			slog.String("key", key),
+			slog.Int("seq", rel.Seq),
+			slog.String("journaled", rel.ReleaseDigest),
+			slog.String("rederived", resp.ReleaseDigest),
+		)
+		s.writeError(w, http.StatusInternalServerError,
+			"release %d of corpus %q re-derived as %s, not the journaled %s; withheld", rel.Seq, m.Name, resp.ReleaseDigest, rel.ReleaseDigest)
 		return
 	}
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000

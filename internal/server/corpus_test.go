@@ -2,10 +2,14 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -152,8 +156,10 @@ func TestCorpusSanitizeChargesAndIsIdempotent(t *testing.T) {
 	if again.Release.Seq != 1 || again.Budget.Releases != 1 {
 		t.Fatalf("replay was re-charged: %+v", again.Release)
 	}
-	if !again.Cached {
-		t.Fatal("replay should be served from the plan cache")
+	sameRelease(t, "replay", rel.sanitizeResponse, again.sanitizeResponse)
+	allReused(t, "replay", again.sanitizeResponse)
+	if again.Release.ReleaseDigest != rel.ReleaseDigest {
+		t.Fatalf("journaled release digest %q, want %q", again.Release.ReleaseDigest, rel.ReleaseDigest)
 	}
 
 	// A different seed is a new release under sequential composition.
@@ -353,5 +359,160 @@ func TestCorpusMethodNotAllowed(t *testing.T) {
 	}
 	if allow := resp.Header.Get("Allow"); allow != "POST" {
 		t.Fatalf("Allow %q", allow)
+	}
+}
+
+// journaledRelease makes one release of the tiny corpus on a fresh data
+// directory, closes that server, and applies rewrite to the ledger
+// journal. It returns the config that reopens the directory, the release
+// and the journal bytes as rewritten.
+func journaledRelease(t *testing.T, rewrite func(journal []byte, rel corpusSanitizeResponse) []byte) (Config, corpusSanitizeResponse, []byte) {
+	t.Helper()
+	cfg := Config{DataDir: t.TempDir(), Budget: budgetFor(2)}
+	e := newTestEnv(t, cfg)
+	if resp, raw := e.do(t, http.MethodPut, "/v1/corpora/c", "text/tab-separated-values", e.tsv); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT: %d %s", resp.StatusCode, raw)
+	}
+	resp, raw := e.post(t, "/v1/corpora/c/sanitize", "application/json", sanitizeBody(1))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("release: %d %s", resp.StatusCode, raw)
+	}
+	rel := decode[corpusSanitizeResponse](t, raw)
+	if rel.ReleaseDigest == "" || rel.Release.ReleaseDigest != rel.ReleaseDigest {
+		t.Fatalf("journal entry records release digest %q, response %q", rel.Release.ReleaseDigest, rel.ReleaseDigest)
+	}
+	e.ts.Close()
+	e.srv.Close()
+	path := filepath.Join(cfg.DataDir, "ledger.journal")
+	journal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal = rewrite(journal, rel)
+	if err := os.WriteFile(path, journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return cfg, rel, journal
+}
+
+// journalUnchanged fails unless the ledger journal under dir still holds
+// exactly want.
+func journalUnchanged(t *testing.T, dir string, want []byte) {
+	t.Helper()
+	got, err := os.ReadFile(filepath.Join(dir, "ledger.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("journal changed:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRepeatWithDivergentDigestIsWithheld is the negative control of
+// re-derivation: a journal entry whose release digest no longer matches
+// what its key re-derives must never be served.
+func TestRepeatWithDivergentDigestIsWithheld(t *testing.T) {
+	forged := strings.Repeat("0", 64)
+	cfg, _, journal := journaledRelease(t, func(j []byte, rel corpusSanitizeResponse) []byte {
+		out := bytes.Replace(j, []byte(`"release_digest":"`+rel.ReleaseDigest+`"`), []byte(`"release_digest":"`+forged+`"`), 1)
+		if bytes.Equal(out, j) {
+			t.Fatalf("journal carries no release_digest %s:\n%s", rel.ReleaseDigest, j)
+		}
+		return out
+	})
+	re := newTestEnv(t, cfg)
+	resp, raw := re.post(t, "/v1/corpora/c/sanitize", "application/json", sanitizeBody(1))
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("divergent repeat: status %d: %s", resp.StatusCode, raw)
+	}
+	body := decode[map[string]any](t, raw)
+	if _, ok := body["records"]; ok || body["code"] != "internal" {
+		t.Fatalf("divergent repeat served %s", raw)
+	}
+	if _, m := re.get(t, "/metrics"); !bytes.Contains(m, []byte("\nslserve_rederive_mismatch_total 1\n")) {
+		t.Fatalf("mismatch not counted:\n%s", m)
+	}
+	journalUnchanged(t, cfg.DataDir, journal)
+}
+
+// TestRepeatOfUndigestedEntryIsFree: journals written before releases
+// recorded their output digest still replay, and their repeats get the
+// spend check only — free, and the journal gains no line.
+func TestRepeatOfUndigestedEntryIsFree(t *testing.T) {
+	cfg, first, journal := journaledRelease(t, func(j []byte, rel corpusSanitizeResponse) []byte {
+		out := bytes.Replace(j, []byte(`,"release_digest":"`+rel.ReleaseDigest+`"`), nil, 1)
+		if bytes.Equal(out, j) {
+			t.Fatalf("journal carries no release_digest %s:\n%s", rel.ReleaseDigest, j)
+		}
+		return out
+	})
+	re := newTestEnv(t, cfg)
+	resp, raw := re.post(t, "/v1/corpora/c/sanitize", "application/json", sanitizeBody(1))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("repeat of an undigested entry: status %d: %s", resp.StatusCode, raw)
+	}
+	again := decode[corpusSanitizeResponse](t, raw)
+	if again.Release.Seq != first.Release.Seq || again.Release.ReleaseDigest != "" || again.Budget.Releases != 1 {
+		t.Fatalf("repeat was re-journaled: release %+v budget %+v", again.Release, again.Budget)
+	}
+	if again.Budget.Spent != first.Budget.Spent {
+		t.Fatalf("repeat spent budget: %+v, want %+v", again.Budget.Spent, first.Budget.Spent)
+	}
+	sameRelease(t, "repeat", first.sanitizeResponse, again.sanitizeResponse)
+	journalUnchanged(t, cfg.DataDir, journal)
+}
+
+// TestConcurrentIdenticalFirstReleases races one key's first release from
+// several clients: every one is served the same release, the journal holds
+// one entry, and no repeat counts as a mismatch. Run with -race.
+func TestConcurrentIdenticalFirstReleases(t *testing.T) {
+	const clients = 8
+	e := newTestEnv(t, Config{Workers: 4, Queue: 64, DataDir: t.TempDir(), Budget: budgetFor(1)})
+	if resp, raw := e.do(t, http.MethodPut, "/v1/corpora/c", "text/tab-separated-values", e.tsv); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT: %d %s", resp.StatusCode, raw)
+	}
+	digests := make([]string, clients)
+	var wg sync.WaitGroup
+	for i := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(e.ts.URL+"/v1/corpora/c/sanitize", "application/json", bytes.NewReader(sanitizeBody(1)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			raw, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("client %d: status %d err %v: %s", i, resp.StatusCode, err, raw)
+				return
+			}
+			var out corpusSanitizeResponse
+			if err := json.Unmarshal(raw, &out); err != nil {
+				t.Error(err)
+				return
+			}
+			digests[i] = out.ReleaseDigest
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, d := range digests {
+		if d == "" || d != digests[0] {
+			t.Fatalf("client %d released %q, client 0 %q", i, d, digests[0])
+		}
+	}
+	journal, err := os.ReadFile(filepath.Join(e.srv.cfg.DataDir, "ledger.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(journal, []byte("\n")); n != 1 {
+		t.Fatalf("journal holds %d entries, want 1:\n%s", n, journal)
+	}
+	if _, m := e.get(t, "/metrics"); !bytes.Contains(m, []byte("\nslserve_rederive_mismatch_total 0\n")) {
+		t.Fatalf("metrics report a mismatch:\n%s", m)
 	}
 }

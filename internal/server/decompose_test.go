@@ -25,7 +25,7 @@ func shardedTSV(t *testing.T) []byte {
 
 // TestSanitizeReportsComponents checks the components wire field and its
 // /metrics histogram, and that the parallelism query parameter is accepted
-// without changing the released plan (or fragmenting the cache).
+// without changing the release.
 func TestSanitizeReportsComponents(t *testing.T) {
 	e := newTestEnv(t, Config{})
 	tsv := shardedTSV(t)
@@ -39,26 +39,28 @@ func TestSanitizeReportsComponents(t *testing.T) {
 		t.Fatalf("components = %d, want 4", out.Plan.Components)
 	}
 
-	// Same corpus, explicit parallelism: identical plan, served from cache
-	// (the canonical options ignore parallelism).
+	// Same corpus, explicit parallelism: the re-derived release is identical
+	// (plans are invariant in parallelism).
 	resp, raw = e.post(t, "/v1/sanitize?eexp=2&delta=0.5&seed=5&parallelism=4", "text/tab-separated-values", tsv)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
 	par := decode[sanitizeResponse](t, raw)
-	if !par.Cached {
-		t.Fatal("parallelism variant missed the plan cache")
+	if par.ReleaseDigest != out.ReleaseDigest {
+		t.Fatalf("release digest %s under explicit parallelism, want %s", par.ReleaseDigest, out.ReleaseDigest)
 	}
+	allReused(t, "parallelism variant", par)
 	if par.Plan.OutputSize != out.Plan.OutputSize || par.Plan.Objective != out.Plan.Objective {
 		t.Fatalf("plan differs under explicit parallelism: %+v vs %+v", par.Plan, out.Plan)
 	}
 
 	_, metrics := e.get(t, "/metrics")
 	text := string(metrics)
-	if !strings.Contains(text, "slserve_solve_components_count 1") {
+	// Both requests solved: the histogram holds two 4-component solves.
+	if !strings.Contains(text, "slserve_solve_components_count 2") {
 		t.Fatalf("metrics missing solve-components histogram:\n%s", text)
 	}
-	if !strings.Contains(text, `slserve_solve_components_bucket{le="4"} 1`) {
+	if !strings.Contains(text, `slserve_solve_components_bucket{le="4"} 2`) {
 		t.Fatalf("component count not bucketed at 4:\n%s", text)
 	}
 	if !strings.Contains(text, `slserve_solve_components_bucket{le="2"} 0`) {

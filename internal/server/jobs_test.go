@@ -5,6 +5,8 @@ import (
 	"testing"
 )
 
+func resp(id string) *sanitizeResponse { return &sanitizeResponse{Digest: id} }
+
 func TestJobLifecycle(t *testing.T) {
 	s := newJobStore(8)
 	j := s.Create()

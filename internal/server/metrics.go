@@ -27,9 +27,12 @@ type Metrics struct {
 	stages     map[string]*histogram
 	solver     solverMetrics
 	ingest     ingestMetrics
-	// mechanisms counts completed sanitizations (cached and solved alike)
-	// by release mechanism wire name.
+	// mechanisms counts completed sanitizations by release mechanism wire
+	// name.
 	mechanisms map[string]int64
+	// rederiveMismatches counts repeats of a journaled release whose
+	// re-derived release digest differed from the journaled one.
+	rederiveMismatches int64
 }
 
 // solverMetrics accumulates the LP-engine depth counters surfaced by
@@ -61,7 +64,7 @@ type reqKey struct {
 }
 
 // latencyBuckets are the histogram upper bounds in seconds, spanning
-// cache-hit microseconds to multi-second D-UMP solves.
+// sub-millisecond planning calls to multi-second D-UMP solves.
 var latencyBuckets = []float64{0.0005, 0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
 // componentBuckets are the upper bounds for the per-solve connected
@@ -70,7 +73,7 @@ var latencyBuckets = []float64{0.0005, 0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.2
 var componentBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // stageBuckets extend the latency bounds two decades downward: interior
-// stages (cache lookups, ledger fsyncs, noise sampling) live in the
+// stages (queue waits, ledger fsyncs, noise sampling) live in the
 // microseconds while solves reach seconds.
 var stageBuckets = []float64{0.00001, 0.00005, 0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 2.5, 5, 10}
 
@@ -144,7 +147,7 @@ func (m *Metrics) ObserveStage(stage string, seconds float64) {
 }
 
 // ObserveSolver folds the solver-depth counters of one completed
-// (non-cached) sanitization into the registry. iterations is the plan's
+// sanitization into the registry. iterations is the plan's
 // simplex-iteration/BIP-node total; st carries the LP engine internals.
 func (m *Metrics) ObserveSolver(iterations int, st dpslog.SolveStats) {
 	m.mu.Lock()
@@ -157,7 +160,7 @@ func (m *Metrics) ObserveSolver(iterations int, st dpslog.SolveStats) {
 }
 
 // ObserveSanitizeMechanism records one completed sanitization under its
-// release mechanism's wire name, whether it was solved or cache-served.
+// release mechanism's wire name.
 func (m *Metrics) ObserveSanitizeMechanism(name string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -165,7 +168,7 @@ func (m *Metrics) ObserveSanitizeMechanism(name string) {
 }
 
 // ObserveSolveComponents records the connected-component count of one
-// completed (non-cached) sanitization solve.
+// completed sanitization solve.
 func (m *Metrics) ObserveSolveComponents(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -182,6 +185,14 @@ func (m *Metrics) ObserveIngest(rows int64, rowsPerSec float64, peakHeap uint64)
 	m.ingest.rows += rows
 	m.ingest.lastRowsPerSec = rowsPerSec
 	m.ingest.lastPeakHeap = peakHeap
+}
+
+// ObserveRederiveMismatch records one withheld repeat: a journaled release
+// whose re-derivation produced a different release digest.
+func (m *Metrics) ObserveRederiveMismatch() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.rederiveMismatches++
 }
 
 // ObserveIngestFailure records a corpus upload that was admitted but failed
@@ -206,8 +217,6 @@ func (m *Metrics) Observe(handler string, code int, seconds float64) {
 type Gauges struct {
 	Workers, WorkersBusy, QueueDepth int
 	Jobs                             map[JobState]int
-	CacheEntries                     int
-	CacheHits, CacheMisses           int64
 	// CompCacheEntries/Hits/Misses mirror the shared component-plan cache
 	// behind incremental post-append re-solves.
 	CompCacheEntries               int
@@ -270,7 +279,7 @@ func (m *Metrics) WriteTo(w io.Writer, g Gauges) {
 	scalar(w, "slserve_solver_presolve_rows_total", "counter", "Constraint rows eliminated by LP presolve.", m.solver.presolveRows)
 	scalar(w, "slserve_solver_presolve_cols_total", "counter", "Variables fixed by LP presolve.", m.solver.presolveCols)
 
-	family(w, "slserve_sanitize_mechanism_total", "counter", "Completed sanitizations by release mechanism (cached and solved alike).")
+	family(w, "slserve_sanitize_mechanism_total", "counter", "Completed sanitizations by release mechanism.")
 	for _, name := range slices.Sorted(maps.Keys(m.mechanisms)) {
 		fmt.Fprintf(w, "slserve_sanitize_mechanism_total{mechanism=%q} %d\n", name, m.mechanisms[name])
 	}
@@ -294,9 +303,7 @@ func (m *Metrics) WriteTo(w io.Writer, g Gauges) {
 		fmt.Fprintf(w, "slserve_jobs{state=%q} %d\n", string(st), g.Jobs[st])
 	}
 
-	scalar(w, "slserve_plan_cache_entries", "gauge", "Entries in the LRU plan cache.", g.CacheEntries)
-	scalar(w, "slserve_plan_cache_hits_total", "counter", "Plan cache hits.", g.CacheHits)
-	scalar(w, "slserve_plan_cache_misses_total", "counter", "Plan cache misses.", g.CacheMisses)
+	scalar(w, "slserve_rederive_mismatch_total", "counter", "Repeats of a journaled release withheld because the re-derived release digest differed from the journaled one.", m.rederiveMismatches)
 
 	scalar(w, "slserve_component_cache_entries", "gauge", "Entries in the shared component-plan cache.", g.CompCacheEntries)
 	scalar(w, "slserve_component_cache_hits_total", "counter", "Component plans reused from the cache.", g.CompCacheHits)

@@ -70,11 +70,11 @@ func TestMetricsGolden(t *testing.T) {
 	m.ObserveIngest(1200, 350000.5, 8<<20)
 	m.ObserveIngest(34, 1e7, 1<<40)
 	m.ObserveIngestFailure()
+	m.ObserveRederiveMismatch()
 
 	out := withoutRuntimeFamilies(scrape(t, m, Gauges{
 		Workers: 4, WorkersBusy: 1, QueueDepth: 2,
-		Jobs:         map[JobState]int{JobQueued: 1, JobDone: 3, JobFailed: 2},
-		CacheEntries: 5, CacheHits: 7, CacheMisses: 9,
+		Jobs:             map[JobState]int{JobQueued: 1, JobDone: 3, JobFailed: 2},
 		CompCacheEntries: 11, CompCacheHits: 13, CompCacheMisses: 15,
 		IngestInFlightBytes: 1 << 20, IngestInFlightUploads: 1, IngestCapacityBytes: 256 << 20,
 		Ledger: &LedgerGauges{

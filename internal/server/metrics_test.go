@@ -22,11 +22,11 @@ func TestMetricsExposition(t *testing.T) {
 	m.Observe("POST /v1/sanitize", 200, 0.2)
 	m.Observe("POST /v1/sanitize", 400, 0.0001)
 	m.Observe("GET /healthz", 200, 0.00005)
+	m.ObserveRederiveMismatch()
 
 	out := scrape(t, m, Gauges{
 		Workers: 4, WorkersBusy: 1, QueueDepth: 2,
-		Jobs:         map[JobState]int{JobDone: 3},
-		CacheEntries: 5, CacheHits: 7, CacheMisses: 9,
+		Jobs: map[JobState]int{JobDone: 3},
 	})
 
 	for _, want := range []string{
@@ -40,9 +40,8 @@ func TestMetricsExposition(t *testing.T) {
 		`slserve_queue_depth 2`,
 		`slserve_jobs{state="done"} 3`,
 		`slserve_jobs{state="queued"} 0`,
-		`slserve_plan_cache_entries 5`,
-		`slserve_plan_cache_hits_total 7`,
-		`slserve_plan_cache_misses_total 9`,
+		`slserve_rederive_mismatch_total 1`,
+		`# TYPE slserve_rederive_mismatch_total counter`,
 		`# TYPE slserve_request_duration_seconds histogram`,
 		`# TYPE slserve_requests_total counter`,
 	} {
@@ -376,8 +375,7 @@ func TestMetricsExpositionParses(t *testing.T) {
 
 	out := scrape(t, m, Gauges{
 		Workers: 8, WorkersBusy: 2, QueueDepth: 1,
-		Jobs:         map[JobState]int{JobQueued: 1, JobDone: 4},
-		CacheEntries: 3, CacheHits: 10, CacheMisses: 2,
+		Jobs: map[JobState]int{JobQueued: 1, JobDone: 4},
 	})
 	samples, types := parseExposition(t, out)
 	if len(samples) == 0 {

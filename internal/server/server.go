@@ -1,8 +1,7 @@
 // Package server implements slserve, the HTTP sanitization service: a
 // JSON/TSV API over the dpslog library with a bounded worker pool (so
 // concurrent LP/BIP solves cannot stampede), an async job store for large
-// logs, an LRU plan cache keyed by (corpus digest, canonical options), and
-// hand-rolled Prometheus metrics — all within the repository's
+// logs, and hand-rolled Prometheus metrics — all within the repository's
 // zero-dependency invariant.
 //
 // Endpoints:
@@ -52,7 +51,8 @@
 // epsilon, delta, objective, support, size, solver, seed, parallelism, d).
 // When the request omits a
 // seed, the server derives one deterministically from the corpus digest, so
-// identical requests produce identical outputs (and cache cleanly).
+// identical requests produce identical outputs. No response is cached: a
+// repeated request re-derives its release through the mechanism.
 //
 // Raw corpus bodies (PUT and append) negotiate their format on the request
 // Content-Type:
@@ -69,10 +69,12 @@
 // Each corpus version is immutable with its own digest; the ledger charges
 // releases per digest under sequential composition, so appending never
 // resets or launders the spend of prior versions, and releases journaled
-// against old versions replay for free forever. A server-wide component-plan
-// cache (Config.CompCacheSize) makes the re-solve after an append
-// incremental: only connected components the appended rows touched
-// re-solve, the rest are reused byte-identically.
+// against old versions replay for free forever. The journal records each
+// release's output digest, and a repeat whose re-derived release differs
+// from it is withheld with a 500. A server-wide component-plan cache
+// (Config.CompCacheSize) makes the re-solve after an append incremental:
+// only connected components the appended rows touched re-solve, the rest
+// are reused byte-identically.
 //
 // Both sanitize endpoints dispatch on ?mechanism= (or the JSON "mechanism"
 // option) through internal/mechanism's registry: "ump" (default), "laplace",
@@ -112,9 +114,6 @@ type Config struct {
 	// Queue is the worker-pool backlog (default 4×Workers). A full backlog
 	// returns 503.
 	Queue int
-	// CacheSize is the LRU plan cache capacity in entries (default 128;
-	// negative disables caching).
-	CacheSize int
 	// MaxJobs bounds the retained async jobs (default 1024); the oldest
 	// finished jobs are evicted first.
 	MaxJobs int
@@ -187,9 +186,6 @@ func (c Config) withDefaults() Config {
 	if c.Queue == 0 {
 		c.Queue = 4 * c.Workers
 	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 128
-	}
 	if c.MaxJobs == 0 {
 		c.MaxJobs = 1024
 	}
@@ -224,10 +220,9 @@ func (c Config) withDefaults() Config {
 
 // Server is the slserve HTTP handler. Create with New, dispose with Close.
 type Server struct {
-	cfg   Config
-	pool  *Pool
-	jobs  *jobStore
-	cache *planCache
+	cfg  Config
+	pool *Pool
+	jobs *jobStore
 	// comp is the shared component-plan cache behind incremental re-solves;
 	// nil when disabled. Safe to share across corpora and versions — the
 	// component content digest is the reuse identity.
@@ -261,7 +256,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		pool:    NewPool(cfg.Workers, cfg.Queue),
 		jobs:    newJobStore(cfg.MaxJobs),
-		cache:   newPlanCache(cfg.CacheSize),
 		metrics: NewMetrics(),
 		logger:  cfg.Logger,
 		mux:     http.NewServeMux(),
@@ -497,9 +491,9 @@ type pairJSON struct {
 	Count float64 `json:"count"`
 }
 
-// sanitizeResponse is the wire form of a completed sanitization. Cached and
-// ElapsedMS are per-request and overwritten on each response; everything
-// else is immutable once computed and shared via the plan cache.
+// sanitizeResponse is the wire form of a completed sanitization. Every
+// field but ElapsedMS and Trace is a deterministic function of (corpus,
+// canonical options, seed), so a repeated request re-derives it exactly.
 type sanitizeResponse struct {
 	Digest           string                 `json:"digest"`
 	Seed             uint64                 `json:"seed"`
@@ -521,10 +515,9 @@ type sanitizeResponse struct {
 	// mechanisms. Identical seeds and canonical options yield identical
 	// release digests.
 	ReleaseDigest string  `json:"release_digest,omitempty"`
-	Cached        bool    `json:"cached"`
 	ElapsedMS     float64 `json:"elapsed_ms"`
-	// Trace is the request's span tree, stamped on the per-request response
-	// copy when the client asked for ?debug=trace (never cached).
+	// Trace is the request's span tree, stamped on the response when the
+	// client asked for ?debug=trace.
 	Trace *obs.SpanJSON `json:"trace,omitempty"`
 }
 
@@ -696,8 +689,10 @@ func seedFromDigest(digest string) uint64 {
 	return binary.BigEndian.Uint64(b[:8])
 }
 
-// cacheKey is the plan cache identity: corpus digest ⊕ canonical options.
-func cacheKey(digest string, opts dpslog.Options) string {
+// releaseKey is the ledger's idempotency identity of a release: corpus
+// digest ⊕ canonical options (the seed included). Every mechanism is
+// deterministic in it, so one key names one release digest.
+func releaseKey(digest string, opts dpslog.Options) string {
 	canon, err := json.Marshal(opts.Canonical())
 	if err != nil {
 		return digest // unreachable: Options marshals cleanly
@@ -707,11 +702,11 @@ func cacheKey(digest string, opts dpslog.Options) string {
 
 // --- Sanitization core ---------------------------------------------------
 
-// runSanitize executes (or cache-serves) one sanitization through the
-// resolved mechanism. It is called on a pool worker for sync requests,
-// async jobs, and corpus releases. digest is the precomputed corpus
-// identity — corpus requests pass the stored digest so referencing a corpus
-// never re-hashes it.
+// runSanitize derives one release through the resolved mechanism. It is
+// called on a pool worker for sync requests, async jobs, and corpus
+// releases, repeats included. digest is the precomputed corpus identity —
+// corpus requests pass the stored digest so referencing a corpus never
+// re-hashes it.
 func (s *Server) runSanitize(ctx context.Context, mech mechanism.Mechanism, l *dpslog.Log, opts dpslog.Options, digest string) (*sanitizeResponse, error) {
 	obs.FromContext(ctx).SetAttr("mechanism", mech.Name())
 	if opts.Seed == 0 {
@@ -722,19 +717,8 @@ func (s *Server) runSanitize(ctx context.Context, mech mechanism.Mechanism, l *d
 		// solves already fill the cores, so each solve runs its components
 		// at the configured parallelism (1 unless -solve-parallelism says
 		// otherwise). The canonical options ignore Parallelism — plans are
-		// invariant in it — so this does not fragment the plan cache.
+		// invariant in it — so it is not part of the release key.
 		opts.Parallelism = s.cfg.SolveParallelism
-	}
-	key := cacheKey(digest, opts)
-	_, csp := obs.Start(ctx, "cache.lookup")
-	resp, ok := s.cache.Get(key)
-	csp.SetAttr("hit", ok)
-	csp.End()
-	if ok {
-		s.metrics.ObserveSanitizeMechanism(mech.Name())
-		hit := *resp
-		hit.Cached = true
-		return &hit, nil
 	}
 	// The component-plan cache makes post-append UMP re-solves incremental:
 	// components untouched by the append are served byte-identically from
@@ -746,7 +730,7 @@ func (s *Server) runSanitize(ctx context.Context, mech mechanism.Mechanism, l *d
 	if err != nil {
 		return nil, err
 	}
-	resp = &sanitizeResponse{
+	resp := &sanitizeResponse{
 		Digest:        digest,
 		Seed:          opts.Seed,
 		InputSize:     l.Size(),
@@ -786,11 +770,7 @@ func (s *Server) runSanitize(ctx context.Context, mech mechanism.Mechanism, l *d
 		}
 	}
 	s.metrics.ObserveSanitizeMechanism(mech.Name())
-	s.cache.Put(key, resp)
-	// Callers stamp per-request fields (ElapsedMS, Cached) on the result, so
-	// hand back a copy rather than the struct the cache now owns.
-	own := *resp
-	return &own, nil
+	return resp, nil
 }
 
 // --- Handlers ------------------------------------------------------------
@@ -838,7 +818,6 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	workers, busy, queued := s.pool.Stats()
-	hits, misses := s.cache.Stats()
 	var lg *LedgerGauges
 	// The ledger gauges need the stateful subsystems; a scrape during the
 	// async open simply omits them rather than blocking Prometheus.
@@ -873,9 +852,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		WorkersBusy:           busy,
 		QueueDepth:            queued,
 		Jobs:                  s.jobs.CountByState(),
-		CacheEntries:          s.cache.Len(),
-		CacheHits:             hits,
-		CacheMisses:           misses,
 		CompCacheEntries:      s.comp.Len(),
 		CompCacheHits:         compHits,
 		CompCacheMisses:       compMisses,

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -104,8 +105,8 @@ func TestSanitizeTSVBody(t *testing.T) {
 	if out.Plan.Kind != "O-UMP" || out.Plan.OutputSize <= 0 {
 		t.Fatalf("unexpected plan: %+v", out.Plan)
 	}
-	if out.Seed != 9 || out.Cached || out.Digest != dpslog.Digest(e.corpus) {
-		t.Fatalf("seed/cached/digest wrong: seed=%d cached=%v", out.Seed, out.Cached)
+	if out.Seed != 9 || out.Digest != dpslog.Digest(e.corpus) {
+		t.Fatalf("seed/digest wrong: seed=%d digest=%s", out.Seed, out.Digest)
 	}
 	if len(out.Records) == 0 {
 		t.Fatal("no output records")
@@ -164,29 +165,52 @@ func TestSanitizeObjectiveNamesInJSON(t *testing.T) {
 	}
 }
 
+// sameRelease fails unless repeat re-derived first's release exactly: the
+// same release digest, records and plan counts.
+func sameRelease(t *testing.T, label string, first, repeat sanitizeResponse) {
+	t.Helper()
+	if repeat.ReleaseDigest == "" || repeat.ReleaseDigest != first.ReleaseDigest {
+		t.Fatalf("%s: release digest %q, want %q", label, repeat.ReleaseDigest, first.ReleaseDigest)
+	}
+	if !slices.Equal(repeat.Records, first.Records) {
+		t.Fatalf("%s: released records differ from the first release", label)
+	}
+	if !slices.Equal(repeat.Plan.Counts, first.Plan.Counts) {
+		t.Fatalf("%s: plan counts %v, want %v", label, repeat.Plan.Counts, first.Plan.Counts)
+	}
+}
+
+// allReused fails unless an O-UMP repeat on a warm server served every
+// component plan from the component cache.
+func allReused(t *testing.T, label string, repeat sanitizeResponse) {
+	t.Helper()
+	if repeat.Plan.Kind != "O-UMP" || repeat.Plan.Components == 0 || repeat.Plan.ReusedComponents != repeat.Plan.Components {
+		t.Fatalf("%s: %s plan reused %d of %d components, want an O-UMP plan reusing all",
+			label, repeat.Plan.Kind, repeat.Plan.ReusedComponents, repeat.Plan.Components)
+	}
+}
+
 func TestSanitizeCacheAndDeterministicSeed(t *testing.T) {
 	e := newTestEnv(t, Config{})
 	// No seed given: the server derives one from the corpus digest.
 	_, raw1 := e.post(t, "/v1/sanitize?eexp=2&delta=0.5", "text/plain", e.tsv)
 	out1 := decode[sanitizeResponse](t, raw1)
-	if out1.Cached || out1.Seed == 0 {
-		t.Fatalf("first response: cached=%v seed=%d", out1.Cached, out1.Seed)
+	if out1.Seed == 0 {
+		t.Fatalf("first response: seed=%d", out1.Seed)
 	}
+	// The identical request re-derives the identical release, its plan
+	// served from the component cache.
 	_, raw2 := e.post(t, "/v1/sanitize?eexp=2&delta=0.5", "text/plain", e.tsv)
 	out2 := decode[sanitizeResponse](t, raw2)
-	if !out2.Cached {
-		t.Fatal("second identical request should hit the plan cache")
+	if out2.Seed != out1.Seed {
+		t.Fatalf("repeat seed %d, want %d", out2.Seed, out1.Seed)
 	}
-	if out2.Seed != out1.Seed || len(out2.Records) != len(out1.Records) {
-		t.Fatal("cache hit must return the identical release")
-	}
-	if hits, _ := e.srv.cache.Stats(); hits < 1 {
-		t.Fatalf("cache hits = %d, want ≥ 1", hits)
-	}
-	// A different seed is a different cache key, not a stale hit.
+	sameRelease(t, "repeat", out1, out2)
+	allReused(t, "repeat", out2)
+	// A different seed is a different release, not the remembered one.
 	_, raw3 := e.post(t, "/v1/sanitize?eexp=2&delta=0.5&seed=12345", "text/plain", e.tsv)
-	if out3 := decode[sanitizeResponse](t, raw3); out3.Cached {
-		t.Fatal("different seed must not be served from cache")
+	if out3 := decode[sanitizeResponse](t, raw3); out3.ReleaseDigest == out1.ReleaseDigest {
+		t.Fatal("a different seed released the first seed's bytes")
 	}
 }
 
@@ -366,7 +390,7 @@ func TestStatsEndpoint(t *testing.T) {
 func TestMetricsScrape(t *testing.T) {
 	e := newTestEnv(t, Config{})
 	e.post(t, "/v1/sanitize?eexp=2&delta=0.5", "text/plain", e.tsv)
-	e.post(t, "/v1/sanitize?eexp=2&delta=0.5", "text/plain", e.tsv) // cache hit
+	e.post(t, "/v1/sanitize?eexp=2&delta=0.5", "text/plain", e.tsv) // repeat
 	e.get(t, "/healthz")
 	resp, raw := e.get(t, "/metrics")
 	if resp.StatusCode != http.StatusOK {
@@ -381,8 +405,8 @@ func TestMetricsScrape(t *testing.T) {
 		`slserve_requests_total{handler="GET /healthz",code="200"} 1`,
 		`slserve_request_duration_seconds_count{handler="POST /v1/sanitize"} 2`,
 		"slserve_workers ",
-		"slserve_plan_cache_hits_total 1",
-		"slserve_plan_cache_entries 1",
+		`slserve_sanitize_mechanism_total{mechanism="ump"} 2`,
+		"slserve_rederive_mismatch_total 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape missing %q", want)
@@ -464,11 +488,11 @@ func TestConcurrentSanitizeRequests(t *testing.T) {
 	}
 }
 
-// TestWarmReSolvesReproduceRelease: with the plan cache disabled, every
-// repeated request re-solves, and the release (plan counts, sampled records)
+// TestWarmReSolvesReproduceRelease: every repeated request re-derives its
+// release, and the release (release digest, plan counts, sampled records)
 // must be identical to the first solve's.
 func TestWarmReSolvesReproduceRelease(t *testing.T) {
-	e := newTestEnv(t, Config{CacheSize: -1}) // every request is a cache miss
+	e := newTestEnv(t, Config{})
 	var first sanitizeResponse
 	for i := 0; i < 3; i++ {
 		resp, raw := e.post(t, "/v1/sanitize?eexp=2&delta=0.5&seed=4", "text/plain", e.tsv)
@@ -476,9 +500,6 @@ func TestWarmReSolvesReproduceRelease(t *testing.T) {
 			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, raw)
 		}
 		out := decode[sanitizeResponse](t, raw)
-		if out.Cached {
-			t.Fatalf("request %d: cache must be disabled", i)
-		}
 		if i == 0 {
 			first = out
 			continue
@@ -494,8 +515,7 @@ func TestWarmReSolvesReproduceRelease(t *testing.T) {
 				t.Fatalf("re-solve %d changed count %d: %d vs %d", i, j, out.Plan.Counts[j], first.Plan.Counts[j])
 			}
 		}
-		if len(out.Records) != len(first.Records) {
-			t.Fatalf("re-solve %d changed the sampled release size", i)
-		}
+		sameRelease(t, fmt.Sprintf("re-solve %d", i), first, out)
+		allReused(t, fmt.Sprintf("re-solve %d", i), out)
 	}
 }

@@ -32,7 +32,7 @@ func TestXTraceIDHeader(t *testing.T) {
 	}
 }
 
-// TestDebugTraceSpanTree drives ?debug=trace on a real (non-cached) solve
+// TestDebugTraceSpanTree drives ?debug=trace on a real solve
 // and checks the acceptance contract: the span tree is present, every stage
 // duration is strictly positive, and the direct children of the root
 // account for the reported wall time to within 10%.
@@ -78,7 +78,7 @@ func TestDebugTraceSpanTree(t *testing.T) {
 		sumNS += c.DurationNS
 	}
 	// "noise" is absent: it only fires for end-to-end mode requests.
-	for _, want := range []string{"decode", "digest", "queue.wait", "cache.lookup", "preprocess", "solve", "audit", "sample"} {
+	for _, want := range []string{"decode", "digest", "queue.wait", "preprocess", "solve", "audit", "sample"} {
 		if !stages[want] {
 			t.Errorf("trace lacks stage %q (have %v)", want, stages)
 		}
@@ -183,14 +183,14 @@ func TestReadyzStatefulGatesOnOpen(t *testing.T) {
 	}
 }
 
-// TestSolverCountersAfterWarmResolve disables the plan cache so an identical
-// second request re-solves the same LP — then asserts the solver-depth
-// counters in /metrics through the text-format parser: LP solves,
-// iterations, refactorizations and presolve eliminations.
+// TestSolverCountersAfterWarmResolve sends an identical second request that
+// re-solves the same LP — then asserts the solver-depth counters in
+// /metrics through the text-format parser: LP solves, iterations,
+// refactorizations and presolve eliminations.
 func TestSolverCountersAfterWarmResolve(t *testing.T) {
 	// The component cache would serve the identical second solve without
 	// touching the LP at all; disable it so the LP answers the repeat.
-	e := newTestEnv(t, Config{CacheSize: -1, CompCacheSize: -1})
+	e := newTestEnv(t, Config{CompCacheSize: -1})
 	for i := 0; i < 2; i++ {
 		resp, raw := e.post(t, "/v1/sanitize?eexp=2&delta=0.5&seed=1", "text/tab-separated-values", e.tsv)
 		if resp.StatusCode != http.StatusOK {
@@ -228,7 +228,7 @@ func TestSolverCountersAfterWarmResolve(t *testing.T) {
 	}
 
 	if v := value("slserve_solver_lp_solves_total", nil); v < 2 {
-		t.Errorf("lp_solves_total = %g, want ≥ 2 (two uncached requests)", v)
+		t.Errorf("lp_solves_total = %g, want ≥ 2 (two solved requests)", v)
 	}
 	if v := value("slserve_solver_iterations_total", nil); v <= 0 {
 		t.Errorf("iterations_total = %g, want > 0", v)
