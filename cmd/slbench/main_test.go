@@ -111,8 +111,7 @@ func TestCheckBaselineUnreadableFails(t *testing.T) {
 	}
 }
 
-// The committed baseline is a valid baseline for itself, including the
-// fields this version no longer writes.
+// The committed baseline is a valid baseline for itself.
 func TestCommittedBaselineMatchesItself(t *testing.T) {
 	const path = "../../BENCH_slbench.json"
 	data, err := os.ReadFile(path)

@@ -142,13 +142,21 @@ func ProjectFeasible(c *Constraints, counts []int) []int {
 // coefficient in the most violated row (the most privacy-sensitive unit of
 // mass). Each decrement strictly reduces a positive left-hand side, so the
 // loop terminates. Returns the number of decrements.
+//
+// Row activities are kept between decrements; a decrement recomputes (with
+// LHS, so the values are exactly those of a full rescan) only the rows that
+// hold the decremented pair.
 func RepairPlan(c *Constraints, counts []int) int {
+	lhs := make([]float64, len(c.Rows))
+	for k := range lhs {
+		lhs[k] = c.LHS(k, counts)
+	}
 	repairs := 0
 	for iter := 0; iter < 1<<22; iter++ {
 		worstRow, worstLHS := -1, c.Budget
-		for k := range c.Rows {
-			if lhs := c.LHS(k, counts); lhs > worstLHS+FillTol {
-				worstRow, worstLHS = k, lhs
+		for k, v := range lhs {
+			if v > worstLHS+FillTol {
+				worstRow, worstLHS = k, v
 			}
 		}
 		if worstRow < 0 {
@@ -164,6 +172,9 @@ func RepairPlan(c *Constraints, counts []int) int {
 			return repairs // violated row with all-zero counts: impossible
 		}
 		counts[bestPair]--
+		for _, e := range c.cols[bestPair] {
+			lhs[e.row] = c.LHS(e.row, counts)
+		}
 		repairs++
 	}
 	return repairs

@@ -43,21 +43,7 @@ func TestEnginesAgree(t *testing.T) {
 func TestEnginesAgreeOnPackingLPs(t *testing.T) {
 	r := rand.New(rand.NewPCG(99, 4))
 	for trial := 0; trial < 40; trial++ {
-		nVars := 3 + r.IntN(50)
-		nRows := 2 + r.IntN(25)
-		p := NewProblem(Maximize)
-		for j := 0; j < nVars; j++ {
-			p.AddVariable(1, 0, float64(1+r.IntN(40)))
-		}
-		budget := 0.01 + r.Float64()
-		for i := 0; i < nRows; i++ {
-			row := p.AddConstraint(LE, budget)
-			for j := 0; j < nVars; j++ {
-				if r.Float64() < 0.25 {
-					p.SetCoef(row, j, 0.001+2*r.Float64())
-				}
-			}
-		}
+		p := randomPackingLP(r)
 		sparse, err := Solve(p, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -74,6 +60,27 @@ func TestEnginesAgreeOnPackingLPs(t *testing.T) {
 		}
 		checkCertificate(t, p, sparse)
 	}
+}
+
+// randomPackingLP draws a maximize-Σx packing LP shaped like the Theorem-1
+// systems: boxed variables and one shared budget on every ≤ row.
+func randomPackingLP(r *rand.Rand) *Problem {
+	nVars := 3 + r.IntN(50)
+	nRows := 2 + r.IntN(25)
+	p := NewProblem(Maximize)
+	for j := 0; j < nVars; j++ {
+		p.AddVariable(1, 0, float64(1+r.IntN(40)))
+	}
+	budget := 0.01 + r.Float64()
+	for i := 0; i < nRows; i++ {
+		row := p.AddConstraint(LE, budget)
+		for j := 0; j < nVars; j++ {
+			if r.Float64() < 0.25 {
+				p.SetCoef(row, j, 0.001+2*r.Float64())
+			}
+		}
+	}
+	return p
 }
 
 // TestLUFactorMatchesDense exercises the factor primitives directly on a

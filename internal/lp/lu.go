@@ -13,7 +13,8 @@ import "math"
 //
 // FTRAN applies L⁻¹/U⁻¹ and then the eta file in creation order; BTRAN
 // applies the transposed etas in reverse order and then the transposed
-// triangular solves. A pivot row of B⁻¹ is one BTRAN of a unit vector.
+// triangular solves. A pivot row of B⁻¹ is one BTRAN of a unit vector, with
+// its eta pass restricted to the vector's own nonzeros (see pivotRow).
 type luFactor struct {
 	m int
 
@@ -41,6 +42,12 @@ type luFactor struct {
 	etaPiv []float64
 	etaIdx []int32
 	etaVal []float64
+	// etaDense repeats eta t as the dense row etaDense[t·m:(t+1)·m]: its
+	// off-pivot entries, 0 at the pivot position. Allocated on the first
+	// update and reused across refactorizations (maxEtas·m float64s).
+	etaDense []float64
+	// rhoPos lists pivotRow's nonzero positions in ascending order.
+	rhoPos []int32
 
 	// Scratch for solves and factorization.
 	work  []float64
@@ -148,14 +155,7 @@ func (f *luFactor) refactor(basis []int, cols [][]nz) bool {
 
 		// Symbolic: reachability DFS through the partial L.
 		f.pattern = f.pattern[:0]
-		if f.visitGen == math.MaxInt32 {
-			for i := range f.visited {
-				f.visited[i] = 0
-			}
-			f.visitGen = 0
-		}
-		f.visitGen++
-		gen := f.visitGen
+		gen := f.nextGen()
 		for _, e := range col {
 			rr := e.row
 			if f.visited[rr] == gen {
@@ -240,6 +240,17 @@ func (f *luFactor) refactor(basis []int, cols [][]nz) bool {
 	f.etaIdx = f.etaIdx[:0]
 	f.etaVal = f.etaVal[:0]
 	return true
+}
+
+// nextGen starts a fresh generation of visited marks, clearing the marks
+// when the generation counter would wrap.
+func (f *luFactor) nextGen() int32 {
+	if f.visitGen == math.MaxInt32 {
+		clear(f.visited)
+		f.visitGen = 0
+	}
+	f.visitGen++
+	return f.visitGen
 }
 
 // dfs pushes the reachable set of original row rr (through already-pivoted
@@ -373,6 +384,12 @@ func (f *luFactor) btran(x []float64) {
 		}
 		x[r] = (x[r] - s) / f.etaPiv[t]
 	}
+	f.baseBtran(x)
+}
+
+// baseBtran overwrites x with B₀⁻ᵀ·x for the factorized base (ignoring
+// etas).
+func (f *luFactor) baseBtran(x []float64) {
 	m := f.m
 	z := f.work2
 	// v[k] = x[q[k]]; forward solve Uᵀ·v' = v (row k of Uᵀ is column k of U).
@@ -399,12 +416,43 @@ func (f *luFactor) btran(x []float64) {
 	}
 }
 
+// pivotRow is btran(e_r) with a sparse eta pass. The vector starts as e_r
+// and eta t writes only rho[etaRow[t]], so before eta t it has at most one
+// nonzero per eta already applied plus one; each transposed eta's dot
+// product walks those positions (ascending, the order btran adds its terms
+// in) against the eta's dense row instead of all of the eta's nonzeros.
+// The result is bit-identical to btran's: every term skipped is ±0 added to
+// a sum that starts at +0 and so never changes it. A position joins the
+// list once, when it first becomes nonzero, and stays listed if its value
+// cancels back to zero — listing it again would count its term twice.
 func (f *luFactor) pivotRow(r int, rho []float64) {
-	for i := range rho {
-		rho[i] = 0
-	}
+	clear(rho)
 	rho[r] = 1
-	f.btran(rho)
+	m := f.m
+	gen := f.nextGen()
+	f.visited[r] = gen
+	pos := append(f.rhoPos[:0], int32(r))
+	for t := len(f.etaRow) - 1; t >= 0; t-- {
+		d := f.etaDense[t*m : (t+1)*m]
+		s := 0.0
+		for _, i := range pos {
+			s += d[i] * rho[i]
+		}
+		k := f.etaRow[t]
+		v := (rho[k] - s) / f.etaPiv[t]
+		rho[k] = v
+		if v != 0 && f.visited[k] != gen {
+			f.visited[k] = gen
+			j := len(pos)
+			pos = append(pos, k)
+			for ; j > 0 && pos[j-1] > k; j-- {
+				pos[j] = pos[j-1]
+			}
+			pos[j] = k
+		}
+	}
+	f.rhoPos = pos
+	f.baseBtran(rho)
 }
 
 // willAccept refuses a pivot when the eta file is full or the pivot is too
@@ -443,6 +491,12 @@ func (f *luFactor) update(r int, w []float64) {
 		f.etaVal = append(f.etaVal, v)
 	}
 	f.etaPtr = append(f.etaPtr, int32(len(f.etaIdx)))
+	if f.etaDense == nil {
+		f.etaDense = make([]float64, f.maxEtas*f.m)
+	}
+	d := f.etaDense[len(f.etaRow)*f.m:][:f.m]
+	copy(d, w)
+	d[r] = 0
 	f.etaRow = append(f.etaRow, int32(r))
 	f.etaPiv = append(f.etaPiv, piv)
 }
