@@ -21,7 +21,7 @@
 // into one component per market and show the win.
 //
 // The {profile}/mechanism/{name} rows run each mechanism registered in
-// internal/mechanism (ump, laplace, zealous, localdp) through its full
+// internal/mechanism (ump, laplace, zealous) through its full
 // Sanitize path at a matched e^ε = 2 budget; the gated objective is the
 // released row count, which is deterministic in -seed, so the baseline
 // comparison doubles as a cross-machine determinism check of every release
@@ -612,12 +612,11 @@ func benchSolverOrder(profile string, pre *searchlog.Log) {
 
 // benchMechanisms runs every registered release mechanism end to end over
 // the preprocessed corpus at a matched e^ε = 2 budget and records the
-// released row count as the gated objective. All four paths are seeded, so
+// released row count as the gated objective. All three paths are seeded, so
 // a row-count drift on any machine means a release path changed behaviour —
 // the same invariant the server's ledger identity depends on. The aggregate
 // calibration matches internal/experiments: contribution bound 5 with
-// δ̂ = 10⁻³ for laplace, δ = 0.5 for zealous, and localdp's pure-ε defaults
-// (bound 1: its per-bit budget ε/2B would vanish at bound 5).
+// δ̂ = 10⁻³ for laplace and δ = 0.5 for zealous.
 func benchMechanisms(traj *trajectory, profile string, pre *searchlog.Log, seed uint64) {
 	ctx := context.Background()
 	for _, name := range mechanism.Names() {

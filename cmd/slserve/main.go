@@ -12,7 +12,7 @@
 //	        [-quiet]
 //
 // The sanitize endpoints dispatch on ?mechanism= (or the JSON "mechanism"
-// option): ump (the paper's pipeline, default), laplace, zealous, localdp.
+// option): ump (the paper's pipeline, default), laplace, zealous.
 // -mechanisms restricts which of them this deployment will run (comma-
 // separated wire names; empty allows all).
 //
@@ -86,7 +86,7 @@ func main() {
 	budgetEExp := flag.Float64("budget-eexp", 0, "per-corpus privacy budget as e^ε (overrides -budget-epsilon; 0 = default ln 16)")
 	budgetEps := flag.Float64("budget-epsilon", 0, "per-corpus privacy budget ε (0 = default ln 16)")
 	budgetDelta := flag.Float64("budget-delta", 0, "per-corpus privacy budget δ (0 = default 1.0)")
-	mechanisms := flag.String("mechanisms", "", "comma-separated mechanism allowlist (ump, laplace, zealous, localdp; empty = all)")
+	mechanisms := flag.String("mechanisms", "", "comma-separated mechanism allowlist (ump, laplace, zealous; empty = all)")
 	maxIngest := flag.Int64("max-ingest-bytes", 0, "declared bytes of concurrent corpus uploads admitted at once (0 = 256 MiB, negative = unguarded)")
 	maxCorpus := flag.Int64("max-corpus-bytes", 0, "per-upload corpus body cap in bytes (0 = 8 GiB, negative = uncapped)")
 	compCache := flag.Int("comp-cache", 0, "component-plan cache entries for incremental post-append re-solves (0 = 4096, negative disables)")

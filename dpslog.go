@@ -23,9 +23,9 @@
 //
 // Beyond the paper's pipeline, Mechanisms lists the registered release
 // mechanisms (internal/mechanism): "ump" plus the aggregate baselines it is
-// compared against — "laplace" (Korolova-style noised histogram), "zealous"
-// (Götz et al. two-threshold) and "localdp" (per-user randomized response,
-// debiased server-side). SanitizeMechanism runs any of them by name and
+// compared against — "laplace" (Korolova-style noised histogram) and
+// "zealous" (Götz et al. two-threshold), which count each kept pair once
+// per user. SanitizeMechanism runs any of them by name and
 // MechanismCost reports the (ε, δ) a release charges; Options.Mechanism
 // selects one on the wire.
 //

@@ -9,8 +9,7 @@ import (
 // sequential-composition accounting, internal/dp owns mechanism calibration
 // (ε′ = ε/d, constraint coefficients), and internal/mechanism owns each
 // mechanism's declared release cost and the competitor mechanisms' own
-// calibration (the laplace threshold τ, ZEALOUS τ₁/τ₂, the localdp
-// randomized-response probability e^(ε/2B) per bit).
+// calibration (the laplace threshold τ and ZEALOUS τ₁/τ₂).
 var budgetAllowedPkgs = []string{"internal/ledger", "internal/dp", "internal/mechanism"}
 
 // epsFieldNames are the field names treated as privacy parameters.

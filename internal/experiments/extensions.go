@@ -25,9 +25,8 @@ func ExtensionExperiments() []string {
 // mechanism at privacy level ε, matching the historical baseline
 // calibration: contribution bound 5 and δ̂ = 10⁻³ for laplace (keeping the
 // threshold within reach of synthetic head-pair counts; the originals used
-// larger corpora), δ = 0.5 for ZEALOUS (the paper's own probabilistic-DP
-// notion), and the localdp defaults (pure ε-LDP, one reported pair per
-// user — its per-bit budget ε/2B would vanish at bound 5).
+// larger corpora) and δ = 0.5 for ZEALOUS (the paper's own probabilistic-DP
+// notion).
 func aggregateOptions(name string, eps float64, seed uint64) mechanism.Options {
 	opts := mechanism.Options{Mechanism: name, Epsilon: eps, Seed: seed}
 	switch name {
@@ -56,7 +55,7 @@ func aggregateMechanisms() []mechanism.Mechanism {
 // BaselineCompare makes the paper's §2.1 argument against aggregate-release
 // mechanisms concrete: at matched budgets, compare this repository's F-UMP
 // release against every registered aggregate mechanism (Korolova-style
-// Laplace, ZEALOUS, local-DP randomized response) on frequent-pair recall,
+// Laplace and ZEALOUS) on frequent-pair recall,
 // release size and the analyses each schema supports. The aggregate rows
 // iterate internal/mechanism's registry, so a newly registered mechanism
 // appears here without touching this file.
@@ -98,8 +97,8 @@ func (r *Runner) BaselineCompare() (*Table, error) {
 				yesNo(rel.SupportsUserAnalysis()))
 		}
 	}
-	t.Note("matched ε per row group; laplace's δ is governed by its threshold (weaker indistinguishability notion); zealous achieves the paper's own probabilistic-DP notion; localdp is pure ε-local DP")
-	t.Note("laplace/zealous: contribution bound 5, laplace threshold τ = (2D/ε)·ln(1/2δ̂) with δ̂ = 10⁻³; localdp: one reported pair per user; all can release many aggregate rows on large corpora but destroy every per-user association — the motivating deficiency of §2.1")
+	t.Note("matched ε per row group; laplace's δ is governed by its threshold (weaker indistinguishability notion); zealous targets the paper's own probabilistic-DP notion")
+	t.Note("laplace/zealous: contribution bound 5, each kept pair counting once per user; laplace threshold τ = (2D/ε)·ln(1/2δ̂) with δ̂ = 10⁻³; both can release many aggregate rows on large corpora but destroy every per-user association — the motivating deficiency of §2.1")
 	return t, nil
 }
 
@@ -144,7 +143,7 @@ func (r *Runner) MechanismFrontier() (*Table, error) {
 				fmt.Sprintf("%g", cost.Delta))
 		}
 	}
-	t.Note("s = 1/500; ump rows are O-UMP at δ = 0.5; aggregate calibration as in baseline-compare (bound 5, laplace δ̂ = 10⁻³, localdp pure ε-LDP at bound 1)")
+	t.Note("s = 1/500; ump rows are O-UMP at δ = 0.5; aggregate calibration as in baseline-compare (bound 5, laplace δ̂ = 10⁻³, zealous δ = 0.5)")
 	t.Note("cost columns are each mechanism's declared per-release charge (internal/mechanism), exactly what the slserve ledger debits under sequential composition")
 	return t, nil
 }

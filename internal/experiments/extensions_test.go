@@ -80,15 +80,9 @@ func TestMechanismFrontierCoversRegistry(t *testing.T) {
 	for _, row := range tab.Rows {
 		perMech[row.Label]++
 	}
-	for _, name := range []string{"ump", "laplace", "zealous", "localdp"} {
+	for _, name := range []string{"ump", "laplace", "zealous"} {
 		if perMech[name] != 4 {
 			t.Errorf("mechanism %s has %d frontier rows, want 4 (one per e^ε)", name, perMech[name])
-		}
-	}
-	// localdp declares a pure-ε cost: its δ column must be 0 on every row.
-	for _, row := range tab.Rows {
-		if row.Label == "localdp" && row.Cells[4] != "0" {
-			t.Errorf("localdp cost δ = %q, want 0", row.Cells[4])
 		}
 	}
 }
@@ -100,7 +94,7 @@ func TestBaselineCompareIteratesRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 3 budgets × (F-UMP + every registered aggregate mechanism).
-	want := 3 * 4
+	want := 3 * 3
 	if len(tab.Rows) != want {
 		t.Fatalf("baseline-compare rows = %d, want %d", len(tab.Rows), want)
 	}

@@ -62,11 +62,12 @@ type Release struct {
 	// bytes and is served free of charge.
 	Key string `json:"key"`
 	// Mechanism is the resolved wire name of the mechanism that produced
-	// the release ("ump", "laplace", "zealous", "localdp"). Informational —
-	// the identity lives in Key, whose canonical options embed the
-	// mechanism — but ops reading the journal should not have to parse the
-	// key to see which mechanism spent the budget. Empty in journals
-	// written before mechanisms existed (all of which were UMP).
+	// the release: "ump", "laplace", "zealous", or "localdp" in journals
+	// written before that mechanism was retired (its spend still counts).
+	// Informational — the identity lives in Key, whose canonical options
+	// embed the mechanism — but ops reading the journal should not have to
+	// parse the key to see which mechanism spent the budget. Empty in
+	// journals written before mechanisms existed (all of which were UMP).
 	Mechanism string `json:"mechanism,omitempty"`
 	// ReleaseDigest is the content hash of the bytes this release produced
 	// (mechanism.Release.Digest). Every mechanism is deterministic in the

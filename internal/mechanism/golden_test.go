@@ -10,8 +10,8 @@ import (
 )
 
 // goldenOptions is the slbench/experiments calibration at privacy level
-// e^ε = eExp: O-UMP at δ = 0.5, laplace at δ̂ = 10⁻³ with D = 5, zealous at
-// δ = 0.5 with D = 5, and the localdp defaults.
+// e^ε = eExp: O-UMP at δ = 0.5, laplace at δ̂ = 10⁻³ with D = 5 and zealous
+// at δ = 0.5 with D = 5.
 func goldenOptions(name string, eExp float64) Options {
 	opts := Options{Mechanism: name, Epsilon: math.Log(eExp), Seed: 7}
 	switch name {
@@ -38,21 +38,17 @@ func TestGoldenReleases(t *testing.T) {
 	}
 	want := map[string]pin{
 		"tiny/2/laplace":           {"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0},
-		"tiny/2/localdp":           {"4c83e1d23ae8b2e93f002a0b676254a5f42ddfb573f2f67eb53c1353804521ab", 27},
 		"tiny/2/ump":               {"f3b182fe4462aad69d2a8636c940c77b6e59b867822b238ee709e3ce41034257", 12},
-		"tiny/2/zealous":           {"4670d993cecff93e8d43647741f5fdf7563ea9e83232a2c2cfcb10800e670556", 1},
-		"tiny/50/laplace":          {"3b152fc8a3ce6be3fde0e9671a3b0aadbf29c1ec2a2e868793563fab90c44e56", 7},
-		"tiny/50/localdp":          {"436982606f39ec6e724df13ee36e4c49700358111a6a3bed1404fcd912424efa", 33},
+		"tiny/2/zealous":           {"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0},
+		"tiny/50/laplace":          {"9a6c8be82c2705d90b3687a535bcd29c6b64a167758695289be5cfcacdc13739", 1},
 		"tiny/50/ump":              {"f3b182fe4462aad69d2a8636c940c77b6e59b867822b238ee709e3ce41034257", 12},
-		"tiny/50/zealous":          {"1146bf614c22dc0010ff8a9ef73957350553350008967bd3eb1cced337542bac", 13},
-		"small-sharded/2/laplace":  {"f40c375dcf0970f78b0888f18e3b7cfa16be52e25596590eea8f201bfbcadb99", 21},
-		"small-sharded/2/localdp":  {"7f1f74410f9f9850c05204114effdda652ae09f977947aa73a49d463dcc75cf6", 694},
+		"tiny/50/zealous":          {"470e647fee9e08bd2cba202b07045851c7c118ad0b572d315d18f31851186f98", 5},
+		"small-sharded/2/laplace":  {"0cc71696df943dc6174b6172b0bf2a583ac515c9c27989a0e2a13943820150b4", 1},
 		"small-sharded/2/ump":      {"5c65883a8d12a885dca453976059e116a8868ff85901ca407ee1ac2d5ff4da03", 141},
-		"small-sharded/2/zealous":  {"dca1eb7f59254b3bde2c4cef650af38bc9f0978a8feeae6223b65a5b8cfb94d1", 48},
-		"small-sharded/50/laplace": {"52349993cf3c1293074fc04606178f28c7e9c72f7916fe2be28ff38fc3379107", 172},
-		"small-sharded/50/localdp": {"689d8c3894b1c5afeefac118dad143d2cf10fa3b19fa1839294deacd332a678c", 633},
+		"small-sharded/2/zealous":  {"8e18ed19ce38b303775c8e7ac13c706a1e9392705777445d4cf2b16c7d84c8b8", 2},
+		"small-sharded/50/laplace": {"e7958acb4c5e9d959cb5bdea4b739f8990b24f64dc92a2667c9ad7bc61d1c988", 28},
 		"small-sharded/50/ump":     {"5c65883a8d12a885dca453976059e116a8868ff85901ca407ee1ac2d5ff4da03", 141},
-		"small-sharded/50/zealous": {"afa33a206cca59103bbf7f96633497e29a6bf910d77c52095613db5b13becd3c", 271},
+		"small-sharded/50/zealous": {"2b07c0e9aac068224d9bd6b5d50845bb90db04fbb485ee8ea0a339ff57da4501", 51},
 	}
 	for _, profile := range []string{"tiny", "small-sharded"} {
 		p, err := gen.Profiles(profile)

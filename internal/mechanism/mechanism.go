@@ -139,9 +139,8 @@ func register(m Mechanism) {
 
 func init() {
 	register(umpMechanism{})
-	register(laplaceMechanism{})
-	register(zealousMechanism{})
-	register(localDPMechanism{})
+	register(laplaceMechanism)
+	register(zealousMechanism)
 }
 
 // Get resolves a wire name to its mechanism. The empty string and "ump"

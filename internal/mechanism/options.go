@@ -1,12 +1,11 @@
 // Package mechanism defines the pluggable sanitization-mechanism API: one
 // interface every release mechanism implements (the paper's UMP pipeline,
-// the Korolova-style Laplace baseline, ZEALOUS, and a local-DP randomized
-// responder), a registry keyed by wire name, and the shared Options /
-// Release vocabulary. The HTTP server, the ledger, the experiment harness
-// and the benchmarks all dispatch through this package, so adding a
-// mechanism variant is a single-package change: implement Mechanism,
-// register it, and every serving / accounting / comparison path picks it
-// up.
+// the Korolova-style Laplace baseline and ZEALOUS), a registry keyed by
+// wire name, and the shared Options / Release vocabulary. The HTTP server,
+// the ledger, the experiment harness and the benchmarks all dispatch
+// through this package, so adding a mechanism variant is a single-package
+// change: implement Mechanism, register it, and every serving / accounting
+// / comparison path picks it up.
 package mechanism
 
 import (
@@ -96,11 +95,11 @@ func (o *Objective) UnmarshalText(b []byte) error {
 // Options configure a sanitization run. The JSON field names are the wire
 // format of the slserve HTTP API (see internal/server). Most fields
 // parameterize the UMP mechanism; the aggregate mechanisms (laplace,
-// zealous, localdp) read only Epsilon, Delta, D and Seed and zero the rest
-// in their canonical form.
+// zealous) read only Epsilon, Delta, D and Seed and zero the rest in their
+// canonical form.
 type Options struct {
 	// Mechanism names the release mechanism: "" or "ump" (the paper's
-	// Algorithm 1, the default), "laplace", "zealous" or "localdp". The
+	// Algorithm 1, the default), "laplace" or "zealous". The
 	// canonical form of UMP options leaves this empty so pre-mechanism
 	// ledger keys remain byte-identical.
 	Mechanism string `json:"mechanism,omitzero"`
@@ -109,8 +108,8 @@ type Options struct {
 	Epsilon float64 `json:"epsilon"`
 	// Delta is δ ∈ (0, 1), the bound on the probability of producing an
 	// output that breaches ε-differential privacy (Definition 2). The
-	// laplace mechanism reads it as the per-item failure mass δ̂ behind its
-	// release threshold; localdp is pure ε-local DP and requires 0.
+	// laplace mechanism reads it as the per-item failure mass δ̂ ∈ (0, 0.5)
+	// behind its release threshold; zealous as the δ of its pre-threshold.
 	Delta float64 `json:"delta"`
 	// Objective selects the utility-maximizing problem (default
 	// ObjectiveOutputSize). In JSON it is a name: "output-size",
@@ -146,8 +145,7 @@ type Options struct {
 	EndToEnd bool `json:"end_to_end,omitzero"`
 	// D is the §4.2 count sensitivity bound (required > 0 when EndToEnd).
 	// The aggregate mechanisms reuse it as their per-user contribution
-	// bound: pairs kept per user for laplace/zealous (0 means 20) and
-	// reported pairs per user for localdp (0 means 1).
+	// bound: the pairs each user keeps, each counting 1 (0 means 20).
 	D int `json:"d,omitzero"`
 	// EpsPrime is the §4.2 privacy budget ε′ of the count-computation step
 	// (required > 0 when EndToEnd).
@@ -286,18 +284,4 @@ func umpValidate(o Options) error {
 		return fmt.Errorf("dpslog: BoundSensitivity requires EndToEnd")
 	}
 	return nil
-}
-
-// aggCanonical is the shared canonical form of the aggregate mechanisms:
-// only the fields they read survive (ε, δ where meaningful, the
-// contribution bound with its default materialized, and the seed).
-func aggCanonical(o Options, name string, keepDelta bool, defaultBound int) Options {
-	c := Options{Mechanism: name, Epsilon: o.Epsilon, Seed: o.Seed, D: o.D}
-	if keepDelta {
-		c.Delta = o.Delta
-	}
-	if c.D == 0 {
-		c.D = defaultBound
-	}
-	return c
 }

@@ -1,6 +1,7 @@
 package mechanism
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -35,8 +36,8 @@ func TestZealousTwoThresholdStructure(t *testing.T) {
 	b := searchlog.NewBuilder()
 	b.Add("a", "rare", "u", 1)
 	b.Add("b", "rare", "u", 1)
-	for _, u := range []string{"a", "b", "c", "d", "e"} {
-		b.Add(u, "popular", "u", 40)
+	for u := range 200 {
+		b.Add(fmt.Sprint("p", u), "popular", "u", 40)
 	}
 	l := b.Log()
 	released := 0
@@ -56,14 +57,14 @@ func TestZealousTwoThresholdStructure(t *testing.T) {
 		released += len(rel.Pairs)
 	}
 	if released == 0 {
-		t.Error("the popular pair (bounded count 200) was never released")
+		t.Error("the popular pair (bounded count 200, one per user) was never released")
 	}
 }
 
 func TestZealousReleasesPopularPairs(t *testing.T) {
 	b := searchlog.NewBuilder()
-	for _, u := range []string{"a", "b", "c", "d", "e", "f"} {
-		b.Add(u, "head", "u", 100)
+	for u := range 600 {
+		b.Add(fmt.Sprint("h", u), "head", "u", 100)
 	}
 	l := b.Log()
 	rel, err := sanitize(t, l, Options{Mechanism: "zealous", Epsilon: 2, Delta: 0.1, D: 5, Seed: 3})

@@ -30,11 +30,11 @@ type SynthConfig struct {
 	// Corpus-referencing releases spend (ln EExp, Delta) of the server's
 	// per-corpus budget per distinct seed, and the mech_sanitize class adds
 	// two more distinct releases — one zealous at (ln EExp, Delta), one
-	// localdp at (ln EExp, 0) — so the trace stays replayable as long as
-	// (CorpusDistinct+2)·ln EExp and (CorpusDistinct+1)·Delta fit the
-	// budget; repeats of a (mechanism, seed) pair are idempotent releases
-	// and charge nothing. At the defaults (EExp 2, Delta 0.25,
-	// CorpusDistinct 2) the spend is (4·ln 2, 0.75) — exactly the server's
+	// laplace at (ln EExp, 10⁻³) — so the trace stays replayable as long as
+	// (CorpusDistinct+2)·ln EExp and (CorpusDistinct+1)·Delta + 10⁻³ fit
+	// the budget; repeats of a (mechanism, seed) pair are idempotent
+	// releases and charge nothing. At the defaults (EExp 2, Delta 0.25,
+	// CorpusDistinct 2) the spend is (4·ln 2, 0.751) — exactly the server's
 	// default ε = ln 16 ceiling and within its δ = 1. The append_sanitize
 	// class never interacts with that ceiling: each append creates a fresh
 	// corpus version with its own digest and untouched budget, and its
@@ -148,8 +148,8 @@ func Synthesize(cfg SynthConfig) (*Trace, error) {
 	// dispatch and per-mechanism charging paths, and a single (mechanism,
 	// seed) identity per mechanism keeps its budget spend flat however many
 	// requests the mix deals it.
-	mechBody := func(mech string, delta float64) string {
-		return ReleaseBody(dpslog.Options{Mechanism: mech, Epsilon: math.Log(cfg.EExp), Delta: delta, Seed: 1})
+	mechBody := func(mech string, delta float64, d int) string {
+		return ReleaseBody(dpslog.Options{Mechanism: mech, Epsilon: math.Log(cfg.EExp), Delta: delta, D: d, Seed: 1})
 	}
 
 	g := rng.New(cfg.Seed)
@@ -194,9 +194,9 @@ func Synthesize(cfg SynthConfig) (*Trace, error) {
 			rec.Path = "/v1/corpora/" + cfg.CorpusName + "/sanitize"
 			rec.ContentType = "application/json"
 			if i%2 == 0 {
-				rec.Body = mechBody("zealous", cfg.Delta)
+				rec.Body = mechBody("zealous", cfg.Delta, 0)
 			} else {
-				rec.Body = mechBody("localdp", 0)
+				rec.Body = mechBody("laplace", 1e-3, 5)
 			}
 		case "ingest_put":
 			rec.Method = "PUT"

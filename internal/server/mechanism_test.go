@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -21,7 +22,7 @@ type mechCase struct {
 }
 
 // mechanismCases builds the matrix from the registry, failing the test on
-// any registered mechanism it has no case for: registering a fifth
+// any registered mechanism it has no case for: registering a fourth
 // mechanism must force this file to cover it.
 func mechanismCases(t *testing.T) []mechCase {
 	t.Helper()
@@ -52,14 +53,6 @@ func mechanismCases(t *testing.T) []mechCase {
 				body:      fmt.Appendf(nil, `{"options":{"mechanism":"zealous","epsilon":%g,"delta":0.25,"d":5,"seed":1}}`, ln2),
 				costEps:   ln2,
 				costDelta: 0.25,
-			})
-		case "localdp":
-			cases = append(cases, mechCase{
-				name:      "localdp",
-				query:     "mechanism=localdp&eexp=2&seed=%d",
-				body:      fmt.Appendf(nil, `{"options":{"mechanism":"localdp","epsilon":%g,"seed":1}}`, ln2),
-				costEps:   ln2,
-				costDelta: 0,
 			})
 		default:
 			t.Fatalf("registered mechanism %q has no wire case in this matrix; add one", name)
@@ -109,13 +102,13 @@ func TestSanitizeMechanismMatrix(t *testing.T) {
 
 // TestCorpusMechanismChargesAndReplaysAcrossRestart is the ledger matrix:
 // every mechanism is charged exactly its declared (ε, δ) against one
-// shared corpus budget, the budget exhausts after all four, and after a
+// shared corpus budget, the budget exhausts after all three, and after a
 // restart on the same data dir each journaled (mechanism, seed) identity
 // replays free with an identical release and release digest.
 func TestCorpusMechanismChargesAndReplaysAcrossRestart(t *testing.T) {
 	cases := mechanismCases(t)
 	dir := t.TempDir()
-	// Exactly the matrix's total spend: Σε = 4·ln 2, Σδ = 0.501 ≤ 1.
+	// Exactly the matrix's ε spend: Σε = 3·ln 2, Σδ = 0.501 ≤ 0.75.
 	cfg := Config{DataDir: dir, Budget: budgetFor(len(cases))}
 	e := newTestEnv(t, cfg)
 	if resp, raw := e.do(t, http.MethodPut, "/v1/corpora/m", "text/tab-separated-values", e.tsv); resp.StatusCode != http.StatusCreated {
@@ -206,12 +199,63 @@ func TestSanitizeMechanismRejections(t *testing.T) {
 		[]byte(`{"options":{"mechanism":"nosuch","epsilon":0.7,"delta":0.25}}`), "nosuch")
 	check("disabled on /v1/sanitize", "/v1/sanitize?mechanism=zealous&eexp=2&delta=0.25&d=5", "text/tab-separated-values", e.tsv, "disabled")
 	check("disabled on corpus sanitize", "/v1/corpora/c/sanitize", "application/json",
-		[]byte(`{"options":{"mechanism":"localdp","epsilon":0.7,"seed":1}}`), "disabled")
+		[]byte(`{"options":{"mechanism":"zealous","epsilon":0.7,"delta":0.25,"seed":1}}`), "disabled")
 
 	// Allowlisted mechanisms still serve.
 	if resp, raw := e.post(t, "/v1/sanitize?mechanism=laplace&eexp=2&delta=0.001&d=5&seed=1", "text/tab-separated-values", e.tsv); resp.StatusCode != http.StatusOK {
 		t.Fatalf("allowlisted laplace: %d %s", resp.StatusCode, raw)
 	}
+}
+
+// TestRetiredMechanismJournalStillCounts: a journal written while the
+// localdp mechanism was registered replays with its spend, because the
+// ledger may over-count but never under-count. A repeat of that release's
+// key names a mechanism that no longer exists, so it is a 400 listing the
+// valid ones, charges nothing and adds no journal line.
+func TestRetiredMechanismJournalStillCounts(t *testing.T) {
+	ln2 := math.Log(2)
+	cfg, first, journal := journaledRelease(t, func(j []byte, rel corpusSanitizeResponse) []byte {
+		line, err := json.Marshal(dpslog.Release{
+			Seq:           2,
+			Corpus:        "c",
+			Digest:        rel.Release.Digest,
+			Key:           rel.Release.Digest + "\x00" + fmt.Sprintf(`{"mechanism":"localdp","epsilon":%v,"delta":0,"seed":1,"d":1}`, ln2),
+			Mechanism:     "localdp",
+			ReleaseDigest: strings.Repeat("ab", 32),
+			Epsilon:       ln2,
+			Time:          rel.Release.Time,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(append(j, line...), '\n')
+	})
+	re := newTestEnv(t, cfg)
+	type budgetResp struct {
+		Budget budgetJSON `json:"budget"`
+	}
+	want := first.Budget
+	want.Releases++
+	want.Spent.Epsilon += ln2
+	_, raw := re.get(t, "/v1/corpora/c/budget")
+	if got := decode[budgetResp](t, raw).Budget; got.Releases != want.Releases ||
+		math.Abs(got.Spent.Epsilon-want.Spent.Epsilon) > 1e-12 || got.Spent.Delta != want.Spent.Delta {
+		t.Fatalf("budget after replay %+v, want %+v", got, want)
+	}
+
+	resp, raw := re.post(t, "/v1/corpora/c/sanitize", "application/json",
+		fmt.Appendf(nil, `{"options":{"mechanism":"localdp","epsilon":%v,"seed":1}}`, ln2))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("retired mechanism repeat: status %d: %s", resp.StatusCode, raw)
+	}
+	if msg := decode[apiError](t, raw).Error; !strings.Contains(msg, "localdp") || !strings.Contains(msg, strings.Join(dpslog.Mechanisms(), ", ")) {
+		t.Errorf("error %q does not name localdp and the valid mechanisms", msg)
+	}
+	_, raw = re.get(t, "/v1/corpora/c/budget")
+	if got := decode[budgetResp](t, raw).Budget; got.Releases != want.Releases {
+		t.Fatalf("rejected repeat was charged: %+v", got)
+	}
+	journalUnchanged(t, cfg.DataDir, journal)
 }
 
 // TestAblationOptionRejected: the box-constraint ablation is not a request

@@ -77,8 +77,8 @@
 // are reused byte-identically.
 //
 // Both sanitize endpoints dispatch on ?mechanism= (or the JSON "mechanism"
-// option) through internal/mechanism's registry: "ump" (default), "laplace",
-// "zealous" and "localdp". The aggregate mechanisms release noisy pair
+// option) through internal/mechanism's registry: "ump" (default), "laplace"
+// and "zealous". The aggregate mechanisms release noisy pair
 // counts ("pairs") instead of user-attributed records, and each release is
 // charged at the mechanism's own declared (ε, δ) cost.
 package server
@@ -154,7 +154,7 @@ type Config struct {
 	// production deployments should set it deliberately.
 	Budget dpslog.Budget
 	// Mechanisms restricts the release mechanisms this server will run
-	// (wire names: "ump", "laplace", "zealous", "localdp"). Empty allows
+	// (wire names: "ump", "laplace", "zealous"). Empty allows
 	// every registered mechanism. A request naming a mechanism outside the
 	// allowlist gets a structured 400 — the option is a deployment policy,
 	// not a privacy control: disabled mechanisms charge nothing because they
@@ -508,7 +508,7 @@ type sanitizeResponse struct {
 	// Records.
 	Mechanism string `json:"mechanism,omitempty"`
 	// Pairs is the aggregate release of the histogram mechanisms
-	// (laplace, zealous, localdp).
+	// (laplace, zealous).
 	Pairs []pairJSON `json:"pairs,omitempty"`
 	// ReleaseDigest is the content hash of the released data — the output
 	// log digest for ump, a hash over the released pair rows for aggregate

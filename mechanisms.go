@@ -14,7 +14,7 @@ import (
 
 // MechanismRelease is the output of one mechanism run: a sanitized log
 // for schema-preserving mechanisms (ump), noisy aggregate pair counts for
-// the histogram mechanisms (laplace, zealous, localdp).
+// the histogram mechanisms (laplace, zealous).
 type MechanismRelease = mechanism.Release
 
 // ReleasedPair is one aggregate release row: a query-url pair and its
