@@ -614,9 +614,8 @@ func benchSolverOrder(profile string, pre *searchlog.Log) {
 // the preprocessed corpus at a matched e^ε = 2 budget and records the
 // released row count as the gated objective. All three paths are seeded, so
 // a row-count drift on any machine means a release path changed behaviour —
-// the same invariant the server's ledger identity depends on. The aggregate
-// calibration matches internal/experiments: contribution bound 5 with
-// δ̂ = 10⁻³ for laplace and δ = 0.5 for zealous.
+// the same invariant the server's ledger identity depends on. Every
+// mechanism runs at mechanism.Calibrated, as the experiment tables do.
 func benchMechanisms(traj *trajectory, profile string, pre *searchlog.Log, seed uint64) {
 	ctx := context.Background()
 	for _, name := range mechanism.Names() {
@@ -624,15 +623,7 @@ func benchMechanisms(traj *trajectory, profile string, pre *searchlog.Log, seed 
 		if err != nil {
 			fatal(err)
 		}
-		opts := mechanism.Options{Mechanism: name, Epsilon: math.Log(2), Seed: seed}
-		switch name {
-		case "ump":
-			opts.Delta = 0.5
-		case "laplace":
-			opts.Delta, opts.D = 1e-3, 5
-		case "zealous":
-			opts.Delta, opts.D = 0.5, 5
-		}
+		opts := mechanism.Calibrated(name, math.Log(2), seed)
 		rel, err := m.Sanitize(ctx, pre, opts)
 		if err != nil {
 			fatal(fmt.Errorf("%s/mechanism/%s: %w", profile, name, err))

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -159,6 +160,22 @@ func TestServeBudgetSurvivesKill(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(body), &b); err != nil || b.Budget.Budget != (dpslog.Budget{Epsilon: math.Log(4), Delta: 0.5}) {
 		t.Fatalf("configured budget %s, want (ln 4, 0.5)", body)
+	}
+	// Append twice, releasing v2 in between: the releases below are of v3,
+	// whose preprocessed log and components are carried forward from v2's,
+	// while the restarted process rebuilds them from the files.
+	pre, _ := dpslog.Preprocess(corpus)
+	pair := pre.Pair(0)
+	for i, rows := range []string{
+		"append-a\tappend q\thttp://append\t2\nappend-b\tappend q\thttp://append\t1\n",
+		fmt.Sprintf("%s\t%s\t%s\t1\n", pre.User(pair.Entries[0].User).ID, pair.Query, pair.URL),
+	} {
+		if code, body := call(t, http.MethodPost, p.base+"/v1/corpora/smoke/append", "text/tab-separated-values", rows); code != http.StatusOK {
+			t.Fatalf("append: status %d: %s", code, body)
+		}
+		if i == 0 {
+			release(t, p, `"seed":1`, http.StatusOK)
+		}
 	}
 	journaled := release(t, p, `"seed":1`, http.StatusOK)
 	release(t, p, `"seed":2`, http.StatusOK)

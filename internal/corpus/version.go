@@ -297,8 +297,11 @@ func subCounts(counts map[string]map[searchlog.PairKey]int, delta *searchlog.Log
 // Append folds delta (a parsed, non-empty log of new rows) into the latest
 // version of name, producing a new immutable version. It returns the new
 // latest Meta, the new Version, and the sorted external IDs of the users
-// the delta touched — exactly the users whose connected components an
-// incremental re-solve must treat as dirty. Appending is atomic and
+// the delta touched. Those are the dirty set on the child's side only: on
+// the parent's side, a component is also dirty when it holds a user who
+// held a delta pair before the append, because a pair unique-pair
+// preprocessing dropped becomes shared when the delta gives it to a second
+// user (searchlog's carried preparation handles both). Appending is atomic and
 // durable: a crash at any point leaves the store openable at either the
 // old or the new version (see the package comment on commit order).
 func (s *Store) Append(name string, delta *searchlog.Log) (Meta, Version, []string, error) {

@@ -219,7 +219,7 @@ func (c *Constraints) WithBudget(budget float64) *Constraints {
 func (c *Constraints) LHS(row int, counts []int) float64 {
 	s := 0.0
 	for _, t := range c.Rows[row].Terms {
-		s += float64(counts[t.Pair]) * t.Coef
+		s += float64(float64(counts[t.Pair]) * t.Coef)
 	}
 	return s
 }
@@ -336,7 +336,7 @@ func VerifyLog(l *searchlog.Log, p Params, counts []int) error {
 				continue
 			}
 			coef := Coef(l.PairCount(up.Pair), up.Count)
-			lhs += float64(counts[up.Pair]) * coef
+			lhs += float64(float64(counts[up.Pair]) * coef)
 		}
 		if lhs > budget+AuditTol {
 			return Violation{User: k, LHS: lhs, Budget: budget}
@@ -360,7 +360,7 @@ func BreachProbability(l *searchlog.Log, k int, counts []int) float64 {
 		if up.Count >= cij {
 			return 1 // unique pair with positive count: certain breach
 		}
-		logSurvive += float64(x) * math.Log(float64(cij-up.Count)/float64(cij))
+		logSurvive += float64(float64(x) * math.Log(float64(cij-up.Count)/float64(cij)))
 	}
 	return 1 - math.Exp(logSurvive)
 }
@@ -381,7 +381,7 @@ func WorstCaseRatio(l *searchlog.Log, k int, counts []int) float64 {
 		if math.IsInf(coef, 1) {
 			return math.Inf(1)
 		}
-		logRatio += float64(x) * coef
+		logRatio += float64(float64(x) * coef)
 	}
 	return math.Exp(logRatio)
 }

@@ -39,7 +39,7 @@ func logMultinomialPMF(weights []int, alloc []int, trials int) float64 {
 		}
 		lgA, _ := math.Lgamma(float64(a + 1))
 		logp -= lgA
-		logp += float64(a) * math.Log(float64(weights[e])/float64(total))
+		logp += float64(float64(a) * math.Log(float64(weights[e])/float64(total)))
 	}
 	if sum != trials {
 		return math.Inf(-1)

@@ -21,23 +21,6 @@ func ExtensionExperiments() []string {
 	return []string{"frontier", "combined-sweep", "querydiv", "baseline-compare", "mechanism-frontier"}
 }
 
-// aggregateOptions returns the evaluation options for one aggregate
-// mechanism at privacy level ε, matching the historical baseline
-// calibration: contribution bound 5 and δ̂ = 10⁻³ for laplace (keeping the
-// threshold within reach of synthetic head-pair counts; the originals used
-// larger corpora) and δ = 0.5 for ZEALOUS (the paper's own probabilistic-DP
-// notion).
-func aggregateOptions(name string, eps float64, seed uint64) mechanism.Options {
-	opts := mechanism.Options{Mechanism: name, Epsilon: eps, Seed: seed}
-	switch name {
-	case "laplace":
-		opts.Delta, opts.D = 1e-3, 5
-	case "zealous":
-		opts.Delta, opts.D = 0.5, 5
-	}
-	return opts
-}
-
 // aggregateMechanisms lists the registered non-UMP mechanisms in registry
 // order, so the comparison tables pick up new mechanisms automatically.
 func aggregateMechanisms() []mechanism.Mechanism {
@@ -85,7 +68,7 @@ func (r *Runner) BaselineCompare() (*Table, error) {
 			"yes")
 
 		for _, m := range aggregateMechanisms() {
-			opts := aggregateOptions(m.Name(), p.Eps, r.cfg.Seed)
+			opts := mechanism.Calibrated(m.Name(), p.Eps, r.cfg.Seed)
 			rel, err := m.Sanitize(ctx, r.pre, opts)
 			if err != nil {
 				return nil, err
@@ -122,14 +105,9 @@ func (r *Runner) MechanismFrontier() (*Table, error) {
 		}
 		for _, eExp := range []float64{1.4, 2.0, 2.3, 4.0} {
 			p := params(eExp, 0.5)
-			var opts mechanism.Options
-			if m.Name() == "ump" {
-				// O-UMP at the paper's reference δ: the schema-preserving
-				// release the aggregate rows are compared against.
-				opts = mechanism.Options{Epsilon: p.Eps, Delta: p.Delta, Seed: r.cfg.Seed}
-			} else {
-				opts = aggregateOptions(m.Name(), p.Eps, r.cfg.Seed)
-			}
+			// O-UMP runs at the paper's reference δ: the schema-preserving
+			// release the aggregate rows are compared against.
+			opts := mechanism.Calibrated(m.Name(), p.Eps, r.cfg.Seed)
 			rel, err := m.Sanitize(ctx, r.pre, opts)
 			if err != nil {
 				return nil, err

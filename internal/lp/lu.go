@@ -180,7 +180,7 @@ func (f *luFactor) refactor(basis []int, cols [][]nz) bool {
 				continue
 			}
 			for idx := lpN[pk]; idx < lpN[pk+1]; idx++ {
-				x[liN[idx]] -= lxN[idx] * xt
+				x[liN[idx]] -= float64(lxN[idx] * xt)
 			}
 		}
 
@@ -311,7 +311,7 @@ func (f *luFactor) baseFtran(x, out []float64) {
 			continue
 		}
 		for idx := f.lp[k]; idx < f.lp[k+1]; idx++ {
-			x[f.li[idx]] -= f.lx[idx] * zk
+			x[f.li[idx]] -= float64(f.lx[idx] * zk)
 		}
 	}
 	// Backward solve U·ŵ = z, column oriented.
@@ -322,7 +322,7 @@ func (f *luFactor) baseFtran(x, out []float64) {
 			continue
 		}
 		for idx := f.up[k]; idx < f.up[k+1]; idx++ {
-			z[f.ui[idx]] -= f.ux[idx] * wk
+			z[f.ui[idx]] -= float64(f.ux[idx] * wk)
 		}
 	}
 	// Un-permute columns: out[q[k]] = ŵ[k].
@@ -341,7 +341,7 @@ func (f *luFactor) applyEtas(x []float64) {
 			continue
 		}
 		for idx := f.etaPtr[t]; idx < f.etaPtr[t+1]; idx++ {
-			x[f.etaIdx[idx]] -= f.etaVal[idx] * xr
+			x[f.etaIdx[idx]] -= float64(f.etaVal[idx] * xr)
 		}
 	}
 }
@@ -380,7 +380,7 @@ func (f *luFactor) btran(x []float64) {
 		r := f.etaRow[t]
 		s := 0.0
 		for idx := f.etaPtr[t]; idx < f.etaPtr[t+1]; idx++ {
-			s += f.etaVal[idx] * x[f.etaIdx[idx]]
+			s += float64(f.etaVal[idx] * x[f.etaIdx[idx]])
 		}
 		x[r] = (x[r] - s) / f.etaPiv[t]
 	}
@@ -399,7 +399,7 @@ func (f *luFactor) baseBtran(x []float64) {
 	for k := 0; k < m; k++ {
 		s := z[k]
 		for idx := f.up[k]; idx < f.up[k+1]; idx++ {
-			s -= f.ux[idx] * z[f.ui[idx]]
+			s -= float64(f.ux[idx] * z[f.ui[idx]])
 		}
 		z[k] = s / f.ud[k]
 	}
@@ -407,7 +407,7 @@ func (f *luFactor) baseBtran(x []float64) {
 	for k := m - 1; k >= 0; k-- {
 		s := z[k]
 		for idx := f.lp[k]; idx < f.lp[k+1]; idx++ {
-			s -= f.lx[idx] * z[f.pinv[f.li[idx]]]
+			s -= float64(f.lx[idx] * z[f.pinv[f.li[idx]]])
 		}
 		z[k] = s
 	}
@@ -436,7 +436,7 @@ func (f *luFactor) pivotRow(r int, rho []float64) {
 		d := f.etaDense[t*m : (t+1)*m]
 		s := 0.0
 		for _, i := range pos {
-			s += d[i] * rho[i]
+			s += float64(d[i] * rho[i])
 		}
 		k := f.etaRow[t]
 		v := (rho[k] - s) / f.etaPiv[t]

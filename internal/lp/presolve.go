@@ -82,7 +82,7 @@ func presolveProblem(p *Problem) *presolveInfo {
 		tightensUpper := (op == LE && a > 0) || (op == GE && a < 0)
 		switch {
 		case op == EQ:
-			tol := 1e-9 * (1 + math.Abs(v))
+			tol := float64(1e-9 * (1 + math.Abs(v)))
 			if v < lo[j]-tol || v > up[j]+tol {
 				ps.infeasible = true
 				return ps
@@ -122,11 +122,11 @@ func presolveProblem(p *Problem) *presolveInfo {
 				continue
 			}
 			if e.val > 0 {
-				minAct[r] += e.val * lo[j]
-				maxAct[r] += e.val * up[j]
+				minAct[r] += float64(e.val * lo[j])
+				maxAct[r] += float64(e.val * up[j])
 			} else {
-				minAct[r] += e.val * up[j]
-				maxAct[r] += e.val * lo[j]
+				minAct[r] += float64(e.val * up[j])
+				maxAct[r] += float64(e.val * lo[j])
 			}
 		}
 	}
@@ -135,7 +135,7 @@ func presolveProblem(p *Problem) *presolveInfo {
 			continue
 		}
 		rhs := p.rhs[i]
-		tol := 1e-9 * (1 + math.Abs(rhs))
+		tol := float64(1e-9 * (1 + math.Abs(rhs)))
 		switch p.ops[i] {
 		case LE:
 			if minAct[i] > rhs+tol {

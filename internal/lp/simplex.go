@@ -169,7 +169,7 @@ func (s *solver) coldStart() {
 			continue
 		}
 		for _, e := range s.cols[j] {
-			r[e.row] -= e.val * v
+			r[e.row] -= float64(e.val * v)
 		}
 	}
 
@@ -323,7 +323,7 @@ func (s *solver) warmStart(bs *Basis) bool {
 	s.recomputeXB()
 
 	// Primal feasibility of the warm basis under the current data.
-	ftol := 1e-7 * (1 + s.bNorm())
+	ftol := float64(1e-7 * (1 + s.bNorm()))
 	for i := 0; i < m; i++ {
 		j := s.basis[i]
 		if s.xB[i] < s.lower[j]-ftol || s.xB[i] > s.upper[j]+ftol {
@@ -394,7 +394,7 @@ func (s *solver) phaseObjective() float64 {
 	obj := 0.0
 	for j := 0; j < s.n; j++ {
 		if c := s.cost[j]; c != 0 {
-			obj += c * s.value(j)
+			obj += float64(c * s.value(j))
 		}
 	}
 	return obj
@@ -412,7 +412,7 @@ func (s *solver) computeDuals() {
 func (s *solver) reducedCost(j int) float64 {
 	d := s.cost[j]
 	for _, e := range s.cols[j] {
-		d -= s.y[e.row] * e.val
+		d -= float64(s.y[e.row] * e.val)
 	}
 	return d
 }
@@ -516,7 +516,7 @@ func (s *solver) iterate() Status {
 		dq := s.cost[enter]
 		for i := 0; i < s.m; i++ {
 			if cb := s.cost[s.basis[i]]; cb != 0 {
-				dq -= cb * s.w[i]
+				dq -= float64(cb * s.w[i])
 			}
 		}
 		if (enterDir > 0 && dq >= -dtol/10) || (enterDir < 0 && dq <= dtol/10) {
@@ -591,7 +591,7 @@ func (s *solver) iterate() Status {
 			// Bound flip: entering variable crosses to its other bound. The
 			// duals are unchanged, so d and the Devex weights stay valid.
 			for i := 0; i < s.m; i++ {
-				s.xB[i] -= enterDir * tBest * s.w[i]
+				s.xB[i] -= float64(enterDir * tBest * s.w[i])
 			}
 			if s.status[enter] == atLower {
 				s.status[enter] = atUpper
@@ -623,7 +623,7 @@ func (s *solver) iterate() Status {
 		enterStart := s.nbValue(enter)
 		for i := 0; i < s.m; i++ {
 			if i != leave {
-				s.xB[i] -= enterDir * tBest * s.w[i]
+				s.xB[i] -= float64(enterDir * tBest * s.w[i])
 			}
 		}
 		leaving := s.basis[leave]
@@ -636,7 +636,7 @@ func (s *solver) iterate() Status {
 		s.basis[leave] = enter
 		s.status[enter] = basic
 		s.pos[enter] = int32(leave)
-		s.xB[leave] = enterStart + enterDir*tBest
+		s.xB[leave] = enterStart + float64(enterDir*tBest)
 
 		s.factor.update(leave, s.w)
 
@@ -652,12 +652,12 @@ func (s *solver) iterate() Status {
 			}
 			var alphaJ float64
 			for _, e := range s.cols[j] {
-				alphaJ += s.rho[e.row] * e.val
+				alphaJ += float64(s.rho[e.row] * e.val)
 			}
 			if alphaJ == 0 {
 				continue
 			}
-			s.d[j] -= theta * alphaJ
+			s.d[j] -= float64(theta * alphaJ)
 			if ref := alphaJ * alphaJ / aq2 * wq; ref > s.devex[j] {
 				s.devex[j] = ref
 			}
@@ -710,7 +710,7 @@ func (s *solver) recomputeXB() {
 			continue
 		}
 		for _, e := range s.cols[j] {
-			r[e.row] -= e.val * v
+			r[e.row] -= float64(e.val * v)
 		}
 	}
 	s.factor.ftran(r)
@@ -767,7 +767,7 @@ func (s *solver) report(st Status) *Solution {
 	obj := 0.0
 	for j := 0; j < s.n; j++ {
 		if c := s.cost[j]; c != 0 {
-			obj += c * s.value(j)
+			obj += float64(c * s.value(j))
 		}
 	}
 	sol.Objective = sign * obj

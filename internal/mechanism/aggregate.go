@@ -69,8 +69,8 @@ var zealousMechanism = thresholdMechanism{
 	salt:     0x5EA10005,
 	maxDelta: 1,
 	thresholds: func(b float64, opts Options) (float64, float64) {
-		tau1 := 1 + b*math.Log(float64(opts.D)/opts.Delta)
-		return tau1, tau1 + b*math.Ln2
+		tau1 := 1 + float64(b*math.Log(float64(opts.D)/opts.Delta))
+		return tau1, tau1 + float64(b*math.Ln2)
 	},
 }
 

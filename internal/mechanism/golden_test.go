@@ -9,22 +9,6 @@ import (
 	"dpslog/internal/gen"
 )
 
-// goldenOptions is the slbench/experiments calibration at privacy level
-// e^ε = eExp: O-UMP at δ = 0.5, laplace at δ̂ = 10⁻³ with D = 5 and zealous
-// at δ = 0.5 with D = 5.
-func goldenOptions(name string, eExp float64) Options {
-	opts := Options{Mechanism: name, Epsilon: math.Log(eExp), Seed: 7}
-	switch name {
-	case "ump":
-		opts.Delta = 0.5
-	case "laplace":
-		opts.Delta, opts.D = 1e-3, 5
-	case "zealous":
-		opts.Delta, opts.D = 0.5, 5
-	}
-	return opts
-}
-
 // TestGoldenReleases pins the release bytes of every registered mechanism
 // on two synthetic corpora at two budgets. A changed digest means a
 // release path changed behaviour: seed salts, noise draw order,
@@ -66,7 +50,7 @@ func TestGoldenReleases(t *testing.T) {
 					t.Fatal(err)
 				}
 				key := fmt.Sprintf("%s/%g/%s", profile, eExp, name)
-				rel, err := m.Sanitize(context.Background(), pre, goldenOptions(name, eExp))
+				rel, err := m.Sanitize(context.Background(), pre, Calibrated(name, math.Log(eExp), 7))
 				if err != nil {
 					t.Fatalf("%s: %v", key, err)
 				}

@@ -43,7 +43,7 @@ func TestMechanismContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := goldenOptions(name, 4)
+		base := Calibrated(name, math.Log(4), 7)
 		// The same run with every field the mechanism ignores (or
 		// defaults) set to something else.
 		noisy := base

@@ -167,6 +167,25 @@ type Options struct {
 	Comp *ump.ComponentCache `json:"-"`
 }
 
+// Calibrated returns the evaluation calibration of the named mechanism at
+// budget ε and seed: O-UMP at δ = 0.5, laplace at δ̂ = 10⁻³ and zealous at
+// δ = 0.5, both aggregates with contribution bound D = 5 (which keeps
+// laplace's threshold within reach of synthetic head-pair counts; the
+// originals used larger corpora). The release goldens, the experiment
+// tables and slbench's mechanism rows all release with it.
+func Calibrated(name string, eps float64, seed uint64) Options {
+	opts := Options{Mechanism: name, Epsilon: eps, Seed: seed}
+	switch name {
+	case "ump":
+		opts.Delta = 0.5
+	case "laplace":
+		opts.Delta, opts.D = 1e-3, 5
+	case "zealous":
+		opts.Delta, opts.D = 0.5, 5
+	}
+	return opts
+}
+
 // Canonical returns the options with irrelevant fields zeroed and defaults
 // made explicit, so that configurations which run identically compare (and
 // hash) identically. The normalization is mechanism-specific — it

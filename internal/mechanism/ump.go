@@ -80,7 +80,8 @@ type Result struct {
 // output.
 func RunUMP(ctx context.Context, in *searchlog.Log, opts Options) (*Result, error) {
 	_, psp := obs.Start(ctx, "preprocess")
-	pre, preStats := searchlog.Preprocess(in)
+	pre, preStats, carried := searchlog.PreprocessCarried(in)
+	psp.SetAttr("carried", carried)
 	psp.SetAttr("pairs", pre.NumPairs())
 	psp.SetAttr("users", pre.NumUsers())
 	psp.SetAttr("removed_pairs", preStats.RemovedPairs)

@@ -12,6 +12,11 @@
 // component because head pairs are shared by most users; multi-market logs
 // (the *-sharded profiles, or any per-locale corpus) split into one
 // component per market and solve embarrassingly parallel.
+//
+// The union-find pass and the sub-log split live with the Log
+// (searchlog's Log.Components), because an appended version carries its
+// parent's components forward there; this package is the solvers' view of
+// them, with the parent index maps and the decompose span.
 package partition
 
 import (
@@ -58,116 +63,36 @@ func Whole(l *searchlog.Log) Component {
 	return Component{Log: l, Pairs: pairs, Users: users}
 }
 
-// unionFind is a standard disjoint-set forest with path halving and union by
-// size, over user indices.
-type unionFind struct {
-	parent []int
-	size   []int
-}
-
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int, n), size: make([]int, n)}
-	for i := range uf.parent {
-		uf.parent[i] = i
-		uf.size[i] = 1
-	}
-	return uf
-}
-
-func (uf *unionFind) find(x int) int {
-	for uf.parent[x] != x {
-		uf.parent[x] = uf.parent[uf.parent[x]]
-		x = uf.parent[x]
-	}
-	return x
-}
-
-func (uf *unionFind) union(a, b int) {
-	ra, rb := uf.find(a), uf.find(b)
-	if ra == rb {
-		return
-	}
-	if uf.size[ra] < uf.size[rb] {
-		ra, rb = rb, ra
-	}
-	uf.parent[rb] = ra
-	uf.size[ra] += uf.size[rb]
-}
-
 // Decompose splits the log into the connected components of its user–pair
-// incidence graph. Components are ordered by their smallest parent pair
-// index, and the construction is deterministic, so downstream parallel
-// solves stitch identically regardless of scheduling. A connected log comes
-// back as a single component sharing the parent *Log (no copy); an empty
-// log yields nil.
+// incidence graph (searchlog's Log.Components). Components are ordered by
+// their smallest parent pair index, and the construction is deterministic,
+// so downstream parallel solves stitch identically regardless of
+// scheduling. A connected log comes back as a single component sharing the
+// parent *Log (no copy); an empty log yields nil. On the preprocessed log
+// of an appended version the components are carried from the parent
+// version's: only the ones the append dirtied are rebuilt. The slice is the
+// caller's; the component sub-logs and index lists are shared.
 func Decompose(l *searchlog.Log) []Component {
 	return DecomposeCtx(context.Background(), l)
 }
 
 // DecomposeCtx is Decompose with a "partition.decompose" span recording the
-// component count and graph size when ctx carries an active obs trace.
+// component count, how many were carried and the graph size when ctx
+// carries an active obs trace.
 func DecomposeCtx(ctx context.Context, l *searchlog.Log) []Component {
 	_, sp := obs.Start(ctx, "partition.decompose")
-	comps := decompose(l)
+	subs, sels, carried := l.Components()
+	var comps []Component
+	if len(subs) > 0 {
+		comps = make([]Component, len(subs))
+		for ci, sub := range subs {
+			comps[ci] = Component{Log: sub, Pairs: sels[ci].Pairs, Users: sels[ci].Users}
+		}
+	}
 	sp.SetAttr("components", len(comps))
+	sp.SetAttr("carried_components", carried)
 	sp.SetAttr("pairs", l.NumPairs())
 	sp.SetAttr("users", l.NumUsers())
 	sp.End()
-	return comps
-}
-
-func decompose(l *searchlog.Log) []Component {
-	if l.NumPairs() == 0 {
-		return nil
-	}
-	uf := newUnionFind(l.NumUsers())
-	for i := 0; i < l.NumPairs(); i++ {
-		es := l.Pair(i).Entries
-		for _, e := range es[1:] {
-			uf.union(es[0].User, e.User)
-		}
-	}
-
-	// Component ids in order of first appearance over ascending pair index,
-	// which orders components by smallest parent pair index. compOf maps a
-	// union-find root to its component id + 1 (0: not seen yet), and a
-	// root's union-find size is its component's user count.
-	compOf := make([]int, l.NumUsers())
-	var roots, numPairs []int
-	for i := 0; i < l.NumPairs(); i++ {
-		root := uf.find(l.Pair(i).Entries[0].User)
-		if compOf[root] == 0 {
-			roots = append(roots, root)
-			numPairs = append(numPairs, 0)
-			compOf[root] = len(roots)
-		}
-		numPairs[compOf[root]-1]++
-	}
-	if len(roots) == 1 {
-		return []Component{Whole(l)}
-	}
-	// Every component's index lists are carved, at their exact length, from
-	// one slab.
-	sels := make([]searchlog.Selection, len(roots))
-	slab := make([]int, l.NumPairs()+l.NumUsers())
-	for ci, root := range roots {
-		np, nu := numPairs[ci], uf.size[root]
-		sels[ci] = searchlog.Selection{Pairs: slab[:0:np], Users: slab[np : np : np+nu]}
-		slab = slab[np+nu:]
-	}
-	for i := 0; i < l.NumPairs(); i++ {
-		s := &sels[compOf[uf.find(l.Pair(i).Entries[0].User)]-1]
-		s.Pairs = append(s.Pairs, i)
-	}
-	for k := 0; k < l.NumUsers(); k++ {
-		// Every user in a Log holds at least one pair, so its root is mapped.
-		s := &sels[compOf[uf.find(k)]-1]
-		s.Users = append(s.Users, k)
-	}
-	subs := l.Split(sels)
-	comps := make([]Component, len(sels))
-	for ci, s := range sels {
-		comps[ci] = Component{Log: subs[ci], Pairs: s.Pairs, Users: s.Users}
-	}
 	return comps
 }

@@ -18,9 +18,30 @@ import (
 // sharing is safe. A key the delta inserts shifts the indices after it,
 // and slices that reference a shifted index are copied with the new one;
 // no second code path handles new keys. Like every Log, the merged one
-// builds its key → index maps on first lookup. Neither input is modified.
-// The only error is a cell count that overflows int.
+// builds its key → index maps on first lookup. Neither input's rows are
+// modified. The only error is a cell count that overflows int.
+//
+// The merged log keeps a prepared state (see Preprocess): it takes over
+// the parent's, if the parent had built one, and the parent keeps none
+// from then on, so a version chain holds at most one.
 func Merge(parent, delta *Log) (*Log, error) {
+	m, idx, err := merge(parent, delta)
+	if err != nil {
+		return nil, err
+	}
+	parent.handOver(m, delta, idx.bPairAt, idx.bUserAt)
+	return m, nil
+}
+
+// mergeIndex holds where merge put each input's pairs and users: a's
+// index i went to aPairAt[i] (aUserAt for users), b's likewise.
+type mergeIndex struct {
+	aPairAt, aUserAt, bPairAt, bUserAt []int
+}
+
+// merge is Merge without the prepared state: the summed log and its index
+// maps.
+func merge(parent, delta *Log) (*Log, mergeIndex, error) {
 	pp, dp := parent.pairs, delta.pairs
 	pairAt, dPairAt, np := mergeOrder(len(pp), len(dp), func(i, j int) int {
 		if c := strings.Compare(pp[i].Query, dp[j].Query); c != 0 {
@@ -49,7 +70,7 @@ func Merge(parent, delta *Log) (*Log, error) {
 		}
 		es, ok := add(p.Entries, d.Entries, dUserAt)
 		if !ok {
-			return nil, fmt.Errorf("searchlog: merged count overflows for pair (%q, %q)", d.Query, d.URL)
+			return nil, mergeIndex{}, fmt.Errorf("searchlog: merged count overflows for pair (%q, %q)", d.Query, d.URL)
 		}
 		p.Entries, p.Total = es, p.Total+d.Total
 	}
@@ -68,11 +89,11 @@ func Merge(parent, delta *Log) (*Log, error) {
 		}
 		ups, ok := add(u.Pairs, d.Pairs, dPairAt)
 		if !ok {
-			return nil, fmt.Errorf("searchlog: merged count overflows for user %q", d.ID)
+			return nil, mergeIndex{}, fmt.Errorf("searchlog: merged count overflows for user %q", d.ID)
 		}
 		u.Pairs, u.Total = ups, u.Total+d.Total
 	}
-	return m, nil
+	return m, mergeIndex{pairAt, userAt, dPairAt, dUserAt}, nil
 }
 
 // mergeOrder walks two strictly ascending key sequences of lengths na and
@@ -118,10 +139,11 @@ func (up UserPair) index() int                  { return up.Pair }
 func (up UserPair) count() int                  { return up.Count }
 func (UserPair) with(index, count int) UserPair { return UserPair{Pair: index, Count: count} }
 
-// remap returns cs with each index i moved to to[i]. An index map from
-// mergeOrder never lowers an index, and it moves none until the first key
-// the other side inserts, so when the last index of cs is unmoved none is
-// and cs itself is returned.
+// remap returns cs with each index i moved to to[i]. The index maps of
+// mergeOrder and WithoutUser shift every index by an amount that never
+// shrinks as the index grows, and move none before the first key inserted
+// or removed, so when the last index of cs is unmoved none is and cs itself
+// is returned.
 func remap[T cell[T]](cs []T, to []int) []T {
 	if len(cs) == 0 || to[cs[len(cs)-1].index()] == cs[len(cs)-1].index() {
 		return cs

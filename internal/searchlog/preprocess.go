@@ -23,11 +23,32 @@ func (p *Pair) IsUnique() bool {
 // Preprocess returns the log with all unique query-url pairs removed, as
 // required by Condition 1 of Theorem 1 before any of the utility-maximizing
 // problems are formulated. Pairs with zero remaining count and users with no
-// remaining pairs are dropped. The result is the parent's one-selection
-// Split over the kept pairs and users, so it keeps the parent's pair and
-// user order; when nothing is removed it is the input itself (a Log is
-// immutable). The input log is not modified.
+// remaining pairs are dropped. The result keeps the input's pair and user
+// order; from scratch it is the input's one-selection Split over the kept
+// pairs and users, and when nothing is removed it is the input itself (a
+// Log is immutable). The input log is not modified.
+//
+// A log built by Merge keeps its result (a prepared state, see carry.go):
+// the first call builds it, carried from the parent version's when the
+// parent handed one over, and later calls return it.
 func Preprocess(l *Log) (*Log, PreprocessStats) {
+	pre, st, _ := PreprocessCarried(l)
+	return pre, st
+}
+
+// PreprocessCarried is Preprocess that also reports whether the result was
+// carried forward from the parent version's preprocessed log rather than
+// built from l's rows.
+func PreprocessCarried(l *Log) (pre *Log, st PreprocessStats, carried bool) {
+	if pre, st, carried, ok := l.preprocessed(); ok {
+		return pre, st, carried
+	}
+	pre, st = preprocess(l)
+	return pre, st, false
+}
+
+// preprocess is Preprocess from scratch.
+func preprocess(l *Log) (*Log, PreprocessStats) {
 	var st PreprocessStats
 	drop := make([]bool, l.NumPairs())
 	pairs := make([]int, 0, l.NumPairs())

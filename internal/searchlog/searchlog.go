@@ -99,6 +99,12 @@ type Log struct {
 	// every solve).
 	digestOnce sync.Once
 	digest     string
+
+	// prep is the prepared state a log built by Merge keeps, and parts the
+	// component memo of a preprocessed log in such a state (nil on every
+	// other log); see carry.go.
+	prep  prep
+	parts *parts
 }
 
 // NumPairs returns the number of distinct query-url pairs.
@@ -207,22 +213,66 @@ func (l *Log) NumTriplets() int { return l.numTriplets() }
 // removed (the neighboring input D' = D − A_k of Definition 2). Pairs whose
 // count drops to zero disappear; indices are NOT preserved across the copy.
 // An out-of-range k removes nothing and returns l itself.
+//
+// It is one pass over the rows: k's rows and the pairs only k held are
+// dropped, and the indices after them shift down. Rows that reference no
+// shifted index are shared with l, as Merge shares them; the result equals
+// a Builder rebuild of the remaining rows.
 func (l *Log) WithoutUser(k int) *Log {
 	if k < 0 || k >= len(l.users) {
 		return l // a Log is immutable, so it is its own copy
 	}
-	b := NewBuilder()
-	for ki := range l.users {
-		if ki == k {
-			continue
+	gone := l.users[k].Pairs
+	// pairAt maps each pair to its index in the copy; a pair only k held
+	// maps to -1, and no remaining user references it.
+	pairAt := make([]int, len(l.pairs))
+	n := 0
+	for i, g := 0, 0; i < len(l.pairs); i++ {
+		if g < len(gone) && gone[g].Pair == i {
+			g++
+			if len(l.pairs[i].Entries) == 1 {
+				pairAt[i] = -1
+				continue
+			}
 		}
-		u := &l.users[ki]
-		for _, up := range u.Pairs {
-			p := &l.pairs[up.Pair]
-			b.Add(u.ID, p.Query, p.URL, up.Count)
+		pairAt[i] = n
+		n++
+	}
+	userAt := make([]int, len(l.users))
+	for j := range userAt {
+		userAt[j] = j
+		if j > k {
+			userAt[j] = j - 1
 		}
 	}
-	return b.Log()
+
+	out := &Log{pairs: make([]Pair, 0, n), users: make([]User, 0, len(l.users)-1), size: l.size - l.users[k].Total}
+	for i := range l.pairs {
+		if pairAt[i] < 0 {
+			continue
+		}
+		p := l.pairs[i]
+		if c := l.TripletCount(i, k); c > 0 {
+			es := make([]Entry, 0, len(p.Entries)-1)
+			for _, e := range p.Entries {
+				if e.User != k {
+					es = append(es, Entry{User: userAt[e.User], Count: e.Count})
+				}
+			}
+			p.Entries, p.Total = es, p.Total-c
+		} else {
+			p.Entries = remap(p.Entries, userAt)
+		}
+		out.pairs = append(out.pairs, p)
+	}
+	for j := range l.users {
+		if j != k {
+			u := l.users[j]
+			u.Pairs = remap(u.Pairs, pairAt)
+			out.users = append(out.users, u)
+		}
+	}
+	return out
 }
 
 // Builder accumulates records and produces a deterministic immutable Log.

@@ -466,11 +466,20 @@ func TestRepeatOfUndigestedEntryIsFree(t *testing.T) {
 // several clients: every one is served the same release, the journal holds
 // one entry, and no repeat counts as a mismatch. Run with -race.
 func TestConcurrentIdenticalFirstReleases(t *testing.T) {
-	const clients = 8
 	e := newTestEnv(t, Config{Workers: 4, Queue: 64, DataDir: t.TempDir(), Budget: budgetFor(1)})
 	if resp, raw := e.do(t, http.MethodPut, "/v1/corpora/c", "text/tab-separated-values", e.tsv); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("PUT: %d %s", resp.StatusCode, raw)
 	}
+	raceFirstReleases(t, e, 1)
+}
+
+// raceFirstReleases sends eight concurrent identical releases of corpus c
+// (seed 1), which has no release of that key yet, and checks that all
+// return one release digest, that the journal holds want entries
+// afterwards (one more than before) and that no re-derivation mismatched.
+func raceFirstReleases(t *testing.T, e *testEnv, want int) {
+	t.Helper()
+	const clients = 8
 	digests := make([]string, clients)
 	var wg sync.WaitGroup
 	for i := range clients {
@@ -498,7 +507,7 @@ func TestConcurrentIdenticalFirstReleases(t *testing.T) {
 	}
 	wg.Wait()
 	if t.Failed() {
-		return
+		t.FailNow()
 	}
 	for i, d := range digests {
 		if d == "" || d != digests[0] {
@@ -509,8 +518,8 @@ func TestConcurrentIdenticalFirstReleases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := bytes.Count(journal, []byte("\n")); n != 1 {
-		t.Fatalf("journal holds %d entries, want 1:\n%s", n, journal)
+	if n := bytes.Count(journal, []byte("\n")); n != want {
+		t.Fatalf("journal holds %d entries, want %d:\n%s", n, want, journal)
 	}
 	if _, m := e.get(t, "/metrics"); !bytes.Contains(m, []byte("\nslserve_rederive_mismatch_total 0\n")) {
 		t.Fatalf("metrics report a mismatch:\n%s", m)

@@ -3,16 +3,22 @@ package ump
 // The incremental re-solve machinery for append-only corpora. An append
 // adds counts only for the users it touches, and Theorem 1's constraints
 // couple pairs only through shared users, so a connected component of the
-// new version that contains no touched user is — after the pair-local
-// unique-pair preprocessing — byte-identical to exactly one component of
-// the parent version. ComponentCache exploits this without tracking
-// lineage at all: per-component plans are keyed by the component sub-log's
-// own content digest plus the full solve identity (problem kind, ε, δ,
-// solver, box ablation), so an unchanged component is a cache hit whatever
-// version — or corpus — it came from, and a changed component misses and
-// re-solves. Reused plans carry the cached λ/counts byte-identically; the
+// new version that holds no touched user, and no user who held a delta
+// pair before it (a pair unique-pair preprocessing dropped can become
+// shared), is byte-identical to exactly one component of the parent
+// version. ComponentCache exploits this without tracking lineage at all:
+// per-component plans are keyed by the component sub-log's own content
+// digest plus the full solve identity (problem kind, ε, δ, solver, box
+// ablation), so an unchanged component is a cache hit whatever version —
+// or corpus — it came from, and a changed component misses and re-solves.
+// Reused plans carry the cached λ/counts byte-identically; the
 // solver-effort counters are zeroed (no solver ran) and Plan.Reused counts
 // the components served from cache.
+//
+// The digest is memoized on the sub-log. An appended version carries its
+// parent's clean components forward as the same sub-logs (searchlog's
+// carried preparation), so they keep their digest memo and the lookup
+// hashes only the dirty components.
 //
 // Only solves whose per-component outcome is independent of the other
 // components are cached: O-UMP (also the λ phase of C-UMP, and of F-UMP

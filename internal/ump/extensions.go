@@ -52,7 +52,7 @@ func (w CombinedWeights) Objective(l *searchlog.Log, minSupport float64, counts 
 	if n := sum(counts); n > 0 {
 		size = w.SizeWeight * float64(n) / float64(l.Size())
 	}
-	return size - w.DistanceWeight*dist
+	return size - float64(w.DistanceWeight*dist)
 }
 
 // solveCombined solves the joint LP over one component sub-log and returns
