@@ -5,10 +5,15 @@ package corpus
 // the latest version with searchlog.Merge and produces a new immutable
 // version with its own digest. Merge is one linear pass over the two
 // sorted logs that shares every row the delta leaves unchanged with the
-// parent, so an append costs in proportion to the
-// delta plus one copy of the row headers, and the new latest file is
-// written once, hashed as it is written. Three kinds of file make up a
-// versioned corpus on disk:
+// parent: it costs the delta plus one copy of the row headers. Writing
+// the new version costs the whole corpus: the new latest file is copied,
+// hashed, written and fsynced in full. Only its formatting is confined to
+// the delta, because a merged log splices its parent's canonical TSV
+// image and formats just the rows of the users the delta touched (see
+// searchlog.WriteTSVDigest); the first append after a PUT or an Open
+// formats every row. The chain metadata is rewritten whole on every
+// append, so that write grows with the chain. Three kinds of file make
+// up a versioned corpus on disk:
 //
 //	name.tsv           the materialized LATEST version (canonical TSV) —
 //	                   the same file a pre-version store wrote, so old
@@ -36,6 +41,7 @@ package corpus
 // bytes under a trusted digest.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -44,6 +50,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"dpslog/internal/obs"
 	"dpslog/internal/searchlog"
 )
 
@@ -144,9 +151,7 @@ func (s *Store) publish(tmp, path string) error {
 // writeVersions persists the chain metadata atomically.
 func (s *Store) writeVersions(name string, vs []Version) error {
 	_, err := s.writeAtomic(s.versionsPath(name), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(versionsFile{V: 1, Versions: vs})
+		return json.NewEncoder(w).Encode(versionsFile{V: 1, Versions: vs})
 	})
 	return err
 }
@@ -294,7 +299,12 @@ func subCounts(counts map[string]map[searchlog.PairKey]int, delta *searchlog.Log
 	return nil
 }
 
-// Append folds delta (a parsed, non-empty log of new rows) into the latest
+// Append is AppendCtx without a trace.
+func (s *Store) Append(name string, delta *searchlog.Log) (Meta, Version, []string, error) {
+	return s.AppendCtx(context.Background(), name, delta)
+}
+
+// AppendCtx folds delta (a parsed, non-empty log of new rows) into the latest
 // version of name, producing a new immutable version. It returns the new
 // latest Meta, the new Version, and the sorted external IDs of the users
 // the delta touched. Those are the dirty set on the child's side only: on
@@ -304,7 +314,13 @@ func subCounts(counts map[string]map[searchlog.PairKey]int, delta *searchlog.Log
 // user (searchlog's carried preparation handles both). Appending is atomic and
 // durable: a crash at any point leaves the store openable at either the
 // old or the new version (see the package comment on commit order).
-func (s *Store) Append(name string, delta *searchlog.Log) (Meta, Version, []string, error) {
+//
+// When ctx carries an obs trace, the append records three spans:
+// "corpus.merge" (the fold), "corpus.stage" (the new latest file written,
+// hashed and fsynced under a temp name; attributes image, "spliced" or
+// "formatted", and bytes) and "corpus.commit" (the delta file, the chain
+// and the publishing rename, each fsynced).
+func (s *Store) AppendCtx(ctx context.Context, name string, delta *searchlog.Log) (Meta, Version, []string, error) {
 	if delta == nil || delta.Size() == 0 {
 		return Meta{}, Version{}, nil, ErrEmptyDelta
 	}
@@ -315,18 +331,29 @@ func (s *Store) Append(name string, delta *searchlog.Log) (Meta, Version, []stri
 		return Meta{}, Version{}, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	parent := s.logs[name]
+	_, msp := obs.Start(ctx, "corpus.merge")
 	merged, err := searchlog.Merge(parent, delta)
+	msp.End()
 	if err != nil {
 		return Meta{}, Version{}, nil, fmt.Errorf("corpus: fold append into %s: %w", name, err)
 	}
 	// The new latest is serialized once: staged (fsynced, unpublished) and
-	// hashed as it is written, which yields the version digest the chain
-	// entry needs before anything is published.
+	// hashed, which yields the version digest the chain entry needs before
+	// anything is published. Its rows are the parent's TSV image with the
+	// touched users' rows re-formatted, when the parent built one.
+	_, ssp := obs.Start(ctx, "corpus.stage")
 	var digest string
 	staged, n, err := s.stage(s.path(name), func(w io.Writer) (err error) {
 		digest, err = searchlog.WriteTSVDigest(w, merged)
 		return err
 	})
+	if merged.ImageSpliced() {
+		ssp.SetAttr("image", "spliced")
+	} else {
+		ssp.SetAttr("image", "formatted")
+	}
+	ssp.SetAttr("bytes", n)
+	ssp.End()
 	if err != nil {
 		return Meta{}, Version{}, nil, err
 	}
@@ -345,6 +372,8 @@ func (s *Store) Append(name string, delta *searchlog.Log) (Meta, Version, []stri
 	}
 
 	// Commit order: delta, chain, materialized latest (see package comment).
+	_, csp := obs.Start(ctx, "corpus.commit")
+	defer csp.End()
 	if _, err := s.writeAtomic(s.deltaPath(name, seq), func(w io.Writer) error {
 		_, e := searchlog.WriteTSV(w, delta)
 		return e

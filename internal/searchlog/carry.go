@@ -21,12 +21,14 @@ package searchlog
 //     delta makes shared dirties that user's component although the user
 //     is not in the delta. The dirty components, with X's new pairs and
 //     users, form the dirty region, which is decomposed and split once.
+//   - The child's canonical TSV image splices the parent's: only the rows
+//     of the users the delta touched are formatted (image.go).
 //
 // Only logs built by Merge keep a prepared state: a never-appended corpus
-// would pin a preprocessed log for nothing. A child takes its parent's
-// state over, and the parent keeps none from then on, so a version chain
-// holds at most one. Each state and each component memo is built once,
-// under its own lock, by the first caller.
+// would pin a preprocessed log and an image for nothing. A child takes its
+// parent's state over, and the parent keeps none from then on, so a
+// version chain holds at most one. Each state and each component memo is
+// built once, under its own lock, by the first caller.
 
 import (
 	"fmt"
@@ -35,8 +37,8 @@ import (
 )
 
 // prep is the prepared state a log built by Merge keeps: its preprocessed
-// log and stats, built on first use. Every Log has one, unused unless keep
-// is set.
+// log and stats and its TSV image, each built on first use. Every Log has
+// one, unused unless keep is set.
 type prep struct {
 	mu sync.Mutex
 	// keep is set by Merge and cleared when a child takes the state over;
@@ -48,6 +50,11 @@ type prep struct {
 	// from is what the parent handed over, kept until the state is built;
 	// nil builds from scratch.
 	from *carrySource
+	// img is the log's canonical TSV image, built on its first write or
+	// digest from imgFrom, the parent's image, or in full when that is nil
+	// (image.go).
+	img     *image
+	imgFrom *imageSource
 }
 
 // carrySource is a parent's preprocessed log and the delta Merge folded
@@ -59,18 +66,21 @@ type carrySource struct {
 	pairAt, userAt []int
 }
 
-// handOver makes l's child by Merge with delta, whose pairs and users
-// landed at pairAt and userAt, keep a prepared state. The child carries l's
-// state if l has built one, and l keeps none from now on.
-func (l *Log) handOver(child, delta *Log, pairAt, userAt []int) {
+// handOver makes l's child by Merge with delta, whose rows landed where idx
+// says, keep a prepared state. The child carries l's preprocessed log and
+// l's TSV image, each if l has built it, and l keeps none from now on.
+func (l *Log) handOver(child, delta *Log, idx mergeIndex) {
 	child.prep.keep = true
 	p := &l.prep
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.pre != nil {
-		child.prep.from = &carrySource{pre: p.pre, delta: delta, pairAt: pairAt, userAt: userAt}
+		child.prep.from = &carrySource{pre: p.pre, delta: delta, pairAt: idx.bPairAt, userAt: idx.bUserAt}
 	}
-	p.keep, p.pre, p.from = false, nil, nil
+	if p.img != nil {
+		child.prep.imgFrom = &imageSource{img: p.img, userAt: idx.aUserAt, deltaUserAt: idx.bUserAt}
+	}
+	p.keep, p.pre, p.from, p.img, p.imgFrom = false, nil, nil, nil, nil
 }
 
 // preprocessed returns l's prepared preprocessed log and stats, building

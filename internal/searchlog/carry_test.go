@@ -57,23 +57,24 @@ func checkPrepared(t *testing.T, l *Log) (carried bool, carriedComps int) {
 // decodeChain turns fuzz bytes into a base log and a chain of deltas over
 // a small key space, so deltas often share, un-unique and bridge pairs.
 // Every 4 bytes are one row (user, query, url, count byte); a count byte
-// ≡ 0 mod 4 ends the current log instead, and its user byte's low bit asks
-// for a release of the current version before the next append.
-func decodeChain(data []byte) (logs []*Log, release []bool) {
+// ≡ 0 mod 4 ends the current log instead, and its user byte is returned as
+// the log's flags (1 for the last log). In FuzzCarry the low bit asks for
+// a release of the current version before the next append.
+func decodeChain(data []byte) (logs []*Log, flags []byte) {
 	b := NewBuilder()
-	end := func(rel bool) {
-		logs, release = append(logs, b.Log()), append(release, rel)
+	end := func(f byte) {
+		logs, flags = append(logs, b.Log()), append(flags, f)
 		b = NewBuilder()
 	}
 	for ; len(data) >= 4; data = data[4:] {
 		if data[3]%4 == 0 {
-			end(data[0]&1 == 1)
+			end(data[0])
 			continue
 		}
 		b.Add(fmt.Sprintf("u%d", data[0]%9), fmt.Sprintf("q%d", data[1]%6), fmt.Sprintf("l%d", data[2]%3), int(data[3]%4))
 	}
-	end(true)
-	return logs, release
+	end(1)
+	return logs, flags
 }
 
 // rows encodes rows for decodeChain: each is (user, query, url, count),
@@ -124,7 +125,8 @@ func FuzzCarry(f *testing.F) {
 
 // checkCarryChain is FuzzCarry's check of one input.
 func checkCarryChain(t *testing.T, data []byte) {
-	logs, release := decodeChain(data)
+	logs, flags := decodeChain(data)
+	release := func(s int) bool { return flags[s]&1 == 1 }
 	// The base log is folded onto an empty one, so it keeps a prepared
 	// state like every appended version and the first delta can carry.
 	l, err := Merge(&Log{}, logs[0])
@@ -132,7 +134,7 @@ func checkCarryChain(t *testing.T, data []byte) {
 		t.Fatal(err)
 	}
 	// prepared: l's prepared state has been built.
-	prepared := release[0]
+	prepared := release(0)
 	if prepared {
 		checkPrepared(t, l)
 	}
@@ -144,12 +146,12 @@ func checkCarryChain(t *testing.T, data []byte) {
 		if l, err = Merge(parent, delta); err != nil {
 			t.Fatal(err)
 		}
-		if parent.prep.keep || parent.prep.pre != nil || parent.prep.from != nil {
+		if parent.prep.keep || parent.prep.pre != nil || parent.prep.from != nil || parent.prep.img != nil || parent.prep.imgFrom != nil {
 			t.Fatal("the parent kept its prepared state past the append")
 		}
 		wantCarry := prepared
 		prepared = false
-		if !release[s+1] {
+		if !release(s + 1) {
 			continue
 		}
 		if carried, _ := checkPrepared(t, l); carried != wantCarry {

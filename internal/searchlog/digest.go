@@ -15,9 +15,15 @@ import (
 // It streams through WriteTSV, so hashing a log never materializes the
 // record slice: the digest of a log IS the hash of its canonical TSV file.
 // The result is memoized — a Log is immutable once built — so repeated
-// digesting (every component, every incremental re-solve) hashes once.
+// digesting (every component, every incremental re-solve) hashes once. A
+// log built by Merge hashes its TSV image (image.go), building it first.
 func (l *Log) Digest() string {
 	l.digestOnce.Do(func() {
+		if img := l.readImage(); img != nil {
+			l.digest = hexSum(img.buf)
+			img.readers.Add(-1)
+			return
+		}
 		d, err := writeDigest(io.Discard, l)
 		if err != nil {
 			// Neither io.Discard nor a hash.Hash fails to write; keep the
@@ -29,12 +35,21 @@ func (l *Log) Digest() string {
 	return l.digest
 }
 
-// WriteTSVDigest writes the log's canonical TSV to w, hashing the bytes as
-// they are written, and returns their digest — the value Digest returns,
-// which it also memoizes. A store that persists a log therefore serializes
-// it once to learn both its file and its identity.
-func WriteTSVDigest(w io.Writer, l *Log) (string, error) {
-	d, err := writeDigest(w, l)
+// WriteTSVDigest writes the log's canonical TSV to w and returns the
+// digest of the bytes written — the value Digest returns, which it also
+// memoizes. A store that persists a log therefore serializes it once to
+// learn both its file and its identity. A log built by Merge writes its
+// TSV image in one Write, so an appended version formats only the rows its
+// delta touched; any other log is hashed as its rows stream.
+func WriteTSVDigest(w io.Writer, l *Log) (d string, err error) {
+	if img := l.readImage(); img != nil {
+		if _, err = w.Write(img.buf); err == nil {
+			d = hexSum(img.buf)
+		}
+		img.readers.Add(-1)
+	} else {
+		d, err = writeDigest(w, l)
+	}
 	if err != nil {
 		return "", err
 	}

@@ -25,19 +25,10 @@ func WriteTSV(w io.Writer, l *Log) (int, error) {
 	// also the digest path, where formatting overhead would dominate the
 	// hash itself on incremental re-solves.
 	row := make([]byte, 0, 128)
-	for k := 0; k < l.NumUsers(); k++ {
-		u := l.User(k)
+	for k := range l.users {
+		u := &l.users[k]
 		for _, up := range u.Pairs {
-			p := l.Pair(up.Pair)
-			row = row[:0]
-			row = append(row, u.ID...)
-			row = append(row, '\t')
-			row = append(row, p.Query...)
-			row = append(row, '\t')
-			row = append(row, p.URL...)
-			row = append(row, '\t')
-			row = strconv.AppendInt(row, int64(up.Count), 10)
-			row = append(row, '\n')
+			row = appendRow(row[:0], u.ID, &l.pairs[up.Pair], up.Count)
 			if _, err := bw.Write(row); err != nil {
 				return n, err
 			}
@@ -45,6 +36,29 @@ func WriteTSV(w io.Writer, l *Log) (int, error) {
 		}
 	}
 	return n, bw.Flush()
+}
+
+// appendRow appends one canonical row, user \t query \t url \t count \n,
+// to b. It is the only row formatter: WriteTSV streams its rows, and a
+// log's TSV image (image.go) is built from them.
+func appendRow(b []byte, user string, p *Pair, count int) []byte {
+	b = append(b, user...)
+	b = append(b, '\t')
+	b = append(b, p.Query...)
+	b = append(b, '\t')
+	b = append(b, p.URL...)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(count), 10)
+	return append(b, '\n')
+}
+
+// appendUserRows appends user k's canonical rows to b.
+func appendUserRows(b []byte, l *Log, k int) []byte {
+	u := &l.users[k]
+	for _, up := range u.Pairs {
+		b = appendRow(b, u.ID, &l.pairs[up.Pair], up.Count)
+	}
+	return b
 }
 
 // ReadTSV parses the canonical 4-column format produced by WriteTSV.

@@ -21,15 +21,16 @@ import (
 // builds its key → index maps on first lookup. Neither input's rows are
 // modified. The only error is a cell count that overflows int.
 //
-// The merged log keeps a prepared state (see Preprocess): it takes over
-// the parent's, if the parent had built one, and the parent keeps none
-// from then on, so a version chain holds at most one.
+// The merged log keeps a prepared state (see Preprocess and
+// WriteTSVDigest): it takes over the parent's, if the parent had built
+// one, and the parent keeps none from then on, so a version chain holds
+// at most one.
 func Merge(parent, delta *Log) (*Log, error) {
 	m, idx, err := merge(parent, delta)
 	if err != nil {
 		return nil, err
 	}
-	parent.handOver(m, delta, idx.bPairAt, idx.bUserAt)
+	parent.handOver(m, delta, idx)
 	return m, nil
 }
 

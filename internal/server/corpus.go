@@ -259,7 +259,7 @@ func (s *Server) handleCorpusAppend(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	m, v, touched, err := s.corpora.Append(name, l)
+	m, v, touched, err := s.corpora.AppendCtx(r.Context(), name, l)
 	switch {
 	case errors.Is(err, corpus.ErrEmptyDelta):
 		s.writeError(w, http.StatusBadRequest, "refusing to append an empty delta")

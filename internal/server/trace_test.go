@@ -251,3 +251,50 @@ func TestSolverCountersAfterWarmResolve(t *testing.T) {
 		t.Errorf("goroutines = %g, want > 0", v)
 	}
 }
+
+// TestAppendTraceSpans: an append's trace splits the store's work into
+// corpus.merge, corpus.stage and corpus.commit. The first append after a
+// PUT formats the new file in full; the next splices its parent's image.
+func TestAppendTraceSpans(t *testing.T) {
+	e := newTestEnv(t, Config{DataDir: t.TempDir(), Budget: budgetFor(8)})
+	if resp, raw := e.do(t, http.MethodPut, "/v1/corpora/c", "text/tab-separated-values", e.tsv); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT: %d %s", resp.StatusCode, raw)
+	}
+	var ids []string
+	for _, delta := range [][]byte{appendDelta, []byte("newuserA\tnewquery\thttp://new.example\t1\n")} {
+		resp, raw := e.do(t, http.MethodPost, "/v1/corpora/c/append", "text/tab-separated-values", delta)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("append: %d %s", resp.StatusCode, raw)
+		}
+		ids = append(ids, resp.Header.Get("X-Trace-Id"))
+	}
+	_, raw := e.get(t, "/v1/debug/traces")
+	var body struct {
+		Traces []*obs.SpanJSON `json:"traces"`
+	}
+	if err := json.Unmarshal(raw, &body); err != nil {
+		t.Fatal(err)
+	}
+	byID := map[string]*obs.SpanJSON{}
+	for _, tr := range body.Traces {
+		byID[tr.TraceID] = tr
+	}
+	for n, want := range []string{"formatted", "spliced"} {
+		tr := byID[ids[n]]
+		if tr == nil {
+			t.Fatalf("append %d: trace %s not retained", n+1, ids[n])
+		}
+		for _, name := range []string{"corpus.merge", "corpus.stage", "corpus.commit"} {
+			if sp := findSpan(tr, name); sp == nil || sp.DurationNS <= 0 {
+				t.Fatalf("append %d: span %s missing or empty: %+v", n+1, name, sp)
+			}
+		}
+		stage := findSpan(tr, "corpus.stage")
+		if stage.Attrs["image"] != want {
+			t.Errorf("append %d: corpus.stage image=%v, want %s", n+1, stage.Attrs["image"], want)
+		}
+		if b, _ := stage.Attrs["bytes"].(float64); b <= float64(len(e.tsv)) {
+			t.Errorf("append %d: corpus.stage bytes=%v, want more than the %d-byte base", n+1, stage.Attrs["bytes"], len(e.tsv))
+		}
+	}
+}
