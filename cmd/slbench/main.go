@@ -35,8 +35,9 @@
 //
 // With -baseline, slbench looks up every emitted row in the named earlier
 // trajectory by benchmark name and exits nonzero when a row is missing or
-// its objective value differs: speed may drift between machines, λ and plan
-// objectives may not. A run with every row filter (-profiles, -objectives,
+// its objective value or LP pivot and refactorization counts differ: speed
+// may drift between machines, λ, plan objectives and the simplex's path to
+// them may not. A run with every row filter (-profiles, -objectives,
 // -no-sweeps, -append-profiles) at its default also fails on a baseline row
 // it does not emit, so the committed file holds no stale rows; partial runs
 // gate against the full file and ignore the rows they skip.
@@ -80,10 +81,18 @@ type benchResult struct {
 	Pairs          int     `json:"pairs"`
 	Users          int     `json:"users"`
 	ObjectiveValue float64 `json:"objective_value"`
-	N              int     `json:"n"`
-	NsPerOp        float64 `json:"ns_per_op"`
-	BytesPerOp     int64   `json:"bytes_per_op"`
-	AllocsPerOp    int64   `json:"allocs_per_op"`
+
+	// LPIterations and LPRefactorizations are the simplex pivots and basis
+	// factorizations behind the row's plans (0 for rows without an LP).
+	// They are gated like the objective: an exact change to the LP engine
+	// cannot move them.
+	LPIterations       int `json:"lp_iterations,omitempty"`
+	LPRefactorizations int `json:"lp_refactorizations,omitempty"`
+
+	N           int     `json:"n"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
 type trajectory struct {
@@ -173,7 +182,7 @@ func main() {
 					fatal(fmt.Errorf("%s/%s/%s: %w", profile, objective, mode.name, err))
 				}
 				r := measure(func() error { _, err := solve(); return err })
-				traj.add(profile, objective, mode.name, pre, mode.par, plan.Components, plan.Objective, r)
+				traj.add(profile, objective, mode.name, pre, mode.par, plan.Components, plan.Objective, lpOf(plan.Iterations, plan.Stats), r)
 			}
 		}
 
@@ -184,7 +193,7 @@ func main() {
 		}
 		g := rng.New(7)
 		r := measure(func() error { _, err := sampling.Output(g, pre, counts); return err })
-		traj.add(profile, "sampling", "sampling", pre, 1, 1, 0, r)
+		traj.add(profile, "sampling", "sampling", pre, 1, 1, 0, lpWork{}, r)
 
 		// Warm-started sweep benchmarks: the experiment-layer workloads the
 		// warm starts were built for, on the small profiles only (the tiny
@@ -257,7 +266,7 @@ func main() {
 		if err := checkBaseline(traj, *baseline, full); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "slbench: objective values match baseline %s\n", *baseline)
+		fmt.Fprintf(os.Stderr, "slbench: objective values and LP counts match baseline %s\n", *baseline)
 	}
 	if *out == "-" {
 		os.Stdout.Write(enc)
@@ -281,27 +290,49 @@ func measure(op func() error) testing.BenchmarkResult {
 	})
 }
 
+// lpWork is the simplex work behind a row's plans: pivots and basis
+// factorizations, summed over every LP solved.
+type lpWork struct{ iterations, refactorizations int }
+
+// lpOf reads the LP work of one plan from its iteration count and solver
+// counters. A plan without LP solves (D-UMP) did no simplex work; its
+// Iterations counts BIP nodes.
+func lpOf(iterations int, st ump.SolveStats) lpWork {
+	if st.LPSolves == 0 {
+		return lpWork{}
+	}
+	return lpWork{iterations, st.Refactorizations}
+}
+
+func (w *lpWork) add(o lpWork) {
+	w.iterations += o.iterations
+	w.refactorizations += o.refactorizations
+}
+
 // add appends and logs one row: the run r of the named benchmark over the
-// corpus l, with its parallelism, component count and gated objective value.
-func (t *trajectory) add(profile, objective, mode string, l *searchlog.Log, par, comps int, value float64, r testing.BenchmarkResult) {
+// corpus l, with its parallelism, component count, gated objective value
+// and gated LP work.
+func (t *trajectory) add(profile, objective, mode string, l *searchlog.Log, par, comps int, value float64, work lpWork, r testing.BenchmarkResult) {
 	row := benchResult{
-		Name:           rowName(profile, objective, mode),
-		Profile:        profile,
-		Objective:      objective,
-		Mode:           mode,
-		Parallelism:    par,
-		Components:     comps,
-		Pairs:          l.NumPairs(),
-		Users:          l.NumUsers(),
-		ObjectiveValue: value,
-		N:              r.N,
-		NsPerOp:        float64(r.NsPerOp()),
-		BytesPerOp:     r.AllocedBytesPerOp(),
-		AllocsPerOp:    r.AllocsPerOp(),
+		Name:               rowName(profile, objective, mode),
+		Profile:            profile,
+		Objective:          objective,
+		Mode:               mode,
+		Parallelism:        par,
+		Components:         comps,
+		Pairs:              l.NumPairs(),
+		Users:              l.NumUsers(),
+		ObjectiveValue:     value,
+		LPIterations:       work.iterations,
+		LPRefactorizations: work.refactorizations,
+		N:                  r.N,
+		NsPerOp:            float64(r.NsPerOp()),
+		BytesPerOp:         r.AllocedBytesPerOp(),
+		AllocsPerOp:        r.AllocsPerOp(),
 	}
 	t.Benchmarks = append(t.Benchmarks, row)
-	fmt.Fprintf(os.Stderr, "slbench: %-48s %12.0f ns/op  %8d allocs/op  (N=%d, comps=%d, obj=%g)\n",
-		row.Name, row.NsPerOp, row.AllocsPerOp, row.N, row.Components, row.ObjectiveValue)
+	fmt.Fprintf(os.Stderr, "slbench: %-48s %12.0f ns/op  %8d allocs/op  (N=%d, comps=%d, obj=%g, pivots=%d, refactors=%d)\n",
+		row.Name, row.NsPerOp, row.AllocsPerOp, row.N, row.Components, row.ObjectiveValue, row.LPIterations, row.LPRefactorizations)
 }
 
 // rowName is profile/objective/mode, keeping the two spellings the
@@ -328,17 +359,20 @@ func benchSweeps(traj *trajectory, profile string, pre *searchlog.Log) {
 
 	for _, mode := range []string{"cold", "warm"} {
 		total := 0.0
+		var work lpWork
 		r := measure(func() error {
-			total = 0
+			total, work = 0, lpWork{}
 			var pool *ump.WarmStarts
 			if mode == "warm" {
 				// Anchor exactly like internal/experiments: one cold
 				// solve of the reference point seeds the sticky pool;
 				// every other budget warm-starts from it.
 				pool = ump.NewWarmStarts(true)
-				if _, err := ump.MaxOutputSize(pre, reference, ump.Options{Warm: pool}); err != nil {
+				plan, err := ump.MaxOutputSize(pre, reference, ump.Options{Warm: pool})
+				if err != nil {
 					return err
 				}
+				work.add(lpOf(plan.Iterations, plan.Stats))
 			}
 			for _, p := range budgets {
 				plan, err := ump.MaxOutputSize(pre, p, ump.Options{Warm: pool})
@@ -346,10 +380,11 @@ func benchSweeps(traj *trajectory, profile string, pre *searchlog.Log) {
 					return err
 				}
 				total += math.Floor(plan.RelaxationObjective)
+				work.add(lpOf(plan.Iterations, plan.Stats))
 			}
 			return nil
 		})
-		traj.add(profile, "sweep-table4", mode, pre, runtime.GOMAXPROCS(0), len(budgets), total, r)
+		traj.add(profile, "sweep-table4", mode, pre, runtime.GOMAXPROCS(0), len(budgets), total, work, r)
 	}
 
 	// Frontier ladder: targets as fractions of the reference λ.
@@ -369,8 +404,9 @@ func benchSweeps(traj *trajectory, profile string, pre *searchlog.Log) {
 	}
 	for _, mode := range []string{"cold", "warm"} {
 		total := 0.0
+		var work lpWork
 		r := measure(func() error {
-			total = 0
+			total, work = 0, lpWork{}
 			var pool *ump.WarmStarts
 			if mode == "warm" {
 				// Sequential ladder: rolling semantics, each step
@@ -383,10 +419,11 @@ func benchSweeps(traj *trajectory, profile string, pre *searchlog.Log) {
 					return err
 				}
 				total += float64(res.Plan.OutputSize)
+				work.add(lpOf(res.Plan.Iterations, res.Plan.Stats))
 			}
 			return nil
 		})
-		traj.add(profile, "sweep-frontier", mode, pre, 1, len(targets), total, r)
+		traj.add(profile, "sweep-frontier", mode, pre, 1, len(targets), total, work, r)
 	}
 }
 
@@ -410,7 +447,7 @@ func benchIngest(traj *trajectory, profile string, raw *searchlog.Log) {
 		_, _, err := ingest.Ingest(bytes.NewReader(data), ingest.Config{})
 		return err
 	})
-	traj.add(profile, "ingest", "ingest", raw, 1, 1, float64(l.Size()), r)
+	traj.add(profile, "ingest", "ingest", raw, 1, 1, float64(l.Size()), lpWork{}, r)
 }
 
 // benchAppend measures the continual-release re-solve (PR 10): a ~1%
@@ -484,7 +521,7 @@ func benchAppend(traj *trajectory, profile string, raw *searchlog.Log, params dp
 		{"append-cold", cold, rCold},
 		{"append-incremental", inc, rInc},
 	} {
-		traj.add(profile, "output-size", row.mode, pre2, 1, row.plan.Components, row.plan.Objective, row.r)
+		traj.add(profile, "output-size", row.mode, pre2, 1, row.plan.Components, row.plan.Objective, lpOf(row.plan.Iterations, row.plan.Stats), row.r)
 	}
 	if err := appendGate(profile, inc.Components, inc.Reused, ratios); err != nil {
 		fatal(err)
@@ -628,16 +665,21 @@ func benchMechanisms(traj *trajectory, profile string, pre *searchlog.Log, seed 
 		if err != nil {
 			fatal(fmt.Errorf("%s/mechanism/%s: %w", profile, name, err))
 		}
+		var work lpWork
+		if rel.Result != nil {
+			work = lpOf(rel.Result.Plan.Iterations, rel.Result.Plan.Solver)
+		}
 		r := measure(func() error { _, err := m.Sanitize(ctx, pre, opts); return err })
-		traj.add(profile, "mechanism", name, pre, 1, 1, float64(rel.Rows()), r)
+		traj.add(profile, "mechanism", name, pre, 1, 1, float64(rel.Rows()), work, r)
 	}
 }
 
 // checkBaseline fails when an emitted benchmark is missing from the baseline
-// at path or disagrees with it on its objective value: engines and machines
-// may change speed, never λ or plan objectives, and a new row is gated from
-// the run that adds it. Baseline rows this run does not emit fail a full run
-// (every row filter at its default), and are ignored otherwise.
+// at path or disagrees with it on its objective value or LP work: engines
+// and machines may change speed, never λ, plan objectives or the pivots
+// that reach them, and a new row is gated from the run that adds it.
+// Baseline rows this run does not emit fail a full run (every row filter at
+// its default), and are ignored otherwise.
 func checkBaseline(traj trajectory, path string, full bool) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -647,23 +689,27 @@ func checkBaseline(traj trajectory, path string, full bool) error {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("baseline %s: %w", path, err)
 	}
-	baseVals := make(map[string]float64, len(base.Benchmarks))
+	baseRows := make(map[string]benchResult, len(base.Benchmarks))
 	for _, r := range base.Benchmarks {
-		baseVals[r.Name] = r.ObjectiveValue
+		baseRows[r.Name] = r
 	}
 	var mismatches []string
 	compared := 0
 	emitted := make(map[string]bool, len(traj.Benchmarks))
 	for _, r := range traj.Benchmarks {
 		emitted[r.Name] = true
-		want, ok := baseVals[r.Name]
+		want, ok := baseRows[r.Name]
 		if !ok {
 			mismatches = append(mismatches, fmt.Sprintf("%s: missing from baseline", r.Name))
 			continue
 		}
 		compared++
-		if r.ObjectiveValue != want {
-			mismatches = append(mismatches, fmt.Sprintf("%s: objective %g != baseline %g", r.Name, r.ObjectiveValue, want))
+		if r.ObjectiveValue != want.ObjectiveValue {
+			mismatches = append(mismatches, fmt.Sprintf("%s: objective %g != baseline %g", r.Name, r.ObjectiveValue, want.ObjectiveValue))
+		}
+		if r.LPIterations != want.LPIterations || r.LPRefactorizations != want.LPRefactorizations {
+			mismatches = append(mismatches, fmt.Sprintf("%s: LP work %d pivots, %d refactorizations != baseline %d, %d",
+				r.Name, r.LPIterations, r.LPRefactorizations, want.LPIterations, want.LPRefactorizations))
 		}
 	}
 	if full {

@@ -33,6 +33,11 @@ func row(name string, objective float64) benchResult {
 	return benchResult{Name: name, ObjectiveValue: objective, NsPerOp: 1}
 }
 
+func withLP(r benchResult, iterations, refactorizations int) benchResult {
+	r.LPIterations, r.LPRefactorizations = iterations, refactorizations
+	return r
+}
+
 func TestCheckBaseline(t *testing.T) {
 	fast := row("tiny/output-size/monolithic", 13)
 	fast.NsPerOp = 1e9 // speed may drift
@@ -71,6 +76,13 @@ func TestCheckBaseline(t *testing.T) {
 			base:    []benchResult{row("tiny/output-size/monolithic", 13), row("tiny/diversity/monolithic", 7)},
 			run:     []benchResult{row("tiny/output-size/monolithic", 13), row("tiny/diversity/monolithic", 8)},
 			wantErr: "\n  tiny/diversity/monolithic: objective 8 != baseline 7",
+		},
+		{
+			// Same objective, different pivots: the LP's path moved.
+			name:    "drifted LP work",
+			base:    []benchResult{withLP(row("small/output-size/monolithic", 129), 881, 7)},
+			run:     []benchResult{withLP(row("small/output-size/monolithic", 129), 880, 7)},
+			wantErr: "\n  small/output-size/monolithic: LP work 880 pivots, 7 refactorizations != baseline 881, 7",
 		},
 		{
 			name:    "row missing from baseline",

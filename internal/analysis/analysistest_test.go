@@ -144,6 +144,13 @@ func TestDeferClose(t *testing.T) {
 	)
 }
 
+func TestFusable(t *testing.T) {
+	testFixture(t, Fusable,
+		"fusable/internal/lp",
+		"fusable/other",
+	)
+}
+
 func TestCtxFlow(t *testing.T) {
 	testFixture(t, CtxFlow,
 		"ctxflow/internal/server",
@@ -167,11 +174,12 @@ func TestSuiteHasFixtures(t *testing.T) {
 		"budgetarith":   true,
 		"jsonbuild":     true,
 		"deferclose":    true,
+		"fusable":       true,
 		"ctxflow":       true,
 		"ledgerorder":   true,
 	}
-	if len(All) < 6 {
-		t.Fatalf("the suite shrank: %d analyzers registered, want >= 6", len(All))
+	if len(All) < 7 {
+		t.Fatalf("the suite shrank: %d analyzers registered, want >= 7", len(All))
 	}
 	for _, a := range All {
 		if !covered[a.Name] {

@@ -5,6 +5,7 @@ var All = []*Analyzer{
 	BudgetArith,
 	CtxFlow,
 	DeferClose,
+	Fusable,
 	JSONBuild,
 	LedgerOrder,
 	RngDiscipline,

@@ -377,7 +377,7 @@ func randomFeasibleLP(r *rand.Rand, sense Sense, nVars, nRows int, withEq bool) 
 	for j := 0; j < nVars; j++ {
 		up := math.Inf(1)
 		if r.IntN(2) == 0 {
-			up = 1 + 10*r.Float64()
+			up = 1 + float64(10*r.Float64())
 		}
 		obj := r.Float64()*4 - 2
 		p.AddVariable(obj, 0, up)
@@ -411,9 +411,9 @@ func randomFeasibleLP(r *rand.Rand, sense Sense, nVars, nRows int, withEq bool) 
 		for _, j := range entries {
 			c := r.Float64()*4 - 1 // mostly positive, some negative
 			p.SetCoef(row, j, c)
-			act += c * x0[j]
+			act += float64(c * x0[j])
 		}
-		margin := r.Float64() * 3
+		margin := float64(r.Float64() * 3)
 		switch op {
 		case LE:
 			p.rhs[row] = act + margin

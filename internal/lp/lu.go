@@ -302,46 +302,56 @@ func (f *luFactor) dfs(root int32, gen int32, pinv []int32, lp []int32, li []int
 // position. x is destroyed.
 func (f *luFactor) baseFtran(x, out []float64) {
 	m := f.m
-	z := f.work2
+	z := f.work2[:m]
 	// Forward solve L·z = P·x.
-	for k := 0; k < m; k++ {
-		zk := x[f.p[k]]
+	lp, li, lx := f.lp[:m+1], f.li, f.lx
+	for k, pk := range f.p[:m] {
+		zk := x[pk]
 		z[k] = zk
 		if zk == 0 {
 			continue
 		}
-		for idx := f.lp[k]; idx < f.lp[k+1]; idx++ {
-			x[f.li[idx]] -= float64(f.lx[idx] * zk)
+		rows := li[lp[k]:lp[k+1]]
+		vals := lx[lp[k]:lp[k+1]][:len(rows)]
+		for t, i := range rows {
+			x[i] -= float64(vals[t] * zk)
 		}
 	}
 	// Backward solve U·ŵ = z, column oriented.
+	up, ui, ux, ud := f.up[:m+1], f.ui, f.ux, f.ud[:m]
 	for k := m - 1; k >= 0; k-- {
-		wk := z[k] / f.ud[k]
+		wk := z[k] / ud[k]
 		z[k] = wk
 		if wk == 0 {
 			continue
 		}
-		for idx := f.up[k]; idx < f.up[k+1]; idx++ {
-			z[f.ui[idx]] -= float64(f.ux[idx] * wk)
+		pos := ui[up[k]:up[k+1]]
+		vals := ux[up[k]:up[k+1]][:len(pos)]
+		for t, i := range pos {
+			z[i] -= float64(vals[t] * wk)
 		}
 	}
 	// Un-permute columns: out[q[k]] = ŵ[k].
-	for k := 0; k < m; k++ {
-		out[f.q[k]] = z[k]
+	for k, qk := range f.q[:m] {
+		out[qk] = z[k]
 	}
 }
 
 // applyEtas finishes an FTRAN: x := E_t⁻¹ ··· E_1⁻¹ x.
 func (f *luFactor) applyEtas(x []float64) {
-	for t := 0; t < len(f.etaRow); t++ {
-		r := f.etaRow[t]
-		xr := x[r] / f.etaPiv[t]
+	etaRow := f.etaRow
+	etaPiv := f.etaPiv[:len(etaRow)]
+	etaPtr, etaIdx, etaVal := f.etaPtr, f.etaIdx, f.etaVal
+	for t, r := range etaRow {
+		xr := x[r] / etaPiv[t]
 		x[r] = xr
 		if xr == 0 {
 			continue
 		}
-		for idx := f.etaPtr[t]; idx < f.etaPtr[t+1]; idx++ {
-			x[f.etaIdx[idx]] -= float64(f.etaVal[idx] * xr)
+		idx := etaIdx[etaPtr[t]:etaPtr[t+1]]
+		val := etaVal[etaPtr[t]:etaPtr[t+1]][:len(idx)]
+		for k, i := range idx {
+			x[i] -= float64(val[k] * xr)
 		}
 	}
 }
@@ -376,13 +386,18 @@ func (f *luFactor) ftran(x []float64) {
 
 func (f *luFactor) btran(x []float64) {
 	// Transposed etas in reverse creation order.
-	for t := len(f.etaRow) - 1; t >= 0; t-- {
-		r := f.etaRow[t]
+	etaRow := f.etaRow
+	etaPiv := f.etaPiv[:len(etaRow)]
+	etaPtr, etaIdx, etaVal := f.etaPtr, f.etaIdx, f.etaVal
+	for t := len(etaRow) - 1; t >= 0; t-- {
+		r := etaRow[t]
+		idx := etaIdx[etaPtr[t]:etaPtr[t+1]]
+		val := etaVal[etaPtr[t]:etaPtr[t+1]][:len(idx)]
 		s := 0.0
-		for idx := f.etaPtr[t]; idx < f.etaPtr[t+1]; idx++ {
-			s += float64(f.etaVal[idx] * x[f.etaIdx[idx]])
+		for k, i := range idx {
+			s += float64(val[k] * x[i])
 		}
-		x[r] = (x[r] - s) / f.etaPiv[t]
+		x[r] = (x[r] - s) / etaPiv[t]
 	}
 	f.baseBtran(x)
 }
@@ -391,28 +406,34 @@ func (f *luFactor) btran(x []float64) {
 // etas).
 func (f *luFactor) baseBtran(x []float64) {
 	m := f.m
-	z := f.work2
+	z := f.work2[:m]
 	// v[k] = x[q[k]]; forward solve Uᵀ·v' = v (row k of Uᵀ is column k of U).
-	for k := 0; k < m; k++ {
-		z[k] = x[f.q[k]]
+	for k, qk := range f.q[:m] {
+		z[k] = x[qk]
 	}
-	for k := 0; k < m; k++ {
+	up, ui, ux, ud := f.up[:m+1], f.ui, f.ux, f.ud[:m]
+	for k := range z {
+		pos := ui[up[k]:up[k+1]]
+		vals := ux[up[k]:up[k+1]][:len(pos)]
 		s := z[k]
-		for idx := f.up[k]; idx < f.up[k+1]; idx++ {
-			s -= float64(f.ux[idx] * z[f.ui[idx]])
+		for t, i := range pos {
+			s -= float64(vals[t] * z[i])
 		}
-		z[k] = s / f.ud[k]
+		z[k] = s / ud[k]
 	}
 	// Backward solve Lᵀ·(P·y) = v' (row k of Lᵀ is column k of L).
+	lp, li, lx, pinv := f.lp[:m+1], f.li, f.lx, f.pinv
 	for k := m - 1; k >= 0; k-- {
+		rows := li[lp[k]:lp[k+1]]
+		vals := lx[lp[k]:lp[k+1]][:len(rows)]
 		s := z[k]
-		for idx := f.lp[k]; idx < f.lp[k+1]; idx++ {
-			s -= float64(f.lx[idx] * z[f.pinv[f.li[idx]]])
+		for t, i := range rows {
+			s -= float64(vals[t] * z[pinv[i]])
 		}
 		z[k] = s
 	}
-	for k := 0; k < m; k++ {
-		x[f.p[k]] = z[k]
+	for k, pk := range f.p[:m] {
+		x[pk] = z[k]
 	}
 }
 
@@ -430,19 +451,22 @@ func (f *luFactor) pivotRow(r int, rho []float64) {
 	rho[r] = 1
 	m := f.m
 	gen := f.nextGen()
-	f.visited[r] = gen
+	visited := f.visited
+	visited[r] = gen
 	pos := append(f.rhoPos[:0], int32(r))
-	for t := len(f.etaRow) - 1; t >= 0; t-- {
-		d := f.etaDense[t*m : (t+1)*m]
+	etaRow, etaDense := f.etaRow, f.etaDense
+	etaPiv := f.etaPiv[:len(etaRow)]
+	for t := len(etaRow) - 1; t >= 0; t-- {
+		d := etaDense[t*m : (t+1)*m]
 		s := 0.0
 		for _, i := range pos {
 			s += float64(d[i] * rho[i])
 		}
-		k := f.etaRow[t]
-		v := (rho[k] - s) / f.etaPiv[t]
+		k := etaRow[t]
+		v := (rho[k] - s) / etaPiv[t]
 		rho[k] = v
-		if v != 0 && f.visited[k] != gen {
-			f.visited[k] = gen
+		if v != 0 && visited[k] != gen {
+			visited[k] = gen
 			j := len(pos)
 			pos = append(pos, k)
 			for ; j > 0 && pos[j-1] > k; j-- {
@@ -483,6 +507,13 @@ func (f *luFactor) update(r int, w []float64) {
 	if len(f.etaPtr) == 0 {
 		f.etaPtr = append(f.etaPtr, 0)
 	}
+	if f.etaDense == nil {
+		// A full file holds at most m-1 off-pivot entries per eta, so the
+		// sparse lists never grow past this capacity.
+		f.etaIdx = make([]int32, 0, f.maxEtas*f.m)
+		f.etaVal = make([]float64, 0, f.maxEtas*f.m)
+		f.etaDense = make([]float64, f.maxEtas*f.m)
+	}
 	for i, v := range w {
 		if i == r || v == 0 {
 			continue
@@ -491,9 +522,6 @@ func (f *luFactor) update(r int, w []float64) {
 		f.etaVal = append(f.etaVal, v)
 	}
 	f.etaPtr = append(f.etaPtr, int32(len(f.etaIdx)))
-	if f.etaDense == nil {
-		f.etaDense = make([]float64, f.maxEtas*f.m)
-	}
 	d := f.etaDense[len(f.etaRow)*f.m:][:f.m]
 	copy(d, w)
 	d[r] = 0

@@ -4,9 +4,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
-
-	"dpslog/internal/dp"
-	"dpslog/internal/gen"
 )
 
 // pivotRowChecker is the sparse LU factor with every pivotRow call checked
@@ -79,25 +76,7 @@ func TestPivotRowMatchesBtran(t *testing.T) {
 		solveCheckingPivotRows(t, randomPackingLP(r))
 	}
 
-	_, pre, _, err := gen.GeneratePreprocessed(gen.Small(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cons, err := dp.Build(pre, dp.FromEExp(2, 0.25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewProblem(Maximize)
-	for i := 0; i < pre.NumPairs(); i++ {
-		p.AddVariable(1, 0, float64(pre.PairCount(i)))
-	}
-	for _, row := range cons.Rows {
-		k := p.AddConstraint(LE, cons.Budget)
-		for _, term := range row.Terms {
-			p.SetCoef(k, term.Pair, term.Coef)
-		}
-	}
-	sol, c := solveCheckingPivotRows(t, p)
+	sol, c := solveCheckingPivotRows(t, smallOUMPProblem(t))
 	if sol.Status != Optimal || sol.Iterations != 881 || sol.Stats.Refactorizations != 7 {
 		t.Fatalf("small O-UMP: %v after %d iterations and %d refactorizations, want optimal after 881 and 7",
 			sol.Status, sol.Iterations, sol.Stats.Refactorizations)

@@ -442,6 +442,14 @@ func (s *solver) ftran(j int) {
 func (s *solver) iterate() Status {
 	const dtol = 1e-7
 	const refreshEvery = 120
+	// The loops below run on slice headers loaded into locals once. Read
+	// through s, every header would be reloaded after each store (a store
+	// through a slice might alias a field of s) and every index checked;
+	// locals of one length let range loops drop those checks.
+	m, n := s.m, s.n
+	status, lower, upper := s.status[:n], s.lower[:n], s.upper[:n]
+	d, devex, cols, cost := s.d[:n], s.devex[:n], s.cols[:n], s.cost[:n]
+	basis, xB, w, rho := s.basis[:m], s.xB[:m], s.w[:m], s.rho
 	s.refreshDuals()
 	sinceRefactor := 0
 	sinceRefresh := 0
@@ -472,12 +480,11 @@ func (s *solver) iterate() Status {
 		enter := -1
 		bestScore := 0.0
 		var enterDir float64 // +1 increasing from lower, -1 decreasing from upper
-		for j := 0; j < s.n; j++ {
-			st := s.status[j]
-			if st == basic || s.lower[j] == s.upper[j] {
+		for j, st := range status {
+			if st == basic || lower[j] == upper[j] {
 				continue
 			}
-			dj := s.d[j]
+			dj := d[j]
 			var dir float64
 			if st == atLower && dj < -dtol {
 				dir = 1
@@ -490,7 +497,7 @@ func (s *solver) iterate() Status {
 				enter, enterDir = j, dir
 				break
 			}
-			score := dj * dj / s.devex[j]
+			score := dj * dj / devex[j]
 			if score > bestScore {
 				bestScore, enter, enterDir = score, j, dir
 			}
@@ -513,41 +520,41 @@ func (s *solver) iterate() Status {
 
 		// Exact reduced cost of the entering column from the FTRAN vector:
 		// d_q = c_q − c_B·(B^{-1}A_q). Guards against drift in s.d.
-		dq := s.cost[enter]
-		for i := 0; i < s.m; i++ {
-			if cb := s.cost[s.basis[i]]; cb != 0 {
-				dq -= float64(cb * s.w[i])
+		dq := cost[enter]
+		for i, bi := range basis {
+			if cb := cost[bi]; cb != 0 {
+				dq -= float64(cb * w[i])
 			}
 		}
 		if (enterDir > 0 && dq >= -dtol/10) || (enterDir < 0 && dq <= dtol/10) {
 			// Stale entry: fix it and re-price.
-			s.d[enter] = dq
+			d[enter] = dq
 			continue
 		}
 
 		// Ratio test.
-		tBound := s.upper[enter] - s.lower[enter] // bound-flip distance
+		tBound := upper[enter] - lower[enter] // bound-flip distance
 		tBest := tBound
 		leave := -1           // basis position of the leaving variable
 		leaveToUpper := false // side the leaving variable exits at
 		bestPivot := 0.0
-		for i := 0; i < s.m; i++ {
-			wi := enterDir * s.w[i]
-			bj := s.basis[i]
+		ztol := s.ztol
+		for i, bj := range basis {
+			wi := enterDir * w[i]
 			var t float64
 			var toUpper bool
-			if wi > s.ztol {
-				lo := s.lower[bj]
+			if wi > ztol {
+				lo := lower[bj]
 				if math.IsInf(lo, -1) {
 					continue
 				}
-				t = (s.xB[i] - lo) / wi
-			} else if wi < -s.ztol {
-				up := s.upper[bj]
+				t = (xB[i] - lo) / wi
+			} else if wi < -ztol {
+				up := upper[bj]
 				if math.IsInf(up, 1) {
 					continue
 				}
-				t = (s.xB[i] - up) / wi // wi<0, numerator<=0 → t>=0
+				t = (xB[i] - up) / wi // wi<0, numerator<=0 → t>=0
 				toUpper = true
 			} else {
 				continue
@@ -559,14 +566,14 @@ func (s *solver) iterate() Status {
 			// |pivot| for stability (or the smallest column index under
 			// Bland's rule).
 			if t < tBest-1e-12 {
-				tBest, leave, leaveToUpper, bestPivot = t, i, toUpper, math.Abs(s.w[i])
+				tBest, leave, leaveToUpper, bestPivot = t, i, toUpper, math.Abs(w[i])
 			} else if t <= tBest+1e-12 && leave >= 0 {
 				if useBland {
-					if s.basis[i] < s.basis[leave] {
-						leave, leaveToUpper, bestPivot = i, toUpper, math.Abs(s.w[i])
+					if bj < basis[leave] {
+						leave, leaveToUpper, bestPivot = i, toUpper, math.Abs(w[i])
 					}
-				} else if math.Abs(s.w[i]) > bestPivot {
-					leave, leaveToUpper, bestPivot = i, toUpper, math.Abs(s.w[i])
+				} else if math.Abs(w[i]) > bestPivot {
+					leave, leaveToUpper, bestPivot = i, toUpper, math.Abs(w[i])
 				}
 			}
 		}
@@ -579,7 +586,7 @@ func (s *solver) iterate() Status {
 		// guarantee termination.
 		if tBest <= 1e-12 {
 			stall++
-			if stall > 2*(s.m+64) {
+			if stall > 2*(m+64) {
 				s.blandOn = true
 			}
 		} else {
@@ -590,19 +597,19 @@ func (s *solver) iterate() Status {
 		if leave < 0 {
 			// Bound flip: entering variable crosses to its other bound. The
 			// duals are unchanged, so d and the Devex weights stay valid.
-			for i := 0; i < s.m; i++ {
-				s.xB[i] -= float64(enterDir * tBest * s.w[i])
+			for i := range xB {
+				xB[i] -= float64(enterDir * tBest * w[i])
 			}
-			if s.status[enter] == atLower {
-				s.status[enter] = atUpper
+			if status[enter] == atLower {
+				status[enter] = atUpper
 			} else {
-				s.status[enter] = atLower
+				status[enter] = atLower
 			}
 			continue
 		}
 
-		alphaQ := s.w[leave]
-		if math.Abs(alphaQ) < 1e-9 || !s.factor.willAccept(leave, s.w) {
+		alphaQ := w[leave]
+		if math.Abs(alphaQ) < 1e-9 || !s.factor.willAccept(leave, w) {
 			// Pivot too small for a stable eta update (or the eta file is
 			// full): refactorize the current — still consistent — basis and
 			// retry with clean numbers. Checking before the pivot commits
@@ -617,55 +624,55 @@ func (s *solver) iterate() Status {
 
 		// The pivot row of B^{-1} drives the incremental reduced-cost and
 		// Devex updates; it must be taken before the basis changes.
-		s.factor.pivotRow(leave, s.rho)
+		s.factor.pivotRow(leave, rho)
 
 		// Pivot: entering replaces basis[leave].
 		enterStart := s.nbValue(enter)
-		for i := 0; i < s.m; i++ {
+		for i := range xB {
 			if i != leave {
-				s.xB[i] -= float64(enterDir * tBest * s.w[i])
+				xB[i] -= float64(enterDir * tBest * w[i])
 			}
 		}
-		leaving := s.basis[leave]
+		leaving := basis[leave]
 		if leaveToUpper {
-			s.status[leaving] = atUpper
+			status[leaving] = atUpper
 		} else {
-			s.status[leaving] = atLower
+			status[leaving] = atLower
 		}
 		s.pos[leaving] = -1
-		s.basis[leave] = enter
-		s.status[enter] = basic
+		basis[leave] = enter
+		status[enter] = basic
 		s.pos[enter] = int32(leave)
-		s.xB[leave] = enterStart + float64(enterDir*tBest)
+		xB[leave] = enterStart + float64(enterDir*tBest)
 
-		s.factor.update(leave, s.w)
+		s.factor.update(leave, w)
 
 		// Incremental dual update: y' = y + θ·ρ with θ = d_q/α_q, hence
 		// d'_j = d_j − θ·α_j where α_j = ρ·A_j. One sparse pass updates the
 		// reduced costs and Devex weights of every nonbasic column.
 		theta := dq / alphaQ
-		wq := s.devex[enter]
+		wq := devex[enter]
 		aq2 := alphaQ * alphaQ
-		for j := 0; j < s.n; j++ {
-			if s.status[j] == basic {
+		for j, st := range status {
+			if st == basic {
 				continue
 			}
 			var alphaJ float64
-			for _, e := range s.cols[j] {
-				alphaJ += float64(s.rho[e.row] * e.val)
+			for _, e := range cols[j] {
+				alphaJ += float64(rho[e.row] * e.val)
 			}
 			if alphaJ == 0 {
 				continue
 			}
-			s.d[j] -= float64(theta * alphaJ)
-			if ref := alphaJ * alphaJ / aq2 * wq; ref > s.devex[j] {
-				s.devex[j] = ref
+			d[j] -= float64(theta * alphaJ)
+			if ref := alphaJ * alphaJ / aq2 * wq; ref > devex[j] {
+				devex[j] = ref
 			}
 		}
-		s.d[enter] = 0
-		s.d[leaving] = -theta
-		if ref := math.Max(wq/aq2, 1); ref > s.devex[leaving] {
-			s.devex[leaving] = ref
+		d[enter] = 0
+		d[leaving] = -theta
+		if ref := math.Max(wq/aq2, 1); ref > devex[leaving] {
+			devex[leaving] = ref
 		}
 	}
 }

@@ -63,13 +63,13 @@ func laplace(u01, scale float64) float64 {
 	}
 	u := u01 - 0.5 // [-0.5, 0.5)
 	if u >= 0 {
-		t := 1 - 2*u
+		t := 1 - float64(2*u)
 		if t < laplaceMinTail {
 			t = laplaceMinTail
 		}
 		return -scale * math.Log(t)
 	}
-	t := 1 + 2*u
+	t := 1 + float64(2*u)
 	if t < laplaceMinTail {
 		t = laplaceMinTail
 	}
