@@ -16,7 +16,7 @@ import (
 )
 
 // statefulServer starts an in-process slserve with a corpus store and the
-// given per-corpus budget (zero = the server default) and returns its URL.
+// given per-lineage budget (zero = the server default) and returns its URL.
 func statefulServer(t *testing.T, budget dpslog.Budget) string {
 	t.Helper()
 	srv, err := server.New(server.Config{Workers: 2, Queue: 256, DataDir: t.TempDir(), Budget: budget})

@@ -26,7 +26,7 @@
 // slserve (-data-dir): the TSV corpus is uploaded ONCE to
 // /v1/corpora/NAME, then every request POSTs an options-only JSON body to
 // /v1/corpora/NAME/sanitize. Releases are charged against the server's
-// per-corpus privacy budget; 429 budget-exhausted responses are failures
+// per-lineage privacy budget; 429 budget-exhausted responses are failures
 // unless -expect-429 is given, in which case they are counted separately
 // and the run fails only if NO 429 is observed (the CI budget-exhaustion
 // smoke gate).
@@ -147,7 +147,7 @@ func parseFlags(fs *flag.FlagSet, args []string) *flags {
 		traceOut:   fs.String("trace-out", "", "capture the run as a replayable ndjson trace at this path"),
 
 		record:         fs.String("record", "", "synthesize a mixed-traffic trace to this path and exit (no server contacted)"),
-		corpusDistinct: fs.Int("corpus-distinct", 2, "-record: distinct corpus-release seeds; each spends (ln eexp, delta) of the per-corpus budget once, on top of the mech_sanitize class's two mechanism releases"),
+		corpusDistinct: fs.Int("corpus-distinct", 2, "-record: distinct corpus-release seeds; each spends (ln eexp, delta) of the per-lineage budget once, on top of the mech_sanitize class's two mechanism releases"),
 		storm429:       fs.Int("storm-429", 25, "-record: deliberate over-budget requests appended as a burst, each expecting 429"),
 
 		replayFile: fs.String("replay", "", "replay the ndjson trace at this path against -url"),

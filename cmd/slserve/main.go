@@ -27,14 +27,16 @@
 //
 // With -data-dir, the stateful corpus subsystem is enabled: corpora are
 // uploaded once to /v1/corpora/{name} and sanitized by reference, every
-// release charged against the per-corpus (ε, δ) budget; the release
-// journal under the data directory is replayed on restart, so accounting
-// survives crashes. No response is cached: repeating a journaled release
-// re-derives it, and a repeat whose release digest differs from the
-// journaled one is withheld with a 500. POST /v1/corpora/{name}/append
-// folds new rows into a new immutable corpus version with its own digest
-// and budget; the shared component-plan cache (-comp-cache) makes the
-// re-solve after an append incremental, re-solving only the connected
+// release charged against the per-lineage (ε, δ) budget: one budget for
+// every version of a corpus name, and for every name that releases a
+// digest another has released. The release journal under the data
+// directory is replayed on restart, so accounting survives crashes. No
+// response is cached: repeating a journaled release re-derives it, and a
+// repeat whose release digest differs from the journaled one is withheld
+// with a 500. POST /v1/corpora/{name}/append folds new rows into a new
+// immutable corpus version with its own digest, which continues the
+// corpus's lineage; the shared component-plan cache (-comp-cache) makes
+// the re-solve after an append incremental, re-solving only the connected
 // components the appended rows touched.
 //
 // Every non-2xx response carries the structured error envelope {"error",
@@ -83,9 +85,9 @@ func main() {
 	maxBody := flag.Int64("max-body", 0, "request body cap in bytes (0 = 32 MiB)")
 	solvePar := flag.Int("solve-parallelism", 0, "component parallelism per solve when the request omits it (0 = 1, sequential; negative = GOMAXPROCS)")
 	dataDir := flag.String("data-dir", "", "enable the stateful corpus store + privacy ledger under this directory (empty = stateless mode)")
-	budgetEExp := flag.Float64("budget-eexp", 0, "per-corpus privacy budget as e^ε (overrides -budget-epsilon; 0 = default ln 16)")
-	budgetEps := flag.Float64("budget-epsilon", 0, "per-corpus privacy budget ε (0 = default ln 16)")
-	budgetDelta := flag.Float64("budget-delta", 0, "per-corpus privacy budget δ (0 = default 1.0)")
+	budgetEExp := flag.Float64("budget-eexp", 0, "per-lineage privacy budget as e^ε (overrides -budget-epsilon; 0 = default ln 16)")
+	budgetEps := flag.Float64("budget-epsilon", 0, "per-lineage privacy budget ε (0 = default ln 16)")
+	budgetDelta := flag.Float64("budget-delta", 0, "per-lineage privacy budget δ (0 = default 1.0)")
 	mechanisms := flag.String("mechanisms", "", "comma-separated mechanism allowlist (ump, laplace, zealous; empty = all)")
 	maxIngest := flag.Int64("max-ingest-bytes", 0, "declared bytes of concurrent corpus uploads admitted at once (0 = 256 MiB, negative = unguarded)")
 	maxCorpus := flag.Int64("max-corpus-bytes", 0, "per-upload corpus body cap in bytes (0 = 8 GiB, negative = uncapped)")

@@ -113,7 +113,7 @@ func release(t *testing.T, p *process, options string, want int) released {
 	return rel
 }
 
-// spent reads the corpus "smoke"'s cumulative spend from p.
+// spent reads the cumulative spend of corpus "smoke"'s lineage from p.
 func spent(t *testing.T, p *process) dpslog.Budget {
 	t.Helper()
 	code, body := call(t, http.MethodGet, p.base+"/v1/corpora/smoke/budget", "", "")
@@ -127,10 +127,11 @@ func spent(t *testing.T, p *process) dpslog.Budget {
 }
 
 // TestServeBudgetSurvivesKill runs real slserve processes on one data
-// directory: the flags wire a (ln 4, 0.5) per-corpus budget, the ops
-// listener serves readiness and pprof, the budget refuses a third release,
-// a SIGKILLed server restarts with its ledger intact and re-derives a
-// journaled release free of charge, and SIGTERM exits 0.
+// directory: the flags wire a (ln 4, 0.5) per-lineage budget, the ops
+// listener serves readiness and pprof, one release each of v2 and v3
+// exhaust the corpus's chain, a SIGKILLed server restarts with its ledger
+// intact and re-derives a journaled release free of charge, and SIGTERM
+// exits 0.
 func TestServeBudgetSurvivesKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-process slserve test skipped in -short mode")
@@ -177,10 +178,14 @@ func TestServeBudgetSurvivesKill(t *testing.T) {
 			release(t, p, `"seed":1`, http.StatusOK)
 		}
 	}
+	// v2's release counts against v3: the chain shares one budget, which
+	// v3's first release uses up.
 	journaled := release(t, p, `"seed":1`, http.StatusOK)
-	release(t, p, `"seed":2`, http.StatusOK)
-	release(t, p, `"seed":3`, http.StatusTooManyRequests)
+	release(t, p, `"seed":2`, http.StatusTooManyRequests)
 	before := spent(t, p)
+	if before != (dpslog.Budget{Epsilon: 2 * math.Log(2), Delta: 0.5}) {
+		t.Fatalf("lineage spend %+v, want two (ln 2, 0.25) releases", before)
+	}
 
 	// SIGKILL gives the server no chance to flush or close anything.
 	if err := p.cmd.Process.Signal(syscall.SIGKILL); err != nil {

@@ -54,7 +54,8 @@ func ValidName(name string) bool {
 type Meta struct {
 	Name string `json:"name"`
 	// Digest is the hex SHA-256 of the canonical TSV form — the identity
-	// the release key and the privacy ledger key on.
+	// the release key is built on; the privacy ledger links it to the
+	// name in one lineage.
 	Digest   string    `json:"digest"`
 	Size     int       `json:"size"` // total click-count mass
 	NumUsers int       `json:"num_users"`
@@ -221,8 +222,8 @@ func (s *Store) Meta(name string) (Meta, bool) {
 }
 
 // Delete removes a stored corpus. Privacy accounting lives in the ledger,
-// keyed by digest, and deliberately survives deletion: re-uploading the
-// same data resumes the same budget.
+// per lineage, and deliberately survives deletion: re-uploading under the
+// same name resumes the same budget.
 func (s *Store) Delete(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

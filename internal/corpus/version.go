@@ -65,9 +65,9 @@ var ErrEmptyDelta = errors.New("corpus: append delta is empty")
 // appended onto ("" for the base version).
 type Version struct {
 	// Digest is the hex SHA-256 of this version's canonical TSV — the
-	// identity the release key and the privacy ledger key on. Appending
-	// never reuses a digest, so each version's releases are charged
-	// independently under sequential composition.
+	// identity the release key is built on. Each version's releases are
+	// still charged to the corpus's one lineage in the privacy ledger,
+	// which the corpus name links every version into.
 	Digest string `json:"digest"`
 	Parent string `json:"parent,omitempty"`
 	// Seq is the 1-based position in the chain (base version is 1).

@@ -2,24 +2,29 @@
 // every sanitized release of a corpus, under sequential composition: the
 // differential privacy guarantee is a property of *all* releases of a
 // dataset, not of one mechanism invocation, so spending is summed per
-// corpus and releases that would push the total past the configured budget
-// are refused.
+// lineage and releases that would push the total past the configured
+// budget are refused.
 //
-// Accounting is keyed by corpus *digest*, not by name: two names bound to
-// byte-identical data share one budget (they are the same dataset), and
-// deleting or renaming a corpus cannot reset its spend. Identical releases
-// — the same (digest, canonical options, seed), which reproduce the same
-// output bytes — are idempotent: repeating an already-journaled release
-// costs nothing, while any variation (a new seed, a different budget)
+// The unit of account is the *lineage*: a connected component of corpus
+// names and dataset digests, where each journaled release links the name
+// it was requested under to the digest it was computed from. Every
+// version of an appended corpus is released under the corpus's name, so
+// the whole version chain draws on one budget; deleting and re-uploading
+// a name continues its lineage, and two names join once either releases a
+// digest the other has released. Identical releases — the same (digest,
+// canonical options, seed), which reproduce the same output bytes — are
+// idempotent: repeating an already-journaled release costs nothing, while
+// any variation (a new seed, a different budget, another version)
 // composes sequentially and is charged in full. Each entry records the
 // digest of the bytes its release produced, so the caller can check that a
 // repeat re-derived exactly those bytes; the ledger itself only accounts.
 //
 // Every accepted release is appended to a JSON-lines journal and fsynced
 // before it is committed in memory, so accounting survives crashes: Open
-// replays the journal, tolerating (and truncating) a torn final line from
-// a mid-write crash. Failure ordering errs on the private side — a release
-// is never handed out before its journal entry is durable.
+// replays the journal through the same commit step live charging uses,
+// tolerating (and truncating) a torn final line from a mid-write crash.
+// Failure ordering errs on the private side — a release is never handed
+// out before its journal entry is durable.
 package ledger
 
 import (
@@ -30,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -51,8 +57,9 @@ const budgetTol = 1e-9
 type Release struct {
 	// Seq numbers releases 1.. in journal order, across all corpora.
 	Seq int `json:"seq"`
-	// Corpus is the store name the release was requested under —
-	// informational; accounting keys on Digest.
+	// Corpus is the store name the release was requested under. With
+	// Digest it is one edge of the lineage graph: the release joins the
+	// name's lineage and the digest's into one.
 	Corpus string `json:"corpus"`
 	// Digest identifies the released dataset (hex SHA-256 of its canonical
 	// TSV form).
@@ -84,6 +91,16 @@ type Release struct {
 	Time time.Time `json:"time"`
 }
 
+// Status is one snapshot of a lineage's accounting, read under one lock so
+// that Spent + Remaining = Budget (until spend passes the budget) and
+// Releases counts exactly the entries Spent sums.
+type Status struct {
+	Budget    Budget `json:"budget"`
+	Spent     Budget `json:"spent"`
+	Remaining Budget `json:"remaining"`
+	Releases  int    `json:"releases"`
+}
+
 // OverBudgetError reports a refused release with the full accounting
 // picture, so callers can surface the remaining allowance to clients.
 type OverBudgetError struct {
@@ -95,7 +112,7 @@ type OverBudgetError struct {
 }
 
 func (e *OverBudgetError) Error() string {
-	return fmt.Sprintf("ledger: release (ε=%g, δ=%g) exceeds corpus budget: spent (ε=%g, δ=%g) of (ε=%g, δ=%g), remaining (ε=%g, δ=%g)",
+	return fmt.Sprintf("ledger: release (ε=%g, δ=%g) exceeds lineage budget: spent (ε=%g, δ=%g) of (ε=%g, δ=%g), remaining (ε=%g, δ=%g)",
 		e.Requested.Epsilon, e.Requested.Delta, e.Spent.Epsilon, e.Spent.Delta,
 		e.Budget.Epsilon, e.Budget.Delta, e.Remaining.Epsilon, e.Remaining.Delta)
 }
@@ -109,11 +126,25 @@ type Ledger struct {
 	path     string
 	f        *os.File
 	seq      int
-	off      int64                // durable journal length in bytes
-	spent    map[string]Budget    // digest → Σ(ε, δ)
-	releases map[string][]Release // digest → journal entries, in order
-	byKey    map[string]*Release  // idempotency index
+	off      int64            // durable journal length in bytes
+	journal  []Release        // every entry, in Seq order
+	byKey    map[string]int   // idempotency index into journal
+	parent   map[node]node    // union-find forest; roots have no entry
+	lineages map[node]lineage // root → the lineage's accounting
 	now      func() time.Time
+}
+
+// node is a vertex of the lineage graph: a corpus name or a dataset digest
+// (kept apart, since a name may spell a digest).
+type node struct {
+	name bool
+	id   string
+}
+
+// lineage is the accounting of one connected component of the graph.
+type lineage struct {
+	spent    Budget // Σ(ε, δ)
+	releases int
 }
 
 // Open loads (or creates) the journal at path and replays it into an
@@ -129,9 +160,9 @@ func Open(path string, budget Budget) (*Ledger, error) {
 		budget:   budget,
 		path:     path,
 		f:        f,
-		spent:    make(map[string]Budget),
-		releases: make(map[string][]Release),
-		byKey:    make(map[string]*Release),
+		byKey:    make(map[string]int),
+		parent:   make(map[node]node),
+		lineages: make(map[node]lineage),
 		now:      time.Now,
 	}
 	if err := l.replay(); err != nil {
@@ -201,19 +232,68 @@ func (l *Ledger) replay() error {
 	return nil
 }
 
-// commit applies one journaled release to the in-memory state. Callers hold
-// mu (or have exclusive access during replay).
+// commit applies one journaled release to the in-memory state: it links
+// the release's name and digest into one lineage and charges it there.
+// Callers hold mu (or have exclusive access during replay).
 func (l *Ledger) commit(rel Release) {
 	if rel.Seq > l.seq {
 		l.seq = rel.Seq
 	}
-	b := l.spent[rel.Digest]
-	b.Epsilon += rel.Epsilon
-	b.Delta += rel.Delta
-	l.spent[rel.Digest] = b
-	l.releases[rel.Digest] = append(l.releases[rel.Digest], rel)
-	stored := &l.releases[rel.Digest][len(l.releases[rel.Digest])-1]
-	l.byKey[rel.Key] = stored
+	root := l.find(node{id: rel.Digest})
+	if rel.Corpus != "" {
+		root = l.union(root, l.find(node{name: true, id: rel.Corpus}))
+	}
+	lin := l.lineages[root]
+	lin.spent.Epsilon += rel.Epsilon
+	lin.spent.Delta += rel.Delta
+	lin.releases++
+	l.lineages[root] = lin
+	l.byKey[rel.Key] = len(l.journal)
+	l.journal = append(l.journal, rel)
+}
+
+// find returns the root of n's lineage; a node never released is its own.
+func (l *Ledger) find(n node) node {
+	for {
+		p, ok := l.parent[n]
+		if !ok {
+			return n
+		}
+		if gp, ok := l.parent[p]; ok {
+			l.parent[n] = gp // path halving
+			p = gp
+		}
+		n = p
+	}
+}
+
+// union joins the lineages rooted at a and b, the smaller under the larger,
+// and returns the joint root.
+func (l *Ledger) union(a, b node) node {
+	if a == b {
+		return a
+	}
+	la, lb := l.lineages[a], l.lineages[b]
+	if la.releases < lb.releases {
+		a, b, la, lb = b, a, lb, la
+	}
+	la.spent.Epsilon += lb.spent.Epsilon
+	la.spent.Delta += lb.spent.Delta
+	la.releases += lb.releases
+	l.lineages[a] = la
+	delete(l.lineages, b)
+	l.parent[b] = a
+	return a
+}
+
+// roots returns the distinct lineages a release of digest under corpus
+// would join: the digest's and, when corpus is named, the name's.
+func (l *Ledger) roots(corpus, digest string) []node {
+	roots := []node{l.find(node{id: digest})}
+	if r := l.find(node{name: true, id: corpus}); corpus != "" && r != roots[0] {
+		roots = append(roots, r)
+	}
+	return roots
 }
 
 // Close releases the journal file. The Ledger must not be used afterwards.
@@ -223,88 +303,87 @@ func (l *Ledger) Close() error {
 	return l.f.Close()
 }
 
-// Budget returns the configured per-corpus allowance.
-func (l *Ledger) Budget() Budget {
-	return l.budget
-}
-
-// Spent returns the cumulative (ε, δ) charged against a corpus digest.
-func (l *Ledger) Spent(digest string) Budget {
+// Status snapshots, under one lock, the accounting a release of digest
+// under the corpus name would face: the summed spend and release count of
+// the lineages it would join, and the allowance left, clamped at zero
+// (replaying a journal written under a larger budget can leave spend above
+// the current one). An empty corpus reads the digest's lineage alone.
+func (l *Ledger) Status(corpus, digest string) Status {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.spent[digest]
+	return l.statusLocked(corpus, digest)
 }
 
-// Remaining returns the allowance left for a corpus digest, clamped at
-// zero (replaying a journal written under a larger budget can leave spend
-// above the current one).
-func (l *Ledger) Remaining(digest string) Budget {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.remainingLocked(digest)
-}
-
-func (l *Ledger) remainingLocked(digest string) Budget {
-	s := l.spent[digest]
-	return Budget{
-		Epsilon: max(0, l.budget.Epsilon-s.Epsilon),
-		Delta:   max(0, l.budget.Delta-s.Delta),
+func (l *Ledger) statusLocked(corpus, digest string) Status {
+	st := Status{Budget: l.budget}
+	for _, root := range l.roots(corpus, digest) {
+		lin := l.lineages[root]
+		st.Spent.Epsilon += lin.spent.Epsilon
+		st.Spent.Delta += lin.spent.Delta
+		st.Releases += lin.releases
 	}
+	st.Remaining = Budget{
+		Epsilon: max(0, l.budget.Epsilon-st.Spent.Epsilon),
+		Delta:   max(0, l.budget.Delta-st.Spent.Delta),
+	}
+	return st
 }
 
-// Releases returns the journal entries for a corpus digest, oldest first.
-func (l *Ledger) Releases(digest string) []Release {
+// Releases returns the journal entries of the lineages Status reads,
+// oldest first. Each entry carries its own digest, so the list is the
+// lineage's per-version breakdown.
+func (l *Ledger) Releases(corpus, digest string) []Release {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Release, len(l.releases[digest]))
-	copy(out, l.releases[digest])
+	roots := l.roots(corpus, digest)
+	var out []Release
+	for _, rel := range l.journal {
+		if slices.Contains(roots, l.find(node{id: rel.Digest})) {
+			out = append(out, rel)
+		}
+	}
 	return out
 }
 
-// ReleaseCount returns the number of journaled releases for a corpus
-// digest without copying the journal (hot-path accounting snapshots and
-// metrics scrapes need only the count).
-func (l *Ledger) ReleaseCount(digest string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.releases[digest])
-}
-
-// Check is the non-binding admission probe: it reports whether a release
-// of the given cost would be admitted right now, without spending. Callers
-// use it to refuse obviously over-budget requests before paying for a
-// solve; the binding decision is Charge's, after the solve succeeds.
-func (l *Ledger) Check(digest, key string, eps, delta float64) error {
-	return l.CheckCtx(context.Background(), digest, key, eps, delta)
-}
-
-// CheckCtx is Check with a "ledger.check" span when ctx carries an active
-// obs trace.
-func (l *Ledger) CheckCtx(ctx context.Context, digest, key string, eps, delta float64) error {
+// Check is the non-binding admission probe: it reports whether rel (its
+// Corpus, Digest, Key and cost) would be admitted right now, without
+// spending. Callers use it to refuse obviously over-budget requests before
+// paying for a solve; the binding decision is Charge's, after the solve
+// succeeds. When ctx carries an active obs trace, Check records a
+// "ledger.check" span.
+func (l *Ledger) Check(ctx context.Context, rel Release) error {
 	_, sp := obs.Start(ctx, "ledger.check")
 	defer sp.End()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.byKey[key]; ok {
+	if _, ok := l.byKey[rel.Key]; ok {
 		sp.SetAttr("idempotent", true)
 		return nil // replay of a journaled release: free
 	}
-	err := l.overLocked(digest, eps, delta)
+	err := l.overLocked(rel)
 	sp.SetAttr("admitted", err == nil)
 	return err
 }
 
-func (l *Ledger) overLocked(digest string, eps, delta float64) error {
-	s := l.spent[digest]
-	if s.Epsilon+eps <= l.budget.Epsilon+budgetTol && s.Delta+delta <= l.budget.Delta+budgetTol {
+// CheckCtx is Check for a release probed by digest alone: it sees the
+// digest's lineage but not the lineage of a name the release would join.
+func (l *Ledger) CheckCtx(ctx context.Context, digest, key string, eps, delta float64) error {
+	return l.Check(ctx, Release{Digest: digest, Key: key, Epsilon: eps, Delta: delta})
+}
+
+// overLocked admits rel only if its cost, plus the spend of every lineage
+// it would join, fits the budget.
+func (l *Ledger) overLocked(rel Release) error {
+	st := l.statusLocked(rel.Corpus, rel.Digest)
+	if st.Spent.Epsilon+rel.Epsilon <= l.budget.Epsilon+budgetTol && st.Spent.Delta+rel.Delta <= l.budget.Delta+budgetTol {
 		return nil
 	}
 	return &OverBudgetError{
-		Digest:    digest,
-		Requested: Budget{Epsilon: eps, Delta: delta},
+		Digest:    rel.Digest,
+		Requested: Budget{Epsilon: rel.Epsilon, Delta: rel.Delta},
 		Budget:    l.budget,
-		Spent:     s,
-		Remaining: l.remainingLocked(digest),
+		Spent:     st.Spent,
+		Remaining: st.Remaining,
 	}
 }
 
@@ -313,8 +392,9 @@ func (l *Ledger) overLocked(digest string, eps, delta float64) error {
 // Delta); Charge assigns Seq and Time. It returns the journaled entry and
 // whether new budget was spent: a Key already in the journal is an
 // idempotent replay (the existing entry, spent=false, nothing journaled);
-// otherwise the cost is checked against the remaining allowance, the entry
-// is appended and fsynced, and only then committed in memory. On an
+// otherwise the cost is checked as Check does, against the lineages the
+// release would join, the entry is appended and fsynced, and only then
+// committed in memory, linking those lineages into one. On an
 // *OverBudgetError nothing is spent and the release must be withheld. When
 // ctx carries an active obs trace, Charge records a "ledger.charge" span
 // with child spans around the journal append and fsync.
@@ -323,11 +403,11 @@ func (l *Ledger) Charge(ctx context.Context, rel Release) (Release, bool, error)
 	defer sp.End()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if prior, ok := l.byKey[rel.Key]; ok {
+	if i, ok := l.byKey[rel.Key]; ok {
 		sp.SetAttr("idempotent", true)
-		return *prior, false, nil
+		return l.journal[i], false, nil
 	}
-	if err := l.overLocked(rel.Digest, rel.Epsilon, rel.Delta); err != nil {
+	if err := l.overLocked(rel); err != nil {
 		sp.SetAttr("admitted", false)
 		return Release{}, false, err
 	}

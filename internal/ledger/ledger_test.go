@@ -23,6 +23,11 @@ func openTest(t *testing.T, budget Budget) (*Ledger, string) {
 	return l, path
 }
 
+// check probes a release of digest under the corpus name.
+func check(l *Ledger, corpus, digest, key string, eps, delta float64) error {
+	return l.Check(context.Background(), Release{Corpus: corpus, Digest: digest, Key: key, Epsilon: eps, Delta: delta})
+}
+
 // charge journals a release that records no output digest.
 func charge(l *Ledger, corpus, digest, key string, eps, delta float64) (Release, bool, error) {
 	return l.ChargeCtx(context.Background(), corpus, digest, key, "", eps, delta)
@@ -42,7 +47,7 @@ func TestSequentialComposition(t *testing.T) {
 			t.Fatalf("release %d: seq %d", i, rel.Seq)
 		}
 	}
-	s := l.Spent("digest-a")
+	s := l.Status("c", "digest-a").Spent
 	if math.Abs(s.Epsilon-2*eps) > 1e-12 || s.Delta != 1.0 {
 		t.Fatalf("spent %+v", s)
 	}
@@ -60,7 +65,7 @@ func TestSequentialComposition(t *testing.T) {
 		t.Fatalf("spent in error %+v", over.Spent)
 	}
 
-	// Budgets are per corpus digest: a different dataset is unaffected.
+	// Budgets are per lineage: another name with other data is unaffected.
 	if _, _, err := charge(l, "other", "digest-b", "key-b", eps, 0.5); err != nil {
 		t.Fatalf("independent corpus refused: %v", err)
 	}
@@ -81,13 +86,13 @@ func TestIdempotentReplayIsFree(t *testing.T) {
 	if again.Seq != first.Seq {
 		t.Fatalf("replay returned seq %d, want %d", again.Seq, first.Seq)
 	}
-	if err := l.Check("d", "same-key", 1, 1); err != nil {
+	if err := check(l, "c", "d", "same-key", 1, 1); err != nil {
 		t.Fatalf("Check of journaled key: %v", err)
 	}
-	if err := l.Check("d", "new-key", 0.1, 0.1); err == nil {
+	if err := check(l, "c", "d", "new-key", 0.1, 0.1); err == nil {
 		t.Fatal("Check admitted a fresh over-budget release")
 	}
-	if got := l.Spent("d"); got.Epsilon != 1 || got.Delta != 1 {
+	if got := l.Status("c", "d").Spent; got.Epsilon != 1 || got.Delta != 1 {
 		t.Fatalf("replay changed spend: %+v", got)
 	}
 }
@@ -110,8 +115,8 @@ func TestJournalReplayRestoresAccounting(t *testing.T) {
 	if _, _, err := charge(l, "b", "dig-b", "k3", 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	wantA, wantB := l.Spent("dig-a"), l.Spent("dig-b")
-	wantRels := l.Releases("dig-a")
+	wantA, wantB := l.Status("a", "dig-a").Spent, l.Status("b", "dig-b").Spent
+	wantRels := l.Releases("a", "dig-a")
 	l.Close()
 
 	re, err := Open(path, budget)
@@ -119,13 +124,13 @@ func TestJournalReplayRestoresAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := re.Spent("dig-a"); got != wantA {
+	if got := re.Status("a", "dig-a").Spent; got != wantA {
 		t.Fatalf("replayed spend %+v, want %+v", got, wantA)
 	}
-	if got := re.Spent("dig-b"); got != wantB {
+	if got := re.Status("b", "dig-b").Spent; got != wantB {
 		t.Fatalf("replayed spend %+v, want %+v", got, wantB)
 	}
-	rels := re.Releases("dig-a")
+	rels := re.Releases("a", "dig-a")
 	if len(rels) != len(wantRels) {
 		t.Fatalf("replayed %d releases, want %d", len(rels), len(wantRels))
 	}
@@ -175,7 +180,7 @@ func TestTornTailIsTruncated(t *testing.T) {
 		t.Fatalf("torn tail should be tolerated: %v", err)
 	}
 	defer re.Close()
-	if got := re.Spent("d"); got.Epsilon != 1 || got.Delta != 0.25 {
+	if got := re.Status("c", "d").Spent; got.Epsilon != 1 || got.Delta != 0.25 {
 		t.Fatalf("spend after torn-tail replay: %+v", got)
 	}
 	// The torn bytes are gone: the next charge lands on a clean boundary
@@ -189,7 +194,7 @@ func TestTornTailIsTruncated(t *testing.T) {
 		t.Fatalf("journal corrupt after post-truncate append: %v", err)
 	}
 	defer re2.Close()
-	if got := re2.Spent("d"); got.Epsilon != 2 || got.Delta != 0.5 {
+	if got := re2.Status("c", "d").Spent; got.Epsilon != 2 || got.Delta != 0.5 {
 		t.Fatalf("spend after second replay: %+v", got)
 	}
 }
@@ -227,7 +232,7 @@ func TestUnterminatedTailIsKeptAndRepaired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := re.Spent("d"); got.Epsilon != 1 || got.Delta != 0.25 {
+	if got := re.Status("c", "d").Spent; got.Epsilon != 1 || got.Delta != 0.25 {
 		t.Fatalf("unterminated entry dropped: spent %+v", got)
 	}
 	// Appending after the repair must land on a clean line boundary...
@@ -241,7 +246,7 @@ func TestUnterminatedTailIsKeptAndRepaired(t *testing.T) {
 		t.Fatalf("journal corrupt after tail repair: %v", err)
 	}
 	defer re2.Close()
-	if got := len(re2.Releases("d")); got != 2 {
+	if got := len(re2.Releases("c", "d")); got != 2 {
 		t.Fatalf("replayed %d releases after repair, want 2", got)
 	}
 }
@@ -300,7 +305,7 @@ func TestConcurrentChargesNeverOverspend(t *testing.T) {
 	if accepted != admit || rejected != workers-admit {
 		t.Fatalf("accepted %d rejected %d, want %d/%d", accepted, rejected, admit, workers-admit)
 	}
-	s := l.Spent("dig")
+	s := l.Status("c", "dig").Spent
 	if s.Epsilon > budget.Epsilon+budgetTol || s.Delta > budget.Delta+budgetTol {
 		t.Fatalf("overspent: %+v > %+v", s, budget)
 	}
@@ -311,10 +316,10 @@ func TestConcurrentChargesNeverOverspend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := re.Spent("dig"); got != s {
+	if got := re.Status("c", "dig").Spent; got != s {
 		t.Fatalf("replayed spend %+v != live %+v", got, s)
 	}
-	if got := len(re.Releases("dig")); got != admit {
+	if got := len(re.Releases("c", "dig")); got != admit {
 		t.Fatalf("replayed %d releases, want %d", got, admit)
 	}
 }

@@ -3,12 +3,14 @@ package replay
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"dpslog"
 	"dpslog/internal/loadgen"
 	"dpslog/internal/server"
 )
@@ -23,16 +25,6 @@ func TestRecordReplayE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e replay in -short mode")
 	}
-	// The queue is deep enough that the replayed burst backlogs instead of
-	// tripping the pool's 503 load-shedding — this test gates exact count
-	// reproduction, not overload behavior (server_test covers the 503 path).
-	srv, err := server.New(server.Config{Workers: 4, Queue: 1024, DataDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	t.Cleanup(func() { ts.Close(); srv.Close() })
-
 	tr, err := Synthesize(SynthConfig{RPS: 150, Duration: 600 * time.Millisecond, Storm429: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -41,6 +33,24 @@ func TestRecordReplayE2E(t *testing.T) {
 	if want["storm_429"] != 8 || want["setup"] != 2 {
 		t.Fatalf("synthesized shape: %v", want)
 	}
+
+	// The budget covers every release the trace can charge over the two
+	// replays below (SynthConfig.EExp spells it out): the main corpus's four
+	// distinct releases plus, per replay, one per append_sanitize pair (two
+	// records each) — open-loop appends may fold in another order the
+	// second time, making versions the first replay never released —
+	// summed because the two corpora's lineages can join. The queue is
+	// deep enough that the replayed burst backlogs instead of tripping the
+	// pool's 503 load-shedding — this test gates exact count reproduction,
+	// not overload behavior (server_test covers the 503 path).
+	n := float64(want["append_sanitize"])
+	budget := dpslog.Budget{Epsilon: (4 + n) * math.Log(2), Delta: 0.751 + n*0.25}
+	srv, err := server.New(server.Config{Workers: 4, Queue: 1024, DataDir: t.TempDir(), Budget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() { ts.Close(); srv.Close() })
 
 	capPath := t.TempDir() + "/capture.ndjson"
 	capture, err := loadgen.CreateTrace(capPath)

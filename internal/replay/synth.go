@@ -28,18 +28,20 @@ type SynthConfig struct {
 	Seed     uint64
 	// EExp and Delta are the privacy parameters of sanitize requests.
 	// Corpus-referencing releases spend (ln EExp, Delta) of the server's
-	// per-corpus budget per distinct seed, and the mech_sanitize class adds
+	// per-lineage budget per distinct seed, and the mech_sanitize class adds
 	// two more distinct releases — one zealous at (ln EExp, Delta), one
-	// laplace at (ln EExp, 10⁻³) — so the trace stays replayable as long as
-	// (CorpusDistinct+2)·ln EExp and (CorpusDistinct+1)·Delta + 10⁻³ fit
-	// the budget; repeats of a (mechanism, seed) pair are idempotent
-	// releases and charge nothing. At the defaults (EExp 2, Delta 0.25,
-	// CorpusDistinct 2) the spend is (4·ln 2, 0.751) — exactly the server's
-	// default ε = ln 16 ceiling and within its δ = 1. The append_sanitize
-	// class never interacts with that ceiling: each append creates a fresh
-	// corpus version with its own digest and untouched budget, and its
-	// sanitize pins seed 1 so at most one (ln EExp, Delta) release is ever
-	// charged per version however the open-loop requests interleave.
+	// laplace at (ln EExp, 10⁻³) — so the main corpus spends
+	// (CorpusDistinct+2)·ln EExp and (CorpusDistinct+1)·Delta + 10⁻³;
+	// repeats of a (mechanism, seed) pair are idempotent releases and
+	// charge nothing. At the defaults (EExp 2, Delta 0.25, CorpusDistinct 2)
+	// that is (4·ln 2, 0.751), exactly the server's default ε = ln 16. The
+	// append_sanitize class adds to it: its sanitize pins seed 1, so at most
+	// one (ln EExp, Delta) release is charged per version of the append
+	// corpus, and every version draws on that corpus's one lineage budget.
+	// Both corpora upload the same payload, so a sanitize that races its
+	// append and lands on the append corpus's base releases the main
+	// corpus's digest and joins the two lineages. A replaying server's
+	// budget must cover the sum of both corpora's spend.
 	EExp, Delta float64
 	Objective   string
 	// Distinct rotates stateless sanitize seeds (how often a release
@@ -238,7 +240,7 @@ func Synthesize(cfg SynthConfig) (*Trace, error) {
 	}
 
 	// The deliberate 429 storm: ε = 1000 nats exceeds any plausible
-	// per-corpus budget on its own, so the server's pre-solve budget check
+	// per-lineage budget on its own, so the server's pre-solve budget check
 	// refuses every one with a structured 429 — deterministically,
 	// whatever the prior spend.
 	for i := 0; i < cfg.Storm429; i++ {

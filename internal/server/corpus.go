@@ -2,12 +2,13 @@ package server
 
 // The stateful corpus subsystem of slserve: named, disk-backed corpora
 // (internal/corpus) sanitized by reference, with every release charged
-// against a per-corpus (ε, δ) budget under sequential composition
-// (internal/ledger). Upload once, sanitize many — a release request
-// carries options only, so throughput is no longer bottlenecked on
-// re-uploading and re-parsing megabyte TSV bodies, and the privacy spend
-// of a dataset is enforced across its whole release history rather than
-// silently recomposed per request.
+// against its corpus's lineage — every version of the name, and every
+// name sharing a released digest with it — under one (ε, δ) budget and
+// sequential composition (internal/ledger). Upload once, sanitize many —
+// a release request carries options only, so throughput is no longer
+// bottlenecked on re-uploading and re-parsing megabyte TSV bodies, and
+// the privacy spend of a dataset is enforced across its whole release
+// history rather than silently recomposed per request.
 
 import (
 	"cmp"
@@ -20,25 +21,17 @@ import (
 	"dpslog"
 	"dpslog/internal/corpus"
 	"dpslog/internal/ingest"
+	"dpslog/internal/ledger"
 	"dpslog/internal/obs"
 )
 
 // corpusMetaJSON is the wire form of a stored corpus: its identity plus
-// its live budget accounting. Versions is the append chain, base first —
-// populated on single-corpus reads, omitted from the listing.
+// its lineage's live budget accounting. Versions is the append chain, base
+// first — populated on single-corpus reads, omitted from the listing.
 type corpusMetaJSON struct {
 	corpus.Meta
-	Budget   budgetJSON       `json:"budget"`
+	Budget   ledger.Status    `json:"budget"`
 	Versions []corpus.Version `json:"versions,omitempty"`
-}
-
-// budgetJSON is the accounting snapshot attached to corpus metadata,
-// budget queries, and over-budget refusals.
-type budgetJSON struct {
-	Budget    dpslog.Budget `json:"budget"`
-	Spent     dpslog.Budget `json:"spent"`
-	Remaining dpslog.Budget `json:"remaining"`
-	Releases  int           `json:"releases"`
 }
 
 // corpusSanitizeRequest is the options-only body of POST
@@ -48,25 +41,25 @@ type corpusSanitizeRequest struct {
 }
 
 // corpusSanitizeResponse extends a sanitization with its ledger entry and
-// the corpus's post-charge accounting. Version is the digest of the corpus
-// version the release was computed from and charged against — the latest
-// unless the request selected an ancestor with ?version=.
+// the lineage's post-charge accounting. Version is the digest of the corpus
+// version the release was computed from — the latest unless the request
+// selected an ancestor with ?version=.
 type corpusSanitizeResponse struct {
 	sanitizeResponse
 	Corpus  string         `json:"corpus"`
 	Version string         `json:"version"`
 	Release dpslog.Release `json:"release"`
-	Budget  budgetJSON     `json:"budget"`
+	Budget  ledger.Status  `json:"budget"`
 }
 
 // corpusAppendResponse is the wire form of a completed append: the new
-// latest metadata, the chain entry it created, and the budget of the new
-// version's digest (fresh — versions compose independently).
+// latest metadata, the chain entry it created, and the budget of the
+// corpus's lineage, which the new version continues.
 type corpusAppendResponse struct {
 	corpus.Meta
 	Version      corpus.Version `json:"version"`
 	TouchedUsers int            `json:"touched_users"`
-	Budget       budgetJSON     `json:"budget"`
+	Budget       ledger.Status  `json:"budget"`
 }
 
 // overBudgetDetail is the 429 envelope detail: what was asked, what is
@@ -101,16 +94,6 @@ func (s *Server) corpusEnabled(h http.HandlerFunc) http.HandlerFunc {
 			return
 		}
 		h(w, r)
-	}
-}
-
-// budgetStatus snapshots the ledger accounting for one corpus digest.
-func (s *Server) budgetStatus(digest string) budgetJSON {
-	return budgetJSON{
-		Budget:    s.budgets.Budget(),
-		Spent:     s.budgets.Spent(digest),
-		Remaining: s.budgets.Remaining(digest),
-		Releases:  s.budgets.ReleaseCount(digest),
 	}
 }
 
@@ -202,7 +185,7 @@ func (s *Server) reserveIngest(w http.ResponseWriter, r *http.Request) (reserve 
 
 // handleCorpusPut uploads (or replaces) a corpus, resetting its version
 // chain to a single base version (the privacy ledger survives either way —
-// accounting is keyed by digest, not name).
+// the new base continues the name's lineage).
 func (s *Server) handleCorpusPut(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !corpus.ValidName(name) {
@@ -235,15 +218,16 @@ func (s *Server) handleCorpusPut(w http.ResponseWriter, r *http.Request) {
 	if existed {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, corpusMetaJSON{Meta: m, Budget: s.budgetStatus(m.Digest)})
+	writeJSON(w, code, corpusMetaJSON{Meta: m, Budget: s.budgets.Status(m.Name, m.Digest)})
 }
 
 // handleCorpusAppend folds new rows into the latest version of a stored
 // corpus, producing a new immutable version (POST /v1/corpora/{name}/append).
 // The body is the same shape as a PUT — raw TSV/AOL streamed through the
 // streaming ingest fold, or a small JSON envelope. The new version has its own
-// digest, and therefore its own untouched (ε, δ) budget; releases already
-// journaled against ancestor versions stay replayable and spend-free.
+// digest but continues the corpus's lineage, so its releases draw on the
+// budget its ancestors' releases spent; releases already journaled against
+// ancestor versions stay replayable and spend-free.
 func (s *Server) handleCorpusAppend(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if _, ok := s.corpora.Meta(name); !ok {
@@ -275,7 +259,7 @@ func (s *Server) handleCorpusAppend(w http.ResponseWriter, r *http.Request) {
 		Meta:         m,
 		Version:      v,
 		TouchedUsers: len(touched),
-		Budget:       s.budgetStatus(m.Digest),
+		Budget:       s.budgets.Status(m.Name, m.Digest),
 	})
 }
 
@@ -283,7 +267,7 @@ func (s *Server) handleCorpusList(w http.ResponseWriter, r *http.Request) {
 	metas := s.corpora.List()
 	out := make([]corpusMetaJSON, len(metas))
 	for i, m := range metas {
-		out[i] = corpusMetaJSON{Meta: m, Budget: s.budgetStatus(m.Digest)}
+		out[i] = corpusMetaJSON{Meta: m, Budget: s.budgets.Status(m.Name, m.Digest)}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"corpora": out})
 }
@@ -305,7 +289,7 @@ func (s *Server) handleCorpusGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	vs, _ := s.corpora.Versions(m.Name)
-	writeJSON(w, http.StatusOK, corpusMetaJSON{Meta: m, Budget: s.budgetStatus(m.Digest), Versions: vs})
+	writeJSON(w, http.StatusOK, corpusMetaJSON{Meta: m, Budget: s.budgets.Status(m.Name, m.Digest), Versions: vs})
 }
 
 // handleCorpusVersionList serves the corpus's version chain, base first.
@@ -327,8 +311,8 @@ func (s *Server) handleCorpusVersionList(w http.ResponseWriter, r *http.Request)
 }
 
 // handleCorpusVersionGet serves one chain entry with the budget accounting
-// of that version's digest — each version composes its releases
-// independently, so an append never launders (or inherits) spend.
+// of its lineage — every version of a corpus draws on one budget, so the
+// figures are the corpus's whatever version is asked for.
 func (s *Server) handleCorpusVersionGet(w http.ResponseWriter, r *http.Request) {
 	m, ok := s.lookupCorpus(w, r)
 	if !ok {
@@ -344,26 +328,18 @@ func (s *Server) handleCorpusVersionGet(w http.ResponseWriter, r *http.Request) 
 		"corpus":  m.Name,
 		"version": v,
 		"latest":  v.Digest == m.Digest,
-		"budget":  s.budgetStatus(v.Digest),
+		"budget":  s.budgets.Status(m.Name, v.Digest),
 	})
 }
 
-// resolveVersion applies the ?version= query to a resolved corpus: it
-// returns the digest the request addresses (the latest when the query is
-// absent) and, when the caller needs the data (wantLog), the materialized
-// log of that version. On failure the 404 has been written and ok is false.
-func (s *Server) resolveVersion(w http.ResponseWriter, r *http.Request, m corpus.Meta, latest *dpslog.Log, wantLog bool) (*dpslog.Log, string, bool) {
+// resolveVersion applies the ?version= query of a sanitize request to a
+// resolved corpus: it returns the materialized log of the version the
+// request addresses (the latest when the query is absent) and its digest.
+// On failure the error has been written and ok is false.
+func (s *Server) resolveVersion(w http.ResponseWriter, r *http.Request, m corpus.Meta, latest *dpslog.Log) (*dpslog.Log, string, bool) {
 	q := r.URL.Query().Get("version")
 	if q == "" || q == m.Digest {
 		return latest, m.Digest, true
-	}
-	if !wantLog {
-		v, err := s.corpora.VersionMeta(m.Name, q)
-		if err != nil {
-			s.writeError(w, http.StatusNotFound, "corpus %q has no version %s", m.Name, q)
-			return nil, "", false
-		}
-		return nil, v.Digest, true
 	}
 	l, v, err := s.corpora.GetVersion(m.Name, q)
 	switch {
@@ -386,42 +362,37 @@ func (s *Server) handleCorpusDelete(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	// The ledger deliberately survives deletion: accounting is keyed by
-	// digest, so re-uploading the same dataset resumes the same budget.
+	// The ledger deliberately survives deletion: a re-PUT under the same
+	// name continues the name's lineage, and so does re-uploading the same
+	// data under another name once it is released.
 	writeJSON(w, http.StatusOK, map[string]any{"deleted": m.Name, "digest": m.Digest})
 }
 
+// handleCorpusBudget serves the accounting of the corpus's lineage: one
+// budget for every version of the name (and any name joined to it).
 func (s *Server) handleCorpusBudget(w http.ResponseWriter, r *http.Request) {
 	m, ok := s.lookupCorpus(w, r)
 	if !ok {
 		return
 	}
-	_, digest, ok := s.resolveVersion(w, r, m, nil, false)
-	if !ok {
-		return
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"corpus":  m.Name,
-		"digest":  digest,
-		"version": digest,
-		"budget":  s.budgetStatus(digest),
+		"corpus": m.Name,
+		"digest": m.Digest,
+		"budget": s.budgets.Status(m.Name, m.Digest),
 	})
 }
 
+// handleCorpusReleases lists every journaled release of the corpus's
+// lineage, oldest first; each entry's digest names the version it released.
 func (s *Server) handleCorpusReleases(w http.ResponseWriter, r *http.Request) {
 	m, ok := s.lookupCorpus(w, r)
 	if !ok {
 		return
 	}
-	_, digest, ok := s.resolveVersion(w, r, m, nil, false)
-	if !ok {
-		return
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"corpus":   m.Name,
-		"digest":   digest,
-		"version":  digest,
-		"releases": s.budgets.Releases(digest),
+		"digest":   m.Digest,
+		"releases": s.budgets.Releases(m.Name, m.Digest),
 	})
 }
 
@@ -429,7 +400,7 @@ func (s *Server) handleCorpusReleases(w http.ResponseWriter, r *http.Request) {
 // the mechanism the options name. Each mechanism declares its own (ε, δ)
 // release cost (internal/mechanism), which is what the ledger pre-checks
 // and charges under sequential composition. The release is charged against
-// the corpus budget *after* the solve succeeds but *before* any output byte
+// the lineage budget *after* the solve succeeds but *before* any output byte
 // reaches the client; identical releases (same digest, canonical options
 // and seed — byte-identical output) are idempotent and free. A repeat
 // re-derives its release and must reproduce the journaled release digest:
@@ -449,10 +420,10 @@ func (s *Server) handleCorpusSanitize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// ?version= selects an ancestor of the chain; the default is the latest.
-	// Everything downstream — seed, release key, ledger check and charge —
-	// is keyed by the resolved version's digest, so old-version releases
-	// compose against that version's own budget and replay for free forever.
-	l, digest, ok := s.resolveVersion(w, r, m, l, true)
+	// The seed and release key are keyed by the resolved version's digest,
+	// so old-version releases replay for free forever; the cost lands on
+	// the lineage every version of the name shares.
+	l, digest, ok := s.resolveVersion(w, r, m, l)
 	if !ok {
 		return
 	}
@@ -472,13 +443,19 @@ func (s *Server) handleCorpusSanitize(w http.ResponseWriter, r *http.Request) {
 	if opts.Seed == 0 {
 		opts.Seed = seedFromDigest(digest)
 	}
-	key := releaseKey(digest, opts)
 	cost := mech.Cost(opts)
-	eps, delta := cost.Epsilon, cost.Delta
+	rel := dpslog.Release{
+		Corpus:    m.Name,
+		Digest:    digest,
+		Key:       releaseKey(digest, opts),
+		Mechanism: mech.Name(),
+		Epsilon:   cost.Epsilon,
+		Delta:     cost.Delta,
+	}
 
 	// Non-binding pre-check: refuse obviously over-budget requests before
 	// paying for a solve. The binding decision is the post-solve Charge.
-	if err := s.budgets.CheckCtx(r.Context(), digest, key, eps, delta); err != nil {
+	if err := s.budgets.Check(r.Context(), rel); err != nil {
 		var over *dpslog.OverBudgetError
 		if errors.As(err, &over) {
 			s.writeOverBudget(w, m.Name, over)
@@ -505,15 +482,8 @@ func (s *Server) handleCorpusSanitize(w http.ResponseWriter, r *http.Request) {
 	// output byte leaves the server. A race with concurrent releases can
 	// still exhaust the budget here; the solve is then discarded — compute
 	// is wasted, privacy is not.
-	rel, _, err := s.budgets.Charge(ctx, dpslog.Release{
-		Corpus:        m.Name,
-		Digest:        digest,
-		Key:           key,
-		Mechanism:     mech.Name(),
-		ReleaseDigest: resp.ReleaseDigest,
-		Epsilon:       eps,
-		Delta:         delta,
-	})
+	rel.ReleaseDigest = resp.ReleaseDigest
+	rel, _, err = s.budgets.Charge(ctx, rel)
 	if err != nil {
 		var over *dpslog.OverBudgetError
 		if errors.As(err, &over) {
@@ -530,7 +500,7 @@ func (s *Server) handleCorpusSanitize(w http.ResponseWriter, r *http.Request) {
 	if rel.ReleaseDigest != "" && rel.ReleaseDigest != resp.ReleaseDigest {
 		s.metrics.ObserveRederiveMismatch()
 		cmp.Or(s.logger, slog.Default()).LogAttrs(ctx, slog.LevelError, "rederive mismatch",
-			slog.String("key", key),
+			slog.String("key", rel.Key),
 			slog.Int("seq", rel.Seq),
 			slog.String("journaled", rel.ReleaseDigest),
 			slog.String("rederived", resp.ReleaseDigest),
@@ -548,6 +518,6 @@ func (s *Server) handleCorpusSanitize(w http.ResponseWriter, r *http.Request) {
 		Corpus:           m.Name,
 		Version:          digest,
 		Release:          rel,
-		Budget:           s.budgetStatus(digest),
+		Budget:           s.budgets.Status(m.Name, digest),
 	})
 }

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -15,6 +17,7 @@ import (
 	"testing"
 
 	"dpslog"
+	"dpslog/internal/ledger"
 )
 
 // do issues a request with an arbitrary method against the test server.
@@ -204,7 +207,7 @@ func TestCorpusSanitizeChargesAndIsIdempotent(t *testing.T) {
 	// Budget and releases endpoints agree.
 	_, raw = e.get(t, "/v1/corpora/c/budget")
 	type budgetResp struct {
-		Budget budgetJSON `json:"budget"`
+		Budget ledger.Status `json:"budget"`
 	}
 	if b := decode[budgetResp](t, raw); b.Budget.Releases != 2 || b.Budget.Remaining.Epsilon != 0 {
 		t.Fatalf("budget endpoint %+v", b.Budget)
@@ -255,8 +258,8 @@ func TestCorpusJournalReplayAcrossRestart(t *testing.T) {
 	re := newTestEnv(t, cfg)
 	_, raw := re.get(t, "/v1/corpora/c/budget")
 	type budgetResp struct {
-		Digest string     `json:"digest"`
-		Budget budgetJSON `json:"budget"`
+		Digest string        `json:"digest"`
+		Budget ledger.Status `json:"budget"`
 	}
 	b := decode[budgetResp](t, raw)
 	if b.Digest != want[0].Digest {
@@ -336,11 +339,77 @@ func TestCorpusConcurrentReleasesNeverOverspend(t *testing.T) {
 	if ok200.Load() != admit || ok429.Load() != clients-admit {
 		t.Fatalf("200s=%d 429s=%d, want %d/%d", ok200.Load(), ok429.Load(), admit, clients-admit)
 	}
-	digest := dpslog.Digest(e.corpus)
-	spent := e.srv.budgets.Spent(digest)
-	budget := e.srv.budgets.Budget()
+	st := e.srv.budgets.Status("c", dpslog.Digest(e.corpus))
+	spent, budget := st.Spent, st.Budget
 	if spent.Epsilon > budget.Epsilon+1e-9 || spent.Delta > budget.Delta+1e-9 {
 		t.Fatalf("ledger overspent: %+v > %+v", spent, budget)
+	}
+}
+
+// TestBudgetSnapshotIsAtomic: charges race /budget reads, and every
+// snapshot must be one consistent reading of the ledger — the release
+// count prices exactly the spend, and spend plus remaining is the budget
+// until it runs out. Run with -race.
+func TestBudgetSnapshotIsAtomic(t *testing.T) {
+	const (
+		admit   = 64
+		writers = 4
+		readers = 2
+	)
+	e := newTestEnv(t, Config{DataDir: t.TempDir(), Budget: budgetFor(admit)})
+	if resp, raw := e.do(t, http.MethodPut, "/v1/corpora/c", "text/tab-separated-values", e.tsv); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT: %d %s", resp.StatusCode, raw)
+	}
+	digest := dpslog.Digest(e.corpus)
+	eps := math.Log(2)
+	var (
+		writing atomic.Bool
+		wg      sync.WaitGroup
+	)
+	writing.Store(true)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for more := true; more; {
+				more = writing.Load() // one read after the last charge too
+				_, raw := e.get(t, "/v1/corpora/c/budget")
+				st := decode[struct {
+					Budget ledger.Status `json:"budget"`
+				}](t, raw).Budget
+				n := float64(st.Releases)
+				if math.Abs(st.Spent.Epsilon-n*eps) > 1e-9 || st.Spent.Delta != n*0.25 {
+					t.Errorf("snapshot %+v: %d releases do not price its spend", st, st.Releases)
+					return
+				}
+				if st.Releases < admit && (math.Abs(st.Spent.Epsilon+st.Remaining.Epsilon-st.Budget.Epsilon) > 1e-9 ||
+					st.Spent.Delta+st.Remaining.Delta != st.Budget.Delta) {
+					t.Errorf("snapshot %+v: spent + remaining is not the budget", st)
+					return
+				}
+			}
+		}()
+	}
+	var charged sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		charged.Add(1)
+		go func(w int) {
+			defer charged.Done()
+			for i := 0; i < admit/writers+2; i++ {
+				_, _, err := e.srv.budgets.Charge(context.Background(), dpslog.Release{
+					Corpus: "c", Digest: digest, Key: fmt.Sprintf("k-%d-%d", w, i), Epsilon: eps, Delta: 0.25,
+				})
+				if err != nil && !errors.As(err, new(*dpslog.OverBudgetError)) {
+					t.Errorf("charge: %v", err)
+				}
+			}
+		}(w)
+	}
+	charged.Wait()
+	writing.Store(false)
+	wg.Wait()
+	if st := e.srv.budgets.Status("c", digest); st.Releases != admit {
+		t.Fatalf("final status %+v, want %d releases", st, admit)
 	}
 }
 

@@ -46,7 +46,6 @@ var envelopeCases = []envelopeCase{
 	{"corpus sanitize over budget", "POST", "/v1/corpora/have/sanitize", "application/json", `{"options":{"epsilon":0.7,"delta":0.5,"seed":99}}`, http.StatusTooManyRequests},
 	{"corpus sanitize bad version", "POST", "/v1/corpora/have/sanitize?version=beef", "application/json", `{"options":{"epsilon":0.7,"delta":0.5}}`, http.StatusNotFound},
 	{"corpus budget unknown", "GET", "/v1/corpora/nope/budget", "", "", http.StatusNotFound},
-	{"corpus budget bad version", "GET", "/v1/corpora/have/budget?version=beef", "", "", http.StatusNotFound},
 	{"corpus releases unknown", "GET", "/v1/corpora/nope/releases", "", "", http.StatusNotFound},
 	{"corpus versions unknown", "GET", "/v1/corpora/nope/versions", "", "", http.StatusNotFound},
 	{"corpus version unknown digest", "GET", "/v1/corpora/have/versions/beef", "", "", http.StatusNotFound},

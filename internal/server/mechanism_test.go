@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dpslog"
+	"dpslog/internal/ledger"
 )
 
 // mechCase is one registered mechanism with wire-valid options for both
@@ -232,7 +233,7 @@ func TestRetiredMechanismJournalStillCounts(t *testing.T) {
 	})
 	re := newTestEnv(t, cfg)
 	type budgetResp struct {
-		Budget budgetJSON `json:"budget"`
+		Budget ledger.Status `json:"budget"`
 	}
 	want := first.Budget
 	want.Releases++
@@ -279,7 +280,7 @@ func TestAblationOptionRejected(t *testing.T) {
 	}
 	_, raw := e.get(t, "/v1/corpora/c/budget")
 	type budgetResp struct {
-		Budget budgetJSON `json:"budget"`
+		Budget ledger.Status `json:"budget"`
 	}
 	if b := decode[budgetResp](t, raw).Budget; b.Releases != 0 || b.Spent.Epsilon != 0 || b.Spent.Delta != 0 {
 		t.Fatalf("rejected release was charged: %+v", b)

@@ -231,15 +231,15 @@ type Gauges struct {
 }
 
 // LedgerGauges expose the privacy budget accounting: the configured
-// per-corpus allowance and, per stored corpus, the cumulative (ε, δ) spend
-// and release count.
+// per-lineage allowance and, per stored corpus, its lineage's cumulative
+// (ε, δ) spend and release count.
 type LedgerGauges struct {
 	Corpora                    int
 	BudgetEpsilon, BudgetDelta float64
 	PerCorpus                  []CorpusSpend
 }
 
-// CorpusSpend is one corpus's ledger line.
+// CorpusSpend is one corpus's ledger line: its lineage's spend.
 type CorpusSpend struct {
 	Name                     string
 	SpentEpsilon, SpentDelta float64
@@ -322,17 +322,17 @@ func (m *Metrics) WriteTo(w io.Writer, g Gauges) {
 		return
 	}
 	scalar(w, "slserve_corpora", "gauge", "Corpora in the disk-backed store.", g.Ledger.Corpora)
-	scalar(w, "slserve_ledger_budget_epsilon", "gauge", "Configured per-corpus epsilon allowance.", g.Ledger.BudgetEpsilon)
-	scalar(w, "slserve_ledger_budget_delta", "gauge", "Configured per-corpus delta allowance.", g.Ledger.BudgetDelta)
-	family(w, "slserve_ledger_spent_epsilon", "gauge", "Cumulative epsilon charged per corpus under sequential composition.")
+	scalar(w, "slserve_ledger_budget_epsilon", "gauge", "Configured per-lineage epsilon allowance.", g.Ledger.BudgetEpsilon)
+	scalar(w, "slserve_ledger_budget_delta", "gauge", "Configured per-lineage delta allowance.", g.Ledger.BudgetDelta)
+	family(w, "slserve_ledger_spent_epsilon", "gauge", "Cumulative epsilon charged against each corpus's lineage under sequential composition.")
 	for _, c := range g.Ledger.PerCorpus {
 		fmt.Fprintf(w, "slserve_ledger_spent_epsilon{corpus=%q} %g\n", c.Name, c.SpentEpsilon)
 	}
-	family(w, "slserve_ledger_spent_delta", "gauge", "Cumulative delta charged per corpus under sequential composition.")
+	family(w, "slserve_ledger_spent_delta", "gauge", "Cumulative delta charged against each corpus's lineage under sequential composition.")
 	for _, c := range g.Ledger.PerCorpus {
 		fmt.Fprintf(w, "slserve_ledger_spent_delta{corpus=%q} %g\n", c.Name, c.SpentDelta)
 	}
-	family(w, "slserve_ledger_releases_total", "counter", "Journaled releases per corpus.")
+	family(w, "slserve_ledger_releases_total", "counter", "Journaled releases of each corpus's lineage.")
 	for _, c := range g.Ledger.PerCorpus {
 		fmt.Fprintf(w, "slserve_ledger_releases_total{corpus=%q} %d\n", c.Name, c.Releases)
 	}

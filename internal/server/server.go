@@ -24,7 +24,7 @@
 //
 // With a data directory configured (Config.DataDir), the stateful corpus
 // subsystem adds upload-once/sanitize-many endpoints whose releases are
-// accounted against a per-corpus (ε, δ) budget (internal/corpus,
+// accounted against a per-lineage (ε, δ) budget (internal/corpus,
 // internal/ledger):
 //
 //	PUT    /v1/corpora/{name}           upload (or replace) a named corpus;
@@ -37,13 +37,13 @@
 //	                                    same body shapes as PUT
 //	GET    /v1/corpora/{name}/versions  the version chain, base first
 //	GET    /v1/corpora/{name}/versions/{digest}
-//	                                    one chain entry + that digest's budget
+//	                                    one chain entry + its lineage's budget
 //	POST   /v1/corpora/{name}/sanitize  sanitize by reference: options-only
 //	                                    body, budget-charged, 429 when the
 //	                                    remaining (ε, δ) cannot cover it;
 //	                                    ?version= selects an ancestor version
-//	GET    /v1/corpora/{name}/budget    budget, spend, remaining (?version=)
-//	GET    /v1/corpora/{name}/releases  the release journal (?version=)
+//	GET    /v1/corpora/{name}/budget    the lineage's budget, spend, remaining
+//	GET    /v1/corpora/{name}/releases  the lineage's release journal
 //
 // A JSON body carries {"options": {...}, "records": [...]} or {"options":
 // {...}, "tsv": "..."}; any other content type is read as a raw canonical
@@ -66,10 +66,12 @@
 // Every non-2xx response across every endpoint carries the uniform error
 // envelope {"error", "code", "status", "detail"?} (see errors.go).
 //
-// Each corpus version is immutable with its own digest; the ledger charges
-// releases per digest under sequential composition, so appending never
-// resets or launders the spend of prior versions, and releases journaled
-// against old versions replay for free forever. The journal records each
+// Each corpus version is immutable with its own digest. The ledger charges
+// releases per lineage under sequential composition: each release links
+// its corpus name to its version's digest, so every version of a name —
+// across appends, re-PUTs and DELETEs — draws on one budget, and two names
+// join once either releases a digest the other has released. Releases
+// journaled against old versions replay for free forever. The journal records each
 // release's output digest, and a repeat whose re-derived release differs
 // from it is withheld with a 500. A server-wide component-plan cache
 // (Config.CompCacheSize) makes the re-solve after an append incremental:
@@ -148,10 +150,12 @@ type Config struct {
 	// DataDir/ledger.journal. Empty disables the /v1/corpora endpoints
 	// (they answer 503 with a configuration hint).
 	DataDir string
-	// Budget is the per-corpus (ε, δ) allowance enforced under sequential
-	// composition across releases. Zero fields default to ε = ln 16 and
-	// δ = 1 — four (e^ε = 2, δ = 0.25) releases — a demo-sized allowance;
-	// production deployments should set it deliberately.
+	// Budget is the per-lineage (ε, δ) allowance enforced under sequential
+	// composition across releases: one budget for every version of a
+	// corpus name and every name joined to it. Zero fields default to
+	// ε = ln 16 and δ = 1 — four (e^ε = 2, δ = 0.25) releases — a
+	// demo-sized allowance; production deployments should set it
+	// deliberately.
 	Budget dpslog.Budget
 	// Mechanisms restricts the release mechanisms this server will run
 	// (wire names: "ump", "laplace", "zealous"). Empty allows
@@ -828,19 +832,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	default:
 	}
 	if stateReady && s.corpora != nil {
-		budget := s.budgets.Budget()
 		lg = &LedgerGauges{
-			BudgetEpsilon: budget.Epsilon,
-			BudgetDelta:   budget.Delta,
+			BudgetEpsilon: s.cfg.Budget.Epsilon,
+			BudgetDelta:   s.cfg.Budget.Delta,
 		}
 		for _, m := range s.corpora.List() {
 			lg.Corpora++
-			spent := s.budgets.Spent(m.Digest)
+			st := s.budgets.Status(m.Name, m.Digest)
 			lg.PerCorpus = append(lg.PerCorpus, CorpusSpend{
 				Name:         m.Name,
-				SpentEpsilon: spent.Epsilon,
-				SpentDelta:   spent.Delta,
-				Releases:     s.budgets.ReleaseCount(m.Digest),
+				SpentEpsilon: st.Spent.Epsilon,
+				SpentDelta:   st.Spent.Delta,
+				Releases:     st.Releases,
 			})
 		}
 	}

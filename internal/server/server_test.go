@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"dpslog"
+	"dpslog/internal/ledger"
 )
 
 // testEnv is one started server plus the corpus every test drives it with.
@@ -448,7 +449,7 @@ func TestSaturationReturns503(t *testing.T) {
 	// A shed corpus release never ran, so it charged nothing.
 	_, raw := e.get(t, "/v1/corpora/c/budget")
 	if b := decode[struct {
-		Budget budgetJSON `json:"budget"`
+		Budget ledger.Status `json:"budget"`
 	}](t, raw).Budget; b.Releases != 0 || b.Spent != (dpslog.Budget{}) {
 		t.Fatalf("shed release was charged: %+v", b)
 	}

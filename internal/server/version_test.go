@@ -1,13 +1,15 @@
 package server
 
-// The continual-release API surface (PR 10): POST append creating corpus
-// versions, the versions endpoints, ?version= resolution on sanitize and
-// budget reads, per-version spend isolation across appends and restarts,
-// and the Content-Type negotiation of upload bodies.
+// The continual-release API surface: POST append creating corpus
+// versions, the versions endpoints, ?version= resolution on sanitize, one
+// lineage budget shared by every version across appends and restarts, and
+// the Content-Type negotiation of upload bodies.
 
 import (
 	"net/http"
 	"testing"
+
+	"dpslog/internal/ledger"
 )
 
 // appendDelta is a small TSV delta: one brand-new user pair plus extra
@@ -36,8 +38,8 @@ func TestCorpusAppendCreatesVersions(t *testing.T) {
 	if app.TouchedUsers != 2 {
 		t.Fatalf("touched users %d, want 2", app.TouchedUsers)
 	}
-	if app.Budget.Spent.Epsilon != 0 || app.Budget.Releases != 0 {
-		t.Fatalf("new version should start with a fresh budget: %+v", app.Budget)
+	if app.Budget != base.Budget {
+		t.Fatalf("append budget %+v, want the unspent lineage %+v", app.Budget, base.Budget)
 	}
 
 	// The corpus read now carries the chain, base first.
@@ -71,8 +73,8 @@ func TestCorpusAppendCreatesVersions(t *testing.T) {
 		t.Fatalf("version get: %d %s", resp.StatusCode, raw)
 	}
 	type versionResp struct {
-		Latest  bool       `json:"latest"`
-		Budget  budgetJSON `json:"budget"`
+		Latest  bool          `json:"latest"`
+		Budget  ledger.Status `json:"budget"`
 		Version struct {
 			Digest string `json:"digest"`
 			Seq    int    `json:"seq"`
@@ -87,7 +89,7 @@ func TestCorpusAppendCreatesVersions(t *testing.T) {
 		t.Fatalf("bogus version digest: %d", resp.StatusCode)
 	}
 
-	// Sanitize the latest (default): charged against the new digest.
+	// Sanitize the latest (default): computed from the new digest.
 	resp, raw = e.post(t, "/v1/corpora/c/sanitize", "application/json", sanitizeBody(1))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sanitize latest: %d %s", resp.StatusCode, raw)
@@ -97,8 +99,8 @@ func TestCorpusAppendCreatesVersions(t *testing.T) {
 		t.Fatalf("latest release version %s / digest %s, want %s", latestRel.Version, latestRel.Digest, app.Digest)
 	}
 
-	// Sanitize the base by reference: charged against the base digest,
-	// independent of the latest version's spend.
+	// Sanitize the base by reference: computed from the base digest and
+	// charged to the same lineage as the latest version's release.
 	resp, raw = e.post(t, "/v1/corpora/c/sanitize?version="+base.Digest, "application/json", sanitizeBody(1))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sanitize ?version=: %d %s", resp.StatusCode, raw)
@@ -114,17 +116,29 @@ func TestCorpusAppendCreatesVersions(t *testing.T) {
 		t.Fatal("releases of different versions sanitized identical inputs")
 	}
 
-	// Spend is per-digest: each version has exactly its own release.
-	for _, digest := range []string{base.Digest, app.Digest} {
-		_, raw = e.get(t, "/v1/corpora/c/budget?version="+digest)
-		type budgetResp struct {
-			Version string     `json:"version"`
-			Budget  budgetJSON `json:"budget"`
-		}
-		b := decode[budgetResp](t, raw)
-		if b.Version != digest || b.Budget.Releases != 1 {
-			t.Fatalf("budget of %s: %+v", digest, b)
-		}
+	// Spend is per lineage: the budget counts both versions' releases,
+	// and the release list breaks them down by version digest.
+	if baseRel.Budget.Releases != 2 || baseRel.Budget.Spent.Epsilon <= latestRel.Budget.Spent.Epsilon {
+		t.Fatalf("base release budget %+v after latest %+v", baseRel.Budget, latestRel.Budget)
+	}
+	_, raw = e.get(t, "/v1/corpora/c/budget")
+	if b := decode[struct {
+		Budget ledger.Status `json:"budget"`
+	}](t, raw); b.Budget != baseRel.Budget {
+		t.Fatalf("lineage budget %+v, want %+v", b.Budget, baseRel.Budget)
+	}
+	_, raw = e.get(t, "/v1/corpora/c/versions/"+base.Digest)
+	if vg := decode[versionResp](t, raw); vg.Budget != baseRel.Budget {
+		t.Fatalf("base version budget %+v, want the lineage's %+v", vg.Budget, baseRel.Budget)
+	}
+	_, raw = e.get(t, "/v1/corpora/c/releases")
+	rels := decode[struct {
+		Releases []struct {
+			Digest string `json:"digest"`
+		} `json:"releases"`
+	}](t, raw).Releases
+	if len(rels) != 2 || rels[0].Digest != app.Digest || rels[1].Digest != base.Digest {
+		t.Fatalf("lineage releases %+v, want the latest's then the base's", rels)
 	}
 	resp, _ = e.post(t, "/v1/corpora/c/sanitize?version=deadbeef", "application/json", sanitizeBody(1))
 	if resp.StatusCode != http.StatusNotFound {
@@ -143,7 +157,7 @@ func TestCorpusAppendCreatesVersions(t *testing.T) {
 }
 
 // TestVersionsAndSpendSurviveRestart: the chain metadata, old-version
-// materialization, and per-digest accounting all replay from disk, and
+// materialization, and the lineage's accounting all replay from disk, and
 // releases journaled against an ancestor and against the latest version
 // stay free after both an append and a restart.
 func TestVersionsAndSpendSurviveRestart(t *testing.T) {
@@ -172,10 +186,10 @@ func TestVersionsAndSpendSurviveRestart(t *testing.T) {
 		t.Fatalf("post-restart chain %+v", meta.Versions)
 	}
 	// The latest version's release replays free: the journaled release
-	// and bytes, with the spend of exactly that one release.
+	// and bytes, with the lineage's spend exactly as before the restart.
 	resp, raw = e2.post(t, "/v1/corpora/c/sanitize", "application/json", sanitizeBody(1))
 	if got := decode[corpusSanitizeResponse](t, raw); resp.StatusCode != http.StatusOK || got.Release != v2rel.Release ||
-		got.ReleaseDigest != v2rel.ReleaseDigest || got.Budget.Releases != 1 || got.Budget.Spent.Epsilon <= 0 {
+		got.ReleaseDigest != v2rel.ReleaseDigest || got.Budget != v2rel.Budget || got.Budget.Releases != 2 {
 		t.Fatalf("post-restart latest replay: %d %s", resp.StatusCode, raw)
 	}
 	// Replaying the v1 release is free (seq unchanged) and computed against
@@ -188,8 +202,8 @@ func TestVersionsAndSpendSurviveRestart(t *testing.T) {
 	if replay.Release.Seq != v1rel.Release.Seq || replay.ReleaseDigest != v1rel.ReleaseDigest {
 		t.Fatalf("ancestor replay diverged: %+v vs %+v", replay.Release, v1rel.Release)
 	}
-	if replay.Budget.Releases != 1 {
-		t.Fatalf("ancestor was re-charged: %+v", replay.Budget)
+	if replay.Budget != v2rel.Budget {
+		t.Fatalf("ancestor replay changed the lineage budget: %+v, want %+v", replay.Budget, v2rel.Budget)
 	}
 }
 
