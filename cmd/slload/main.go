@@ -46,8 +46,8 @@
 //	       [-corpus replay]
 //
 // Synthesizes a deterministic mixed trace — chunked ingest PUTs, sync and
-// async sanitize, corpus-referencing sanitize (UMP plus alternating
-// zealous/laplace mechanism releases), budget and stats queries, and a
+// async sanitize, corpus-referencing sanitize (UMP plus zealous
+// mechanism releases), budget and stats queries, and a
 // deliberate over-budget 429 storm — Poisson-paced at -rps for -duration.
 // The same flags always produce the same trace, so a replayed run can be
 // gated against a committed per-class count baseline.

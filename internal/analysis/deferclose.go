@@ -7,9 +7,10 @@ import (
 )
 
 // strictClosePkgs hold fsync-before-rename durability paths: the corpus
-// store's atomic TSV publish and the ledger's append-only journal. There, a
-// discarded Sync error means a "durable" write may not be.
-var strictClosePkgs = []string{"internal/corpus", "internal/ledger"}
+// store's atomic TSV publish and the append-only journals of the ledger and
+// the version chains. There, a discarded Sync error means a "durable" write
+// may not be.
+var strictClosePkgs = []string{"internal/corpus", "internal/ledger", "internal/journal"}
 
 // DeferClose is the PR 7 trace-file bug class: `defer f.Close()` on a file
 // opened for writing throws away the one error that reports a failed
@@ -25,8 +26,8 @@ var strictClosePkgs = []string{"internal/corpus", "internal/ledger"}
 var DeferClose = &Analyzer{
 	Name: "deferclose",
 	Doc: "flag bare `defer f.Close()` on writable *os.File / io.WriteCloser values without error " +
-		"handling (close explicitly and propagate, or dual-close); in internal/corpus and " +
-		"internal/ledger also flag discarded Sync/Close errors on the durability paths",
+		"handling (close explicitly and propagate, or dual-close); in internal/corpus, " +
+		"internal/ledger and internal/journal also flag discarded Sync/Close errors on the durability paths",
 	Run: runDeferClose,
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -17,11 +18,13 @@ import (
 	"dpslog/internal/searchlog"
 )
 
-// TestAppendWritesLatestOnce: the latest file an append publishes is the
-// one it hashed — its bytes hash to the meta digest, the chain head and the
-// served log's digest — no staged temp file is left behind, and a reopened
-// store serves the same log. The deltas cover existing cells only and new
-// users and pairs.
+// TestAppendWritesLatestOnce: every version an append journals is the one
+// it hashed — the served log, its image, the meta digest and the chain head
+// agree, and Meta.Bytes is the image's size — c.tsv always hashes to a
+// version of the chain and, whenever an append rewrote it, to the new
+// head; no staged temp file is left behind, and a reopened store serves
+// the same log. The deltas cover existing cells only and new users and
+// pairs.
 func TestAppendWritesLatestOnce(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -31,16 +34,15 @@ func TestAppendWritesLatestOnce(t *testing.T) {
 	if _, err := s.Put("c", testLog(t, rowsA)); err != nil {
 		t.Fatal(err)
 	}
+	prev, err := os.ReadFile(filepath.Join(dir, "c.tsv"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, rows := range []string{"u1\tq1\thttp://a\t4\n", deltaRows1, "a0\tq0\thttp://0\t1\nu2\tq0\thttp://0\t2\n"} {
 		m, v, _, err := s.Append("c", testLog(t, rows))
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := os.ReadFile(filepath.Join(dir, "c.tsv"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(raw)
 		l, _, err := s.Get("c")
 		if err != nil {
 			t.Fatal(err)
@@ -49,18 +51,34 @@ func TestAppendWritesLatestOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if file := hex.EncodeToString(sum[:]); file != m.Digest || file != v.Digest || file != vs[len(vs)-1].Digest || file != l.Digest() {
-			t.Fatalf("c.tsv hashes to %s; meta %s, version %s, head %s, log %s", file, m.Digest, v.Digest, vs[len(vs)-1].Digest, l.Digest())
+		var img bytes.Buffer
+		if _, err := searchlog.WriteTSVDigest(&img, l); err != nil {
+			t.Fatal(err)
 		}
-		if m.Bytes != int64(len(raw)) {
-			t.Fatalf("meta bytes %d, file %d", m.Bytes, len(raw))
+		sum := sha256.Sum256(img.Bytes())
+		if d := hex.EncodeToString(sum[:]); d != m.Digest || d != v.Digest || d != vs[len(vs)-1].Digest || d != l.Digest() {
+			t.Fatalf("image hashes to %s; meta %s, version %s, head %s, log %s", d, m.Digest, v.Digest, vs[len(vs)-1].Digest, l.Digest())
 		}
+		if m.Bytes != int64(img.Len()) {
+			t.Fatalf("meta bytes %d, image %d", m.Bytes, img.Len())
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, "c.tsv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, prev) && !bytes.Equal(raw, img.Bytes()) {
+			t.Fatalf("append rewrote c.tsv (%d bytes) to something other than its head (%d bytes)", len(raw), img.Len())
+		}
+		if !chainHas(vs, raw) {
+			t.Fatal("c.tsv hashes to no version of the chain")
+		}
+		prev = raw
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range entries {
-			if strings.HasPrefix(e.Name(), ".corpus.tmp-") {
+			if strings.HasPrefix(e.Name(), ".") {
 				t.Fatalf("staged file %s left behind", e.Name())
 			}
 		}
@@ -76,7 +94,20 @@ func TestAppendWritesLatestOnce(t *testing.T) {
 		if rm.Digest != m.Digest || rm.Bytes != m.Bytes || rl.Digest() != l.Digest() {
 			t.Fatalf("reopened store serves %s (%d bytes), want %s (%d bytes)", rm.Digest, rm.Bytes, m.Digest, m.Bytes)
 		}
+		re.Close()
 	}
+}
+
+// chainHas reports whether raw hashes to a version of vs.
+func chainHas(vs []Version, raw []byte) bool {
+	sum := sha256.Sum256(raw)
+	d := hex.EncodeToString(sum[:])
+	for _, v := range vs {
+		if v.Digest == d {
+			return true
+		}
+	}
+	return false
 }
 
 // TestConcurrentAppendAndReads runs appends while readers walk the latest
@@ -157,12 +188,14 @@ func TestConcurrentAppendAndReads(t *testing.T) {
 }
 
 // TestAppendChainPublishesExactImages runs a chain through every way a
-// version can get its file: PUT, three appends, a reopen (whose logs keep
-// no TSV image), two appends, a PUT that resets the chain and one append.
-// Every published c.tsv must be WriteTSV of a Builder-built copy of the
-// served log and hash to the chain head. The first append after a PUT or
-// a reopen formats its file in full; later ones splice the parent's image.
-// Finally c.tsv is rolled back two versions, and Open's forward fold heals
+// version can get its image: PUT, three appends, a reopen (which folds the
+// journaled appends onto the checkpoint), appends until one checkpoints, a
+// PUT that resets the chain and two appends. Every version's image must be
+// WriteTSV of a Builder-built copy of the served log and hash to the chain
+// head, and every checkpoint must write exactly that image to c.tsv. The
+// first append after a PUT formats its image in full; later ones, and the
+// first after a reopen that folded, splice the parent's image. Finally
+// c.tsv is rolled back to the reset base, and Open's forward fold heals
 // it to the same head without truncating the chain.
 func TestAppendChainPublishesExactImages(t *testing.T) {
 	p, err := gen.Profiles("tiny")
@@ -175,15 +208,20 @@ func TestAppendChainPublishesExactImages(t *testing.T) {
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "c.tsv")
-	published := map[string][]byte{} // c.tsv bytes by digest
+	published := map[string][]byte{} // each version's image by digest
+	var lastFile []byte
+	checkpoints := 0
 	check := func(s *Store, step string, wantSpliced bool) {
 		t.Helper()
-		raw, err := os.ReadFile(path)
+		l, m, err := s.Get("c")
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, m, err := s.Get("c")
-		if err != nil {
+		if l.ImageSpliced() != wantSpliced {
+			t.Fatalf("%s: image spliced %t, want %t", step, l.ImageSpliced(), wantSpliced)
+		}
+		var img bytes.Buffer
+		if _, err := searchlog.WriteTSVDigest(&img, l); err != nil {
 			t.Fatal(err)
 		}
 		fresh, err := searchlog.BuildFromUserCounts(l.UserCounts())
@@ -194,21 +232,32 @@ func TestAppendChainPublishesExactImages(t *testing.T) {
 		if _, err := searchlog.WriteTSV(&want, fresh); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(raw, want.Bytes()) {
-			t.Fatalf("%s: c.tsv (%d bytes) differs from WriteTSV of the log (%d bytes)", step, len(raw), want.Len())
+		if !bytes.Equal(img.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: image (%d bytes) differs from WriteTSV of the log (%d bytes)", step, img.Len(), want.Len())
 		}
 		vs, err := s.Versions("c")
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum := sha256.Sum256(raw)
+		sum := sha256.Sum256(img.Bytes())
 		if d := hex.EncodeToString(sum[:]); d != m.Digest || d != vs[len(vs)-1].Digest || d != l.Digest() {
-			t.Fatalf("%s: c.tsv hashes to %s; meta %s, head %s, log %s", step, d, m.Digest, vs[len(vs)-1].Digest, l.Digest())
+			t.Fatalf("%s: image hashes to %s; meta %s, head %s, log %s", step, d, m.Digest, vs[len(vs)-1].Digest, l.Digest())
 		}
-		if l.ImageSpliced() != wantSpliced {
-			t.Fatalf("%s: image spliced %t, want %t", step, l.ImageSpliced(), wantSpliced)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		published[m.Digest] = raw
+		if !bytes.Equal(raw, lastFile) {
+			// Rewritten: a PUT or a checkpoint, which publish the head.
+			if !bytes.Equal(raw, img.Bytes()) {
+				t.Fatalf("%s: c.tsv rewritten to %d bytes, not the head's %d-byte image", step, len(raw), img.Len())
+			}
+			checkpoints++
+			lastFile = raw
+		} else if !chainHas(vs, raw) {
+			t.Fatalf("%s: c.tsv hashes to no version of the chain", step)
+		}
+		published[m.Digest] = img.Bytes()
 	}
 	appends := 0
 	appendOne := func(s *Store, wantSpliced bool) {
@@ -242,9 +291,15 @@ func TestAppendChainPublishesExactImages(t *testing.T) {
 	if s, err = Open(dir); err != nil {
 		t.Fatal(err)
 	}
+	if got := s.Recovery().Folded; got != 3 {
+		t.Fatalf("reopen folded %d versions, want the 3 journaled since the PUT", got)
+	}
 	check(s, "reopen", false)
-	for i := range 2 {
-		appendOne(s, i > 0)
+	for ckpt := checkpoints; checkpoints == ckpt; {
+		if appends > 200 {
+			t.Fatal("no checkpoint in 200 appends")
+		}
+		appendOne(s, true)
 	}
 	other, err := gen.Generate(p, 2)
 	if err != nil {
@@ -255,9 +310,6 @@ func TestAppendChainPublishesExactImages(t *testing.T) {
 	}
 	check(s, "put reset", false)
 	appendOne(s, false)
-
-	// Roll c.tsv back to the reset base; the chain names two appends
-	// after it once one more lands.
 	appendOne(s, true)
 	vs, err := s.Versions("c")
 	if err != nil {
@@ -266,9 +318,13 @@ func TestAppendChainPublishesExactImages(t *testing.T) {
 	if len(vs) != 3 {
 		t.Fatalf("chain after reset has %d versions, want 3", len(vs))
 	}
+
+	// Roll c.tsv back to the reset base; the chain names two appends
+	// after it.
 	if err := os.WriteFile(path, published[vs[0].Digest], 0o644); err != nil {
 		t.Fatal(err)
 	}
+	lastFile = published[vs[0].Digest]
 	if s, err = Open(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -279,59 +335,128 @@ func TestAppendChainPublishesExactImages(t *testing.T) {
 	if len(healed) != len(vs) || healed[len(healed)-1].Digest != vs[len(vs)-1].Digest {
 		t.Fatalf("healed chain %+v, want %+v", healed, vs)
 	}
-	check(s, "healed", true)
+	check(s, "healed", false)
 }
 
-// TestOpenReadsIndentedVersions: a chain file written indented, as stores
-// before the compact encoding wrote it, opens to the same chain.
+// legacyStore writes, by hand, the directory a store from before the
+// chain journal left behind for a PUT and two appends: c.tsv at the head,
+// name.versions.json (indented if asked) and one c.d<seq>.tsv per append.
+// It returns the chain the store should open to.
+func legacyStore(t *testing.T, dir string, indent bool) []Version {
+	t.Helper()
+	src, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Put("c", testLog(t, rowsA)); err != nil {
+		t.Fatal(err)
+	}
+	for i, rows := range []string{deltaRows1, deltaRows2} {
+		if _, _, _, err := src.Append("c", testLog(t, rows)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("c.d%d.tsv", i+2)), []byte(rows), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vs, err := src.Versions("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := src.Get("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var head bytes.Buffer
+	if _, err := searchlog.WriteTSV(&head, l); err != nil {
+		t.Fatal(err)
+	}
+	file := map[string]any{"v": 1, "versions": vs}
+	raw, err := json.Marshal(file)
+	if indent {
+		raw, err = json.MarshalIndent(file, "", "  ")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "c.versions.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "c.tsv"), head.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return vs
+}
+
+// TestOpenReadsIndentedVersions: a legacy directory — versions.json, compact
+// or indented as older stores wrote it, plus one delta file per append —
+// opens to the same chain, Created included, and every version
+// materializes to its digest. The old files are migrated into the journal
+// and removed, once: a reopen migrates nothing. An interrupted migration
+// (journal written, old files still present) keeps the journal and
+// finishes the removal.
 func TestOpenReadsIndentedVersions(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Put("c", testLog(t, rowsA)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := s.Append("c", testLog(t, deltaRows1)); err != nil {
-		t.Fatal(err)
-	}
-	vs, err := s.Versions("c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(s.versionsPath("c"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(raw, []byte("\n ")) {
-		t.Fatalf("versions.json written indented:\n%s", raw)
-	}
-	var indented bytes.Buffer
-	if err := json.Indent(&indented, raw, "", "  "); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.versionsPath("c"), indented.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := re.Versions("c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(vs) {
-		t.Fatalf("reopened chain has %d versions, want %d", len(got), len(vs))
-	}
-	for i := range vs {
-		if !got[i].Created.Equal(vs[i].Created) {
-			t.Fatalf("version %d created %v, want %v", i, got[i].Created, vs[i].Created)
+	for _, indent := range []bool{false, true} {
+		dir := t.TempDir()
+		vs := legacyStore(t, dir, indent)
+		sameChain := func(s *Store, step string) {
+			t.Helper()
+			got, err := s.Versions("c")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(vs) {
+				t.Fatalf("%s: chain has %d versions, want %d", step, len(got), len(vs))
+			}
+			for i := range vs {
+				if !got[i].Created.Equal(vs[i].Created) {
+					t.Fatalf("%s: version %d created %v, want %v", step, i, got[i].Created, vs[i].Created)
+				}
+				got[i].Created = vs[i].Created
+				if got[i] != vs[i] {
+					t.Fatalf("%s: version %d opened as %+v, want %+v", step, i, got[i], vs[i])
+				}
+				l, _, err := s.GetVersion("c", vs[i].Digest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if l.Digest() != vs[i].Digest {
+					t.Fatalf("%s: version %d materialized to %s", step, i, l.Digest())
+				}
+			}
+			for _, old := range []string{"c.versions.json", "c.d2.tsv", "c.d3.tsv"} {
+				if _, err := os.Stat(filepath.Join(dir, old)); !errors.Is(err, os.ErrNotExist) {
+					t.Fatalf("%s: legacy file %s left behind: %v", step, old, err)
+				}
+			}
 		}
-		got[i].Created = vs[i].Created
-		if got[i] != vs[i] {
-			t.Fatalf("version %d reopened as %+v, want %+v", i, got[i], vs[i])
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if got := s.Recovery().Migrated; got != 1 {
+			t.Fatalf("indent %t: Open migrated %d corpora, want 1", indent, got)
+		}
+		sameChain(s, "migrated")
+		s.Close()
+		re, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := re.Recovery().Migrated; got != 0 {
+			t.Fatalf("reopen migrated %d corpora again", got)
+		}
+		sameChain(re, "reopened")
+		re.Close()
+
+		// Cut a migration short: the journal is written, the old files are
+		// back. The journal is kept.
+		legacyStore(t, dir, indent)
+		cut, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameChain(cut, "interrupted")
+		cut.Close()
 	}
 }

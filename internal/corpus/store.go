@@ -10,7 +10,8 @@
 // digest and shape, and the parsed Log itself is cached — uploads are rare
 // and reads are hot, which is exactly the profile an in-memory cache wants.
 // Appends add versions (see version.go): each folds a delta into the latest
-// Log with a linear merge that shares the parent's unchanged rows.
+// Log with a linear merge that shares the parent's unchanged rows, and
+// journals the delta; the TSV file becomes a checkpoint of the chain.
 package corpus
 
 import (
@@ -27,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"dpslog/internal/journal"
 	"dpslog/internal/searchlog"
 )
 
@@ -37,14 +39,15 @@ var ErrNotFound = errors.New("corpus: not found")
 // be possible to traverse out of the store directory via a crafted name.
 var nameRE = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,63}$`)
 
-// deltaNameRE matches the stem of an append delta file (name.d<seq>.tsv),
-// which the store-directory scan must not mistake for a corpus of its own.
-// The ".d<seq>" suffix is consequently reserved: ValidName refuses it.
+// deltaNameRE matches the stem of a legacy append delta file
+// (name.d<seq>.tsv, see version.go's migration), which the store-directory
+// scan must not mistake for a corpus of its own. The ".d<seq>" suffix is
+// consequently reserved: ValidName refuses it.
 var deltaNameRE = regexp.MustCompile(`\.d[0-9]+$`)
 
 // ValidName reports whether name is an acceptable corpus name: 1–64 chars,
 // alphanumeric plus ._-, starting alphanumeric, and not ending in the
-// ".d<seq>" suffix reserved for append delta files.
+// ".d<seq>" suffix reserved for legacy append delta files.
 func ValidName(name string) bool {
 	return nameRE.MatchString(name) && !strings.Contains(name, "..") &&
 		!deltaNameRE.MatchString(name)
@@ -56,11 +59,13 @@ type Meta struct {
 	// Digest is the hex SHA-256 of the canonical TSV form — the identity
 	// the release key is built on; the privacy ledger links it to the
 	// name in one lineage.
-	Digest   string    `json:"digest"`
-	Size     int       `json:"size"` // total click-count mass
-	NumUsers int       `json:"num_users"`
-	NumPairs int       `json:"num_pairs"`
-	Bytes    int64     `json:"bytes"` // on-disk TSV size
+	Digest   string `json:"digest"`
+	Size     int    `json:"size"` // total click-count mass
+	NumUsers int    `json:"num_users"`
+	NumPairs int    `json:"num_pairs"`
+	// Bytes is the size of the latest version's canonical TSV, which
+	// name.tsv holds only as of its last checkpoint.
+	Bytes    int64     `json:"bytes"`
 	Uploaded time.Time `json:"uploaded"`
 }
 
@@ -70,8 +75,23 @@ type Store struct {
 	dir      string
 	metas    map[string]Meta
 	logs     map[string]*searchlog.Log // latest version of each corpus
-	versions map[string][]Version      // append-only chain, base first
+	chains   map[string]*chain         // append-only chain, base first
 	oldLogs  map[string]*searchlog.Log // materialized non-latest versions
+	recovery Recovery
+}
+
+// Recovery counts what Open repaired or rebuilt on the way to the state
+// the store serves.
+type Recovery struct {
+	// TornTails counts chain journals whose torn final line Open truncated
+	// or whose lost '\n' it restored.
+	TornTails int
+	// Folded counts versions Open folded forward from a journal past the
+	// version name.tsv held.
+	Folded int
+	// Migrated counts corpora whose legacy chain files Open moved into a
+	// journal.
+	Migrated int
 }
 
 // Open creates (if needed) and loads the store directory, parsing every
@@ -81,11 +101,11 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("corpus: create store dir: %w", err)
 	}
 	s := &Store{
-		dir:      dir,
-		metas:    make(map[string]Meta),
-		logs:     make(map[string]*searchlog.Log),
-		versions: make(map[string][]Version),
-		oldLogs:  make(map[string]*searchlog.Log),
+		dir:     dir,
+		metas:   make(map[string]Meta),
+		logs:    make(map[string]*searchlog.Log),
+		chains:  make(map[string]*chain),
+		oldLogs: make(map[string]*searchlog.Log),
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -94,8 +114,8 @@ func Open(dir string) (*Store, error) {
 	for _, e := range entries {
 		name, ok := strings.CutSuffix(e.Name(), ".tsv")
 		if e.IsDir() || !ok || !ValidName(name) {
-			// Leftovers are not corpora: temp files, chain metadata, and
-			// append delta files (whose ".d<seq>" stem ValidName refuses).
+			// Leftovers are not corpora: temp files, journals, and legacy
+			// delta files (whose ".d<seq>" stem ValidName refuses).
 			continue
 		}
 		if err := s.load(name, e); err != nil {
@@ -125,15 +145,14 @@ func (s *Store) load(name string, e os.DirEntry) error {
 	if err != nil {
 		return fmt.Errorf("corpus: stat %s: %w", path, err)
 	}
-	// Align content with the recorded version chain (heal a crashed append,
-	// or synthesize the single-version chain of a legacy corpus).
-	vs, latest, digest, bytes, err := s.reconcile(name, l, hex.EncodeToString(h.Sum(nil)), info.Size(), info.ModTime())
+	// Fold the journaled chain forward from the version the file holds.
+	latest, digest, bytes, err := s.openChain(name, l, hex.EncodeToString(h.Sum(nil)), info.Size(), info.ModTime())
 	if err != nil {
 		return err
 	}
+	vs := s.chains[name].vs
 	s.metas[name] = metaOf(name, latest, digest, bytes, vs[len(vs)-1].Created)
 	s.logs[name] = latest
-	s.versions[name] = vs
 	return nil
 }
 
@@ -165,41 +184,59 @@ func (s *Store) Put(name string, l *searchlog.Log) (Meta, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The canonical rows are hashed as they are written, so storing a
-	// corpus costs exactly one serialization pass — no post-hoc l.Digest()
-	// re-walk of a multi-hundred-MB log.
-	var digest string
-	size, err := s.writeAtomic(s.path(name), func(w io.Writer) (err error) {
-		digest, err = searchlog.WriteTSVDigest(w, l)
-		return err
-	})
+	size, digest, err := s.writeAtomic(s.path(name), l)
 	if err != nil {
 		return Meta{}, err
 	}
 	m := metaOf(name, l, digest, size, time.Now())
 	// A PUT is a full replacement, not an append: the version chain resets
-	// to a single base version and any prior deltas are orphaned. (Budget
-	// accounting is digest-keyed in the ledger and survives untouched.)
-	s.removeChainFiles(name, s.versions[name])
-	vs := []Version{baseVersion(l, m.Digest, m.Uploaded)}
-	if err := s.writeVersions(name, vs); err != nil {
+	// to a single base version, whose journal replaces the old one whole.
+	// (Budget accounting is per lineage in the ledger and survives
+	// untouched.)
+	base := &chain{vs: []Version{baseVersion(l, m.Digest, m.Uploaded)}}
+	if _, err := s.createChain(name, base, 1, size); err != nil {
 		return Meta{}, err
 	}
 	s.dropOld(name)
 	s.metas[name] = m
 	s.logs[name] = l
-	s.versions[name] = vs
 	return m, nil
 }
 
-// syncDir makes a rename durable; not all platforms support fsync on a
-// directory handle, so failure is ignored.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		//slvet:ignore deferclose directory fsync is best-effort by contract: not all platforms support fsync on a directory handle
-		d.Sync()
-		d.Close()
+// writeAtomic writes l's canonical TSV to path via a temp file in the
+// store directory, fsynced, renamed into place and made durable by a
+// directory fsync. The rows are hashed as they are written, so storing a
+// corpus costs exactly one serialization pass — no post-hoc l.Digest()
+// re-walk of a multi-hundred-MB log. It returns the size and digest.
+func (s *Store) writeAtomic(path string, l *searchlog.Log) (int64, string, error) {
+	tmp, err := os.CreateTemp(s.dir, ".corpus.tmp-*")
+	if err != nil {
+		return 0, "", fmt.Errorf("corpus: create temp file: %w", err)
 	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	fail := func(op string, err error) (int64, string, error) {
+		tmp.Close()
+		return 0, "", fmt.Errorf("corpus: %s %s: %w", op, path, err)
+	}
+	digest, err := searchlog.WriteTSVDigest(tmp, l)
+	if err != nil {
+		return fail("write", err)
+	}
+	if err := tmp.Sync(); err != nil {
+		return fail("sync", err)
+	}
+	info, err := tmp.Stat()
+	if err != nil {
+		return fail("stat", err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fail("close", err)
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return 0, "", fmt.Errorf("corpus: publish %s: %w", path, err)
+	}
+	journal.SyncDir(s.dir)
+	return info.Size(), digest, nil
 }
 
 // Get returns the parsed log and metadata for name.
@@ -233,12 +270,36 @@ func (s *Store) Delete(name string) error {
 	if err := os.Remove(s.path(name)); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("corpus: delete %s: %w", name, err)
 	}
-	s.removeChainFiles(name, s.versions[name])
+	if j := s.chains[name].j; j != nil {
+		j.Close()
+	}
+	os.Remove(s.journalPath(name))
 	s.dropOld(name)
 	delete(s.metas, name)
 	delete(s.logs, name)
-	delete(s.versions, name)
+	delete(s.chains, name)
 	return nil
+}
+
+// Recovery reports what Open repaired or rebuilt.
+func (s *Store) Recovery() Recovery {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.recovery
+}
+
+// Close releases every chain journal. The Store must not be used
+// afterwards.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var errs []error
+	for _, c := range s.chains {
+		if c.j != nil {
+			errs = append(errs, c.j.Close())
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // List returns the metadata of every stored corpus, sorted by name.

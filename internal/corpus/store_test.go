@@ -122,12 +122,12 @@ func TestPutOverwriteAndAtomicity(t *testing.T) {
 	if m.Digest != lb.Digest() {
 		t.Fatal("overwrite kept the old digest")
 	}
-	// No temp litter: exactly the published TSV and its version chain.
+	// No temp litter: exactly the published TSV and its chain journal.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 || entries[0].Name() != "c.tsv" || entries[1].Name() != "c.versions.json" {
+	if len(entries) != 2 || entries[0].Name() != "c.journal" || entries[1].Name() != "c.tsv" {
 		names := []string{}
 		for _, e := range entries {
 			names = append(names, e.Name())

@@ -169,16 +169,16 @@ func TestLegacyCorpusSynthesizesSingleVersion(t *testing.T) {
 	if vs[0].Digest != m.Digest {
 		t.Fatal("legacy base version digest diverges from meta")
 	}
-	// Opening must not have written chain metadata for a corpus nobody
+	// Opening must not have written a chain journal for a corpus nobody
 	// appended to.
-	if _, err := os.Stat(dir + "/old.versions.json"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("legacy open wrote chain metadata: %v", err)
+	if _, err := os.Stat(dir + "/old.journal"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("legacy open wrote a chain journal: %v", err)
 	}
 	// An append upgrades it in place.
 	if _, _, _, err := s.Append("old", testLog(t, deltaRows1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(dir + "/old.versions.json"); err != nil {
+	if _, err := os.Stat(dir + "/old.journal"); err != nil {
 		t.Fatal(err)
 	}
 }

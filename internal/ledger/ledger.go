@@ -28,17 +28,15 @@
 package ledger
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"slices"
 	"sync"
 	"time"
 
+	"dpslog/internal/journal"
 	"dpslog/internal/obs"
 )
 
@@ -123,10 +121,8 @@ func (e *OverBudgetError) Error() string {
 type Ledger struct {
 	mu       sync.Mutex
 	budget   Budget
-	path     string
-	f        *os.File
+	j        *journal.File
 	seq      int
-	off      int64            // durable journal length in bytes
 	journal  []Release        // every entry, in Seq order
 	byKey    map[string]int   // idempotency index into journal
 	parent   map[node]node    // union-find forest; roots have no entry
@@ -150,86 +146,39 @@ type lineage struct {
 // Open loads (or creates) the journal at path and replays it into an
 // in-memory accounting state. A torn final line — a crash mid-append — is
 // truncated away; any earlier malformed line is an error, since silently
-// dropping interior entries would under-count spending.
+// dropping interior entries would under-count spending (internal/journal).
 func Open(path string, budget Budget) (*Ledger, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("ledger: open journal: %w", err)
-	}
 	l := &Ledger{
 		budget:   budget,
-		path:     path,
-		f:        f,
 		byKey:    make(map[string]int),
 		parent:   make(map[node]node),
 		lineages: make(map[node]lineage),
 		now:      time.Now,
 	}
-	if err := l.replay(); err != nil {
-		f.Close()
-		return nil, err
+	j, err := journal.Open(path, "ledger", func(line []byte) error {
+		var rel Release
+		if err := json.Unmarshal(line, &rel); err != nil {
+			return err
+		}
+		if rel.Digest == "" || rel.Key == "" {
+			return errors.New("release without digest or key")
+		}
+		l.commit(rel)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ledger: %w", err)
 	}
+	l.j = j
 	return l, nil
 }
 
-// replay rebuilds the accounting maps from the journal and positions the
-// file at its durable end.
-func (l *Ledger) replay() error {
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("ledger: seek journal: %w", err)
+// TornTails reports how many torn journal tails Open repaired: 0 or 1.
+func (l *Ledger) TornTails() int {
+	if l.j.Torn() {
+		return 1
 	}
-	r := bufio.NewReader(l.f)
-	var (
-		durable      int64 // byte offset after the last intact line
-		lineNo       int
-		repairTailNL bool // final line parsed but lost its '\n' in a crash
-	)
-	for {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF && len(line) == 0 {
-			break
-		}
-		if err != nil && err != io.EOF {
-			return fmt.Errorf("ledger: read journal: %w", err)
-		}
-		atEOF := err == io.EOF
-		lineNo++
-		var rel Release
-		if jerr := json.Unmarshal(line, &rel); jerr != nil || rel.Digest == "" || rel.Key == "" {
-			if atEOF {
-				break // torn final line from a crash mid-append; truncate below
-			}
-			return fmt.Errorf("ledger: journal %s line %d is corrupt (not at tail): %v", l.path, lineNo, jerr)
-		}
-		l.commit(rel)
-		durable += int64(len(line))
-		if atEOF {
-			// The entry is complete except for its terminator (a crash could
-			// persist the bytes but not the '\n'). Keeping it errs on the
-			// private side — the release may have been handed out — but the
-			// missing newline must be restored, or the next append would
-			// concatenate two entries onto one unparseable line.
-			repairTailNL = true
-			break
-		}
-	}
-	if err := l.f.Truncate(durable); err != nil {
-		return fmt.Errorf("ledger: truncate torn journal tail: %w", err)
-	}
-	if _, err := l.f.Seek(durable, io.SeekStart); err != nil {
-		return fmt.Errorf("ledger: seek journal end: %w", err)
-	}
-	if repairTailNL {
-		if _, err := l.f.Write([]byte{'\n'}); err != nil {
-			return fmt.Errorf("ledger: repair journal tail: %w", err)
-		}
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("ledger: repair journal tail: %w", err)
-		}
-		durable++
-	}
-	l.off = durable
-	return nil
+	return 0
 }
 
 // commit applies one journaled release to the in-memory state: it links
@@ -300,7 +249,7 @@ func (l *Ledger) roots(corpus, digest string) []node {
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.f.Close()
+	return l.j.Close()
 }
 
 // Status snapshots, under one lock, the accounting a release of digest
@@ -417,30 +366,12 @@ func (l *Ledger) Charge(ctx context.Context, rel Release) (Release, bool, error)
 	if err != nil {
 		return Release{}, false, fmt.Errorf("ledger: marshal release: %w", err)
 	}
-	line = append(line, '\n')
-	_, asp := obs.Start(ctx, "ledger.append")
-	asp.SetAttr("bytes", len(line))
-	_, werr := l.f.Write(line)
-	asp.End()
-	if werr != nil {
-		// A partial append would corrupt the journal interior for later
-		// appends; roll the file back to its durable length.
-		l.f.Truncate(l.off)
-		l.f.Seek(l.off, io.SeekStart)
-		return Release{}, false, fmt.Errorf("ledger: append journal: %w", werr)
-	}
-	_, fsp := obs.Start(ctx, "ledger.fsync")
-	serr := l.f.Sync()
-	fsp.End()
-	if serr != nil {
-		l.f.Truncate(l.off)
-		l.f.Seek(l.off, io.SeekStart)
-		return Release{}, false, fmt.Errorf("ledger: sync journal: %w", serr)
+	if err := l.j.Append(ctx, line); err != nil {
+		return Release{}, false, fmt.Errorf("ledger: %w", err)
 	}
 	sp.SetAttr("admitted", true)
 	sp.SetAttr("eps", rel.Epsilon)
 	sp.SetAttr("delta", rel.Delta)
-	l.off += int64(len(line))
 	l.commit(rel)
 	return rel, true, nil
 }

@@ -35,7 +35,7 @@ func TestRecordReplayE2E(t *testing.T) {
 	}
 
 	// The budget covers every release the trace can charge over the two
-	// replays below (SynthConfig.EExp spells it out): the main corpus's four
+	// replays below (SynthConfig.EExp spells it out): the main corpus's three
 	// distinct releases plus, per replay, one per append_sanitize pair (two
 	// records each) — open-loop appends may fold in another order the
 	// second time, making versions the first replay never released —
@@ -44,7 +44,7 @@ func TestRecordReplayE2E(t *testing.T) {
 	// pool's 503 load-shedding — this test gates exact count reproduction,
 	// not overload behavior (server_test covers the 503 path).
 	n := float64(want["append_sanitize"])
-	budget := dpslog.Budget{Epsilon: (4 + n) * math.Log(2), Delta: 0.751 + n*0.25}
+	budget := dpslog.Budget{Epsilon: (3 + n) * math.Log(2), Delta: 0.75 + n*0.25}
 	srv, err := server.New(server.Config{Workers: 4, Queue: 1024, DataDir: t.TempDir(), Budget: budget})
 	if err != nil {
 		t.Fatal(err)

@@ -29,12 +29,12 @@ type SynthConfig struct {
 	// EExp and Delta are the privacy parameters of sanitize requests.
 	// Corpus-referencing releases spend (ln EExp, Delta) of the server's
 	// per-lineage budget per distinct seed, and the mech_sanitize class adds
-	// two more distinct releases — one zealous at (ln EExp, Delta), one
-	// laplace at (ln EExp, 10⁻³) — so the main corpus spends
-	// (CorpusDistinct+2)·ln EExp and (CorpusDistinct+1)·Delta + 10⁻³;
-	// repeats of a (mechanism, seed) pair are idempotent releases and
-	// charge nothing. At the defaults (EExp 2, Delta 0.25, CorpusDistinct 2)
-	// that is (4·ln 2, 0.751), exactly the server's default ε = ln 16. The
+	// one more distinct release, zealous at (ln EExp, Delta) — stored
+	// corpora serve only Definition-2 mechanisms, so no laplace — and the
+	// main corpus spends (CorpusDistinct+1)·(ln EExp, Delta); repeats of a
+	// (mechanism, seed) pair are idempotent releases and charge nothing. At
+	// the defaults (EExp 2, Delta 0.25, CorpusDistinct 2) that is
+	// (3·ln 2, 0.75), within the server's default ε = ln 16. The
 	// append_sanitize class adds to it: its sanitize pins seed 1, so at most
 	// one (ln EExp, Delta) release is charged per version of the append
 	// corpus, and every version draws on that corpus's one lineage budget.
@@ -146,13 +146,11 @@ func Synthesize(cfg SynthConfig) (*Trace, error) {
 	corpusBody := func(seed uint64, epsilon, delta float64) string {
 		return ReleaseBody(dpslog.Options{Epsilon: epsilon, Delta: delta, Objective: obj, Seed: seed})
 	}
-	// Non-UMP mechanism releases pin seed 1: the class exercises the
+	// The non-UMP mechanism release pins seed 1: the class exercises the
 	// dispatch and per-mechanism charging paths, and a single (mechanism,
-	// seed) identity per mechanism keeps its budget spend flat however many
-	// requests the mix deals it.
-	mechBody := func(mech string, delta float64, d int) string {
-		return ReleaseBody(dpslog.Options{Mechanism: mech, Epsilon: math.Log(cfg.EExp), Delta: delta, D: d, Seed: 1})
-	}
+	// seed) identity keeps its budget spend flat however many requests the
+	// mix deals it.
+	mechBody := ReleaseBody(dpslog.Options{Mechanism: "zealous", Epsilon: math.Log(cfg.EExp), Delta: cfg.Delta, Seed: 1})
 
 	g := rng.New(cfg.Seed)
 	var t time.Duration
@@ -195,11 +193,7 @@ func Synthesize(cfg SynthConfig) (*Trace, error) {
 			rec.Method = "POST"
 			rec.Path = "/v1/corpora/" + cfg.CorpusName + "/sanitize"
 			rec.ContentType = "application/json"
-			if i%2 == 0 {
-				rec.Body = mechBody("zealous", cfg.Delta, 0)
-			} else {
-				rec.Body = mechBody("laplace", 1e-3, 5)
-			}
+			rec.Body = mechBody
 		case "ingest_put":
 			rec.Method = "PUT"
 			rec.Path = "/v1/corpora/" + cfg.CorpusName

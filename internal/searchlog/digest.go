@@ -43,10 +43,11 @@ func (l *Log) Digest() string {
 // delta touched; any other log is hashed as its rows stream.
 func WriteTSVDigest(w io.Writer, l *Log) (d string, err error) {
 	if img := l.readImage(); img != nil {
-		if _, err = w.Write(img.buf); err == nil {
-			d = hexSum(img.buf)
-		}
+		_, err = w.Write(img.buf)
 		img.readers.Add(-1)
+		if err == nil {
+			d = l.Digest() // memoized: a second write does not re-hash
+		}
 	} else {
 		d, err = writeDigest(w, l)
 	}

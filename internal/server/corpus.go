@@ -13,8 +13,10 @@ package server
 import (
 	"cmp"
 	"errors"
+	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -396,6 +398,14 @@ func (s *Server) handleCorpusReleases(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// corpusMechanisms are the mechanisms a stored corpus releases through:
+// those whose (ε, δ) is probabilistic differential privacy (Hong et al.'s
+// Definition 2), so that a lineage's Σδ sums one guarantee. laplace's δ̂ is
+// (ε, δ)-indistinguishability, which Proposition 1 shows strictly weaker;
+// it serves the stateless endpoints only. Journaled laplace releases of a
+// corpus still count toward its lineage.
+var corpusMechanisms = []string{"ump", "zealous"}
+
 // handleCorpusSanitize releases a sanitization of a stored corpus through
 // the mechanism the options name. Each mechanism declares its own (ε, δ)
 // release cost (internal/mechanism), which is what the ledger pre-checks
@@ -406,7 +416,8 @@ func (s *Server) handleCorpusReleases(w http.ResponseWriter, r *http.Request) {
 // re-derives its release and must reproduce the journaled release digest:
 // one that does not is withheld with a 500 and counted in
 // slserve_rederive_mismatch_total. Requests the remaining budget cannot
-// cover get a structured 429 carrying the remaining (ε, δ).
+// cover get a structured 429 carrying the remaining (ε, δ). A mechanism
+// outside corpusMechanisms gets the 400 a disabled mechanism gets.
 func (s *Server) handleCorpusSanitize(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	// Capture the (log, digest) pair once, atomically: the Log is immutable,
@@ -434,6 +445,10 @@ func (s *Server) handleCorpusSanitize(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := req.Options
 	mech, err := s.resolveMechanism(opts)
+	if err == nil && !slices.Contains(corpusMechanisms, mech.Name()) {
+		err = fmt.Errorf("mechanism %q is not served on stored corpora (served: %s)",
+			mech.Name(), strings.Join(corpusMechanisms, ", "))
+	}
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return

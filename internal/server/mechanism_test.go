@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,18 +103,30 @@ func TestSanitizeMechanismMatrix(t *testing.T) {
 }
 
 // TestCorpusMechanismChargesAndReplaysAcrossRestart is the ledger matrix:
-// every mechanism is charged exactly its declared (ε, δ) against one
-// shared corpus budget, the budget exhausts after all three, and after a
-// restart on the same data dir each journaled (mechanism, seed) identity
-// replays free with an identical release and release digest.
+// every mechanism a corpus serves is charged exactly its declared (ε, δ)
+// against one shared corpus budget, the budget exhausts after all of them,
+// and after a restart on the same data dir each journaled (mechanism,
+// seed) identity replays free with an identical release and release
+// digest. laplace, whose δ is a weaker guarantee, is a 400 on a corpus and
+// charges nothing.
 func TestCorpusMechanismChargesAndReplaysAcrossRestart(t *testing.T) {
-	cases := mechanismCases(t)
+	var cases []mechCase
+	for _, mc := range mechanismCases(t) {
+		if slices.Contains(corpusMechanisms, mc.name) {
+			cases = append(cases, mc)
+		}
+	}
 	dir := t.TempDir()
-	// Exactly the matrix's ε spend: Σε = 3·ln 2, Σδ = 0.501 ≤ 0.75.
+	// Exactly the matrix's spend: Σε = 2·ln 2, Σδ = 0.5.
 	cfg := Config{DataDir: dir, Budget: budgetFor(len(cases))}
 	e := newTestEnv(t, cfg)
 	if resp, raw := e.do(t, http.MethodPut, "/v1/corpora/m", "text/tab-separated-values", e.tsv); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("PUT: %d %s", resp.StatusCode, raw)
+	}
+	resp, raw := e.post(t, "/v1/corpora/m/sanitize", "application/json",
+		fmt.Appendf(nil, `{"options":{"mechanism":"laplace","epsilon":%g,"delta":0.001,"d":5,"seed":1}}`, math.Log(2)))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(decode[apiError](t, raw).Error, "not served on stored corpora") {
+		t.Fatalf("laplace on a corpus: %d %s", resp.StatusCode, raw)
 	}
 
 	first := map[string]corpusSanitizeResponse{}
@@ -140,7 +153,7 @@ func TestCorpusMechanismChargesAndReplaysAcrossRestart(t *testing.T) {
 	}
 
 	// The matrix spent the whole ε budget; a fresh ump seed must be refused.
-	resp, raw := e.post(t, "/v1/corpora/m/sanitize", "application/json", sanitizeBody(9))
+	resp, raw = e.post(t, "/v1/corpora/m/sanitize", "application/json", sanitizeBody(9))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("post-matrix fresh release: %d %s", resp.StatusCode, raw)
 	}
@@ -177,8 +190,9 @@ func TestCorpusMechanismChargesAndReplaysAcrossRestart(t *testing.T) {
 }
 
 // TestSanitizeMechanismRejections covers the structured 400s: an unknown
-// mechanism name, and a registered mechanism outside the deployment's
-// -mechanisms allowlist, on all three sanitize surfaces.
+// mechanism name, a registered mechanism outside the deployment's
+// -mechanisms allowlist, on all three sanitize surfaces, and an allowlisted
+// laplace on a stored corpus.
 func TestSanitizeMechanismRejections(t *testing.T) {
 	e := newTestEnv(t, Config{DataDir: t.TempDir(), Mechanisms: []string{"ump", "laplace"}})
 	if resp, raw := e.do(t, http.MethodPut, "/v1/corpora/c", "text/tab-separated-values", e.tsv); resp.StatusCode != http.StatusCreated {
@@ -201,6 +215,8 @@ func TestSanitizeMechanismRejections(t *testing.T) {
 	check("disabled on /v1/sanitize", "/v1/sanitize?mechanism=zealous&eexp=2&delta=0.25&d=5", "text/tab-separated-values", e.tsv, "disabled")
 	check("disabled on corpus sanitize", "/v1/corpora/c/sanitize", "application/json",
 		[]byte(`{"options":{"mechanism":"zealous","epsilon":0.7,"delta":0.25,"seed":1}}`), "disabled")
+	check("laplace on corpus sanitize", "/v1/corpora/c/sanitize", "application/json",
+		[]byte(`{"options":{"mechanism":"laplace","epsilon":0.7,"delta":0.001,"d":5,"seed":1}}`), "not served on stored corpora")
 
 	// Allowlisted mechanisms still serve.
 	if resp, raw := e.post(t, "/v1/sanitize?mechanism=laplace&eexp=2&delta=0.001&d=5&seed=1", "text/tab-separated-values", e.tsv); resp.StatusCode != http.StatusOK {
@@ -251,6 +267,58 @@ func TestRetiredMechanismJournalStillCounts(t *testing.T) {
 	}
 	if msg := decode[apiError](t, raw).Error; !strings.Contains(msg, "localdp") || !strings.Contains(msg, strings.Join(dpslog.Mechanisms(), ", ")) {
 		t.Errorf("error %q does not name localdp and the valid mechanisms", msg)
+	}
+	_, raw = re.get(t, "/v1/corpora/c/budget")
+	if got := decode[budgetResp](t, raw).Budget; got.Releases != want.Releases {
+		t.Fatalf("rejected repeat was charged: %+v", got)
+	}
+	journalUnchanged(t, cfg.DataDir, journal)
+}
+
+// TestLaplaceCorpusJournalStillCounts: a journal written while stored
+// corpora still served laplace replays with that release's spend, because
+// the ledger may over-count but never under-count. A repeat of that
+// release is now a 400, charges nothing and adds no journal line.
+func TestLaplaceCorpusJournalStillCounts(t *testing.T) {
+	ln2 := math.Log(2)
+	opts := fmt.Sprintf(`{"mechanism":"laplace","epsilon":%v,"delta":0.001,"seed":1,"d":5}`, ln2)
+	cfg, first, journal := journaledRelease(t, func(j []byte, rel corpusSanitizeResponse) []byte {
+		line, err := json.Marshal(dpslog.Release{
+			Seq:           2,
+			Corpus:        "c",
+			Digest:        rel.Release.Digest,
+			Key:           rel.Release.Digest + "\x00" + opts,
+			Mechanism:     "laplace",
+			ReleaseDigest: strings.Repeat("cd", 32),
+			Epsilon:       ln2,
+			Delta:         0.001,
+			Time:          rel.Release.Time,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(append(j, line...), '\n')
+	})
+	re := newTestEnv(t, cfg)
+	type budgetResp struct {
+		Budget ledger.Status `json:"budget"`
+	}
+	want := first.Budget
+	want.Releases++
+	want.Spent.Epsilon += ln2
+	want.Spent.Delta += 0.001
+	_, raw := re.get(t, "/v1/corpora/c/budget")
+	if got := decode[budgetResp](t, raw).Budget; got.Releases != want.Releases ||
+		math.Abs(got.Spent.Epsilon-want.Spent.Epsilon) > 1e-12 || math.Abs(got.Spent.Delta-want.Spent.Delta) > 1e-12 {
+		t.Fatalf("budget after replay %+v, want %+v", got, want)
+	}
+
+	resp, raw := re.post(t, "/v1/corpora/c/sanitize", "application/json", []byte(`{"options":`+opts+`}`))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("laplace repeat on a corpus: status %d: %s", resp.StatusCode, raw)
+	}
+	if msg := decode[apiError](t, raw).Error; !strings.Contains(msg, "laplace") || !strings.Contains(msg, strings.Join(corpusMechanisms, ", ")) {
+		t.Errorf("error %q does not name laplace and the mechanisms corpora serve", msg)
 	}
 	_, raw = re.get(t, "/v1/corpora/c/budget")
 	if got := decode[budgetResp](t, raw).Budget; got.Releases != want.Releases {

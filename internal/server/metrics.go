@@ -33,7 +33,16 @@ type Metrics struct {
 	// rederiveMismatches counts repeats of a journaled release whose
 	// re-derived release digest differed from the journaled one.
 	rederiveMismatches int64
+	// recovery counts what opening the stateful subsystems repaired, by
+	// kind (recoveryKinds).
+	recovery map[string]int64
 }
+
+// recoveryKinds are the labels of slserve_recovery_total: a torn journal
+// tail truncated or its lost newline restored, in the ledger or a corpus
+// chain; a journaled version folded forward onto its corpus's checkpoint;
+// a legacy chain migrated into a journal.
+var recoveryKinds = []string{"chain_folded", "chain_migrated", "chain_torn_tail", "ledger_torn_tail"}
 
 // solverMetrics accumulates the LP-engine depth counters surfaced by
 // dpslog.SolveStats: how hard the simplex worked, not just how long the
@@ -133,6 +142,7 @@ func NewMetrics() *Metrics {
 		components: newHistogram(componentBuckets),
 		stages:     make(map[string]*histogram),
 		mechanisms: make(map[string]int64),
+		recovery:   make(map[string]int64),
 	}
 }
 
@@ -185,6 +195,13 @@ func (m *Metrics) ObserveIngest(rows int64, rowsPerSec float64, peakHeap uint64)
 	m.ingest.rows += rows
 	m.ingest.lastRowsPerSec = rowsPerSec
 	m.ingest.lastPeakHeap = peakHeap
+}
+
+// ObserveRecovery records n repairs of one recoveryKinds kind.
+func (m *Metrics) ObserveRecovery(kind string, n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.recovery[kind] += int64(n)
 }
 
 // ObserveRederiveMismatch records one withheld repeat: a journaled release
@@ -304,6 +321,11 @@ func (m *Metrics) WriteTo(w io.Writer, g Gauges) {
 	}
 
 	scalar(w, "slserve_rederive_mismatch_total", "counter", "Repeats of a journaled release withheld because the re-derived release digest differed from the journaled one.", m.rederiveMismatches)
+
+	family(w, "slserve_recovery_total", "counter", "Repairs made while opening the ledger and the corpus store, by kind.")
+	for _, kind := range recoveryKinds {
+		fmt.Fprintf(w, "slserve_recovery_total{kind=%q} %d\n", kind, m.recovery[kind])
+	}
 
 	scalar(w, "slserve_component_cache_entries", "gauge", "Entries in the shared component-plan cache.", g.CompCacheEntries)
 	scalar(w, "slserve_component_cache_hits_total", "counter", "Component plans reused from the cache.", g.CompCacheHits)

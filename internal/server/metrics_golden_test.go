@@ -71,6 +71,8 @@ func TestMetricsGolden(t *testing.T) {
 	m.ObserveIngest(34, 1e7, 1<<40)
 	m.ObserveIngestFailure()
 	m.ObserveRederiveMismatch()
+	m.ObserveRecovery("chain_folded", 3)
+	m.ObserveRecovery("ledger_torn_tail", 1)
 
 	out := withoutRuntimeFamilies(scrape(t, m, Gauges{
 		Workers: 4, WorkersBusy: 1, QueueDepth: 2,

@@ -325,20 +325,28 @@ func (s *Server) openState() {
 	}
 	budgets, err := ledger.Open(filepath.Join(s.cfg.DataDir, "ledger.journal"), s.cfg.Budget)
 	if err != nil {
+		corpora.Close()
 		s.openErr = err
 		return
 	}
+	rec := corpora.Recovery()
+	s.metrics.ObserveRecovery("chain_folded", rec.Folded)
+	s.metrics.ObserveRecovery("chain_migrated", rec.Migrated)
+	s.metrics.ObserveRecovery("chain_torn_tail", rec.TornTails)
+	s.metrics.ObserveRecovery("ledger_torn_tail", budgets.TornTails())
 	s.corpora, s.budgets = corpora, budgets
 }
 
 // Close stops the worker pool — in-flight solves finish, queued tasks are
 // drained and failed with ErrClosed (async jobs transition to "failed") —
-// and releases the ledger journal (waiting out the async open first).
+// and releases the ledger and corpus journals (waiting out the async open
+// first).
 func (s *Server) Close() {
 	s.pool.Close()
 	<-s.ready
 	if s.budgets != nil {
 		s.budgets.Close()
+		s.corpora.Close()
 	}
 }
 

@@ -6,7 +6,10 @@ package server
 // the Content-Type negotiation of upload bodies.
 
 import (
+	"bytes"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"dpslog/internal/ledger"
@@ -281,5 +284,54 @@ func TestSanitizeReusesComponentsAfterAppend(t *testing.T) {
 	if ctl := decode[corpusSanitizeResponse](t, raw); resp.StatusCode != http.StatusOK || ctl.Version != inc.Version ||
 		ctl.ReleaseDigest != inc.ReleaseDigest || ctl.Plan.ReusedComponents != 0 {
 		t.Fatalf("cold control: %d %s; incremental: version %s release %s", resp.StatusCode, raw, inc.Version, inc.ReleaseDigest)
+	}
+}
+
+// TestRecoveryIsVisible: what a restart repaired shows on /metrics — the
+// journaled appends folded onto the corpus checkpoint, and a torn ledger
+// tail truncated — and a clean restart after it repairs no tail.
+func TestRecoveryIsVisible(t *testing.T) {
+	cfg := Config{DataDir: t.TempDir(), Budget: budgetFor(2)}
+	e := newTestEnv(t, cfg)
+	if resp, raw := e.do(t, http.MethodPut, "/v1/corpora/c", "text/tab-separated-values", e.tsv); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT: %d %s", resp.StatusCode, raw)
+	}
+	for _, delta := range [][]byte{appendDelta, []byte("newuserC\tnewquery\thttp://new.example\t1\n")} {
+		if resp, raw := e.post(t, "/v1/corpora/c/append", "text/tab-separated-values", delta); resp.StatusCode != http.StatusOK {
+			t.Fatalf("append: %d %s", resp.StatusCode, raw)
+		}
+	}
+	if resp, raw := e.post(t, "/v1/corpora/c/sanitize", "application/json", sanitizeBody(1)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("release: %d %s", resp.StatusCode, raw)
+	}
+	e.ts.Close()
+	e.srv.Close()
+	f, err := os.OpenFile(filepath.Join(cfg.DataDir, "ledger.journal"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"seq":2,"corpus":"c","dig`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for restart, want := range [][]string{
+		{`slserve_recovery_total{kind="chain_folded"} 2`, `slserve_recovery_total{kind="ledger_torn_tail"} 1`, `slserve_recovery_total{kind="chain_torn_tail"} 0`},
+		{`slserve_recovery_total{kind="chain_folded"} 2`, `slserve_recovery_total{kind="ledger_torn_tail"} 0`, `slserve_recovery_total{kind="chain_migrated"} 0`},
+	} {
+		re := newTestEnv(t, cfg)
+		if resp, raw := re.get(t, "/v1/corpora/c/versions"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("restart %d: versions: %d %s", restart+1, resp.StatusCode, raw)
+		}
+		_, m := re.get(t, "/metrics")
+		for _, line := range want {
+			if !bytes.Contains(m, []byte("\n"+line+"\n")) {
+				t.Errorf("restart %d: /metrics lacks %s", restart+1, line)
+			}
+		}
+		re.ts.Close()
+		re.srv.Close()
 	}
 }
